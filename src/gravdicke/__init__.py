@@ -21,7 +21,6 @@ from .errors import (
 from .metric import (
     PhysicalConstants,
     WeakFieldMetric,
-    h_factor,
     momentum_measure_factor,
     proper_time_shift,
     quantization_volume,
@@ -44,7 +43,6 @@ from .modes import (
 from .maxwell import (
     ResidualReport,
     StencilSpec,
-    gauss_residual,
     residual_slope_study,
     transversality_check,
     wave_residual,

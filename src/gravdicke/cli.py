@@ -7,7 +7,9 @@ sidecar carries a timestamp.
 
 Exit codes: 0 success, 2 invalid config, 3 physics-domain error (for example a
 linearization guard), 4 oracle disagreement or non-converged quadrature in a
-verification scenario, 1 anything unexpected.
+verification scenario, 1 anything unexpected.  A config under which a
+scenario's gate cannot be decided (one replica, one distinct a value, no
+off-peak probes) is an invalid config, not an oracle disagreement.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -56,7 +59,7 @@ _DEFAULTS: dict = {
     "output_dir": "out",
     "unit_regime": "scaled",        # scaled | si
     "threads": 1,
-    "constants": {"c": None, "hbar": None, "eps0": None, "G_newton": None},
+    "constants": {"c": None, "hbar": None, "eps0": None},
     "metric": {"a": 1e-3, "g": None, "z0": 0.0},
     "spectrum": {
         "nu": 1.0,
@@ -131,22 +134,19 @@ def load_config(path: str | None, overrides: dict) -> dict:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {cfg['scenario']!r}")
     if cfg["unit_regime"] not in ("si", "scaled"):
         raise ConfigError("unit_regime must be 'si' or 'scaled'")
-    if int(cfg["threads"]) < 1:
-        raise ConfigError("threads must be >= 1")
+    try:
+        threads = int(cfg["threads"])
+    except (TypeError, ValueError):
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     return cfg
 
 
 def _constants(cfg: dict) -> PhysicalConstants:
     base = PhysicalConstants() if cfg["unit_regime"] == "si" else PhysicalConstants.scaled()
     over = {k: v for k, v in cfg["constants"].items() if v is not None}
-    if not over:
-        return base
-    return PhysicalConstants(
-        c=over.get("c", base.c),
-        hbar=over.get("hbar", base.hbar),
-        eps0=over.get("eps0", base.eps0),
-        G_newton=over.get("G_newton", base.G_newton),
-    )
+    return dataclasses.replace(base, **over)
 
 
 def _metric(cfg: dict, constants: PhysicalConstants) -> WeakFieldMetric:
@@ -244,6 +244,8 @@ def _run_spreads(cfg: dict, outdir: Path) -> dict:
 def _run_flat_dicke(cfg: dict, outdir: Path) -> dict:
     constants = _constants(cfg)
     d = cfg["dicke"]
+    if int(d["n_offpeak"]) < 1:
+        raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
     n = int(d["n_atoms"])
     s = cfg["spectrum"]
     knorm = float(s["nu"]) / constants.c
@@ -284,7 +286,7 @@ def _run_flat_dicke(cfg: dict, outdir: Path) -> dict:
     summary = {
         "n_atoms": n,
         "s_at_zero": float(mean[0]),
-        "offpeak_mean": float(off.mean()) if len(off) else None,
+        "offpeak_mean": float(off.mean()),
         "offpeak_bound_2_over_n": 2.0 / n,
     }
     print(f"S(dk=0) = {float(mean[0])!r}; off-peak mean = {summary['offpeak_mean']:.3e} "
@@ -301,6 +303,9 @@ def _run_delta_limit(cfg: dict, outdir: Path) -> dict:
         a_values = [float(a) for a in dcfg["a_values"]]
     else:
         a_values = [metric.a / 2**i for i in range(int(dcfg["halvings"]))]
+    if not a_values:
+        raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1 "
+                          "or a nonempty delta.a_values")
     width_max = max(a_values) * params.nu / params.gamma
     kz = params.k0z + width_max * _offset_grid(-8.0, 1.0, int(dcfg["grid_points"]))
     sweep = flat_delta_limit(kz, params, a_values)
@@ -331,6 +336,9 @@ def _run_curved_spectrum(cfg: dict, outdir: Path) -> dict:
     params = _spectrum_params(cfg, constants, metric)
     e = cfg["ensemble"]
     tol = cfg["tolerances"]
+    if int(e["replicas"]) < 2:
+        raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
+                          "a replica spread")
 
     ell = params.gamma / (metric.a * params.nu)
     height = float(e["box_heights"]) * ell
@@ -396,6 +404,9 @@ def _run_verify_modes(cfg: dict, outdir: Path) -> dict:
     tol = cfg["tolerances"]
     z0 = float(cfg["metric"]["z0"])
     a_values = [float(a) for a in v["a_values"]]
+    if len(set(a_values)) < 2 or int(v["n_modes"]) < 1:
+        raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
+                          "verify.a_values to fit a slope")
     point = v["point"]
     t, r = float(point["t"]), np.array([point["x"], point["y"], point["z"]])
 
@@ -470,6 +481,9 @@ def run(cfg: dict) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         summary = _RUNNERS[cfg["scenario"]](cfg, outdir)
+    except ConfigError as exc:
+        _report_error(outdir, exc)
+        return 2
     except (QuadratureError, OracleMismatchError) as exc:
         _report_error(outdir, exc)
         return 4

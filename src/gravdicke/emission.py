@@ -9,7 +9,6 @@ by rejection, so runs are bit-reproducible across platforms.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -131,36 +130,6 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    def atom(self, j: int) -> Atom:
-        return Atom(self.positions[j], self.nu, self.gamma, self.dipole)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# seed={self.seed_key}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "z"])
-            for row in self.positions:
-                writer.writerow([repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path, nu, gamma, dipole, box, metric=None) -> "Ensemble":
-        seed_key = (0,)
-        rows = []
-        with open(path) as fh:
-            first = fh.readline()
-            if first.startswith("# seed="):
-                seed_key = tuple(
-                    int(v) for v in first.split("=", 1)[1].strip("()\n ").split(",") if v.strip()
-                )
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["x", "y", "z"]:
-                raise PhysicsDomainError(f"unexpected ensemble CSV header: {header}")
-            rows = [[float(v) for v in row] for row in reader if row]
-        pos = np.array(rows)
-        weights = _volume_weights(pos[:, 2], metric)
-        return cls(pos, nu, gamma, dipole, box, seed_key, weights)
 
 
 def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None) -> np.ndarray:

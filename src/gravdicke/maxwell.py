@@ -39,7 +39,6 @@ __all__ = [
     "TransversalityReport",
     "ScalingStudy",
     "wave_residual",
-    "gauss_residual",
     "transversality_check",
     "residual_slope_study",
     "fit_loglog_slope",
@@ -198,18 +197,6 @@ def wave_residual(
         gauss_discretization=float(gauss_disc),
         inconclusive=bool(disc > np.linalg.norm(res)),
     )
-
-
-def gauss_residual(
-    mode: PerturbedMode,
-    t: float,
-    r,
-    stencil: StencilSpec | None = None,
-    *,
-    field: Callable | None = None,
-) -> complex:
-    """Richardson-extrapolated divergence-constraint residual at one point."""
-    return wave_residual(mode, t, r, stencil, field=field).gauss_residual
 
 
 def transversality_check(mode: PerturbedMode, z: float) -> TransversalityReport:

@@ -13,6 +13,7 @@ double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +21,21 @@ import numpy as np
 from .errors import LinearizationError, PhysicsDomainError
 
 __all__ = [
+    "KZ_GUARD",
     "PhysicalConstants",
     "WeakFieldMetric",
     "surface_param_a",
-    "h_factor",
     "redshift",
     "quantization_volume",
     "momentum_measure_factor",
     "proper_time_shift",
     "check_linearization",
 ]
+
+# Grazing guard: |k_z| must exceed this fraction of |k|.  Every first-order
+# correction carries a 1/k_z pole, so modes and emission directions closer to
+# horizontal are rejected rather than extrapolated.
+KZ_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,17 +45,17 @@ class PhysicalConstants:
     c: float = 299_792_458.0          # speed of light, m/s
     hbar: float = 1.054_571_817e-34   # reduced Planck constant, J s
     eps0: float = 8.854_187_8128e-12  # vacuum permittivity, F/m
-    G_newton: float = 6.674_30e-11    # gravitational constant, m^3/(kg s^2)
 
     def __post_init__(self) -> None:
-        for name in ("c", "hbar", "eps0", "G_newton"):
-            if not getattr(self, name) > 0.0:
-                raise PhysicsDomainError(f"constant {name!r} must be strictly positive")
+        for name in ("c", "hbar", "eps0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise PhysicsDomainError(f"constant {name!r} must be finite and strictly positive")
 
     @classmethod
     def scaled(cls) -> "PhysicalConstants":
-        """Order-unity regime (c = hbar = eps0 = G = 1) used by numerical checks."""
-        return cls(c=1.0, hbar=1.0, eps0=1.0, G_newton=1.0)
+        """Order-unity regime (c = hbar = eps0 = 1) used by numerical checks."""
+        return cls(c=1.0, hbar=1.0, eps0=1.0)
 
 
 @dataclass(frozen=True)
@@ -57,34 +63,19 @@ class WeakFieldMetric:
     """Linearized static metric g_00 = 1 + a (z - z0), g_zz = -(1 - a (z - z0)).
 
     ``a`` is the gravity-gradient parameter (1/m) and ``z0`` the reference
-    height where the metric is exactly Minkowskian.  ``r_s`` is an optional
-    Schwarzschild radius used only by the lapse-factor diagnostic ``h``.
+    height where the metric is exactly Minkowskian.
     """
 
     a: float = 0.0
     z0: float = 0.0
-    r_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.a < 0.0:
-            raise PhysicsDomainError("gravity-gradient parameter a must be >= 0")
-        if self.r_s is not None and self.r_s <= 0.0:
-            raise PhysicsDomainError("Schwarzschild radius r_s must be positive when given")
-
-    def delta(self, z):
-        """Height offset from the reference plane."""
-        return np.asarray(z, dtype=float) - self.z0
-
-    def h(self, z):
-        """Lapse factor 1 - r_s/z, restricted to the far-field domain z > 100 r_s."""
-        if self.r_s is None:
-            raise PhysicsDomainError("metric has no r_s configured")
-        z = np.asarray(z, dtype=float)
-        if np.any(z <= 100.0 * self.r_s):
+        if not (math.isfinite(self.a) and self.a >= 0.0):
             raise PhysicsDomainError(
-                "lapse diagnostic requested below the far-field domain z > 100 r_s"
+                f"gravity-gradient parameter a must be finite and >= 0, got {self.a!r}"
             )
-        return h_factor(z, self.r_s)
+        if not math.isfinite(self.z0):
+            raise PhysicsDomainError(f"reference height z0 must be finite, got {self.z0!r}")
 
 
 def check_linearization(a: float, dz) -> None:
@@ -100,15 +91,6 @@ def surface_param_a(g: float, constants: PhysicalConstants) -> float:
     if g < 0.0:
         raise PhysicsDomainError("free-fall acceleration g must be >= 0")
     return 2.0 * g / constants.c**2
-
-
-def h_factor(z, r_s: float):
-    """Schwarzschild lapse 1 - r_s/z for z > 0 (raw formula, no far-field guard)."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise PhysicsDomainError("h_factor requires z > 0")
-    out = 1.0 - r_s / z
-    return float(out) if out.ndim == 0 else out
 
 
 def redshift(x, z, a: float):

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .metric import PhysicalConstants, WeakFieldMetric, check_linearization
+from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric, check_linearization
 
 __all__ = [
     "ModeIndex",
@@ -52,7 +52,6 @@ class ModeIndex:
 
     k: np.ndarray
     s: int
-    kz_guard: float = 1e-6
 
     def __post_init__(self) -> None:
         k = np.array(self.k, dtype=float).reshape(3)
@@ -62,10 +61,8 @@ class ModeIndex:
         norm = float(np.linalg.norm(k))
         if norm == 0.0:
             raise PhysicsDomainError("zero wavevector")
-        if abs(k[2]) <= self.kz_guard * norm:
-            raise PhysicsDomainError(
-                f"grazing mode rejected: |k_z| <= {self.kz_guard:g} |k|"
-            )
+        if abs(k[2]) <= KZ_GUARD * norm:
+            raise PhysicsDomainError(f"grazing mode rejected: |k_z| <= {KZ_GUARD:g} |k|")
 
     @property
     def knorm(self) -> float:
@@ -142,12 +139,35 @@ def _delta_z(mode: PerturbedMode, z):
     return dz
 
 
+def gauss_law_constant(mode: PerturbedMode) -> complex:
+    """Constant phase offset -i (kx^2+ky^2)/(4 kz^3) on the vertical E component.
+
+    Fixed by the curved-space divergence constraint; dropping it degrades the
+    Gauss-law residual from O(a^2) to O(a).
+    """
+    kx, ky, kz = mode.k
+    return -1j * (kx * kx + ky * ky) / (4.0 * kz**3)
+
+
+def _first_order_terms(mode: PerturbedMode, dz):
+    """Per-unit-a corrections at height offsets dz: (common, (mix_x, mix_y), gauss).
+
+    ``common`` is shared by all three components: its real part is the
+    amplitude correction, its imaginary part the quadratic phase.  The mixing
+    terms tilt the transverse components toward the vertical one, and
+    ``gauss`` is the constant on the vertical component.
+    """
+    kx, ky, kz = mode.k
+    ksq_t = kx * kx + ky * ky
+    common = dz * ksq_t / (4.0 * kz * kz) + 1j * dz * dz * (ksq_t + 2.0 * kz * kz) / (4.0 * kz)
+    tilt = dz * mode.f0[2] / (2.0 * kz)
+    return common, (tilt * kx, tilt * ky), gauss_law_constant(mode)
+
+
 def mode_amplitude(mode: PerturbedMode, z):
     """Height-dependent amplitude: flat value times (1 + a dz (kx^2+ky^2)/(4 kz^2))."""
-    kx, ky, kz = mode.k
-    dz = _delta_z(mode, z)
-    corr = mode.metric.a * dz * (kx * kx + ky * ky) / (4.0 * kz * kz)
-    out = mode.flat_amplitude * (1.0 + corr)
+    common, _, _ = _first_order_terms(mode, _delta_z(mode, z))
+    out = mode.flat_amplitude * (1.0 + mode.metric.a * common.real)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -156,10 +176,9 @@ def mode_phase(mode: PerturbedMode, t, r):
     r = np.asarray(r, dtype=float)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
     kx, ky, kz = mode.k
-    dz = _delta_z(mode, z)
-    flat = mode.omega * np.asarray(t, dtype=float) - kx * x - ky * y - kz * z
-    quad = mode.metric.a * (kx * kx + ky * ky + 2.0 * kz * kz) / (4.0 * kz) * dz * dz
-    out = flat + quad
+    common, _, _ = _first_order_terms(mode, _delta_z(mode, z))
+    out = mode.omega * np.asarray(t, dtype=float) - kx * x - ky * y - kz * z
+    out = out + mode.metric.a * common.imag
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -179,16 +198,6 @@ def local_wavevector(mode: PerturbedMode, z):
     return out if np.ndim(dz) else out.reshape(4)
 
 
-def gauss_law_constant(mode: PerturbedMode) -> complex:
-    """Constant phase offset -i (kx^2+ky^2)/(4 kz^3) on the vertical E component.
-
-    Fixed by the curved-space divergence constraint; dropping it degrades the
-    Gauss-law residual from O(a^2) to O(a).
-    """
-    kx, ky, kz = mode.k
-    return -1j * (kx * kx + ky * ky) / (4.0 * kz**3)
-
-
 class PerturbationTerm(NamedTuple):
     """First-order correction for one field component.
 
@@ -200,12 +209,6 @@ class PerturbationTerm(NamedTuple):
     product_form: bool
 
 
-def _m_common(mode: PerturbedMode, dz):
-    kx, ky, kz = mode.k
-    ksq_t = kx * kx + ky * ky
-    return dz * ksq_t / (4.0 * kz * kz) + 1j * dz * dz * (ksq_t + 2.0 * kz * kz) / (4.0 * kz)
-
-
 def perturbation_M(mode: PerturbedMode, j: int, z: float) -> PerturbationTerm:
     """Per-component first-order perturbation M_j(z), integration constants included.
 
@@ -215,18 +218,13 @@ def perturbation_M(mode: PerturbedMode, j: int, z: float) -> PerturbationTerm:
     """
     if j not in (1, 2, 3):
         raise PhysicsDomainError("component index j must be 1, 2 or 3")
-    dz = float(_delta_z(mode, z))
-    common = _m_common(mode, dz)
+    common, mix, gauss = _first_order_terms(mode, float(_delta_z(mode, z)))
     if j == 3:
-        return PerturbationTerm(complex(common + gauss_law_constant(mode)), False)
-    kx, ky, kz = mode.k
-    f0 = mode.f0
-    kj = kx if j == 1 else ky
-    mix = kj * dz * f0[2] / (2.0 * kz)
-    f0j = f0[j - 1]
+        return PerturbationTerm(complex(common + gauss), False)
+    f0j = mode.f0[j - 1]
     if f0j == 0.0:
-        return PerturbationTerm(complex(f0j * common + mix), True)
-    return PerturbationTerm(complex(common + mix / f0j), False)
+        return PerturbationTerm(complex(f0j * common + mix[j - 1]), True)
+    return PerturbationTerm(complex(common + mix[j - 1] / f0j), False)
 
 
 def polarization_E(mode: PerturbedMode, z):
@@ -235,11 +233,11 @@ def polarization_E(mode: PerturbedMode, z):
     Reduces to the flat basis vector exactly whenever its vertical component
     vanishes, and at the reference height for any mode.
     """
-    kx, ky, kz = mode.k
     dz = _delta_z(mode, z)
+    _, (mix_x, mix_y), _ = _first_order_terms(mode, dz)
+    a = mode.metric.a
     f0 = mode.f0
-    tilt = mode.metric.a * dz / (2.0 * kz) * f0[2]
-    parts = np.broadcast_arrays(f0[0] + tilt * kx, f0[1] + tilt * ky, f0[2] + 0.0 * tilt)
+    parts = np.broadcast_arrays(f0[0] + a * mix_x, f0[1] + a * mix_y, f0[2] + 0.0 * dz)
     out = np.stack(parts, axis=-1).astype(complex)
     return out if np.ndim(dz) else out.reshape(3)
 
@@ -260,22 +258,11 @@ def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
     f0 = mode.f0
     p0 = np.cross(kvec, f0) / knorm
     # polarization tilt and wavevector tilt, each per unit a
-    df = (dz * f0[2] / (2.0 * kz)) * np.array([kx, ky, 0.0])
+    _, (mix_x, mix_y), _ = _first_order_terms(mode, dz)
+    df = np.array([mix_x, mix_y, 0.0])
     kappa = dz * (kx * kx + ky * ky + 2.0 * kz * kz) / (2.0 * kz)
     corr = dz * np.cross(kvec, f0) + np.cross(kvec, df) - kappa * np.cross(_ZHAT, f0)
     return (p0 + (a / knorm) * corr).astype(complex)
-
-
-def _polarization_E_array(mode: PerturbedMode, z: np.ndarray) -> np.ndarray:
-    kx, ky, kz = mode.k
-    dz = z - mode.metric.z0
-    f0 = mode.f0
-    tilt = mode.metric.a * dz / (2.0 * kz) * f0[2]
-    out = np.empty(z.shape + (3,), dtype=complex)
-    out[..., 0] = f0[0] + tilt * kx
-    out[..., 1] = f0[1] + tilt * ky
-    out[..., 2] = f0[2]
-    return out
 
 
 def electric_field_eigenmode(mode: PerturbedMode, t, r) -> np.ndarray:
@@ -286,21 +273,9 @@ def electric_field_eigenmode(mode: PerturbedMode, t, r) -> np.ndarray:
     responsibility.
     """
     r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
-    pts = np.atleast_2d(r)
-    z = pts[:, 2]
-    _delta_z(mode, z)
-    amp = mode.flat_amplitude * (
-        1.0
-        + mode.metric.a
-        * (z - mode.metric.z0)
-        * (mode.k[0] ** 2 + mode.k[1] ** 2)
-        / (4.0 * mode.k[2] ** 2)
-    )
-    fvec = _polarization_E_array(mode, z)
-    phase = mode_phase(mode, t, pts)
-    field = amp[:, None] * fvec * np.exp(1j * np.asarray(phase))[:, None]
-    return field[0] if single else field
+    z = r[..., 2]
+    scalar = mode_amplitude(mode, z) * np.exp(1j * mode_phase(mode, t, r))
+    return scalar[..., None] * polarization_E(mode, z)
 
 
 def mode_field_first_order(
@@ -324,16 +299,12 @@ def mode_field_first_order(
     single = r.ndim == 1
     pts = np.atleast_2d(r)
     z = pts[:, 2]
-    dz = z - mode.metric.z0
-    check_linearization(mode.metric.a, dz)
     a = mode.metric.a
     kx, ky, kz = mode.k
     f0 = mode.f0
 
-    common = _m_common(mode, dz)  # shared amplitude + quadratic-phase correction
-    c3 = gauss_law_constant(mode) if include_gauss_constant else 0.0
-    mix1 = kx * dz * f0[2] / (2.0 * kz)
-    mix2 = ky * dz * f0[2] / (2.0 * kz)
+    common, (mix1, mix2), gauss = _first_order_terms(mode, _delta_z(mode, z))
+    c3 = gauss if include_gauss_constant else 0.0
 
     comp = np.empty((len(z), 3), dtype=complex)
     comp[:, 0] = f0[0] * (1.0 + a * common) + a * mix1

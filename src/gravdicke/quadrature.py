@@ -11,18 +11,23 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
 from scipy import integrate
 
-__all__ = ["complex_quad", "fourier_complex_quad", "complex_quad_semi_infinite"]
+__all__ = ["complex_quad", "fourier_complex_quad"]
 
 
 def complex_quad(f: Callable, lo: float, hi: float, *, epsabs: float = 1e-12,
-                 limit: int = 200) -> tuple[complex, float]:
-    re, re_err = integrate.quad(lambda z: f(z).real, lo, hi, epsabs=epsabs,
-                                epsrel=1e-12, limit=limit)
-    im, im_err = integrate.quad(lambda z: f(z).imag, lo, hi, epsabs=epsabs,
-                                epsrel=1e-12, limit=limit)
+                 limit: int = 200, weight: str | None = None,
+                 wvar: float | None = None) -> tuple[complex, float]:
+    """Integral of a complex f over [lo, hi] (either end may be infinite).
+
+    ``weight``/``wvar`` are passed to QUADPACK unchanged, so the integral is of
+    f times that weight function.
+    """
+    re, re_err = integrate.quad(lambda z: f(z).real, lo, hi, epsabs=epsabs, epsrel=1e-12,
+                                limit=limit, weight=weight, wvar=wvar)
+    im, im_err = integrate.quad(lambda z: f(z).imag, lo, hi, epsabs=epsabs, epsrel=1e-12,
+                                limit=limit, weight=weight, wvar=wvar)
     return complex(re, im), re_err + im_err
 
 
@@ -35,26 +40,6 @@ def fourier_complex_quad(f: Callable, q: float, lo: float, hi: float, *,
     """
     if q == 0.0:
         return complex_quad(f, lo, hi, epsabs=epsabs, limit=limit)
-    parts = {}
-    err = 0.0
-    for name, g in (("re", lambda z: f(z).real), ("im", lambda z: f(z).imag)):
-        for weight in ("cos", "sin"):
-            val, e = integrate.quad(g, lo, hi, weight=weight, wvar=q,
-                                    epsabs=epsabs, epsrel=1e-12, limit=limit)
-            parts[f"{name}_{weight}"] = val
-            err += e
-    value = complex(
-        parts["re_cos"] - parts["im_sin"],
-        parts["re_sin"] + parts["im_cos"],
-    )
-    return value, err
-
-
-def complex_quad_semi_infinite(f: Callable, *, epsabs: float = 1e-12,
-                               limit: int = 200) -> tuple[complex, float]:
-    """Integral of a decaying complex integrand over (0, inf)."""
-    re, re_err = integrate.quad(lambda u: f(u).real, 0.0, np.inf, epsabs=epsabs,
-                                epsrel=1e-12, limit=limit)
-    im, im_err = integrate.quad(lambda u: f(u).imag, 0.0, np.inf, epsabs=epsabs,
-                                epsrel=1e-12, limit=limit)
-    return complex(re, im), re_err + im_err
+    cos_part, cos_err = complex_quad(f, lo, hi, epsabs=epsabs, limit=limit, weight="cos", wvar=q)
+    sin_part, sin_err = complex_quad(f, lo, hi, epsabs=epsabs, limit=limit, weight="sin", wvar=q)
+    return cos_part + 1j * sin_part, cos_err + sin_err

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .emission import (
+    GAMMA_NU_MAX,
     Box,
     Ensemble,
     FCorrectionParams,
@@ -31,8 +32,8 @@ from .emission import (
     sample_ensemble,
 )
 from .errors import PhysicsDomainError, QuadratureError
-from .metric import PhysicalConstants, WeakFieldMetric
-from .quadrature import complex_quad_semi_infinite, fourier_complex_quad
+from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
+from .quadrature import complex_quad, fourier_complex_quad
 
 __all__ = [
     "SpectrumParams",
@@ -52,8 +53,6 @@ __all__ = [
     "flat_delta_limit",
 ]
 
-_COS_GUARD = 1e-6
-
 
 @dataclass(frozen=True)
 class SpectrumParams:
@@ -69,6 +68,8 @@ class SpectrumParams:
     def __post_init__(self) -> None:
         k0 = np.array(self.k0, dtype=float).reshape(3)
         object.__setattr__(self, "k0", k0)
+        if not (np.all(np.isfinite(k0)) and all(map(math.isfinite, (self.nu, self.gamma, self.Z)))):
+            raise PhysicsDomainError("k0, nu, gamma and Z must be finite")
         knorm = float(np.linalg.norm(k0))
         target = self.nu / self.constants.c
         if abs(knorm - target) > 1e-8 * target:
@@ -76,8 +77,10 @@ class SpectrumParams:
                 "absorbed photon must be resonant: |k0| = nu / c "
                 f"(got |k0|={knorm!r}, nu/c={target!r})"
             )
-        if not 0.0 < self.gamma < 2e-2 * self.nu:
-            raise PhysicsDomainError("need 0 < gamma << nu (weak-coupling guard at 2e-2)")
+        if not 0.0 < self.gamma < GAMMA_NU_MAX * self.nu:
+            raise PhysicsDomainError(
+                f"need 0 < gamma << nu (weak-coupling guard at {GAMMA_NU_MAX:g})"
+            )
 
     def require_directional(self) -> None:
         """Guard for the k_z-resolved operations: grazing k0 is excluded there.
@@ -86,7 +89,7 @@ class SpectrumParams:
         zero); only the directional kernel and the atom sums, which sample
         modes around k0z, need cos(theta0) bounded away from zero.
         """
-        if abs(self.cos_theta0) <= _COS_GUARD:
+        if abs(self.cos_theta0) <= KZ_GUARD:
             raise PhysicsDomainError("k0 too close to horizontal: cos(theta0) under guard")
 
     @classmethod
@@ -102,9 +105,11 @@ class SpectrumParams:
     ) -> "SpectrumParams":
         constants = constants or PhysicalConstants.scaled()
         knorm = nu / constants.c
-        k0 = knorm * np.array(
-            [math.sin(theta0) * math.cos(phi), math.sin(theta0) * math.sin(phi), math.cos(theta0)]
-        )
+        # Python floats, so a non-finite nu reaches the finiteness check without
+        # a numpy warning on stderr
+        direction = (math.sin(theta0) * math.cos(phi), math.sin(theta0) * math.sin(phi),
+                     math.cos(theta0))
+        k0 = np.array([knorm * u for u in direction])
         return cls(k0, nu, gamma, metric, Z, constants)
 
     @property
@@ -301,8 +306,8 @@ def z_integral_oracle(
                 zl = z_lo + 1j * sgn * tau
                 return np.exp(1j * q * zr) * f(zr) - np.exp(1j * q * zl) * f(zl)
 
-            tail, terr = complex_quad_semi_infinite(
-                lambda tau: 1j * sgn * vertical(tau), epsabs=epsabs
+            tail, terr = complex_quad(
+                lambda tau: 1j * sgn * vertical(tau), 0.0, np.inf, epsabs=epsabs
             )
         total = mid + tail
         err = err + terr
@@ -441,18 +446,14 @@ def replicated_mc_spectrum(
         dev = reps - mean_amp
         var = np.sum(dev.real**2 + dev.imag**2, axis=0) / (n_replicas - 1)
         amp_stderr = np.sqrt(var / n_replicas)
-        prob = np.abs(reps) ** 2
-        prob_stderr = prob.std(axis=0, ddof=1) / math.sqrt(n_replicas)
     else:
         amp_stderr = np.zeros(kz.shape)
-        prob_stderr = np.zeros(kz.shape)
     return AngularSpectrum(
         kz, mean_amp, "montecarlo", mc_stderr=amp_stderr, seed=base_seed,
         meta={
             "n_atoms": n_atoms,
             "replicas": n_replicas,
             "probability_mean": (np.abs(reps) ** 2).mean(axis=0),
-            "probability_stderr": prob_stderr,
             "volume_weights": bool(use_volume_weights),
         },
     )

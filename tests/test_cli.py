@@ -1,8 +1,11 @@
+import ast
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+import gravdicke
 from gravdicke.cli import load_config, main
 from gravdicke.errors import ConfigError
 
@@ -144,6 +147,57 @@ class TestExitCodes:
         assert main(["--config", cfg, "--output", str(out)]) == 4
         report = json.loads((out / "error.json").read_text())
         assert report["error"] == "OracleMismatchError"
+
+
+class TestBadInputExitCodes:
+    """Every bad input ends in a documented exit code with a one-line message.
+
+    A gate that cannot be decided (no off-peak probes, an empty sweep, one
+    replica, one distinct a value) is a config error, not an oracle mismatch.
+    """
+
+    @pytest.mark.parametrize("payload, code", [
+        ({"scenario": "flat-dicke", "dicke": {"n_offpeak": 0}}, 2),
+        ({"scenario": "delta-limit", "delta": {"halvings": 0}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"replicas": 1}}, 2),
+        ({"scenario": "verify-modes", "verify": {"a_values": [1e-3]}}, 2),
+        ({"scenario": "verify-modes", "verify": {"a_values": [1e-3, 1e-3]}}, 2),
+        ({"scenario": "spreads", "threads": "x"}, 2),
+        ({"scenario": "spreads", "metric": {"a": float("nan")}}, 3),
+        ({"scenario": "spreads", "spectrum": {"nu": float("inf")}}, 3),
+    ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
+            "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu"])
+    def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"]
+
+
+class TestExports:
+    MODULES = ("metric", "modes", "maxwell", "emission", "spectrum", "quadrature")
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_module_all_resolves(self, name):
+        module = importlib.import_module(f"gravdicke.{name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+    def test_package_imports_resolve(self):
+        tree = ast.parse(Path(gravdicke.__file__).read_text())
+        imported = [
+            (node.module, alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        ]
+        assert imported
+        stale = [
+            f"{mod}.{name}" for mod, name in imported
+            if not hasattr(importlib.import_module(f"gravdicke.{mod}"), name)
+        ]
+        assert stale == []
 
 
 class TestVerifyModesScenario:

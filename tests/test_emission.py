@@ -67,14 +67,6 @@ class TestTypes:
             ens.weights, np.sqrt(1.0 - 1e-2 * ens.positions[:, 2]), rtol=1e-14
         )
 
-    def test_csv_round_trip(self, tmp_path):
-        ens = sample_ensemble(20, small_box(), 5, NU, GAMMA, DIPOLE)
-        path = tmp_path / "atoms.csv"
-        ens.to_csv(path)
-        back = Ensemble.from_csv(path, NU, GAMMA, DIPOLE, small_box())
-        np.testing.assert_array_equal(back.positions, ens.positions)
-        assert back.seed_key == ens.seed_key
-
 
 class TestCoupling:
     def test_orthogonal_dipole(self):

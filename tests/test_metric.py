@@ -7,7 +7,6 @@ from gravdicke.errors import LinearizationError, PhysicsDomainError
 from gravdicke.metric import (
     PhysicalConstants,
     WeakFieldMetric,
-    h_factor,
     momentum_measure_factor,
     proper_time_shift,
     quantization_volume,
@@ -22,13 +21,12 @@ class TestConstants:
         assert c.c == 299_792_458.0
         assert c.hbar == pytest.approx(1.054571817e-34)
         assert c.eps0 == pytest.approx(8.8541878128e-12)
-        assert c.G_newton == pytest.approx(6.67430e-11)
 
     def test_scaled_regime(self):
         c = PhysicalConstants.scaled()
-        assert (c.c, c.hbar, c.eps0, c.G_newton) == (1.0, 1.0, 1.0, 1.0)
+        assert (c.c, c.hbar, c.eps0) == (1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("field", ["c", "hbar", "eps0", "G_newton"])
+    @pytest.mark.parametrize("field", ["c", "hbar", "eps0"])
     def test_positivity_enforced(self, field):
         with pytest.raises(PhysicsDomainError):
             PhysicalConstants(**{field: 0.0})
@@ -51,34 +49,6 @@ class TestSurfaceParam:
     def test_negative_g_rejected(self):
         with pytest.raises(PhysicsDomainError):
             surface_param_a(-1.0, PhysicalConstants.scaled())
-
-
-class TestHFactor:
-    def test_earth_surface(self):
-        # r_s ~ 1 cm for Earth, evaluated at the Earth radius
-        h = h_factor(6.37e6, 1e-2)
-        assert h == pytest.approx(1.0 - 1.57e-9, abs=1e-12)
-
-    def test_asymptotic_flatness(self):
-        assert h_factor(1e30, 1.0) == pytest.approx(1.0)
-
-    def test_direct_substitution(self):
-        assert h_factor(2.0, 1.0) == pytest.approx(0.5)
-
-    def test_nonpositive_height_rejected(self):
-        with pytest.raises(PhysicsDomainError):
-            h_factor(0.0, 1.0)
-
-    def test_monotone_in_z(self):
-        z = np.linspace(0.5, 50.0, 200)
-        h = h_factor(z, 0.3)
-        assert np.all(np.diff(h) > 0.0)
-
-    def test_metric_guard_enforces_far_field(self):
-        m = WeakFieldMetric(a=0.0, z0=0.0, r_s=1.0)
-        assert m.h(1000.0) == pytest.approx(0.999)
-        with pytest.raises(PhysicsDomainError):
-            m.h(50.0)
 
 
 class TestRedshift:
@@ -153,5 +123,8 @@ class TestProperTimeShift:
 def test_metric_validation():
     with pytest.raises(PhysicsDomainError):
         WeakFieldMetric(a=-1e-3)
-    with pytest.raises(PhysicsDomainError):
-        WeakFieldMetric(a=0.0, r_s=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(PhysicsDomainError):
+            WeakFieldMetric(a=bad)
+        with pytest.raises(PhysicsDomainError):
+            WeakFieldMetric(a=0.0, z0=bad)
