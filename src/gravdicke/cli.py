@@ -9,19 +9,21 @@ Exit codes: 0 success, 2 invalid config, 3 physics-domain error (for example a
 linearization guard), 4 oracle disagreement or non-converged quadrature in a
 verification scenario, 1 anything unexpected.  A config under which a
 scenario's gate cannot be decided (one replica, one distinct a value, no
-off-peak probes) is an invalid config, not an oracle disagreement.
+off-peak probes, Richardson-inconclusive residuals) is an invalid config, not
+an oracle disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import datetime
 import json
 import math
 import sys
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,115 +55,172 @@ from .spectrum import (
 
 SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-limit")
 
-_DEFAULTS: dict = {
-    "scenario": None,
-    "seed": 12345,
-    "output_dir": "out",
-    "unit_regime": "scaled",        # scaled | si
-    "threads": 1,
-    "constants": {"c": None, "hbar": None, "eps0": None},
-    "metric": {"a": 1e-3, "g": None, "z0": 0.0},
-    "spectrum": {
-        "nu": 1.0,
-        "gamma": 1e-2,
-        "theta0": 0.5235987755982988,   # pi/6
-        "phi": 0.0,
-        "Z": 0.0,
-        "grid": {"lo": -8.0, "hi": 3.0, "points": 45},  # offsets in units of a nu / Gamma
-    },
-    "ensemble": {
-        "n_atoms": 20000,
-        "replicas": 8,
-        "box_heights": 80.0,            # z extent in decay lengths Gamma/(a nu)
-        "box_aspect": 0.1,              # transverse edge / z extent
-    },
-    "dicke": {
-        "beta": 0.0,
-        "gamma_coef": 0.0,
-        "n_atoms": 10000,
-        "box_wavelengths": 100.0,       # cube side in units of 2 pi / |k0|
-        "n_offpeak": 50,
-        "replicas": 50,
-        "probes_u": [[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [1.0, 1.5, 0.7]],
-    },
-    "delta": {"a_values": None, "halvings": 4, "grid_points": 161},
-    "verify": {
-        "n_modes": 6,
-        "a_values": [1e-4, 1e-3, 1e-2],
-        "min_kz_fraction": 0.1,
-        "volume": 1.0,
-        "point": {"t": 0.3, "x": 0.2, "y": -0.15, "z": 0.35},
-        "rel_step": 0.01,
-        "order": 4,
-    },
-    "tolerances": {
-        "slope": 0.1,
-        "mc_sigma": 3.0,
-        "mc_fraction": 0.95,
-        "quadrature": 1e-9,
-    },
-}
+
+@dataclass(frozen=True)
+class MetricConfig:
+    a: float = 1e-3
+    g: float | None = None          # free-fall acceleration; overrides a when set
+    z0: float = 0.0
 
 
-def _merge_strict(defaults: dict, user: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, val in user.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {path}{key}")
-        if isinstance(defaults[key], dict) and isinstance(val, dict):
-            out[key] = _merge_strict(defaults[key], val, f"{path}{key}.")
-        elif isinstance(defaults[key], dict):
-            raise ConfigError(f"config key {path}{key} must be a table")
-        else:
-            out[key] = val
-    return out
+@dataclass(frozen=True)
+class GridConfig:
+    lo: float = -8.0                # offsets in units of a nu / Gamma
+    hi: float = 3.0
+    points: int = 45
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+@dataclass(frozen=True)
+class SpectrumConfig:
+    nu: float = 1.0
+    gamma: float = 1e-2
+    theta0: float = 0.5235987755982988   # pi/6
+    phi: float = 0.0
+    Z: float = 0.0
+    grid: GridConfig = GridConfig()
+
+
+@dataclass(frozen=True)
+class EnsembleConfig:
+    n_atoms: int = 20000
+    replicas: int = 8
+    box_heights: float = 80.0       # z extent in decay lengths Gamma/(a nu)
+    box_aspect: float = 0.1         # transverse edge / z extent
+
+    def __post_init__(self) -> None:
+        if self.replicas < 2:
+            raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
+                              "a replica spread")
+
+
+@dataclass(frozen=True)
+class DickeConfig:
+    n_atoms: int = 10000
+    box_wavelengths: float = 100.0  # cube side in units of 2 pi / |k0|
+    n_offpeak: int = 50
+    replicas: int = 50
+    probes_u: tuple[tuple[float, ...], ...] = ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), (1.0, 1.5, 0.7))
+
+    def __post_init__(self) -> None:
+        if self.n_offpeak < 1:
+            raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
+        if self.replicas < 1 or any(len(u) != 3 for u in self.probes_u):
+            raise ConfigError("dicke.replicas must be >= 1 and each dicke.probes_u entry a 3-vector")
+
+
+@dataclass(frozen=True)
+class DeltaConfig:
+    halvings: int = 4
+    grid_points: int = 161
+
+    def __post_init__(self) -> None:
+        if self.halvings < 1:
+            raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1")
+
+
+@dataclass(frozen=True)
+class PointConfig:
+    t: float = 0.3
+    x: float = 0.2
+    y: float = -0.15
+    z: float = 0.35
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    n_modes: int = 6
+    a_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
+    min_kz_fraction: float = 0.1
+    volume: float = 1.0
+    point: PointConfig = PointConfig()
+    rel_step: float = 0.01
+    order: int = 4
+
+    def __post_init__(self) -> None:
+        if len(set(self.a_values)) < 2 or self.n_modes < 1:
+            raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
+                              "verify.a_values to fit a slope")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    slope: float = 0.1
+    mc_sigma: float = 3.0
+    mc_fraction: float = 0.95
+    quadrature: float = 1e-9
+
+
+@dataclass(frozen=True)
+class Config:
+    scenario: str = ""
+    seed: int = 12345
+    output_dir: str = "out"
+    unit_regime: str = "scaled"     # scaled | si
+    threads: int = 1
+    metric: MetricConfig = MetricConfig()
+    spectrum: SpectrumConfig = SpectrumConfig()
+    ensemble: EnsembleConfig = EnsembleConfig()
+    dicke: DickeConfig = DickeConfig()
+    delta: DeltaConfig = DeltaConfig()
+    verify: VerifyConfig = VerifyConfig()
+    tolerances: Tolerances = Tolerances()
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if self.unit_regime not in ("si", "scaled"):
+            raise ConfigError("unit_regime must be 'si' or 'scaled'")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+def _parse(tp, value, key: str):
+    """Check a JSON value against a config field type: the one place config types are known."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key} must be a table")
+        hints = typing.get_type_hints(tp)
+        prefix = f"{key}." if key else ""
+        for name in value:
+            if name not in hints:
+                raise ConfigError(f"unknown config key: {prefix}{name}")
+        return tp(**{name: _parse(hints[name], v, prefix + name) for name, v in value.items()})
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key} must be a list, got {value!r}")
+        return tuple(_parse(args[0], v, key) for v in value)
+    if args:  # X | None
+        return None if value is None else _parse(args[0], value, key)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp):
+        raise ConfigError(f"config key {key} must be {tp.__name__}, got {value!r}")
+    if tp is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"config key {key} is out of float range")
+    return float(value) if tp is float else value
+
+
+def load_config(path: str | None, overrides: dict) -> Config:
     user: dict = {}
     if path is not None:
         try:
             user = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config file must contain a JSON object")
-    cfg = _merge_strict(_DEFAULTS, user)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {cfg['scenario']!r}")
-    if cfg["unit_regime"] not in ("si", "scaled"):
-        raise ConfigError("unit_regime must be 'si' or 'scaled'")
-    try:
-        threads = int(cfg["threads"])
-    except (TypeError, ValueError):
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
-    return cfg
+    user.update({key: val for key, val in overrides.items() if val is not None})
+    return _parse(Config, user, "")
 
 
-def _constants(cfg: dict) -> PhysicalConstants:
-    base = PhysicalConstants() if cfg["unit_regime"] == "si" else PhysicalConstants.scaled()
-    over = {k: v for k, v in cfg["constants"].items() if v is not None}
-    return dataclasses.replace(base, **over)
-
-
-def _metric(cfg: dict, constants: PhysicalConstants) -> WeakFieldMetric:
-    mcfg = cfg["metric"]
-    a = mcfg["a"]
-    if mcfg["g"] is not None:
-        a = surface_param_a(float(mcfg["g"]), constants)
-    return WeakFieldMetric(a=float(a), z0=float(mcfg["z0"]))
-
-
-def _spectrum_params(cfg: dict, constants: PhysicalConstants, metric: WeakFieldMetric) -> SpectrumParams:
-    s = cfg["spectrum"]
+def _spectrum_params(cfg: Config) -> SpectrumParams:
+    constants = PhysicalConstants() if cfg.unit_regime == "si" else PhysicalConstants.scaled()
+    m, s = cfg.metric, cfg.spectrum
+    a = m.a if m.g is None else surface_param_a(m.g, constants)
     return SpectrumParams.from_angles(
-        nu=float(s["nu"]), gamma=float(s["gamma"]), metric=metric, Z=float(s["Z"]),
-        theta0=float(s["theta0"]), phi=float(s["phi"]), constants=constants,
+        nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a=a, z0=m.z0), Z=s.Z,
+        theta0=s.theta0, phi=s.phi, constants=constants,
     )
 
 
@@ -196,16 +255,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_metadata(outdir: Path, cfg: dict, summary: dict) -> None:
+def _write_metadata(outdir: Path, cfg: Config, summary: dict) -> None:
     meta = {
         "package_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "seed": cfg["seed"],
-        "config": cfg,
+        "seed": cfg.seed,
+        "config": dataclasses.asdict(cfg),
         "summary": summary,
     }
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, default=_json_default))
-    (outdir / "resolved_config.json").write_text(json.dumps(cfg, indent=2))
+    (outdir / "resolved_config.json").write_text(json.dumps(meta["config"], indent=2))
 
 
 def _json_default(obj):
@@ -222,10 +281,8 @@ def _json_default(obj):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_spreads(cfg: dict, outdir: Path) -> dict:
-    constants = _constants(cfg)
-    metric = _metric(cfg, constants)
-    params = _spectrum_params(cfg, constants, metric)
+def _run_spreads(cfg: Config, outdir: Path) -> dict:
+    params = _spectrum_params(cfg)
     dw = frequency_spread(params)
     wv = wavevector_spread(params)
     dec = kernel_decay_constant(params)
@@ -233,7 +290,7 @@ def _run_spreads(cfg: dict, outdir: Path) -> dict:
         outdir / "spreads.csv",
         ["a", "nu", "gamma", "theta0", "wavevector_spread", "kernel_decay_constant",
          "frequency_spread"],
-        [[metric.a, params.nu, params.gamma, params.theta0, wv, dec, dw]],
+        [[params.metric.a, params.nu, params.gamma, params.theta0, wv, dec, dw]],
     )
     print(f"frequency spread: {dw:.4g} 1/s")
     print(f"wavevector spread (quoted, with cos theta0): {wv:.4g} 1/m")
@@ -241,35 +298,31 @@ def _run_spreads(cfg: dict, outdir: Path) -> dict:
     return {"frequency_spread": dw, "wavevector_spread": wv, "kernel_decay_constant": dec}
 
 
-def _run_flat_dicke(cfg: dict, outdir: Path) -> dict:
-    constants = _constants(cfg)
-    d = cfg["dicke"]
-    if int(d["n_offpeak"]) < 1:
-        raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
-    n = int(d["n_atoms"])
-    s = cfg["spectrum"]
-    knorm = float(s["nu"]) / constants.c
+def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
+    params = _spectrum_params(cfg)
+    d = cfg.dicke
+    n = d.n_atoms
+    knorm = params.nu / params.constants.c
     wavelength = 2.0 * math.pi / knorm
-    side = float(d["box_wavelengths"]) * wavelength
+    side = d.box_wavelengths * wavelength
     box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(cfg["seed"]), 977))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, 977))))
 
     # the zero probe comes first unconditionally: its value must be exactly 1
     probes = [np.zeros(3)]
-    probes += [np.asarray(u, dtype=float) * 2.0 / side for u in d["probes_u"]]
+    probes += [np.asarray(u, dtype=float) * 2.0 / side for u in d.probes_u]
     n_named = len(probes)
     # random far-off-peak probes with |dk| L >= 20 pi
-    for _ in range(int(d["n_offpeak"])):
+    for _ in range(d.n_offpeak):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         mag = (20.0 * math.pi / side) * rng.uniform(1.0, 3.0)
         probes.append(direction * mag)
 
-    n_rep = int(d["replicas"])
+    n_rep = d.replicas
     values = np.empty((n_rep, len(probes)))
     for rep in range(n_rep):
-        ens = sample_ensemble(n, box, (int(cfg["seed"]), rep), float(s["nu"]),
-                              float(s["gamma"]), (1.0, 0.0, 0.0))
+        ens = sample_ensemble(n, box, (cfg.seed, rep), params.nu, params.gamma, (1.0, 0.0, 0.0))
         for i, dk in enumerate(probes):
             values[rep, i] = structure_factor(ens.positions, dk)
     mean = values.mean(axis=0)
@@ -294,20 +347,11 @@ def _run_flat_dicke(cfg: dict, outdir: Path) -> dict:
     return summary
 
 
-def _run_delta_limit(cfg: dict, outdir: Path) -> dict:
-    constants = _constants(cfg)
-    metric = _metric(cfg, constants)
-    params = _spectrum_params(cfg, constants, metric)
-    dcfg = cfg["delta"]
-    if dcfg["a_values"] is not None:
-        a_values = [float(a) for a in dcfg["a_values"]]
-    else:
-        a_values = [metric.a / 2**i for i in range(int(dcfg["halvings"]))]
-    if not a_values:
-        raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1 "
-                          "or a nonempty delta.a_values")
+def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
+    params = _spectrum_params(cfg)
+    a_values = [params.metric.a / 2**i for i in range(cfg.delta.halvings)]
     width_max = max(a_values) * params.nu / params.gamma
-    kz = params.k0z + width_max * _offset_grid(-8.0, 1.0, int(dcfg["grid_points"]))
+    kz = params.k0z + width_max * _offset_grid(-8.0, 1.0, cfg.delta.grid_points)
     sweep = flat_delta_limit(kz, params, a_values)
     rows = []
     table = []
@@ -328,34 +372,28 @@ def _run_delta_limit(cfg: dict, outdir: Path) -> dict:
     return {"sweep": table}
 
 
-def _run_curved_spectrum(cfg: dict, outdir: Path) -> dict:
-    constants = _constants(cfg)
-    metric = _metric(cfg, constants)
+def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
+    params = _spectrum_params(cfg)
+    metric = params.metric
     if metric.a <= 0.0:
         raise ConfigError("curved-spectrum needs a > 0; use delta-limit for the flat case")
-    params = _spectrum_params(cfg, constants, metric)
-    e = cfg["ensemble"]
-    tol = cfg["tolerances"]
-    if int(e["replicas"]) < 2:
-        raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
-                          "a replica spread")
+    e = cfg.ensemble
+    tol = cfg.tolerances
 
     ell = params.gamma / (metric.a * params.nu)
-    height = float(e["box_heights"]) * ell
-    side = float(e["box_aspect"]) * height
+    height = e.box_heights * ell
+    side = e.box_aspect * height
     box = Box(center=(0.0, 0.0, metric.z0), size=(side, side, height))
 
-    g = cfg["spectrum"]["grid"]
+    g = cfg.spectrum.grid
     dk = kernel_decay_constant(params)
-    offsets = _offset_grid(float(g["lo"]), float(g["hi"]), int(g["points"]))
+    offsets = _offset_grid(g.lo, g.hi, g.points)
     kz = params.k0z + offsets * dk
 
-    mc = replicated_mc_spectrum(
-        params, kz, int(e["n_atoms"]), box, int(e["replicas"]), int(cfg["seed"]),
-        threads=int(cfg["threads"]),
-    )
+    mc = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas, cfg.seed,
+                                threads=cfg.threads)
     quad = quadrature_spectrum(
-        kz, params, (box.low[2], box.high[2]), float(tol["quadrature"]),
+        kz, params, (box.low[2], box.high[2]), tol.quadrature,
         dispersion="exact", tails="none", include_volume_weight=True,
     )
     ana = analytic_spectrum(kz, params)
@@ -376,55 +414,50 @@ def _run_curved_spectrum(cfg: dict, outdir: Path) -> dict:
     q_scale = float(np.max(np.abs(quad.amplitude)))
     dev = np.abs(mc.amplitude / mc_scale - quad.amplitude / q_scale)
     sigma = np.maximum(mc.mc_stderr / mc_scale, 1e-300)
-    within = dev <= float(tol["mc_sigma"]) * sigma
+    within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())
     up = float(prob[kz > params.k0z].sum() / prob.sum())
     summary = {
         "mc_vs_quadrature_fraction_within_sigma": frac,
-        "sigma": float(tol["mc_sigma"]),
+        "sigma": tol.mc_sigma,
         "max_deviation_over_sigma": float(np.max(dev / sigma)),
         "upward_probability_fraction": up,
-        "n_atoms": int(e["n_atoms"]),
-        "replicas": int(e["replicas"]),
+        "n_atoms": e.n_atoms,
+        "replicas": e.replicas,
     }
     print(f"MC vs quadrature: {within.sum()}/{len(kz)} points within "
-          f"{tol['mc_sigma']} sigma (max dev {summary['max_deviation_over_sigma']:.2f} sigma)")
+          f"{tol.mc_sigma} sigma (max dev {summary['max_deviation_over_sigma']:.2f} sigma)")
     print(f"probability at k_z > k0z: {up:.3%} of total")
-    if frac < float(tol["mc_fraction"]):
+    if frac < tol.mc_fraction:
         raise OracleMismatchError(
-            f"only {frac:.1%} of grid points within {tol['mc_sigma']} sigma "
-            f"(needed {tol['mc_fraction']:.0%})"
+            f"only {frac:.1%} of grid points within {tol.mc_sigma} sigma "
+            f"(needed {tol.mc_fraction:.0%})"
         )
     return summary
 
 
-def _run_verify_modes(cfg: dict, outdir: Path) -> dict:
-    constants = _constants(cfg)
-    v = cfg["verify"]
-    tol = cfg["tolerances"]
-    z0 = float(cfg["metric"]["z0"])
-    a_values = [float(a) for a in v["a_values"]]
-    if len(set(a_values)) < 2 or int(v["n_modes"]) < 1:
-        raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
-                          "verify.a_values to fit a slope")
-    point = v["point"]
-    t, r = float(point["t"]), np.array([point["x"], point["y"], point["z"]])
+def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
+    constants = _spectrum_params(cfg).constants
+    v = cfg.verify
+    tol = cfg.tolerances
+    z0 = cfg.metric.z0
+    point = v.point
+    t, r = point.t, np.array([point.x, point.y, point.z])
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(cfg["seed"]), 31))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, 31))))
     rows = []
-    slopes = []
+    studies = []
     modes_for_dump = []
-    for m in range(int(v["n_modes"])):
+    for m in range(v.n_modes):
         k = rng.normal(size=3)
-        while abs(k[2]) < float(v["min_kz_fraction"]) * np.linalg.norm(k):
+        while abs(k[2]) < v.min_kz_fraction * np.linalg.norm(k):
             k = rng.normal(size=3)
         # vertical polarization component present, so the divergence test is nontrivial
         study = residual_slope_study(
-            k, 2, constants, z0, float(v["volume"]), a_values, t, r,
-            rel_step=float(v["rel_step"]), order=int(v["order"]),
+            k, 2, constants, z0, v.volume, v.a_values, t, r, rel_step=v.rel_step, order=v.order,
         )
-        slopes.append((study.wave_slope, study.gauss_slope))
-        for a, rep in zip(a_values, study.reports):
+        studies.append(study)
+        for a, rep in zip(v.a_values, study.reports):
             rows.append([
                 k[0], k[1], k[2], 2, a, t, r[0], r[1], r[2],
                 rep.residual_vector[0].real, rep.residual_vector[0].imag,
@@ -435,11 +468,10 @@ def _run_verify_modes(cfg: dict, outdir: Path) -> dict:
                 study.wave_slope, study.gauss_slope,
             ])
         mode = PerturbedMode.build(
-            ModeIndex(k, 2), WeakFieldMetric(a=a_values[-1], z0=z0), constants,
-            float(v["volume"]),
+            ModeIndex(k, 2), WeakFieldMetric(a=v.a_values[-1], z0=z0), constants, v.volume,
         )
         modes_for_dump.append(mode)
-        tr = transversality_check(mode, z0 + float(point["z"]))
+        tr = transversality_check(mode, z0 + point.z)
         print(f"mode {m}: wave slope {study.wave_slope:.3f}, gauss slope "
               f"{study.gauss_slope:.3f}, transversality "
               f"(|p.f|={tr.p_dot_f:.1e}, |k.f|={tr.k_dot_f:.1e}, |p.k|={tr.p_dot_k:.1e})")
@@ -455,14 +487,18 @@ def _run_verify_modes(cfg: dict, outdir: Path) -> dict:
     dump_mode_vectors(outdir / "mode_vectors.csv", modes_for_dump,
                       [z0 - 0.25, z0, z0 + 0.25])
 
-    worst_wave = max(abs(s[0] - 2.0) for s in slopes)
-    worst_gauss = max(abs(s[1] - 2.0) for s in slopes)
+    inconclusive = sum(rep.inconclusive for s in studies for rep in s.reports)
+    if inconclusive:
+        raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are "
+                          "Richardson-inconclusive, so the slope gate cannot be decided")
+    worst_wave = max(abs(s.wave_slope - 2.0) for s in studies)
+    worst_gauss = max(abs(s.gauss_slope - 2.0) for s in studies)
     summary = {"worst_wave_slope_dev": worst_wave, "worst_gauss_slope_dev": worst_gauss,
-               "n_modes": int(v["n_modes"]), "a_values": a_values}
-    if worst_wave > float(tol["slope"]) or worst_gauss > float(tol["slope"]):
+               "n_modes": v.n_modes, "a_values": v.a_values}
+    if worst_wave > tol.slope or worst_gauss > tol.slope:
         raise OracleMismatchError(
             f"residual scaling slope off by {max(worst_wave, worst_gauss):.3f} "
-            f"(tolerance {tol['slope']})"
+            f"(tolerance {tol.slope})"
         )
     return summary
 
@@ -476,30 +512,18 @@ _RUNNERS = {
 }
 
 
-def run(cfg: dict) -> int:
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        summary = _RUNNERS[cfg["scenario"]](cfg, outdir)
-    except ConfigError as exc:
-        _report_error(outdir, exc)
-        return 2
-    except (QuadratureError, OracleMismatchError) as exc:
-        _report_error(outdir, exc)
-        return 4
-    except PhysicsDomainError as exc:
-        _report_error(outdir, exc)
-        return 3
-    _write_metadata(outdir, cfg, summary)
-    return 0
+# first match wins; every package error ends in one of these codes
+_EXIT_CODES = ((ConfigError, 2), (PhysicsDomainError, 3), (QuadratureError, 4),
+               (OracleMismatchError, 4), (GravDickeError, 1))
 
 
-def _report_error(outdir: Path, exc: Exception) -> None:
+def _report_error(outdir: Path | None, exc: Exception) -> None:
     report = {"error": type(exc).__name__, "message": str(exc)}
-    try:
-        (outdir / "error.json").write_text(json.dumps(report, indent=2))
-    except OSError:
-        pass
+    if outdir is not None:
+        try:
+            (outdir / "error.json").write_text(json.dumps(report, indent=2))
+        except OSError:
+            pass
     print(json.dumps(report), file=sys.stderr)
 
 
@@ -516,6 +540,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, help="worker thread cap")
     args = parser.parse_args(argv)
 
+    outdir = None
     try:
         cfg = load_config(args.config, {
             "scenario": args.scenario,
@@ -523,14 +548,14 @@ def main(argv=None) -> int:
             "output_dir": args.output,
             "threads": args.threads,
         })
-    except ConfigError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)}), file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        summary = _RUNNERS[cfg.scenario](cfg, outdir)
     except GravDickeError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3 if isinstance(exc, PhysicsDomainError) else 1
+        _report_error(outdir, exc)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    _write_metadata(outdir, cfg, summary)
+    return 0
 
 
 if __name__ == "__main__":

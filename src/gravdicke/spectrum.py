@@ -26,7 +26,6 @@ from .emission import (
     GAMMA_NU_MAX,
     Box,
     Ensemble,
-    FCorrectionParams,
     TimedDickeState,
     curved_timed_dicke,
     sample_ensemble,
@@ -103,6 +102,8 @@ class SpectrumParams:
         phi: float = 0.0,
         constants: PhysicalConstants | None = None,
     ) -> "SpectrumParams":
+        if not (math.isfinite(theta0) and math.isfinite(phi)):
+            raise PhysicsDomainError("theta0 and phi must be finite")
         constants = constants or PhysicalConstants.scaled()
         knorm = nu / constants.c
         # Python floats, so a non-finite nu reaches the finiteness check without
@@ -355,16 +356,13 @@ def monte_carlo_spectrum(
     state: TimedDickeState,
     kz_grid,
     params: SpectrumParams,
-    *,
-    use_volume_weights: bool = True,
-    n_batches: int = 16,
 ) -> AngularSpectrum:
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz).
 
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
     translation of the ensemble cancels exactly.  The standard error is
-    estimated by splitting the atoms into batches.
+    estimated by splitting the atoms into 16 batches.
     """
     params.require_directional()
     if state.n != ensemble.n:
@@ -376,11 +374,10 @@ def monte_carlo_spectrum(
     c = params.constants.c
     a = params.metric.a
     pos = ensemble.positions
-    w = ensemble.weights if use_volume_weights else np.ones(ensemble.n)
 
-    base = state.amplitudes * w * np.exp(-1j * (kx * pos[:, 0] + ky * pos[:, 1]))
+    base = state.amplitudes * ensemble.weights * np.exp(-1j * (kx * pos[:, 0] + ky * pos[:, 1]))
     zs = pos[:, 2]
-    n_batches = int(min(n_batches, ensemble.n))
+    n_batches = min(16, ensemble.n)
     bounds = np.linspace(0, ensemble.n, n_batches + 1).astype(int)
 
     amps = np.empty(kz.shape, dtype=complex)
@@ -396,8 +393,7 @@ def monte_carlo_spectrum(
         stderr[i] = math.sqrt(var * n_batches)
     return AngularSpectrum(
         kz, amps, "montecarlo", mc_stderr=stderr, seed=ensemble.seed_key,
-        meta={"n_atoms": ensemble.n, "n_batches": n_batches,
-              "volume_weights": bool(use_volume_weights)},
+        meta={"n_atoms": ensemble.n, "n_batches": n_batches},
     )
 
 
@@ -409,10 +405,7 @@ def replicated_mc_spectrum(
     n_replicas: int,
     base_seed: int,
     *,
-    fparams: FCorrectionParams | None = None,
-    use_volume_weights: bool = True,
     threads: int = 1,
-    dipole=(1.0, 0.0, 0.0),
 ) -> AngularSpectrum:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
@@ -425,14 +418,10 @@ def replicated_mc_spectrum(
     kz = np.asarray(kz_grid, dtype=float)
 
     def one(r: int) -> np.ndarray:
-        ens = sample_ensemble(
-            n_atoms, box, (base_seed, r), params.nu, params.gamma, dipole,
-            metric=params.metric if use_volume_weights else None,
-        )
-        state = curved_timed_dicke(ens, params.k0, params.metric, fparams)
-        return monte_carlo_spectrum(
-            ens, state, kz, params, use_volume_weights=use_volume_weights
-        ).amplitude
+        ens = sample_ensemble(n_atoms, box, (base_seed, r), params.nu, params.gamma,
+                              (1.0, 0.0, 0.0), metric=params.metric)
+        state = curved_timed_dicke(ens, params.k0, params.metric)
+        return monte_carlo_spectrum(ens, state, kz, params).amplitude
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -454,7 +443,6 @@ def replicated_mc_spectrum(
             "n_atoms": n_atoms,
             "replicas": n_replicas,
             "probability_mean": (np.abs(reps) ** 2).mean(axis=0),
-            "volume_weights": bool(use_volume_weights),
         },
     )
 

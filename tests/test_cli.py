@@ -1,9 +1,12 @@
 import ast
+import dataclasses
 import importlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gravdicke
 from gravdicke.cli import load_config, main
@@ -42,12 +45,29 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["--config", str(path)]) == 2
+
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "spreads", "seed": 1})
         out = tmp_path / "ovr"
         assert main(["--config", cfg, "--seed", "99", "--output", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["seed"] == 99
+
+    def test_resolved_config_round_trips(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "spreads",
+            "metric": {"g": 9.81},
+            "verify": {"a_values": [1e-3, 2e-3]},
+            "dicke": {"probes_u": [[1, 2, 3]]},
+        })
+        out = tmp_path / "rt"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        parsed = load_config(cfg, {"output_dir": str(out)})
+        assert load_config(str(out / "resolved_config.json"), {}) == parsed
 
 
 class TestSpreadsScenario:
@@ -165,8 +185,23 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "threads": "x"}, 2),
         ({"scenario": "spreads", "metric": {"a": float("nan")}}, 3),
         ({"scenario": "spreads", "spectrum": {"nu": float("inf")}}, 3),
+        ({"scenario": "flat-dicke", "seed": -1}, 2),
+        ({"scenario": "spreads", "spectrum": {"nu": None}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"probes_u": [[1, 2]]}}, 2),
+        ({"scenario": "spreads", "metric": {"a": "0.001"}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"n_atoms": 100.5}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"n_atoms": True}}, 2),
+        ({"scenario": "spreads", "threads": 2.7}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"replicas": 0}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"beta": 1.0}}, 2),
+        ({"scenario": "spreads", "metric": {"a": 10**400}}, 2),
+        ({"scenario": "spreads", "spectrum": {"theta0": float("inf")}}, 3),
+        ({"scenario": "verify-modes", "verify": {"n_modes": 2, "rel_step": 0.3, "order": 2}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
-            "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu"])
+            "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
+            "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
+            "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
+            "huge-int-a", "infinite-theta0", "inconclusive-residuals"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -175,6 +210,48 @@ class TestBadInputExitCodes:
         lines = err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["message"]
+
+
+def _leaf_keys(table: dict, prefix: tuple = ()):
+    for key, val in table.items():
+        if isinstance(val, dict):
+            yield from _leaf_keys(val, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+FUZZ_KEYS = [
+    path for path in _leaf_keys(dataclasses.asdict(load_config(None, {"scenario": "spreads"})))
+    if path not in (("scenario",), ("output_dir",))
+]
+SMALL_INTS = st.integers(-3, 5)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), SMALL_INTS, st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), SMALL_INTS, st.lists(st.floats(), max_size=4)), max_size=4),
+)
+
+
+class TestConfigFuzz:
+    """Any value at any leaf key ends in a documented exit code, never a traceback."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(FUZZ_KEYS), value=JSON_VALUES)
+    def test_leaf_value_exit_code(self, tmp_path, capsys, key, value):
+        payload: dict = {"scenario": "spreads"}
+        table = payload
+        for part in key[:-1]:
+            table = table.setdefault(part, {})
+        table[key[-1]] = value
+        capsys.readouterr()
+        code = main(["--config", write_config(tmp_path, payload), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["message"]
 
 
 class TestExports:
