@@ -21,12 +21,15 @@ import dataclasses
 import datetime
 import json
 import math
+import os
+import platform
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .emission import Box, sample_ensemble
@@ -149,6 +152,14 @@ class Tolerances:
     mc_fraction: float = 0.95
     quadrature: float = 1e-9
 
+    def __post_init__(self) -> None:
+        for name in ("slope", "mc_sigma", "quadrature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"tolerances.{name} must be finite and > 0, got {value!r}")
+        if not 0.0 < self.mc_fraction <= 1.0:
+            raise ConfigError(f"tolerances.mc_fraction must be in (0, 1], got {self.mc_fraction!r}")
+
 
 @dataclass(frozen=True)
 class Config:
@@ -260,6 +271,13 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict) -> None:
         "package_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": cfg.seed,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": cfg.threads,
+        },
         "config": dataclasses.asdict(cfg),
         "summary": summary,
     }
@@ -414,19 +432,22 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     q_scale = float(np.max(np.abs(quad.amplitude)))
     dev = np.abs(mc.amplitude / mc_scale - quad.amplitude / q_scale)
     sigma = np.maximum(mc.mc_stderr / mc_scale, 1e-300)
+    pulls = dev / sigma
     within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())
     up = float(prob[kz > params.k0z].sum() / prob.sum())
     summary = {
         "mc_vs_quadrature_fraction_within_sigma": frac,
         "sigma": tol.mc_sigma,
-        "max_deviation_over_sigma": float(np.max(dev / sigma)),
+        "max_deviation_over_sigma": float(np.max(pulls)),
+        "pull_chi2_per_dof": float(np.mean(pulls**2)),
         "upward_probability_fraction": up,
         "n_atoms": e.n_atoms,
         "replicas": e.replicas,
     }
     print(f"MC vs quadrature: {within.sum()}/{len(kz)} points within "
-          f"{tol.mc_sigma} sigma (max dev {summary['max_deviation_over_sigma']:.2f} sigma)")
+          f"{tol.mc_sigma} sigma (max dev {summary['max_deviation_over_sigma']:.2f} sigma, "
+          f"chi2/dof {summary['pull_chi2_per_dof']:.2f})")
     print(f"probability at k_z > k0z: {up:.3%} of total")
     if frac < tol.mc_fraction:
         raise OracleMismatchError(
@@ -548,8 +569,11 @@ def main(argv=None) -> int:
             "output_dir": args.output,
             "threads": args.threads,
         })
+        try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
         outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         summary = _RUNNERS[cfg.scenario](cfg, outdir)
     except GravDickeError as exc:
         _report_error(outdir, exc)

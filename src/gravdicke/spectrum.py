@@ -351,6 +351,28 @@ def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
 # Monte Carlo over explicit ensembles
 # ---------------------------------------------------------------------------
 
+# The atom sum advances e^{-i kz z} along the grid by the trigonometric
+# recurrence (Numerical Recipes sec. 5.4).  It restarts from an exact exp every
+# _RESEED_EVERY steps, and wherever the grid leaves the current uniform spacing
+# by more than _PHASE_TOL radians at the farthest atom.
+_RESEED_EVERY = 16
+_PHASE_TOL = 1e-12
+
+
+def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
+    """Mask of the grid points whose phase is taken from an exact exp."""
+    exact = np.ones(kz.size, dtype=bool)
+    seed = 0
+    for i in range(1, kz.size):
+        m = i - seed
+        drift = z_max * abs(kz[i] - (kz[seed] + m * (kz[seed + 1] - kz[seed])))
+        if m < _RESEED_EVERY and drift <= _PHASE_TOL:
+            exact[i] = False
+        else:
+            seed = i
+    return exact
+
+
 def monte_carlo_spectrum(
     ensemble: Ensemble,
     state: TimedDickeState,
@@ -362,7 +384,9 @@ def monte_carlo_spectrum(
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
     translation of the ensemble cancels exactly.  The standard error is
-    estimated by splitting the atoms into 16 batches.
+    estimated by splitting the atoms into 16 batches.  The sum runs batch by
+    batch, and within a batch the phase e^{-i kz z_j} is carried from one grid
+    point to the next by a complex multiply (see _exact_phase_points).
     """
     params.require_directional()
     if state.n != ensemble.n:
@@ -380,17 +404,35 @@ def monte_carlo_spectrum(
     n_batches = min(16, ensemble.n)
     bounds = np.linspace(0, ensemble.n, n_batches + 1).astype(int)
 
-    amps = np.empty(kz.shape, dtype=complex)
-    stderr = np.empty(kz.shape)
-    for i, kzi in enumerate(kz):
-        omega = c * math.sqrt(kx * kx + ky * ky + kzi * kzi)
-        den = (omega - params.nu) + 0.5j * params.gamma + 0.5 * a * omega * (params.Z - zs)
-        terms = base * np.exp(-1j * kzi * zs) / den
-        amps[i] = terms.sum()
-        batch_sums = np.add.reduceat(terms, bounds[:-1])
-        spread = batch_sums - batch_sums.mean()
-        var = np.sum(spread.real**2 + spread.imag**2) / max(n_batches - 1, 1)
-        stderr[i] = math.sqrt(var * n_batches)
+    # denominator D_j(kz) = den0 + slope * (Z - z_j), per grid point
+    omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
+    den0 = (omega - params.nu) + 0.5j * params.gamma
+    slope = 0.5 * a * omega
+    exact = _exact_phase_points(kz, float(np.max(np.abs(zs))))
+
+    # batches outside, kz inside: one batch's arrays stay in cache while the
+    # phase e^{-i kz z} is advanced by one complex multiply per grid step
+    batch_sums = np.empty((n_batches, kz.size), dtype=complex)
+    for b in range(n_batches):
+        rows = slice(bounds[b], bounds[b + 1])
+        z_b = zs[rows]
+        height_b = params.Z - z_b
+        step_dkz = None
+        for i, kzi in enumerate(kz):
+            if exact[i]:
+                phased = base[rows] * np.exp(-1j * kzi * z_b)
+                # a uniform stretch keeps its step across the periodic reseeds
+                if i + 1 < kz.size and not exact[i + 1] and kz[i + 1] - kzi != step_dkz:
+                    step_dkz = kz[i + 1] - kzi
+                    step = np.exp(-1j * step_dkz * z_b)
+            else:
+                phased *= step
+            batch_sums[b, i] = np.sum(phased / (den0[i] + slope[i] * height_b))
+
+    amps = batch_sums.sum(axis=0)
+    spread = batch_sums - batch_sums.mean(axis=0)
+    var = np.sum(spread.real**2 + spread.imag**2, axis=0) / max(n_batches - 1, 1)
+    stderr = np.sqrt(var * n_batches)
     return AngularSpectrum(
         kz, amps, "montecarlo", mc_stderr=stderr, seed=ensemble.seed_key,
         meta={"n_atoms": ensemble.n, "n_batches": n_batches},

@@ -132,6 +132,16 @@ class TestDeterminism:
             meta["config"].pop("output_dir")   # varied by the test itself
         assert outs[0] == outs[1]
 
+    def test_metadata_records_environment_and_pulls(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "env"
+        assert main(["--config", cfg, "--output", str(out), "--threads", "2"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        env = meta["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "threads"}
+        assert env["threads"] == 2
+        assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
+
     def test_seed_changes_output(self, tmp_path):
         bodies = []
         for seed in (1, 2):
@@ -197,14 +207,29 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "metric": {"a": 10**400}}, 2),
         ({"scenario": "spreads", "spectrum": {"theta0": float("inf")}}, 3),
         ({"scenario": "verify-modes", "verify": {"n_modes": 2, "rel_step": 0.3, "order": 2}}, 2),
+        ({"scenario": "curved-spectrum", "tolerances": {"mc_fraction": -1, "mc_sigma": -5}}, 2),
+        ({"scenario": "verify-modes", "tolerances": {"slope": -1}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
             "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
-            "huge-int-a", "infinite-theta0", "inconclusive-residuals"])
+            "huge-int-a", "infinite-theta0", "inconclusive-residuals",
+            "negative-mc-tolerances", "negative-slope-tolerance"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
+        self.assert_one_line(capsys)
+
+    def test_output_names_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "spreads"})
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        assert main(["--config", cfg, "--output", str(target)]) == 2
+        self.assert_one_line(capsys)
+        assert target.read_text() == "not a directory"
+
+    @staticmethod
+    def assert_one_line(capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gravdicke import spectrum
+from gravdicke.cli import _offset_grid
 from gravdicke.emission import Box, curved_timed_dicke, sample_ensemble
 from gravdicke.errors import PhysicsDomainError, QuadratureError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
@@ -261,6 +263,62 @@ class TestMonteCarlo:
         amps = np.asarray(amps)
         truth = math.sqrt(amps.real.var(ddof=1) + amps.imag.var(ddof=1))
         assert np.mean(batch_se) == pytest.approx(truth, rel=0.25)
+
+
+def brute_force_atom_sum(ens, state, kz_grid, p):
+    """Reference atom sum: one full-phase exp per k_z, 16 equal contiguous batches."""
+    x, y, z = ens.positions.T
+    kx, ky = p.k0[0], p.k0[1]
+    n_batches = min(16, ens.n)
+    amps, errs = [], []
+    for kz in kz_grid:
+        omega = p.constants.c * math.sqrt(kx**2 + ky**2 + kz**2)
+        den = omega - p.nu + 0.5j * p.gamma + 0.5 * p.metric.a * omega * (p.Z - z)
+        terms = state.amplitudes * ens.weights * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
+        batches = terms.reshape(n_batches, -1).sum(axis=1)
+        amps.append(batches.sum())
+        scatter = np.sum(np.abs(batches - batches.mean()) ** 2) / max(n_batches - 1, 1)
+        errs.append(math.sqrt(n_batches * scatter))
+    return np.array(amps), np.array(errs)
+
+
+class TestPhaseRecurrence:
+    """The recurrence-based atom sum against a brute-force sum, to 1e-12 of the peak."""
+
+    def setup_method(self):
+        self.params = make_params()
+        height = 60.0 * decay_length(self.params)
+        self.box = Box(center=(0.0, 0.0, 0.0), size=(height / 10, height / 10, height))
+        self.dk = kernel_decay_constant(self.params)
+
+    def grid(self, name):
+        k0z, dk = self.params.k0z, self.dk
+        if name == "uniform":
+            return k0z + dk * np.linspace(-6.0, 2.0, 41)
+        if name == "two-spacing":
+            return k0z + dk * _offset_grid(-8.0, 1.0, 45)
+        steps = np.random.default_rng(5).uniform(0.05, 0.6, 30)
+        return k0z + dk * (np.cumsum(steps) - 8.0)
+
+    @pytest.mark.parametrize("grid, n_atoms", [
+        ("uniform", 1600), ("two-spacing", 1600), ("irregular", 1600), ("uniform", 10),
+    ])
+    def test_matches_brute_force(self, grid, n_atoms):
+        p = self.params
+        kz = self.grid(grid)
+        ens = sample_ensemble(n_atoms, self.box, 61, p.nu, p.gamma, (1, 0, 0), metric=p.metric)
+        state = curved_timed_dicke(ens, p.k0, p.metric)
+        spec = monte_carlo_spectrum(ens, state, kz, p)
+        amps, errs = brute_force_atom_sum(ens, state, kz, p)
+        peak = np.max(np.abs(amps))
+        assert np.max(np.abs(spec.amplitude - amps)) <= 1e-12 * peak
+        assert np.max(np.abs(spec.mc_stderr - errs)) <= 1e-12 * peak
+
+    def test_uniform_grid_takes_few_exact_phases(self):
+        # guards the test above against passing only because every point reseeds
+        kz = self.grid("uniform")
+        exact = spectrum._exact_phase_points(kz, 0.5 * self.box.size[2])
+        assert exact[0] and exact.sum() <= 3
 
 
 class TestStructureFactor:
