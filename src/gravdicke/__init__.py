@@ -51,7 +51,6 @@ from .emission import (
     Atom,
     Box,
     Ensemble,
-    FCorrectionParams,
     TimedDickeState,
     coupling_v,
     curved_timed_dicke,

@@ -72,6 +72,12 @@ class GridConfig:
     hi: float = 3.0
     points: int = 45
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < 0.0 < self.hi and self.points >= 3):
+            raise ConfigError("spectrum.grid needs finite lo < 0 < hi and points >= 3, got "
+                              f"lo={self.lo!r}, hi={self.hi!r}, points={self.points!r}")
+
 
 @dataclass(frozen=True)
 class SpectrumConfig:
@@ -119,6 +125,8 @@ class DeltaConfig:
     def __post_init__(self) -> None:
         if self.halvings < 1:
             raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1")
+        if self.grid_points < 3:
+            raise ConfigError("delta.grid_points must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -245,10 +253,9 @@ def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """Strictly increasing offset grid over [lo, hi] containing an exact 0.0.
 
     The kernel's step convention puts its peak at offset zero, so grids must
-    hit that point exactly rather than to within float rounding.
+    hit that point exactly rather than to within float rounding.  The caller
+    guarantees finite lo < 0 < hi and points >= 3 (see GridConfig, DeltaConfig).
     """
-    if not (lo < 0.0 < hi) or points < 3:
-        raise ConfigError("grid must straddle zero offset with at least 3 points")
     n_neg = max(1, round((points - 1) * (-lo) / (hi - lo)))
     n_pos = max(1, points - 1 - n_neg)
     return np.concatenate([
@@ -406,7 +413,12 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     g = cfg.spectrum.grid
     dk = kernel_decay_constant(params)
     offsets = _offset_grid(g.lo, g.hi, g.points)
-    kz = params.k0z + offsets * dk
+    # c|k| as every route evaluates it; a grid reaching far enough overflows it
+    with np.errstate(over="ignore"):
+        kz = params.k0z + offsets * dk
+        omega = params.constants.c * np.sqrt(np.sum(params.k0[:2] ** 2) + kz * kz)
+    if not (np.all(np.isfinite(kz)) and np.all(np.isfinite(omega))):
+        raise ConfigError("spectrum.grid reaches k_z values whose c|k| is not finite")
 
     mc = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas, cfg.seed,
                                 threads=cfg.threads)
@@ -455,6 +467,10 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
             f"(needed {tol.mc_fraction:.0%})"
         )
     return summary
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else math.inf
 
 
 def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
@@ -508,13 +524,19 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     dump_mode_vectors(outdir / "mode_vectors.csv", modes_for_dump,
                       [z0 - 0.25, z0, z0 + 0.25])
 
-    inconclusive = sum(rep.inconclusive for s in studies for rep in s.reports)
+    reports = [rep for s in studies for rep in s.reports]
+    inconclusive = sum(rep.inconclusive for rep in reports)
     if inconclusive:
         raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are "
                           "Richardson-inconclusive, so the slope gate cannot be decided")
     worst_wave = max(abs(s.wave_slope - 2.0) for s in studies)
     worst_gauss = max(abs(s.gauss_slope - 2.0) for s in studies)
     summary = {"worst_wave_slope_dev": worst_wave, "worst_gauss_slope_dev": worst_gauss,
+               # share of each residual that is finite-difference error, at worst
+               "max_discretization_ratio": max(
+                   _ratio(rep.discretization_estimate, rep.residual_norm) for rep in reports),
+               "max_gauss_discretization_ratio": max(
+                   _ratio(rep.gauss_discretization, abs(rep.gauss_residual)) for rep in reports),
                "n_modes": v.n_modes, "a_values": v.a_values}
     if worst_wave > tol.slope or worst_gauss > tol.slope:
         raise OracleMismatchError(

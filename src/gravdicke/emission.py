@@ -9,7 +9,6 @@ by rejection, so runs are bit-reproducible across platforms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "Box",
     "Ensemble",
     "TimedDickeState",
-    "FCorrectionParams",
     "sample_ensemble",
     "coupling_v",
     "flat_timed_dicke",
@@ -178,18 +176,6 @@ class TimedDickeState:
         return len(self.amplitudes)
 
 
-@dataclass(frozen=True)
-class FCorrectionParams:
-    """Height-polynomial coefficients of the absorption-stage correction z b + i z^2 g."""
-
-    beta: float = 0.0
-    gamma_coef: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.beta) and np.isfinite(self.gamma_coef)):
-            raise PhysicsDomainError("correction coefficients must be finite")
-
-
 def flat_timed_dicke(ensemble: Ensemble, k0) -> TimedDickeState:
     """Plane-wave-phased state c_j = exp(i k0 . r_j) / sqrt(N)."""
     k0 = np.asarray(k0, dtype=float).reshape(3)
@@ -198,31 +184,16 @@ def flat_timed_dicke(ensemble: Ensemble, k0) -> TimedDickeState:
     return TimedDickeState(amps, k0)
 
 
-def curved_timed_dicke(
-    ensemble: Ensemble,
-    k0,
-    metric: WeakFieldMetric,
-    fparams: FCorrectionParams | None = None,
-) -> TimedDickeState:
-    """Absorption-conditioned state with the height-dependent coupling correction.
+def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> TimedDickeState:
+    """Absorption-conditioned state c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
-    c_j ~ exp(i k0 . r_j) (1 + a F(z_j - z0)) with F(z) = z beta + i z^2 gamma_coef,
-    renormalized to unit norm.  Reduces to :func:`flat_timed_dicke` as a -> 0 or
-    for vanishing coefficients.
+    The phases are those of :func:`flat_timed_dicke`; the metric enters only
+    through the linearization guard on the atom heights.
     """
-    if fparams is None:
-        fparams = FCorrectionParams()
     k0 = np.asarray(k0, dtype=float).reshape(3)
     dz = ensemble.positions[:, 2] - metric.z0
     check_linearization(metric.a, dz)
-    f_corr = dz * fparams.beta + 1j * dz * dz * fparams.gamma_coef
-    scale = metric.a * np.abs(f_corr)
-    if np.any(scale >= 0.1):
-        warnings.warn(
-            f"|a F| reaches {scale.max():.3g}; the linear-in-a state is unreliable",
-            stacklevel=2,
-        )
-    raw = np.exp(1j * (ensemble.positions @ k0)) * (1.0 + metric.a * f_corr)
+    raw = np.exp(1j * (ensemble.positions @ k0))
     raw /= np.sqrt(np.sum(np.abs(raw) ** 2))
     return TimedDickeState(raw, k0)
 

@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .emission import (
     GAMMA_NU_MAX,
@@ -32,7 +31,7 @@ from .emission import (
 )
 from .errors import PhysicsDomainError, QuadratureError
 from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
-from .quadrature import complex_quad, fourier_complex_quad
+from .quadrature import complex_quad, fourier_complex_quad, integrate
 
 __all__ = [
     "SpectrumParams",

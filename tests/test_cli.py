@@ -2,6 +2,9 @@ import ast
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gravdicke
+import gravdicke.quadrature
+import gravdicke.spectrum
 from gravdicke.cli import load_config, main
 from gravdicke.errors import ConfigError
 
@@ -209,12 +214,17 @@ class TestBadInputExitCodes:
         ({"scenario": "verify-modes", "verify": {"n_modes": 2, "rel_step": 0.3, "order": 2}}, 2),
         ({"scenario": "curved-spectrum", "tolerances": {"mc_fraction": -1, "mc_sigma": -5}}, 2),
         ({"scenario": "verify-modes", "tolerances": {"slope": -1}}, 2),
+        ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": float("-inf")}},
+          "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
+        ({"scenario": "curved-spectrum", "spectrum": {"grid": {"hi": 1e308}},
+          "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
             "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
             "huge-int-a", "infinite-theta0", "inconclusive-residuals",
-            "negative-mc-tolerances", "negative-slope-tolerance"])
+            "negative-mc-tolerances", "negative-slope-tolerance", "infinite-grid-lo",
+            "overflowing-grid-hi"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -313,6 +323,15 @@ class TestVerifyModesScenario:
         assert meta["summary"]["worst_wave_slope_dev"] < 0.1
         assert meta["summary"]["worst_gauss_slope_dev"] < 0.1
 
+    def test_discretization_ratio_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "verify-modes"})
+        out = tmp_path / "vmr"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        # no report is inconclusive at the defaults, so no residual is mostly FD error
+        assert 0.0 < summary["max_discretization_ratio"] <= 1.0
+        assert summary["max_gauss_discretization_ratio"] > 0.0
+
     def test_residual_csv_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}})
         out = tmp_path / "vmc"
@@ -335,3 +354,42 @@ class TestDeltaLimitScenario:
             assert scales[i - 1] / scales[i] == pytest.approx(2.0, rel=1e-9)
         areas = [complex(row["area"]["re"], row["area"]["im"]) for row in sweep]
         assert all(abs(a - areas[0]) < 1e-9 * abs(areas[0]) for a in areas)
+
+
+# runs main once per config path given, and prints whether scipy.integrate was
+# loaded after the import and after each run
+LAZY_PROBE = """
+import json, sys
+import gravdicke.cli as cli
+loaded = ["scipy.integrate" in sys.modules]
+for path in sys.argv[1:]:
+    assert cli.main(["--config", path, "--output", path + ".out"]) == 0
+    loaded.append("scipy.integrate" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestLazyIntegrate:
+    """scipy.integrate is loaded by the first quadrature, not by the import."""
+
+    def test_loaded_only_by_scenarios_that_integrate(self, tmp_path):
+        configs = [
+            write_config(tmp_path, {"scenario": "spreads"}, name="spreads.json"),
+            write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}},
+                         name="verify.json"),
+            write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 1}},
+                         name="delta.json"),
+        ]
+        src = str(Path(gravdicke.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *configs], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+
+    def test_one_binding_reaches_scipy(self):
+        from scipy import integrate
+
+        assert gravdicke.spectrum.integrate is gravdicke.quadrature.integrate
+        assert gravdicke.quadrature.integrate.quad is integrate.quad

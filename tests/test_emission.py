@@ -9,7 +9,6 @@ from gravdicke.emission import (
     Atom,
     Box,
     Ensemble,
-    FCorrectionParams,
     coupling_v,
     curved_timed_dicke,
     flat_timed_dicke,
@@ -18,7 +17,7 @@ from gravdicke.emission import (
     sample_ensemble,
     single_atom_survival,
 )
-from gravdicke.errors import PhysicsDomainError
+from gravdicke.errors import LinearizationError, PhysicsDomainError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 from gravdicke.modes import ModeIndex, PerturbedMode
 
@@ -113,45 +112,28 @@ class TestTimedDicke:
         ens = sample_ensemble(200, small_box(), 13, NU, GAMMA, DIPOLE)
         k0 = np.array([0.0, 0.0, 1.0])
         flat = flat_timed_dicke(ens, k0)
-        same = curved_timed_dicke(ens, k0, WeakFieldMetric(a=0.0), FCorrectionParams(1.0, 2.0))
-        np.testing.assert_allclose(same.amplitudes, flat.amplitudes, atol=1e-15)
-        zero_params = curved_timed_dicke(ens, k0, WeakFieldMetric(a=1e-3), FCorrectionParams())
-        np.testing.assert_allclose(zero_params.amplitudes, flat.amplitudes, atol=1e-15)
-
-    def test_curved_linear_convergence_to_flat(self):
-        ens = sample_ensemble(200, small_box(), 13, NU, GAMMA, DIPOLE)
-        k0 = np.array([0.0, 0.0, 1.0])
-        flat = flat_timed_dicke(ens, k0)
-        params = FCorrectionParams(beta=0.5, gamma_coef=0.2)
-        devs = []
-        for a in (2e-3, 1e-3):
-            curved = curved_timed_dicke(ens, k0, WeakFieldMetric(a=a), params)
-            devs.append(np.max(np.abs(curved.amplitudes - flat.amplitudes)))
-        assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.05)
+        for a in (0.0, 1e-3):
+            curved = curved_timed_dicke(ens, k0, WeakFieldMetric(a=a))
+            np.testing.assert_allclose(curved.amplitudes, flat.amplitudes, atol=1e-15)
 
     def test_curved_normalization_brute_force(self):
         ens = sample_ensemble(300, small_box(), 17, NU, GAMMA, DIPOLE)
         k0 = np.array([0.2, 0.0, 0.98])
         k0 = k0 / np.linalg.norm(k0) * NU / CST.c
-        params = FCorrectionParams(beta=1.2, gamma_coef=-0.7)
-        metric = WeakFieldMetric(a=1e-3)
-        state = curved_timed_dicke(ens, k0, metric, params)
+        state = curved_timed_dicke(ens, k0, WeakFieldMetric(a=1e-3))
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
         # reproduce the normalization constant by direct summation
-        dz = ens.positions[:, 2]
-        raw = np.exp(1j * ens.positions @ k0) * (
-            1.0 + metric.a * (dz * 1.2 + 1j * dz**2 * (-0.7))
-        )
+        raw = np.array([np.exp(1j * np.dot(r, k0)) for r in ens.positions])
         np.testing.assert_allclose(
-            state.amplitudes, raw / np.sqrt(np.sum(np.abs(raw) ** 2)), atol=1e-14
+            state.amplitudes, raw / math.sqrt(sum(abs(c) ** 2 for c in raw)), atol=1e-14
         )
 
-    def test_curved_warns_outside_linear_domain(self):
+    def test_curved_rejects_outside_linear_domain(self):
         ens = sample_ensemble(100, small_box(), 19, NU, GAMMA, DIPOLE)
-        with pytest.warns(UserWarning, match="linear"):
-            curved_timed_dicke(
-                ens, [0.0, 0.0, 1.0], WeakFieldMetric(a=5e-2), FCorrectionParams(beta=50.0)
-            )
+        heights = np.abs(ens.positions[:, 2])
+        with pytest.raises(LinearizationError):
+            curved_timed_dicke(ens, [0.0, 0.0, 1.0], WeakFieldMetric(a=1.01 / heights.max()))
+        curved_timed_dicke(ens, [0.0, 0.0, 1.0], WeakFieldMetric(a=0.99 / heights.max()))
 
 
 class TestSurvival:
