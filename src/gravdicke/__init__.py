@@ -18,19 +18,10 @@ from .errors import (
     PhysicsDomainError,
     QuadratureError,
 )
-from .metric import (
-    PhysicalConstants,
-    WeakFieldMetric,
-    momentum_measure_factor,
-    proper_time_shift,
-    quantization_volume,
-    redshift,
-    surface_param_a,
-)
+from .metric import PhysicalConstants, WeakFieldMetric, surface_param_a
 from .modes import (
     ModeIndex,
     PerturbedMode,
-    electric_field_eigenmode,
     flat_polarization_basis,
     local_wavevector,
     mode_amplitude,
@@ -48,15 +39,10 @@ from .maxwell import (
     wave_residual,
 )
 from .emission import (
-    Atom,
     Box,
     Ensemble,
     TimedDickeState,
-    coupling_v,
     curved_timed_dicke,
-    flat_timed_dicke,
-    modal_amplitude_lab,
-    modal_amplitude_nonlocal_frame,
     sample_ensemble,
     single_atom_survival,
 )

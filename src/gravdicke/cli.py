@@ -59,6 +59,13 @@ from .spectrum import (
 SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-limit")
 
 
+def _require_positive(section, prefix: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(section, name)
+        if not 0 < value < math.inf:  # also rejects NaN; exact for huge ints
+            raise ConfigError(f"{prefix}.{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     a: float = 1e-3
@@ -100,6 +107,7 @@ class EnsembleConfig:
         if self.replicas < 2:
             raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
                               "a replica spread")
+        _require_positive(self, "ensemble", ("n_atoms", "box_heights", "box_aspect"))
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,7 @@ class DickeConfig:
             raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
         if self.replicas < 1 or any(len(u) != 3 for u in self.probes_u):
             raise ConfigError("dicke.replicas must be >= 1 and each dicke.probes_u entry a 3-vector")
+        _require_positive(self, "dicke", ("n_atoms", "box_wavelengths"))
 
 
 @dataclass(frozen=True)
@@ -151,6 +160,12 @@ class VerifyConfig:
         if len(set(self.a_values)) < 2 or self.n_modes < 1:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
+        _require_positive(self, "verify", ("volume", "rel_step"))
+        if self.order not in (2, 4):
+            raise ConfigError(f"verify.order must be 2 or 4, got {self.order!r}")
+        if not 0.0 <= self.min_kz_fraction < 1.0:
+            raise ConfigError("verify.min_kz_fraction must be in [0, 1), got "
+                              f"{self.min_kz_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -374,10 +389,10 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
 
 def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
     params = _spectrum_params(cfg)
-    a_values = [params.metric.a / 2**i for i in range(cfg.delta.halvings)]
-    width_max = max(a_values) * params.nu / params.gamma
-    kz = params.k0z + width_max * _offset_grid(-8.0, 1.0, cfg.delta.grid_points)
-    sweep = flat_delta_limit(kz, params, a_values)
+    # the grid spans the widest kernel, the one at the starting a
+    width = kernel_decay_constant(params)
+    kz = params.k0z + width * _offset_grid(-8.0, 1.0, cfg.delta.grid_points)
+    sweep = flat_delta_limit(kz, params, cfg.delta.halvings)
     rows = []
     table = []
     for sp in sweep:
@@ -473,6 +488,11 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den else math.inf
 
 
+# an isotropic k meets |k_z| >= f |k| with probability 1 - f, so this many
+# draws fail by chance only for f within about 1e-3 of 1
+_MAX_MODE_DRAWS = 10_000
+
+
 def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     constants = _spectrum_params(cfg).constants
     v = cfg.verify
@@ -486,9 +506,13 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     studies = []
     modes_for_dump = []
     for m in range(v.n_modes):
-        k = rng.normal(size=3)
-        while abs(k[2]) < v.min_kz_fraction * np.linalg.norm(k):
+        for _ in range(_MAX_MODE_DRAWS):
             k = rng.normal(size=3)
+            if abs(k[2]) >= v.min_kz_fraction * np.linalg.norm(k):
+                break
+        else:
+            raise ConfigError(f"no mode with |k_z| >= verify.min_kz_fraction |k| in "
+                              f"{_MAX_MODE_DRAWS} draws: lower verify.min_kz_fraction")
         # vertical polarization component present, so the divergence test is nontrivial
         study = residual_slope_study(
             k, 2, constants, z0, v.volume, v.a_values, t, r, rel_step=v.rel_step, order=v.order,

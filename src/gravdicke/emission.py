@@ -1,4 +1,4 @@
-"""Atoms, random ensembles, timed collective states and redshifted single-atom decay.
+"""Random atom ensembles, timed collective states and single-atom decay.
 
 Only the single-excitation amplitude sector is represented: states are complex
 amplitude arrays over atoms, never operator matrices.  Ensembles are sampled
@@ -14,21 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .metric import WeakFieldMetric, check_linearization, redshift
+from .metric import WeakFieldMetric, check_linearization
 
 __all__ = [
     "GAMMA_NU_MAX",
-    "Atom",
     "Box",
     "Ensemble",
     "TimedDickeState",
     "sample_ensemble",
-    "coupling_v",
-    "flat_timed_dicke",
     "curved_timed_dicke",
     "single_atom_survival",
-    "modal_amplitude_lab",
-    "modal_amplitude_nonlocal_frame",
 ]
 
 # Weak-coupling guard on Gamma/nu.  The order-unity test regime runs at
@@ -37,28 +32,8 @@ GAMMA_NU_MAX = 2e-2
 
 
 @dataclass(frozen=True)
-class Atom:
-    """Stationary two-level atom: position, transition frequency, decay rate, dipole."""
-
-    r: np.ndarray
-    nu: float
-    gamma: float
-    d: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", np.array(self.r, dtype=float).reshape(3))
-        object.__setattr__(self, "d", np.array(self.d, dtype=float).reshape(3))
-        if not self.gamma > 0.0:
-            raise PhysicsDomainError("decay rate gamma must be positive")
-        if not self.gamma < GAMMA_NU_MAX * self.nu:
-            raise PhysicsDomainError(
-                f"weak-coupling guard violated: gamma must be < {GAMMA_NU_MAX:g} nu"
-            )
-
-
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned sampling volume; the center height doubles as z0."""
+    """Axis-aligned sampling volume."""
 
     center: np.ndarray
     size: np.ndarray
@@ -77,14 +52,6 @@ class Box:
     def high(self) -> np.ndarray:
         return self.center + 0.5 * self.size
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.size))
-
-    @property
-    def z0(self) -> float:
-        return float(self.center[2])
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         return np.all((pts >= self.low) & (pts <= self.high), axis=1)
@@ -92,19 +59,14 @@ class Box:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Identical two-level atoms at random positions inside a box.
+    """Identical two-level atoms at positions inside a box.
 
     ``weights`` carries the curved-volume importance weight sqrt(1 - a dz) per
-    atom (all ones in flat space); ``seed_key`` is the entropy tuple that
-    reproduces the draw.
+    atom (all ones in flat space).
     """
 
     positions: np.ndarray
-    nu: float
-    gamma: float
-    dipole: np.ndarray
     box: Box
-    seed_key: tuple[int, ...]
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -112,7 +74,6 @@ class Ensemble:
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "dipole", np.array(self.dipole, dtype=float).reshape(3))
         if not np.all(self.box.contains(pos)):
             raise PhysicsDomainError("all atoms must lie inside the box")
         if self.weights is None:
@@ -122,8 +83,6 @@ class Ensemble:
             if w.shape != (len(pos),):
                 raise PhysicsDomainError("weights must have one entry per atom")
             object.__setattr__(self, "weights", w)
-        # reuse the Atom validation for the shared parameters
-        Atom(pos[0], self.nu, self.gamma, self.dipole)
 
     @property
     def n(self) -> int:
@@ -147,13 +106,19 @@ def sample_ensemble(
     dipole,
     metric: WeakFieldMetric | None = None,
 ) -> Ensemble:
-    """Draw N atom positions uniformly in the box with a Philox stream."""
+    """Draw N atom positions uniformly in the box with a Philox stream.
+
+    The atomic line (nu, gamma) is checked against the weak-coupling guard;
+    neither it nor the dipole is stored, since no atom sum reads them.
+    """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
-    seed_key = (seed,) if isinstance(seed, int) else tuple(seed)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_key)))
+    if not 0.0 < gamma < GAMMA_NU_MAX * nu:
+        raise PhysicsDomainError(f"need 0 < gamma < {GAMMA_NU_MAX:g} nu (weak-coupling guard)")
+    # an int seed s and the tuple (s,) give the same stream
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     pos = box.low + rng.random((n, 3)) * box.size
-    return Ensemble(pos, nu, gamma, dipole, box, seed_key, _volume_weights(pos[:, 2], metric))
+    return Ensemble(pos, box, _volume_weights(pos[:, 2], metric))
 
 
 @dataclass(frozen=True)
@@ -176,18 +141,11 @@ class TimedDickeState:
         return len(self.amplitudes)
 
 
-def flat_timed_dicke(ensemble: Ensemble, k0) -> TimedDickeState:
-    """Plane-wave-phased state c_j = exp(i k0 . r_j) / sqrt(N)."""
-    k0 = np.asarray(k0, dtype=float).reshape(3)
-    phases = ensemble.positions @ k0
-    amps = np.exp(1j * phases) / np.sqrt(ensemble.n)
-    return TimedDickeState(amps, k0)
-
-
 def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> TimedDickeState:
     """Absorption-conditioned state c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
-    The phases are those of :func:`flat_timed_dicke`; the metric enters only
+    The phases are the flat plane-wave phases k0 . r_j, so at a = 0 this is the
+    flat timed Dicke state exp(i k0 . r_j) / sqrt(N); the metric enters only
     through the linearization guard on the atom heights.
     """
     k0 = np.asarray(k0, dtype=float).reshape(3)
@@ -198,14 +156,6 @@ def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> Timed
     return TimedDickeState(raw, k0)
 
 
-def coupling_v(mode, atom: Atom, t: float = 0.0) -> complex:
-    """Dipole coupling rate -d . E_k(r_atom) / hbar for one mode and one atom."""
-    from .modes import electric_field_eigenmode
-
-    e_field = electric_field_eigenmode(mode, t, atom.r)
-    return complex(-np.dot(atom.d, e_field) / mode.constants.hbar)
-
-
 def single_atom_survival(t, gamma: float):
     """Excited-state amplitude exp(-Gamma t / 2) after the memory kernel collapses."""
     t = np.asarray(t, dtype=float)
@@ -214,38 +164,3 @@ def single_atom_survival(t, gamma: float):
     out = np.exp(-0.5 * gamma * t)
     return float(out) if out.ndim == 0 else out
 
-
-def modal_amplitude_lab(
-    mode, atom: Atom, Z: float, z_lab: float, metric: WeakFieldMetric
-) -> complex:
-    """Asymptotic single-photon amplitude of one mode in the laboratory frame.
-
-    Atom-frame route: the coupling picks up the proper-time factor
-    (1 - a (z_at - z_lab) / 2) and the mode frequency is shifted to the atom
-    height, against the unshifted transition frequency and linewidth.
-    """
-    v = coupling_v(mode, atom)
-    z_at = float(atom.r[2])
-    num = v * (1.0 - 0.5 * metric.a * (z_at - z_lab))
-    den = redshift(mode.omega, Z - z_at, metric.a) - atom.nu - 0.5j * atom.gamma
-    return complex(num / den)
-
-
-def modal_amplitude_nonlocal_frame(
-    mode, atom: Atom, Z: float, z_lab: float, metric: WeakFieldMetric
-) -> complex:
-    """Same amplitude computed in the extended-frame route.
-
-    Here the mode keeps its lab-height frequency while the transition frequency
-    and the linewidth are height-shifted; agrees with
-    :func:`modal_amplitude_lab` to second order in a.
-    """
-    v = coupling_v(mode, atom)
-    z_at = float(atom.r[2])
-    a = metric.a
-    den = (
-        redshift(mode.omega, Z - z_lab, a)
-        - redshift(atom.nu, z_at - z_lab, a)
-        - 0.5j * redshift(atom.gamma, z_at - z_lab, a)
-    )
-    return complex(v / den)

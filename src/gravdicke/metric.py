@@ -1,4 +1,4 @@
-"""Weak-field background: constants, linearized metric, redshift and volume factors.
+"""Weak-field background: constants, the linearized metric and its linearization guard.
 
 The background is a static gravity gradient along z, written with a single
 parameter ``a = 2 g / c^2`` so that clock rates and mode frequencies scale as
@@ -25,10 +25,6 @@ __all__ = [
     "PhysicalConstants",
     "WeakFieldMetric",
     "surface_param_a",
-    "redshift",
-    "quantization_volume",
-    "momentum_measure_factor",
-    "proper_time_shift",
     "check_linearization",
 ]
 
@@ -92,38 +88,3 @@ def surface_param_a(g: float, constants: PhysicalConstants) -> float:
         raise PhysicsDomainError("free-fall acceleration g must be >= 0")
     return 2.0 * g / constants.c**2
 
-
-def redshift(x, z, a: float):
-    """Apply the first-order gravitational shift x -> x * (1 + a z / 2).
-
-    Used uniformly for mode frequencies, the atomic transition frequency and
-    the spontaneous decay rate; exact at z = 0 and linear in x for all a.
-    """
-    out = np.asarray(x, dtype=float) * (1.0 + 0.5 * a * np.asarray(z, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def quantization_volume(L: float, Z: float, metric: WeakFieldMetric) -> float:
-    """Proper volume of an L-cube centred at height Z: L^3 (1 - a (Z - z0) / 2)."""
-    if L <= 0.0:
-        raise PhysicsDomainError("box edge L must be positive")
-    dz = Z - metric.z0
-    check_linearization(metric.a, dz)
-    return L**3 * (1.0 - 0.5 * metric.a * dz)
-
-
-def momentum_measure_factor(Z: float, metric: WeakFieldMetric) -> float:
-    """Prefactor (1 + a (Z - z0) / 2) on the mode-sum -> momentum-integral measure.
-
-    Together with :func:`quantization_volume` the product deviates from the flat
-    L^3 only at second order in a.
-    """
-    dz = Z - metric.z0
-    check_linearization(metric.a, dz)
-    return 1.0 + 0.5 * metric.a * dz
-
-
-def proper_time_shift(t, z_at: float, z: float, a: float):
-    """Reference-frame change of a time interval: t -> t (1 + a (z_at - z) / 2)."""
-    out = np.asarray(t, dtype=float) * (1.0 + 0.5 * a * (z_at - z))
-    return float(out) if out.ndim == 0 else out

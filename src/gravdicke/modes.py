@@ -38,7 +38,6 @@ __all__ = [
     "perturbation_M",
     "polarization_E",
     "polarization_H",
-    "electric_field_eigenmode",
     "mode_field_first_order",
     "dump_mode_vectors",
 ]
@@ -265,19 +264,6 @@ def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
     return (p0 + (a / knorm) * corr).astype(complex)
 
 
-def electric_field_eigenmode(mode: PerturbedMode, t, r) -> np.ndarray:
-    """Negative-frequency E eigenfunction amplitude(z) * polarization(z) * e^{i phase}.
-
-    Accepts a single point (r of shape (3,)) or a batch ((n, 3) with scalar or
-    (n,) t); the modal amplitude factor of the field operator is the caller's
-    responsibility.
-    """
-    r = np.asarray(r, dtype=float)
-    z = r[..., 2]
-    scalar = mode_amplitude(mode, z) * np.exp(1j * mode_phase(mode, t, r))
-    return scalar[..., None] * polarization_E(mode, z)
-
-
 def mode_field_first_order(
     mode: PerturbedMode,
     t,
@@ -292,8 +278,9 @@ def mode_field_first_order(
     phase offset on the vertical component (``include_gauss_constant``) that
     the geometrical-optics product form drops, and it exposes ablation hooks
     (zero the whole O(a) correction of one component) so scaling tests can
-    prove each term is needed.  Agrees with
-    :func:`electric_field_eigenmode` + Gauss constant to O(a^2).
+    prove each term is needed.  Agrees to O(a^2) with the product form
+    ``mode_amplitude * polarization_E * e^{i mode_phase}`` plus the Gauss
+    constant.
     """
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1

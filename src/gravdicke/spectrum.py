@@ -127,13 +127,12 @@ class SpectrumParams:
 
 @dataclass
 class AngularSpectrum:
-    """Emitted-photon amplitude sampled on a k_z grid, with provenance."""
+    """Emitted-photon amplitude sampled on a k_z grid, with run details in ``meta``."""
 
     kz_grid: np.ndarray
     amplitude: np.ndarray
     method: str
     mc_stderr: np.ndarray | None = None
-    seed: int | tuple[int, ...] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -433,7 +432,7 @@ def monte_carlo_spectrum(
     var = np.sum(spread.real**2 + spread.imag**2, axis=0) / max(n_batches - 1, 1)
     stderr = np.sqrt(var * n_batches)
     return AngularSpectrum(
-        kz, amps, "montecarlo", mc_stderr=stderr, seed=ensemble.seed_key,
+        kz, amps, "montecarlo", mc_stderr=stderr,
         meta={"n_atoms": ensemble.n, "n_batches": n_batches},
     )
 
@@ -479,7 +478,7 @@ def replicated_mc_spectrum(
     else:
         amp_stderr = np.zeros(kz.shape)
     return AngularSpectrum(
-        kz, mean_amp, "montecarlo", mc_stderr=amp_stderr, seed=base_seed,
+        kz, mean_amp, "montecarlo", mc_stderr=amp_stderr,
         meta={
             "n_atoms": n_atoms,
             "replicas": n_replicas,
@@ -510,35 +509,45 @@ def structure_factor_expectation(n: int, box_size, delta_k) -> float:
     return 1.0 / n + (1.0 - 1.0 / n) * coherent
 
 
-def flat_delta_limit(kz_grid, params: SpectrumParams, a_values=None) -> list[AngularSpectrum]:
-    """Kernel sampled at a sequence of shrinking gravity gradients.
+_TINY = np.finfo(float).tiny  # smallest normal double
+
+
+def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[AngularSpectrum]:
+    """Kernel sampled at a * 0.5**i for i < halvings, starting from a = params.metric.a.
 
     Demonstrates the flat limit: the measured decay scale halves with a, the
     peak doubles, and the quadrature area stays -i/Gamma throughout, i.e. the
-    distribution contracts to a delta spike at k0z of fixed weight.
+    distribution contracts to a delta spike at k0z of fixed weight.  The decay
+    scale is a log-linear fit over the samples below k0z where |kernel| is a
+    normal float: past that it underflows to subnormals, whose few significant
+    bits skew the fit, and then to zero.  An a with fewer than two such samples
+    is rejected.
     """
-    if a_values is None:
-        base = params.metric.a
-        if base <= 0.0:
-            raise PhysicsDomainError("need a starting a > 0 for the delta-limit sweep")
-        a_values = [base, base / 2.0, base / 4.0, base / 8.0]
+    base = params.metric.a
+    if base <= 0.0 or halvings < 1:
+        raise PhysicsDomainError("the delta-limit sweep needs a starting a > 0 and halvings >= 1")
     kz = np.asarray(kz_grid, dtype=float)
     out = []
-    for a in a_values:
+    for i in range(halvings):
+        a = base * 0.5**i
         p = SpectrumParams(
             params.k0, params.nu, params.gamma,
-            WeakFieldMetric(a=float(a), z0=params.metric.z0),
+            WeakFieldMetric(a=a, z0=params.metric.z0),
             params.Z, params.constants,
         )
         spec = analytic_spectrum(kz, p)
-        mask = (params.k0z - kz) > 0.0
-        q = params.k0z - kz[mask]
-        mag = np.abs(spec.amplitude[mask])
-        slope = np.polyfit(q, np.log(mag), 1)[0]  # = -Gamma/(a nu) on exact samples
+        mag = np.abs(spec.amplitude)
+        mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)
+        if np.count_nonzero(mask) < 2:
+            raise PhysicsDomainError(
+                f"at a={a!r} fewer than two grid points below k0z have a kernel above "
+                "underflow, so its decay scale cannot be fitted: use fewer halvings"
+            )
+        slope = np.polyfit(params.k0z - kz[mask], np.log(mag[mask]), 1)[0]  # = -Gamma/(a nu)
         spec.meta.update(
-            a=float(a),
+            a=a,
             area=kernel_area(p),
-            peak=float(np.max(np.abs(spec.amplitude))),
+            peak=float(np.max(mag)),
             decay_scale=float(-1.0 / slope),
         )
         out.append(spec)

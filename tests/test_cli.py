@@ -1,10 +1,14 @@
 import ast
+import contextlib
 import dataclasses
 import importlib
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,21 @@ def write_config(tmp_path: Path, payload: dict, name="cfg.json") -> str:
 
 def csv_body(path: Path) -> bytes:
     return path.read_bytes()
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestConfigParsing:
@@ -218,17 +237,40 @@ class TestBadInputExitCodes:
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"hi": 1e308}},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
+        ({"scenario": "verify-modes", "verify": {"rel_step": 0}}, 2),
+        ({"scenario": "verify-modes", "verify": {"order": 3}}, 2),
+        ({"scenario": "verify-modes", "verify": {"volume": 0}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"n_atoms": 0}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"box_wavelengths": -1}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": 0}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"box_heights": -1}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"box_aspect": 0}}, 2),
+        ({"scenario": "delta-limit", "delta": {"halvings": 2000}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
             "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
             "huge-int-a", "infinite-theta0", "inconclusive-residuals",
             "negative-mc-tolerances", "negative-slope-tolerance", "infinite-grid-lo",
-            "overflowing-grid-hi"])
+            "overflowing-grid-hi", "zero-rel-step", "order-3", "zero-volume",
+            "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",
+            "negative-box-heights", "zero-box-aspect", "underflowing-halvings"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
         self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0 - 1e-12], ids=["above-one", "just-below-one"])
+    def test_unreachable_min_kz_fraction(self, tmp_path, capsys, fraction):
+        # 1.5 fails the config check; 1 - 1e-12 passes it but no draw meets it
+        cfg = write_config(tmp_path, {"scenario": "verify-modes",
+                                      "verify": {"min_kz_fraction": fraction}})
+        with time_limit(10):
+            code = main(["--config", cfg, "--output", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "verify.min_kz_fraction" in json.loads(err)["message"]
+        assert err.count("\n") == 1
 
     def test_output_names_a_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "spreads"})
@@ -291,6 +333,34 @@ class TestConfigFuzz:
 
 class TestExports:
     MODULES = ("metric", "modes", "maxwell", "emission", "spectrum", "quadrature")
+    # perturbation_M stays public although no module calls it: tests/test_modes.py
+    # checks it against oracles.component_perturbations, the only independent
+    # test of modes._first_order_terms
+    UNREACHED_ALLOWED = ["modes.perturbation_M"]
+
+    def test_every_exported_name_is_reached(self):
+        """A name in a module's __all__ is used by some package module, by the
+        acceptance criteria or by the test oracles; __init__ re-exports do not count."""
+        tests = Path(__file__).parent
+        files = [p for p in Path(gravdicke.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+        files += [tests / "test_acceptance.py", tests / "oracles.py"]
+        used, exported = set(), []
+        for path in files:
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__all__" for target in node.targets):
+                    exported += [(path.stem, name) for name in ast.literal_eval(node.value)]
+        assert exported
+        unreached = [f"{mod}.{name}" for mod, name in exported if name not in used]
+        assert unreached == self.UNREACHED_ALLOWED
 
     @pytest.mark.parametrize("name", MODULES)
     def test_module_all_resolves(self, name):
@@ -354,6 +424,25 @@ class TestDeltaLimitScenario:
             assert scales[i - 1] / scales[i] == pytest.approx(2.0, rel=1e-9)
         areas = [complex(row["area"]["re"], row["area"]["im"]) for row in sweep]
         assert all(abs(a - areas[0]) < 1e-9 * abs(areas[0]) for a in areas)
+
+    def test_kernel_underflow_leaves_finite_decay_scales(self, tmp_path, capsys):
+        # at the eighth a the kernel underflows to zero over part of the grid
+        cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 8}})
+        out = tmp_path / "dl8"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"metadata.json holds the non-JSON constant {constant}")
+
+        meta = json.loads((out / "metadata.json").read_text(), parse_constant=reject)
+        scales = [row["decay_scale"] for row in meta["summary"]["sweep"]]
+        assert len(scales) == 8 and all(math.isfinite(x) for x in scales)
+        for i in range(1, len(scales)):
+            assert scales[i - 1] / scales[i] == pytest.approx(2.0, rel=1e-9)
 
 
 # runs main once per config path given, and prints whether scipy.integrate was

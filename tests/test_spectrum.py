@@ -210,7 +210,7 @@ class TestMonteCarlo:
         spec = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
         big = Box(center=(0.0, 0.0, 0.0), size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
-        ens2 = type(ens)(shifted_pos, ens.nu, ens.gamma, ens.dipole, big, ens.seed_key, ens.weights)
+        ens2 = type(ens)(shifted_pos, big, ens.weights)
         state2 = curved_timed_dicke(ens2, p.k0, p.metric)
         spec2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
         np.testing.assert_allclose(spec2.probability, spec.probability, rtol=1e-12)
@@ -388,7 +388,8 @@ class TestDeltaLimit:
         width = kernel_decay_constant(p)
         kz = p.k0z + np.concatenate([np.linspace(-8 * width, 0, 120, endpoint=False),
                                      [0.0], np.linspace(0, width, 10)[1:]])
-        specs = flat_delta_limit(kz, p)
+        specs = flat_delta_limit(kz, p, 4)
+        assert [s.meta["a"] for s in specs] == [2e-3, 1e-3, 5e-4, 2.5e-4]
         widths = [s.meta["decay_scale"] for s in specs]
         peaks = [s.meta["peak"] for s in specs]
         areas = [s.meta["area"] for s in specs]
@@ -399,6 +400,8 @@ class TestDeltaLimit:
         assert areas[0] == pytest.approx(-1j / p.gamma, rel=1e-9)
 
     def test_needs_positive_start(self):
-        p = make_params(a=0.0)
+        kz = np.array([-1.0, 0.0, 1.0])
         with pytest.raises(PhysicsDomainError):
-            flat_delta_limit(np.array([-1.0, 0.0, 1.0]), p)
+            flat_delta_limit(kz, make_params(a=0.0), 4)
+        with pytest.raises(PhysicsDomainError):
+            flat_delta_limit(kz, make_params(), 0)
