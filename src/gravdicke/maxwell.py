@@ -255,13 +255,11 @@ def residual_slope_study(
     rel_step: float = 0.01,
     order: int = 4,
     include_gauss_constant: bool = True,
-    zero_axis_correction: int | None = None,
 ) -> ScalingStudy:
     """Sweep the gravity gradient and fit the wave/Gauss residual scaling slopes.
 
     With all first-order terms in place both slopes sit at 2; ablating the
-    Gauss-law constant pulls the Gauss slope down to ~1, and zeroing any
-    single component correction does the same to the wave slope.
+    Gauss-law constant pulls the Gauss slope down to ~1.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     wave_norms = []
@@ -273,9 +271,7 @@ def residual_slope_study(
         )
         stencil = StencilSpec.for_mode(mode, rel=rel_step, order=order)
         field = lambda ts, rs, m=mode: mode_field_first_order(  # noqa: E731
-            m, ts, rs,
-            include_gauss_constant=include_gauss_constant,
-            zero_axis_correction=zero_axis_correction,
+            m, ts, rs, include_gauss_constant=include_gauss_constant,
         )
         rep = wave_residual(mode, t, r, stencil, field=field)
         reports.append(rep)

@@ -270,17 +270,14 @@ def mode_field_first_order(
     r,
     *,
     include_gauss_constant: bool = True,
-    zero_axis_correction: int | None = None,
 ) -> np.ndarray:
     """Eigenmode in the explicit first-order form: flat carrier times (1 + a M_j).
 
     This is the form the residual verifier consumes: it keeps the constant
     phase offset on the vertical component (``include_gauss_constant``) that
-    the geometrical-optics product form drops, and it exposes ablation hooks
-    (zero the whole O(a) correction of one component) so scaling tests can
-    prove each term is needed.  Agrees to O(a^2) with the product form
-    ``mode_amplitude * polarization_E * e^{i mode_phase}`` plus the Gauss
-    constant.
+    the geometrical-optics product form drops.  Agrees to O(a^2) with the
+    product form ``mode_amplitude * polarization_E * e^{i mode_phase}`` plus
+    the Gauss constant.
     """
     r = np.asarray(r, dtype=float)
     single = r.ndim == 1
@@ -297,10 +294,6 @@ def mode_field_first_order(
     comp[:, 0] = f0[0] * (1.0 + a * common) + a * mix1
     comp[:, 1] = f0[1] * (1.0 + a * common) + a * mix2
     comp[:, 2] = f0[2] * (1.0 + a * (common + c3))
-    if zero_axis_correction is not None:
-        if zero_axis_correction not in (1, 2, 3):
-            raise PhysicsDomainError("zero_axis_correction must be 1, 2 or 3")
-        comp[:, zero_axis_correction - 1] = f0[zero_axis_correction - 1]
 
     flat_phase = (
         mode.omega * np.asarray(t, dtype=float)

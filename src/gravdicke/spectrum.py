@@ -45,6 +45,8 @@ __all__ = [
     "quadrature_spectrum",
     "analytic_spectrum",
     "monte_carlo_spectrum",
+    "run_replicas",
+    "mean_stderr",
     "replicated_mc_spectrum",
     "structure_factor",
     "structure_factor_expectation",
@@ -68,7 +70,9 @@ class SpectrumParams:
         object.__setattr__(self, "k0", k0)
         if not (np.all(np.isfinite(k0)) and all(map(math.isfinite, (self.nu, self.gamma, self.Z)))):
             raise PhysicsDomainError("k0, nu, gamma and Z must be finite")
-        knorm = float(np.linalg.norm(k0))
+        knorm = math.hypot(*k0)  # scaled, so it cannot overflow where |k0|^2 does
+        if not math.isfinite(knorm * knorm):  # every k_z route squares k
+            raise PhysicsDomainError(f"|k0|^2 overflows (|k0|={knorm!r})")
         target = self.nu / self.constants.c
         if abs(knorm - target) > 1e-8 * target:
             raise PhysicsDomainError(
@@ -333,10 +337,7 @@ def quadrature_spectrum(
     amps = np.array(
         [z_integral_oracle(k, params, z_range, quadrature_tol, **oracle_kwargs) for k in kz]
     )
-    return AngularSpectrum(
-        kz, amps, "quadrature",
-        meta={"z_range": tuple(map(float, z_range)), **{k: str(v) for k, v in oracle_kwargs.items()}},
-    )
+    return AngularSpectrum(kz, amps, "quadrature")
 
 
 def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
@@ -381,10 +382,12 @@ def monte_carlo_spectrum(
 
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
-    translation of the ensemble cancels exactly.  The standard error is
-    estimated by splitting the atoms into 16 batches.  The sum runs batch by
-    batch, and within a batch the phase e^{-i kz z_j} is carried from one grid
-    point to the next by a complex multiply (see _exact_phase_points).
+    translation of the ensemble cancels exactly.  The sum runs over 16
+    contiguous atom batches, which fix its summation order, and within a batch
+    the phase e^{-i kz z_j} is carried from one grid point to the next by a
+    complex multiply (see _exact_phase_points).  It carries no error estimate:
+    the spread over independent ensembles gives that, see
+    :func:`replicated_mc_spectrum`.
     """
     params.require_directional()
     if state.n != ensemble.n:
@@ -427,14 +430,27 @@ def monte_carlo_spectrum(
                 phased *= step
             batch_sums[b, i] = np.sum(phased / (den0[i] + slope[i] * height_b))
 
-    amps = batch_sums.sum(axis=0)
-    spread = batch_sums - batch_sums.mean(axis=0)
-    var = np.sum(spread.real**2 + spread.imag**2, axis=0) / max(n_batches - 1, 1)
-    stderr = np.sqrt(var * n_batches)
-    return AngularSpectrum(
-        kz, amps, "montecarlo", mc_stderr=stderr,
-        meta={"n_atoms": ensemble.n, "n_batches": n_batches},
-    )
+    return AngularSpectrum(kz, batch_sums.sum(axis=0), "montecarlo")
+
+
+def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:
+    """Stack one((base_seed, r)) for r < n in replica order: bit-identical at any ``threads``."""
+    seeds = [(base_seed, r) for r in range(n)]
+    if threads == 1:  # in this thread: a worker's own malloc arena adds ~8 MB of peak RSS
+        return np.array([one(seed) for seed in seeds])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.array(list(pool.map(one, seeds)))
+
+
+def mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error sqrt(sum |dev|^2 / (n - 1) / n), n >= 2."""
+    n = len(samples)
+    if n < 2:
+        raise PhysicsDomainError("a standard error needs at least two samples")
+    mean = samples.mean(axis=0)
+    dev = samples - mean
+    var = np.sum(dev.real**2 + dev.imag**2, axis=0) / (n - 1)
+    return mean, np.sqrt(var / n)
 
 
 def replicated_mc_spectrum(
@@ -449,42 +465,21 @@ def replicated_mc_spectrum(
 ) -> AngularSpectrum:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
-    Replica r draws its atoms from the child stream (base_seed, r), so serial
-    and threaded execution produce bit-identical results: work is farmed out
-    by replica index and merged back in index order.
+    Replica r draws its atoms from the child stream (base_seed, r); ``mc_stderr``
+    is the replica-to-replica standard error of the mean amplitude.
     """
-    if n_replicas < 1:
-        raise PhysicsDomainError("need at least one replica")
     kz = np.asarray(kz_grid, dtype=float)
 
-    def one(r: int) -> np.ndarray:
-        ens = sample_ensemble(n_atoms, box, (base_seed, r), params.nu, params.gamma,
+    def one(seed) -> np.ndarray:
+        ens = sample_ensemble(n_atoms, box, seed, params.nu, params.gamma,
                               (1.0, 0.0, 0.0), metric=params.metric)
         state = curved_timed_dicke(ens, params.k0, params.metric)
         return monte_carlo_spectrum(ens, state, kz, params).amplitude
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(one, range(n_replicas)))
-    else:
-        reps = [one(r) for r in range(n_replicas)]
-    reps = np.array(reps)  # (R, n_kz)
-
-    mean_amp = reps.mean(axis=0)
-    if n_replicas > 1:
-        dev = reps - mean_amp
-        var = np.sum(dev.real**2 + dev.imag**2, axis=0) / (n_replicas - 1)
-        amp_stderr = np.sqrt(var / n_replicas)
-    else:
-        amp_stderr = np.zeros(kz.shape)
-    return AngularSpectrum(
-        kz, mean_amp, "montecarlo", mc_stderr=amp_stderr,
-        meta={
-            "n_atoms": n_atoms,
-            "replicas": n_replicas,
-            "probability_mean": (np.abs(reps) ** 2).mean(axis=0),
-        },
-    )
+    reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
+    mean_amp, amp_stderr = mean_stderr(reps)
+    return AngularSpectrum(kz, mean_amp, "montecarlo", mc_stderr=amp_stderr,
+                           meta={"probability_mean": (np.abs(reps) ** 2).mean(axis=0)})
 
 
 # ---------------------------------------------------------------------------

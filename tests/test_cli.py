@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import dataclasses
 import importlib
 import json
@@ -16,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gravdicke
+import gravdicke.cli
 import gravdicke.quadrature
 import gravdicke.spectrum
-from gravdicke.cli import load_config, main
+from gravdicke.cli import MAX_ATOMS, load_config, main
 from gravdicke.errors import ConfigError
 
 
@@ -114,6 +116,8 @@ class TestSpreadsScenario:
 
 
 class TestFlatDickeScenario:
+    SMALL = {"scenario": "flat-dicke", "dicke": {"n_atoms": 500, "replicas": 5, "n_offpeak": 8}}
+
     def test_single_atom_structure_factor_is_one(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "flat-dicke",
@@ -124,6 +128,32 @@ class TestFlatDickeScenario:
         rows = (out / "structure_factor.csv").read_text().strip().splitlines()[1:]
         s_values = [float(r.split(",")[3]) for r in rows]
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in s_values)
+
+    def test_thread_count_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path, self.SMALL)
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["--config", cfg, "--output", str(out), "--threads", threads]) == 0
+            bodies.append(csv_body(out / "structure_factor.csv"))
+        assert bodies[0] == bodies[1]
+
+    def test_summary_records_named_probe_pull(self, tmp_path):
+        out = tmp_path / "pull"
+        assert main(["--config", write_config(tmp_path, self.SMALL), "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        assert summary["s_at_zero"] == 1.0
+        assert 0.0 < summary["max_named_probe_pull"] < 1e3
+
+    def test_failed_gate_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a structure factor off by a constant factor fails S(0) = 1
+        real = gravdicke.cli.structure_factor
+        monkeypatch.setattr(gravdicke.cli, "structure_factor",
+                            lambda pos, dk: 0.5 * real(pos, dk))
+        out = tmp_path / "gate"
+        assert main(["--config", write_config(tmp_path, self.SMALL), "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "OracleMismatchError"
+        assert (out / "structure_factor.csv").exists()
 
 
 class TestDeterminism:
@@ -246,6 +276,19 @@ class TestBadInputExitCodes:
         ({"scenario": "curved-spectrum", "ensemble": {"box_heights": -1}}, 2),
         ({"scenario": "curved-spectrum", "ensemble": {"box_aspect": 0}}, 2),
         ({"scenario": "delta-limit", "delta": {"halvings": 2000}}, 3),
+        ({"scenario": "flat-dicke", "dicke": {"replicas": 1}}, 2),
+        ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": -1e308}},
+          "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
+        ({"scenario": "verify-modes", "verify": {"point": {"x": float("nan")}}}, 2),
+        ({"scenario": "verify-modes", "verify": {"point": {"t": 1e308}}}, 2),
+        ({"scenario": "spreads", "metric": {"a": 1e308}}, 3),
+        ({"scenario": "delta-limit", "spectrum": {"gamma": 1e-300}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"n_atoms": 10**30}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": 10**30}}, 2),
+        ({"scenario": "flat-dicke", "dicke": {"n_atoms": MAX_ATOMS + 1}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": MAX_ATOMS + 1}}, 2),
+        ({"scenario": "spreads", "verify": {"a_values": [1e-3, float("inf")]}}, 2),
+        ({"scenario": "spreads", "dicke": {"probes_u": [[1.0, float("nan"), 0.0]]}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
@@ -254,7 +297,11 @@ class TestBadInputExitCodes:
             "negative-mc-tolerances", "negative-slope-tolerance", "infinite-grid-lo",
             "overflowing-grid-hi", "zero-rel-step", "order-3", "zero-volume",
             "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",
-            "negative-box-heights", "zero-box-aspect", "underflowing-halvings"])
+            "negative-box-heights", "zero-box-aspect", "underflowing-halvings",
+            "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
+            "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
+            "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
+            "infinite-a-value", "nan-probe"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -309,19 +356,39 @@ JSON_VALUES = st.one_of(
 )
 
 
+# every scenario at sizes that keep one run in the tens of milliseconds
+FUZZ_BASE = {
+    "threads": 1,
+    "spectrum": {"grid": {"points": 5}},
+    "ensemble": {"n_atoms": 200, "replicas": 2},
+    "dicke": {"n_atoms": 200, "replicas": 2},
+    "delta": {"halvings": 2, "grid_points": 5},
+    "verify": {"n_modes": 1},
+}
+
+
+def _reject_constant(constant):
+    raise ValueError(f"metadata.json holds the non-JSON constant {constant}")
+
+
 class TestConfigFuzz:
     """Any value at any leaf key ends in a documented exit code, never a traceback."""
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("scenario", ["spreads", "flat-dicke", "curved-spectrum",
+                                          "delta-limit", "verify-modes"])
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=60,
+              deadline=None)
     @given(key=st.sampled_from(FUZZ_KEYS), value=JSON_VALUES)
-    def test_leaf_value_exit_code(self, tmp_path, capsys, key, value):
-        payload: dict = {"scenario": "spreads"}
+    def test_leaf_value_exit_code(self, tmp_path, capsys, scenario, key, value):
+        payload = copy.deepcopy(dict(FUZZ_BASE, scenario=scenario))
         table = payload
         for part in key[:-1]:
             table = table.setdefault(part, {})
         table[key[-1]] = value
+        out = tmp_path / "o"
         capsys.readouterr()
-        code = main(["--config", write_config(tmp_path, payload), "--output", str(tmp_path / "o")])
+        with time_limit(20):
+            code = main(["--config", write_config(tmp_path, payload), "--output", str(out)])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
@@ -329,6 +396,9 @@ class TestConfigFuzz:
             lines = err.strip().splitlines()
             assert len(lines) == 1
             assert json.loads(lines[0])["message"]
+        else:
+            assert err == ""
+            json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
 
 
 class TestExports:
@@ -366,20 +436,6 @@ class TestExports:
     def test_module_all_resolves(self, name):
         module = importlib.import_module(f"gravdicke.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
-
-    def test_package_imports_resolve(self):
-        tree = ast.parse(Path(gravdicke.__file__).read_text())
-        imported = [
-            (node.module, alias.name)
-            for node in tree.body if isinstance(node, ast.ImportFrom)
-            for alias in node.names
-        ]
-        assert imported
-        stale = [
-            f"{mod}.{name}" for mod, name in imported
-            if not hasattr(importlib.import_module(f"gravdicke.{mod}"), name)
-        ]
-        assert stale == []
 
 
 class TestVerifyModesScenario:
