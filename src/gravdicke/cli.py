@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 invalid config, 3 physics-domain error (for example a
 linearization guard), 4 oracle disagreement or non-converged quadrature in a
 verification scenario, 1 anything unexpected.  A config under which a
 scenario's gate cannot be decided (one replica, one distinct a value, no
-off-peak probes, Richardson-inconclusive residuals) is an invalid config, not
-an oracle disagreement.
+off-peak probes, residuals drowned in finite-difference or rounding error) is
+an invalid config, not an oracle disagreement.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     QuadratureError,
 )
 from .maxwell import residual_slope_study, transversality_check
-from .metric import PhysicalConstants, WeakFieldMetric, surface_param_a
+from .metric import PhysicalConstants, WeakFieldMetric, check_linearization, surface_param_a
 from .modes import ModeIndex, PerturbedMode, dump_mode_vectors
 from .spectrum import (
     SpectrumParams,
@@ -61,6 +61,8 @@ from .spectrum import (
 SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-limit")
 
 MAX_ATOMS = 10**7  # per ensemble; the positions alone take 24 bytes per atom
+# replicas, grid points, off-peak probes and modes: every count of work a run loops over
+MAX_COUNT = 10**5
 
 
 def _require_positive(section, prefix: str, names: tuple[str, ...], high: float = math.inf) -> None:
@@ -87,9 +89,10 @@ class GridConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)
-                and self.lo < 0.0 < self.hi and self.points >= 3):
-            raise ConfigError("spectrum.grid needs finite lo < 0 < hi and points >= 3, got "
-                              f"lo={self.lo!r}, hi={self.hi!r}, points={self.points!r}")
+                and self.lo < 0.0 < self.hi and 3 <= self.points <= MAX_COUNT):
+            raise ConfigError(f"spectrum.grid needs finite lo < 0 < hi and 3 <= points <= "
+                              f"{MAX_COUNT}, got lo={self.lo!r}, hi={self.hi!r}, "
+                              f"points={self.points!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,7 @@ class EnsembleConfig:
             raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
                               "a replica spread")
         _require_positive(self, "ensemble", ("n_atoms",), MAX_ATOMS)
+        _require_positive(self, "ensemble", ("replicas",), MAX_COUNT)
         _require_positive(self, "ensemble", ("box_heights", "box_aspect"))
 
 
@@ -132,6 +136,7 @@ class DickeConfig:
             raise ConfigError("dicke.replicas must be >= 2, for a replica spread, and each "
                               "dicke.probes_u entry a 3-vector")
         _require_positive(self, "dicke", ("n_atoms",), MAX_ATOMS)
+        _require_positive(self, "dicke", ("n_offpeak", "replicas"), MAX_COUNT)
         _require_positive(self, "dicke", ("box_wavelengths",))
 
 
@@ -143,8 +148,9 @@ class DeltaConfig:
     def __post_init__(self) -> None:
         if self.halvings < 1:
             raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1")
-        if self.grid_points < 3:
-            raise ConfigError("delta.grid_points must be >= 3")
+        if not 3 <= self.grid_points <= MAX_COUNT:
+            raise ConfigError(f"delta.grid_points must be in [3, {MAX_COUNT}], "
+                              f"got {self.grid_points!r}")
 
 
 # far past any point where central differences resolve a mode, yet c |k| t cannot overflow
@@ -180,6 +186,7 @@ class VerifyConfig:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
         _require_positive(self, "verify", ("volume", "rel_step"))
+        _require_positive(self, "verify", ("n_modes",), MAX_COUNT)
         if self.order not in (2, 4):
             raise ConfigError(f"verify.order must be 2 or 4, got {self.order!r}")
         if not 0.0 <= self.min_kz_fraction < 1.0:
@@ -274,10 +281,13 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
     constants = PhysicalConstants() if cfg.unit_regime == "si" else PhysicalConstants.scaled()
     m, s = cfg.metric, cfg.spectrum
     a = m.a if m.g is None else surface_param_a(m.g, constants)
-    return SpectrumParams.from_angles(
+    params = SpectrumParams.from_angles(
         nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a=a, z0=m.z0), Z=s.Z,
         theta0=s.theta0, phi=s.phi, constants=constants,
     )
+    # the mode reference height enters every denominator through a (Z - z0)
+    check_linearization(a, s.Z - m.z0)
+    return params
 
 
 def _fmt(value) -> str:
@@ -582,8 +592,9 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     reports = [rep for s in studies for rep in s.reports]
     inconclusive = sum(rep.inconclusive for rep in reports)
     if inconclusive:
-        raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are "
-                          "Richardson-inconclusive, so the slope gate cannot be decided")
+        raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are inconclusive "
+                          "(finite-difference or rounding error above the residual), so the "
+                          "slope gate cannot be decided")
     worst_wave = max(abs(s.wave_slope - 2.0) for s in studies)
     worst_gauss = max(abs(s.gauss_slope - 2.0) for s in studies)
     summary = {"worst_wave_slope_dev": worst_wave, "worst_gauss_slope_dev": worst_gauss,

@@ -53,8 +53,15 @@ class Box:
         return self.center + 0.5 * self.size
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        # column by column: an (N, 3) array against a 3-vector runs numpy's
+        # inner loop over the length-3 axis
         pts = np.atleast_2d(points)
-        return np.all((pts >= self.low) & (pts <= self.high), axis=1)
+        low, high = self.low, self.high
+        inside = np.ones(len(pts), dtype=bool)
+        for k in range(3):
+            col = pts[:, k]
+            inside &= (col >= low[k]) & (col <= high[k])
+        return inside
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,11 @@ def sample_ensemble(
         raise PhysicsDomainError(f"need 0 < gamma < {GAMMA_NU_MAX:g} nu (weak-coupling guard)")
     # an int seed s and the tuple (s,) give the same stream
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    pos = box.low + rng.random((n, 3)) * box.size
+    pos = rng.random((n, 3))
+    for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
+        col = pos[:, k]
+        col *= size
+        col += low
     return Ensemble(pos, box, _volume_weights(pos[:, 2], metric))
 
 

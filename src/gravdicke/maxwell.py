@@ -82,7 +82,7 @@ class ResidualReport:
     gauss_residual: complex
     discretization_estimate: float   # leftover FD error bound on |residual_vector|
     gauss_discretization: float
-    inconclusive: bool               # True when FD error exceeds the residual itself
+    inconclusive: bool               # True when FD or rounding error exceeds the residual
 
     @property
     def residual_norm(self) -> float:
@@ -97,16 +97,19 @@ class TransversalityReport(NamedTuple):
     p_dot_k: float
 
 
+_EPS = np.finfo(float).eps
 _OFFSETS = {2: (1, -1), 4: (1, -1, 2, -2)}
 
 # central-difference weights, indexed in the same order as _OFFSETS
 _D1_WEIGHTS = {2: (0.5, -0.5), 4: (2.0 / 3.0, -2.0 / 3.0, -1.0 / 12.0, 1.0 / 12.0)}
 _D2_WEIGHTS = {2: (1.0, 1.0), 4: (4.0 / 3.0, 4.0 / 3.0, -1.0 / 12.0, -1.0 / 12.0)}
 _D2_CENTER = {2: -2.0, 4: -5.0 / 2.0}
+_D1_ABS_SUM = {order: sum(map(abs, w)) for order, w in _D1_WEIGHTS.items()}
+_D2_ABS_SUM = {order: sum(map(abs, w)) + abs(_D2_CENTER[order]) for order, w in _D2_WEIGHTS.items()}
 
 
 def _derivatives(field: Callable, t: float, r: np.ndarray, stencil: StencilSpec):
-    """First and second derivatives of the vector field along t, x, y, z."""
+    """First and second derivatives of the vector field along t, x, y, z, and its value."""
     offs = _OFFSETS[stencil.order]
     steps = (stencil.h_t, stencil.h_x, stencil.h_y, stencil.h_z)
 
@@ -135,7 +138,7 @@ def _derivatives(field: Callable, t: float, r: np.ndarray, stencil: StencilSpec)
         h = steps[axis]
         d1[axis] = sum(w * v for w, v in zip(w1, vals)) / h
         d2[axis] = (sum(w * v for w, v in zip(w2, vals)) + _D2_CENTER[stencil.order] * center) / h**2
-    return d1, d2
+    return d1, d2, center
 
 
 def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray,
@@ -143,7 +146,7 @@ def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray
     a = mode.metric.a
     dz = r[2] - mode.metric.z0
     c = mode.constants.c
-    d1, d2 = _derivatives(field, t, r, stencil)
+    d1, d2, center = _derivatives(field, t, r, stencil)
     dtt, dxx, dyy, dzz = d2
     dx1, dy1, dz1 = d1[1], d1[2], d1[3]
 
@@ -155,7 +158,7 @@ def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray
     res[2] = (dtt[2] / c**2 - (1.0 + a * dz) * (dxx[2] + dyy[2])
               - (1.0 + 2.0 * a * dz) * dzz[2] - a * dz1[2])
     gauss = dx1[0] + dy1[1] + (1.0 + a * dz) * dz1[2]
-    return res, gauss
+    return res, gauss, float(np.linalg.norm(center))
 
 
 def wave_residual(
@@ -171,8 +174,12 @@ def wave_residual(
     Evaluates the field (by default the first-order form with the Gauss-law
     constant) on two stencils (h and h/2) and Richardson-extrapolates, so the
     returned residual is the physics residual and ``discretization_estimate``
-    bounds what finite differencing left behind.  A report whose estimate
-    exceeds the residual is flagged inconclusive, never silently passed.
+    bounds what finite differencing left behind.  A report is flagged
+    inconclusive, never silently passed, when that estimate exceeds the wave
+    residual, or when a rounding floor exceeds the wave or Gauss residual: the
+    phase's rounding error magnified by one central difference at step h,
+    eps (1 + |phase|) |f| sum|w| / h^n.  Far from the origin that floor swamps
+    the differences.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if stencil is None:
@@ -180,14 +187,20 @@ def wave_residual(
     if field is None:
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
 
-    res_h, gauss_h = _raw_residuals(mode, field, t, r, stencil)
-    res_h2, gauss_h2 = _raw_residuals(mode, field, t, r, stencil.halved())
+    res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, stencil)
+    res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, stencil.halved())
 
     factor = 2**stencil.order
     res = (factor * res_h2 - res_h) / (factor - 1)
     gauss = (factor * gauss_h2 - gauss_h) / (factor - 1)
     disc = float(np.linalg.norm(res_h2 - res_h)) / (factor - 1)
     gauss_disc = abs(gauss_h2 - gauss_h) / (factor - 1)
+    res_norm = float(np.linalg.norm(res))
+    # the carrier phase c|k| t - k . r is rounded to eps times the size of its terms
+    noise = _EPS * (1.0 + abs(mode.omega * t) + float(np.abs(mode.k) @ np.abs(r))) * field_norm
+    h = min(mode.constants.c * stencil.h_t, stencil.h_x, stencil.h_y, stencil.h_z)
+    drowned = (noise * _D2_ABS_SUM[stencil.order] / h**2 > res_norm
+               or noise * _D1_ABS_SUM[stencil.order] / h > abs(gauss))
     return ResidualReport(
         t=t,
         r=r,
@@ -195,7 +208,7 @@ def wave_residual(
         gauss_residual=complex(gauss),
         discretization_estimate=disc,
         gauss_discretization=float(gauss_disc),
-        inconclusive=bool(disc > np.linalg.norm(res)),
+        inconclusive=bool(disc > res_norm or drowned),
     )
 
 

@@ -75,8 +75,10 @@ class WeakFieldMetric:
 
 
 def check_linearization(a: float, dz) -> None:
-    """Raise if |a * dz| >= 1 anywhere; silent extrapolation is never allowed."""
-    if np.any(np.abs(a * np.asarray(dz, dtype=float)) >= 1.0):
+    """Raise unless |a * dz| < 1 everywhere; silent extrapolation is never allowed."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or a NaN fails the test
+        inside = np.abs(a * np.asarray(dz, dtype=float)) < 1.0
+    if not np.all(inside):
         raise LinearizationError(
             f"|a * dz| >= 1 leaves the linearized-metric domain (a={a!r})"
         )

@@ -357,6 +357,11 @@ def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
 _RESEED_EVERY = 16
 _PHASE_TOL = 1e-12
 
+# Atoms per batch of the atom sum: a batch's arrays take about 2 MB, one core's
+# L2 cache, and each numpy call on them runs long enough between GIL handoffs
+# for replicas on two threads to overlap.
+_BATCH_ATOMS = 25_000
+
 
 def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
     """Mask of the grid points whose phase is taken from an exact exp."""
@@ -372,6 +377,19 @@ def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
     return exact
 
 
+def _reciprocal(u: np.ndarray, g: float, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = 1 / (u + i g) = (u - i g) w, w = 1 / (u^2 + g^2), in real arithmetic into buffers.
+
+    Real u needs neither a promotion to complex nor a complex division.
+    """
+    np.multiply(u, u, out=w)
+    w += g * g
+    np.reciprocal(w, out=w)
+    np.multiply(u, w, out=out.real)
+    np.multiply(w, -g, out=out.imag)
+    return out
+
+
 def monte_carlo_spectrum(
     ensemble: Ensemble,
     state: TimedDickeState,
@@ -382,12 +400,13 @@ def monte_carlo_spectrum(
 
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
-    translation of the ensemble cancels exactly.  The sum runs over 16
-    contiguous atom batches, which fix its summation order, and within a batch
-    the phase e^{-i kz z_j} is carried from one grid point to the next by a
-    complex multiply (see _exact_phase_points).  It carries no error estimate:
-    the spread over independent ensembles gives that, see
-    :func:`replicated_mc_spectrum`.
+    translation of the ensemble cancels exactly.  The sum runs over contiguous
+    batches of _BATCH_ATOMS atoms, which fix its summation order.  Within a
+    batch the phase e^{-i k . r_j} is taken from one exp at a few grid points
+    and carried between them by a complex multiply per step (see
+    _exact_phase_points), and 1/D_j is built in real arithmetic (see
+    _reciprocal).  It carries no error estimate: the spread over independent
+    ensembles gives that, see :func:`replicated_mc_spectrum`.
     """
     params.require_directional()
     if state.n != ensemble.n:
@@ -399,38 +418,54 @@ def monte_carlo_spectrum(
     c = params.constants.c
     a = params.metric.a
     pos = ensemble.positions
-
-    base = state.amplitudes * ensemble.weights * np.exp(-1j * (kx * pos[:, 0] + ky * pos[:, 1]))
     zs = pos[:, 2]
-    n_batches = min(16, ensemble.n)
-    bounds = np.linspace(0, ensemble.n, n_batches + 1).astype(int)
-
-    # denominator D_j(kz) = den0 + slope * (Z - z_j), per grid point
-    omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
-    den0 = (omega - params.nu) + 0.5j * params.gamma
-    slope = 0.5 * a * omega
     exact = _exact_phase_points(kz, float(np.max(np.abs(zs))))
+
+    # D_j(kz) = x_j + i Gamma/2 with x_j = (omega - nu) + slope (Z - z_j).  Each grid
+    # point divides D by a scale s >= Gamma/2 and >= |x_j| / 2 for every atom, so
+    # u_j = x_j / s and g = Gamma / (2 s) are at most 2 and 1: u^2 + g^2 cannot
+    # overflow, and it underflows only for a grid some 1e154 linewidths wide
+    omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
+    detuning = omega - params.nu
+    slope = 0.5 * a * omega
+    height_max = max(abs(params.Z - zs.min()), abs(params.Z - zs.max()))
+    scale = np.maximum(np.maximum(np.abs(detuning), slope * height_max), 0.5 * params.gamma)
+    detuning /= scale
+    slope /= scale
+    g = 0.5 * params.gamma / scale
 
     # batches outside, kz inside: one batch's arrays stay in cache while the
     # phase e^{-i kz z} is advanced by one complex multiply per grid step
-    batch_sums = np.empty((n_batches, kz.size), dtype=complex)
-    for b in range(n_batches):
-        rows = slice(bounds[b], bounds[b + 1])
-        z_b = zs[rows]
+    starts = range(0, ensemble.n, _BATCH_ATOMS)
+    size = min(ensemble.n, _BATCH_ATOMS)
+    u_buf, w_buf = np.empty(size), np.empty(size)
+    inv_buf = np.empty(size, dtype=complex)
+    batch_sums = np.empty((len(starts), kz.size), dtype=complex)
+    for b, start in enumerate(starts):
+        rows = slice(start, start + _BATCH_ATOMS)
+        x_b, y_b, z_b = pos[rows].T
+        amps_b = state.amplitudes[rows] * ensemble.weights[rows]
+        lateral_b = kx * x_b + ky * y_b
         height_b = params.Z - z_b
+        u, w, inv = u_buf[:z_b.size], w_buf[:z_b.size], inv_buf[:z_b.size]
         step_dkz = None
         for i, kzi in enumerate(kz):
             if exact[i]:
-                phased = base[rows] * np.exp(-1j * kzi * z_b)
+                # the whole phase k . r_j in one exp
+                phased = amps_b * np.exp(-1j * (lateral_b + kzi * z_b))
                 # a uniform stretch keeps its step across the periodic reseeds
                 if i + 1 < kz.size and not exact[i + 1] and kz[i + 1] - kzi != step_dkz:
                     step_dkz = kz[i + 1] - kzi
                     step = np.exp(-1j * step_dkz * z_b)
             else:
                 phased *= step
-            batch_sums[b, i] = np.sum(phased / (den0[i] + slope[i] * height_b))
+            np.multiply(height_b, slope[i], out=u)
+            u += detuning[i]
+            _reciprocal(u, g[i], w, inv)
+            inv *= phased
+            batch_sums[b, i] = np.sum(inv)
 
-    return AngularSpectrum(kz, batch_sums.sum(axis=0), "montecarlo")
+    return AngularSpectrum(kz, batch_sums.sum(axis=0) / scale, "montecarlo")
 
 
 def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:

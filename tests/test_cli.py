@@ -20,7 +20,7 @@ import gravdicke
 import gravdicke.cli
 import gravdicke.quadrature
 import gravdicke.spectrum
-from gravdicke.cli import MAX_ATOMS, load_config, main
+from gravdicke.cli import MAX_ATOMS, MAX_COUNT, load_config, main
 from gravdicke.errors import ConfigError
 
 
@@ -289,6 +289,8 @@ class TestBadInputExitCodes:
         ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": MAX_ATOMS + 1}}, 2),
         ({"scenario": "spreads", "verify": {"a_values": [1e-3, float("inf")]}}, 2),
         ({"scenario": "spreads", "dicke": {"probes_u": [[1.0, float("nan"), 0.0]]}}, 2),
+        ({"scenario": "curved-spectrum", "spectrum": {"Z": 1e200},
+          "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
@@ -301,10 +303,27 @@ class TestBadInputExitCodes:
             "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
-            "infinite-a-value", "nan-probe"])
+            "infinite-a-value", "nan-probe", "unbounded-Z"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
+        self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"scenario": "curved-spectrum", "spectrum": {"grid": {"points": 10**30}}}, "points"),
+        ({"scenario": "delta-limit", "delta": {"grid_points": 10**30}}, "grid_points"),
+        ({"scenario": "curved-spectrum", "ensemble": {"replicas": 10**30}}, "replicas"),
+        ({"scenario": "flat-dicke", "dicke": {"replicas": 10**30}}, "replicas"),
+        ({"scenario": "flat-dicke", "dicke": {"n_offpeak": 10**30}}, "n_offpeak"),
+        ({"scenario": "verify-modes", "verify": {"n_modes": 10**30}}, "n_modes"),
+    ], ids=["grid-points", "delta-grid-points", "ensemble-replicas", "dicke-replicas",
+            "offpeak-probes", "modes"])
+    def test_astronomical_count_rejected_at_parse(self, tmp_path, capsys, payload, key):
+        cfg = write_config(tmp_path, payload)
+        # rejected while parsing, so no run starts a thread or a loop
+        with pytest.raises(ConfigError, match=f"{key}.*{MAX_COUNT}"):
+            load_config(cfg, {})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         self.assert_one_line(capsys)
 
     @pytest.mark.parametrize("fraction", [1.5, 1.0 - 1e-12], ids=["above-one", "just-below-one"])
@@ -457,6 +476,16 @@ class TestVerifyModesScenario:
         # no report is inconclusive at the defaults, so no residual is mostly FD error
         assert 0.0 < summary["max_discretization_ratio"] <= 1.0
         assert summary["max_gauss_discretization_ratio"] > 0.0
+
+    @pytest.mark.parametrize("coordinate, value, code", [
+        ("t", 1e3, 0), ("t", 1e6, 2), ("x", 1e6, 2),
+    ])
+    def test_far_point_rounding_is_undecidable_not_a_mismatch(self, tmp_path, coordinate,
+                                                              value, code):
+        # far out the rounded phase swamps the residuals: exit 2, not a slope mismatch (4)
+        cfg = write_config(tmp_path, {"scenario": "verify-modes",
+                                      "verify": {"n_modes": 2, "point": {coordinate: value}}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "far")]) == code
 
     def test_residual_csv_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}})

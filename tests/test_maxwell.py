@@ -69,6 +69,11 @@ class TestWaveResidual:
         rep = wave_residual(mode, POINT_T, POINT_R, coarse)
         assert rep.inconclusive
 
+    def test_far_point_drowned_in_rounding_is_inconclusive(self):
+        # at t = 1e6 the rounded carrier phase swamps the O(a^2) residual at a = 1e-4
+        assert not wave_residual(make_mode(a=1e-4), POINT_T, POINT_R).inconclusive
+        assert wave_residual(make_mode(a=1e-4), 1e6, POINT_R).inconclusive
+
     def test_report_carries_point(self):
         rep = wave_residual(make_mode(), POINT_T, POINT_R)
         assert rep.t == POINT_T

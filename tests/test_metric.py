@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ class TestVolumeAndMeasure:
         for dz in (2.0, -2.0, np.array([0.1, 3.0])):
             with pytest.raises(LinearizationError):
                 check_linearization(0.5, dz)
+
+    def test_overflow_and_nan_fail_the_guard_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, dz in ((1e300, 1e300), (0.0, float("inf")), (0.5, float("nan"))):
+                with pytest.raises(LinearizationError):
+                    check_linearization(a, dz)
 
 
 def test_metric_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,16 +267,15 @@ class TestMeanStderr:
 
 
 def brute_force_atom_sum(ens, state, kz_grid, p):
-    """Reference atom sum: one full-phase exp per k_z, 16 equal contiguous batches."""
+    """Reference atom sum: one full-phase exp and one complex division per atom and k_z."""
     x, y, z = ens.positions.T
     kx, ky = p.k0[0], p.k0[1]
-    n_batches = min(16, ens.n)
     amps = []
     for kz in kz_grid:
         omega = p.constants.c * math.sqrt(kx**2 + ky**2 + kz**2)
         den = omega - p.nu + 0.5j * p.gamma + 0.5 * p.metric.a * omega * (p.Z - z)
         terms = state.amplitudes * ens.weights * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
-        amps.append(terms.reshape(n_batches, -1).sum(axis=1).sum())
+        amps.append(terms.sum())
     return np.array(amps)
 
 
@@ -299,6 +299,9 @@ class TestPhaseRecurrence:
 
     @pytest.mark.parametrize("grid, n_atoms", [
         ("uniform", 1600), ("two-spacing", 1600), ("irregular", 1600), ("uniform", 10),
+        # one atom short of a full batch, one atom into a second and into a third batch
+        ("two-spacing", spectrum._BATCH_ATOMS - 1), ("two-spacing", spectrum._BATCH_ATOMS + 1),
+        ("uniform", 2 * spectrum._BATCH_ATOMS + 1),
     ])
     def test_matches_brute_force(self, grid, n_atoms):
         p = self.params
@@ -315,6 +318,22 @@ class TestPhaseRecurrence:
         kz = self.grid("uniform")
         exact = spectrum._exact_phase_points(kz, 0.5 * self.box.size[2])
         assert exact[0] and exact.sum() <= 3
+
+
+class TestReciprocal:
+    """The real-arithmetic 1/D of the atom sum against complex division."""
+
+    @pytest.mark.parametrize("gamma", [1e-2, 1e8, 1e-9])
+    def test_matches_complex_division(self, gamma):
+        # detunings across the resonance, far off it, and at it exactly
+        x = gamma * np.concatenate([np.linspace(-80.0, 80.0, 2001), [0.0, 1e-9, -3e5]])
+        scale = max(0.5 * gamma, float(np.max(np.abs(x))))  # as monte_carlo_spectrum scales
+        w, out = np.empty(x.size), np.empty(x.size, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectrum._reciprocal(x / scale, 0.5 * gamma / scale, w, out) / scale
+        exact = 1.0 / (x + 0.5j * gamma)
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 4 * np.finfo(float).eps
 
 
 class TestStructureFactor:
