@@ -510,6 +510,9 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
         "max_deviation_over_sigma": float(np.max(pulls)),
         "pull_chi2_per_dof": float(np.mean(pulls**2)),
         "upward_probability_fraction": up,
+        # the quadrature's worst error estimate over its tolerance (<= 1), and its work
+        "quadrature_worst_error_ratio": quad.meta["worst_error_ratio"],
+        "quadrature_integrand_evals": quad.meta["integrand_evals"],
         "n_atoms": e.n_atoms,
         "replicas": e.replicas,
     }

@@ -31,7 +31,7 @@ from .emission import (
 )
 from .errors import PhysicsDomainError, QuadratureError
 from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
-from .quadrature import complex_quad, fourier_complex_quad, integrate
+from .quadrature import gauss_legendre, integrate, panel_count
 
 __all__ = [
     "SpectrumParams",
@@ -122,7 +122,7 @@ class SpectrumParams:
 
     @property
     def cos_theta0(self) -> float:
-        return self.k0z / float(np.linalg.norm(self.k0))
+        return self.k0z / math.hypot(*self.k0)  # np.linalg.norm underflows for tiny |k0|
 
     @property
     def theta0(self) -> float:
@@ -223,9 +223,20 @@ def _omega_for(params: SpectrumParams, kz: float, dispersion: str) -> float:
     if dispersion == "resonant":
         return params.nu
     if dispersion == "exact":
-        kx, ky = params.k0[0], params.k0[1]
-        return params.constants.c * math.sqrt(kx * kx + ky * ky + kz * kz)
+        return params.constants.c * math.hypot(params.k0[0], params.k0[1], kz)
     raise PhysicsDomainError(f"unknown dispersion {dispersion!r}")
+
+
+def _distance(point: complex, start: complex, end: complex) -> float:
+    """Distance in the complex plane from a point to the segment [start, end]."""
+    step = end - start
+    along = min(max(((point - start) / step).real, 0.0), 1.0)
+    offset = point - (start + along * step)
+    return math.hypot(offset.real, offset.imag)  # abs() of a complex raises on overflow
+
+
+# the rotated tails stop where e^{i q z} has decayed by e^-40, about 4e-18
+_TAIL_DECAYS = 40.0
 
 
 def z_integral_oracle(
@@ -256,9 +267,29 @@ def z_integral_oracle(
     "exact" uses c |k| with the transverse components pinned to k0's (matching
     the Monte Carlo sum).
 
+    Each path is integrated by the composite Gauss-Legendre rule of
+    :mod:`gravdicke.quadrature`, with panels no wider than the pole's distance
+    from the path and, along the window, half an oscillation period pi/|q|;
+    along the tails, which reach 40/|q| into the half-plane, no wider than 1/|q|.
+
     The returned value omits the common modal prefactor, like the kernel it is
     compared against.
     """
+    return _height_integral(k_z, params, z_range, quadrature_tol, dispersion=dispersion,
+                            tails=tails, include_volume_weight=include_volume_weight)[0]
+
+
+def _height_integral(
+    k_z: float,
+    params: SpectrumParams,
+    z_range: tuple[float, float],
+    quadrature_tol: float,
+    *,
+    dispersion: str = "resonant",
+    tails: str = "rotated",
+    include_volume_weight: bool = False,
+) -> tuple[complex, float, int]:
+    """z_integral_oracle's value, its error over quadrature_tol x peak scale, and its evaluations."""
     params.require_directional()
     z_lo, z_hi = float(z_range[0]), float(z_range[1])
     if not z_hi > z_lo:
@@ -283,46 +314,47 @@ def z_integral_oracle(
             return 1.0 / (c0 - b * z)
 
     peak_scale = 2.0 * math.pi / b
-    epsabs = quadrature_tol * peak_scale / 8.0
+    pole = c0 / b  # where the integrand is singular; it sets the panel widths
+    if tails == "rotated" and q > 0.0 and not z_lo < pole.real < z_hi:
+        raise QuadratureError(
+            "window must horizontally contain the resonance pole "
+            f"(pole at z={pole.real!r}, window=({z_lo!r}, {z_hi!r}))"
+        )
 
-    mid, err = fourier_complex_quad(f, q, z_lo, z_hi, epsabs=epsabs)
+    # every panel count is checked against the cap before anything is evaluated
+    width = _distance(pole, z_lo, z_hi)
+    if q != 0.0:
+        width = min(width, math.pi / abs(q))
+    paths = [(lambda z: np.exp(1j * q * z) * f(z), z_lo, z_hi, panel_count(z_hi - z_lo, width))]
+    if tails == "rotated" and q != 0.0:
+        up = math.copysign(1.0, q) * 1j  # the half-plane where e^{i q z} decays
+        reach = _TAIL_DECAYS / abs(q)
+        width = min(1.0 / abs(q), _distance(pole, z_lo, z_lo + up * reach),
+                    _distance(pole, z_hi, z_hi + up * reach))
 
-    if tails == "rotated":
-        pole_re = (c0 / b).real
-        if q > 0.0 and not z_lo < pole_re < z_hi:
-            raise QuadratureError(
-                "window must horizontally contain the resonance pole "
-                f"(pole at z={pole_re!r}, window=({z_lo!r}, {z_hi!r}))"
-            )
-        if q == 0.0:
-            # exact tail pair: the antiderivative's log arguments stay in the
-            # upper half-plane for all real z, so principal branches are safe
-            tail = -(
-                1j * math.pi + np.log(c0 - b * z_lo) - np.log(c0 - b * z_hi)
-            ) / b
-            terr = 0.0
-        else:
-            sgn = 1.0 if q > 0.0 else -1.0
+        def vertical(tau):
+            zr, zl = z_hi + up * tau, z_lo + up * tau
+            return up * (np.exp(1j * q * zr) * f(zr) - np.exp(1j * q * zl) * f(zl))
 
-            def vertical(tau):
-                zr = z_hi + 1j * sgn * tau
-                zl = z_lo + 1j * sgn * tau
-                return np.exp(1j * q * zr) * f(zr) - np.exp(1j * q * zl) * f(zl)
+        paths.append((vertical, 0.0, reach, panel_count(reach, width)))
 
-            tail, terr = complex_quad(
-                lambda tau: 1j * sgn * vertical(tau), 0.0, np.inf, epsabs=epsabs
-            )
-        total = mid + tail
-        err = err + terr
-    else:
-        total = mid
+    total, err, evals = 0j, 0.0, 0
+    for integrand, lo, hi, panels in paths:
+        value, value_err, n = gauss_legendre(integrand, lo, hi, panels)
+        total += value
+        err += value_err
+        evals += n
+    if tails == "rotated" and q == 0.0:
+        # exact tail pair: the antiderivative's log arguments stay in the
+        # upper half-plane for all real z, so principal branches are safe
+        total -= (1j * math.pi + np.log(c0 - b * z_lo) - np.log(c0 - b * z_hi)) / b
 
     if err > quadrature_tol * peak_scale:
         raise QuadratureError(
             f"height-integral quadrature error {err!r} exceeds tolerance "
             f"{quadrature_tol!r} x peak scale {peak_scale!r}"
         )
-    return complex(total)
+    return complex(total), err / (quadrature_tol * peak_scale), evals
 
 
 def quadrature_spectrum(
@@ -332,12 +364,17 @@ def quadrature_spectrum(
     quadrature_tol: float = 1e-9,
     **oracle_kwargs,
 ) -> AngularSpectrum:
-    """Height-integral oracle evaluated over a whole grid."""
+    """Height-integral oracle evaluated over a whole grid.
+
+    ``meta`` records the worst error estimate over quadrature_tol x peak scale
+    (``worst_error_ratio``, at most 1) and the integrand evaluations.
+    """
     kz = np.asarray(kz_grid, dtype=float)
-    amps = np.array(
-        [z_integral_oracle(k, params, z_range, quadrature_tol, **oracle_kwargs) for k in kz]
-    )
-    return AngularSpectrum(kz, amps, "quadrature")
+    points = [_height_integral(k, params, z_range, quadrature_tol, **oracle_kwargs) for k in kz]
+    return AngularSpectrum(kz, [value for value, _, _ in points], "quadrature", meta={
+        "worst_error_ratio": max((ratio for _, ratio, _ in points), default=0.0),
+        "integrand_evals": sum(n for _, _, n in points),
+    })
 
 
 def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
@@ -512,9 +549,16 @@ def replicated_mc_spectrum(
         return monte_carlo_spectrum(ens, state, kz, params).amplitude
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
-    mean_amp, amp_stderr = mean_stderr(reps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean_amp, amp_stderr = mean_stderr(reps)
+        probability = (np.abs(reps) ** 2).mean(axis=0)
+    if not all(np.all(np.isfinite(x)) for x in (mean_amp, amp_stderr, probability)):
+        raise PhysicsDomainError(
+            "Monte Carlo amplitudes, of order sqrt(n_atoms) / gamma, are too large to square "
+            f"in floating point (gamma={params.gamma!r})"
+        )
     return AngularSpectrum(kz, mean_amp, "montecarlo", mc_stderr=amp_stderr,
-                           meta={"probability_mean": (np.abs(reps) ** 2).mean(axis=0)})
+                           meta={"probability_mean": probability})
 
 
 # ---------------------------------------------------------------------------

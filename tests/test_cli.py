@@ -196,6 +196,14 @@ class TestDeterminism:
         assert env["threads"] == 2
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
 
+    def test_metadata_records_quadrature_error_and_work(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "quad"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        assert 0.0 < summary["quadrature_worst_error_ratio"] <= 1.0
+        assert summary["quadrature_integrand_evals"] > 0
+
     def test_seed_changes_output(self, tmp_path):
         bodies = []
         for seed in (1, 2):
@@ -291,6 +299,8 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "dicke": {"probes_u": [[1.0, float("nan"), 0.0]]}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"Z": 1e200},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
+        ({"scenario": "curved-spectrum", "spectrum": {"nu": 1e-200, "gamma": 1e-202},
+          "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
@@ -303,7 +313,7 @@ class TestBadInputExitCodes:
             "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
-            "infinite-a-value", "nan-probe", "unbounded-Z"])
+            "infinite-a-value", "nan-probe", "unbounded-Z", "underflowing-k0-norm"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -325,6 +335,31 @@ class TestBadInputExitCodes:
             load_config(cfg, {})
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
         self.assert_one_line(capsys)
+
+    def test_overflowing_monte_carlo_square_is_a_domain_error(self, tmp_path, capsys):
+        # amplitudes near 1e157 (sqrt(N) / gamma) square past the float range
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum",
+                                      "spectrum": {"gamma": 1e-155, "grid": {"points": 7}},
+                                      "ensemble": {"n_atoms": 300, "replicas": 2}})
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--output", str(out)]) == 3
+        assert caught == []
+        self.assert_one_line(capsys)
+        assert not (out / "spectrum.csv").exists()
+
+    def test_quadrature_panel_cap_exits_4(self, tmp_path, capsys):
+        # 150 decay lengths probed 1e4 decay constants below k0z: about 5e5 panels
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum",
+                                      "spectrum": {"grid": {"lo": -1e4}},
+                                      "ensemble": {"n_atoms": 200, "replicas": 2,
+                                                   "box_heights": 150.0}})
+        with time_limit(5):
+            assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "panels" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("fraction", [1.5, 1.0 - 1e-12], ids=["above-one", "just-below-one"])
     def test_unreachable_min_kz_fraction(self, tmp_path, capsys, fraction):
@@ -544,13 +579,18 @@ print(json.dumps(loaded))
 
 
 class TestLazyIntegrate:
-    """scipy.integrate is loaded by the first quadrature, not by the import."""
+    """scipy.integrate is loaded by kernel_area's first QUADPACK call, not by the import."""
 
-    def test_loaded_only_by_scenarios_that_integrate(self, tmp_path):
+    def test_loaded_only_by_delta_limit(self, tmp_path):
+        # curved-spectrum integrates with the package's own Gauss-Legendre rule
         configs = [
             write_config(tmp_path, {"scenario": "spreads"}, name="spreads.json"),
             write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}},
                          name="verify.json"),
+            write_config(tmp_path, {"scenario": "curved-spectrum",
+                                    "spectrum": {"grid": {"points": 5}},
+                                    "ensemble": {"n_atoms": 2000, "replicas": 4}},
+                         name="curved.json"),
             write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 1}},
                          name="delta.json"),
         ]
@@ -560,7 +600,7 @@ class TestLazyIntegrate:
         proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *configs], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
 
     def test_one_binding_reaches_scipy(self):
         from scipy import integrate

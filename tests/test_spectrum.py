@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from gravdicke import spectrum
 from gravdicke.cli import _offset_grid
 from gravdicke.emission import Box, curved_timed_dicke, sample_ensemble
 from gravdicke.errors import PhysicsDomainError, QuadratureError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
+from gravdicke.quadrature import MAX_PANELS, gauss_legendre, panel_count
 from gravdicke.spectrum import (
     AngularSpectrum,
     SpectrumParams,
@@ -53,6 +55,11 @@ class TestParams:
         assert np.linalg.norm(p.k0) == pytest.approx(p.nu / CST.c)
         assert p.cos_theta0 == pytest.approx(0.5)
         assert p.theta0 == pytest.approx(math.pi / 3)
+
+    def test_tiny_k0_keeps_its_angle(self):
+        # |k0| = 1e-200: squaring its components underflows, math.hypot does not
+        p = make_params(nu=1e-200, gamma=1e-202, theta0=math.pi / 3)
+        assert p.cos_theta0 == pytest.approx(0.5, rel=1e-12)
 
     def test_directional_guard(self):
         p = make_params(theta0=math.pi / 2)  # construction is fine
@@ -172,6 +179,65 @@ class TestHeightIntegralOracle:
             z_integral_oracle(0.5, p, (-1.0, 1.0), dispersion="nope")
         with pytest.raises(PhysicsDomainError):
             z_integral_oracle(0.5, make_params(a=0.0), (-1.0, 1.0))
+
+
+def _quadpack_cases():
+    """(params, kz grid, z window, oracle keywords) of the grids the panel rule must reproduce."""
+    p = make_params(a=1e-3)
+    ell = decay_length(p)
+    decay = kernel_decay_constant(p)
+    rotated = dict(dispersion="resonant", tails="rotated", include_volume_weight=False)
+    window = dict(dispersion="exact", tails="none", include_volume_weight=True)
+    offsets = np.arange(-8.0, 3.01, 0.25)
+    # the small-a, tall-box corner: 150 decay lengths at a = 1e-4, |a z| up to 0.75
+    corner = make_params(a=1e-4)
+    corner_height = 150.0 * decay_length(corner)
+    return {
+        "criterion-4": (p, np.sort(p.k0z - np.arange(0.1, 6.95, 0.2) * decay),
+                        (-50.0 * ell, 50.0 * ell), rotated),
+        "criterion-5": (p, p.k0z + offsets * decay, (-40.0 * ell, 40.0 * ell), window),
+        "small-a-tall-box": (corner, corner.k0z + offsets * kernel_decay_constant(corner),
+                             (-0.5 * corner_height, 0.5 * corner_height), window),
+        "q-zero": (p, np.array([p.k0z]), (-50.0 * ell, 50.0 * ell), rotated),
+    }
+
+
+class TestPanelRule:
+    @pytest.mark.parametrize("case", list(_quadpack_cases()))
+    def test_matches_quadpack(self, case):
+        params, kz, z_range, kw = _quadpack_cases()[case]
+        panels = quadrature_spectrum(kz, params, z_range, 1e-9, **kw).amplitude
+        quadpack = np.array([oracles.quadpack_height_integral(params, k, z_range, **kw)
+                             for k in kz])
+        peak = np.max(np.abs(quadpack))
+        assert np.max(np.abs(panels - quadpack)) <= 1e-10 * peak
+
+    def test_oscillatory_and_polynomial_integrals(self):
+        value, err, evals = gauss_legendre(lambda z: np.exp(1j * z), 0.0, math.pi, 3)
+        assert value == pytest.approx(2j, abs=1e-14)
+        assert err <= 1e-14 and evals == 3 * 3 * 20
+        # degree 39 is exact on a single 20-node panel
+        value, _, _ = gauss_legendre(lambda z: 40.0 * z**39 + 0j, 0.0, 1.0, 1)
+        assert value == pytest.approx(1.0, rel=1e-14)
+
+    def test_panel_count(self):
+        assert panel_count(1.0, 2.0) == 1
+        assert panel_count(10.0, 3.0) == 4
+        assert panel_count(1.0, 1.0 / MAX_PANELS) == MAX_PANELS
+
+    @pytest.mark.parametrize("width", [1.0 / (MAX_PANELS + 1), 0.0, float("nan")])
+    def test_panel_cap_names_the_count(self, width):
+        with pytest.raises(QuadratureError, match=f"panels .* cap of {MAX_PANELS}"):
+            panel_count(1.0, width)
+
+    def test_quadrature_spectrum_records_error_and_work(self):
+        p = make_params()
+        ell = decay_length(p)
+        kz = p.k0z + kernel_decay_constant(p) * np.array([-2.0, 0.0, 1.0])
+        spec = quadrature_spectrum(kz, p, (-40.0 * ell, 40.0 * ell), dispersion="exact",
+                                   tails="none", include_volume_weight=True)
+        assert 0.0 < spec.meta["worst_error_ratio"] <= 1.0
+        assert spec.meta["integrand_evals"] > 0 and spec.meta["integrand_evals"] % 60 == 0
 
 
 class TestAngularSpectrum:
