@@ -452,6 +452,9 @@ def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
             "peak": sp.meta["peak"],
             "decay_scale": sp.meta["decay_scale"],
             "area": sp.meta["area"],
+            # the area quadrature's error estimate over its tolerance (< 1), and its work
+            "area_error_ratio": sp.meta["area_error_ratio"],
+            "area_integrand_evals": sp.meta["area_integrand_evals"],
         })
         print(f"a={sp.meta['a']:.3e}: peak={sp.meta['peak']:.4e} "
               f"decay_scale={sp.meta['decay_scale']:.4e} "
@@ -459,6 +462,12 @@ def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
     _write_csv(outdir / "delta_limit.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows)
     return {"sweep": table}
+
+
+# the peak-normalized Monte Carlo and quadrature amplitudes each round by about
+# eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
+# the gate; the spread shrinks in proportion to ensemble.box_heights
+_MIN_RELATIVE_SIGMA = 1e-15
 
 
 def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
@@ -499,7 +508,14 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     mc_scale = float(np.max(np.abs(mc.amplitude)))
     q_scale = float(np.max(np.abs(quad.amplitude)))
     dev = np.abs(mc.amplitude / mc_scale - quad.amplitude / q_scale)
-    sigma = np.maximum(mc.mc_stderr / mc_scale, 1e-300)
+    sigma = mc.mc_stderr / mc_scale
+    if not np.min(sigma) >= _MIN_RELATIVE_SIGMA:
+        raise ConfigError(
+            f"ensemble.box_heights={e.box_heights!r} gives a replica spread down to "
+            f"{float(np.min(sigma)):.3g} of the peak amplitude, under the "
+            f"{_MIN_RELATIVE_SIGMA:g} below which rounding decides the Monte Carlo gate: "
+            "use a taller box"
+        )
     pulls = dev / sigma
     within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())

@@ -1,18 +1,15 @@
 """Composite Gauss-Legendre quadrature for smooth complex integrands.
 
-The height integral of the emission spectrum is integrated with one rule: a
-20-node Gauss-Legendre formula on equal panels (Davis & Rabinowitz, *Methods
-of Numerical Integration*, ch. 2).  The caller picks the largest panel width
-the integrand allows, from its own scales (the distance of the nearest pole
-from the path, the oscillation period); :func:`panel_count` turns that into a
-number of panels P, and :func:`gauss_legendre` integrates on P and on 2P
-panels and returns the finer sum with their difference as the error estimate.
-Callers decide what tolerance failure means.
-
-``kernel_area`` still calls QUADPACK through the ``integrate`` binding below.
-``scipy.integrate`` is loaded on that first call, not on import: loading it
-takes about 0.5 s, longer than a closed-form scenario runs without it, and
-only ``delta-limit`` needs it.
+The height integral of the emission spectrum and the area of the emission
+kernel are integrated with one rule: a 20-node Gauss-Legendre formula on
+equal panels (Davis & Rabinowitz, *Methods of Numerical Integration*, ch. 2).
+The caller picks the largest panel width the integrand allows, from its own
+scales (a decay length, the distance of the nearest pole from the path, the
+oscillation period); :func:`panel_count` turns that into a number of panels
+P, and :func:`gauss_legendre` integrates on P and on 2P panels and returns the
+finer sum with their difference as the error estimate.  Callers decide what
+tolerance failure means.  No scenario calls QUADPACK or loads
+``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -50,7 +47,8 @@ class _LazyIntegrate:
         return getattr(integrate, name)
 
 
-# the one binding through which the package reaches QUADPACK
+# no package code calls it: kept only because bench/tracer.py rebinds
+# quadrature.integrate, until the benchmark counts the panel rule's evaluations
 integrate = _LazyIntegrate()
 
 
@@ -87,7 +85,10 @@ def _panel_sum(f: Callable, lo: float, hi: float, panels: int) -> complex:
 
 
 def gauss_legendre(f: Callable, lo: float, hi: float, panels: int) -> tuple[complex, float, int]:
-    """Integral of a vectorized complex f over [lo, hi] on 2 x panels equal panels.
+    """Integral of a vectorized complex f from lo to hi on 2 x panels equal panels.
+
+    The nodes are placed by steps from lo, so they round relative to lo; lo > hi
+    integrates in the reverse direction.
 
     Returns (value, error estimate, integrand evaluations); the error estimate
     is the value's distance from the same rule on ``panels`` panels.

@@ -31,7 +31,10 @@ from .emission import (
 )
 from .errors import PhysicsDomainError, QuadratureError
 from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
-from .quadrature import gauss_legendre, integrate, panel_count
+from .quadrature import gauss_legendre, panel_count
+# not called here: kept only because bench/tracer.py rebinds spectrum.integrate,
+# until the benchmark counts the panel rule's evaluations instead
+from .quadrature import integrate  # noqa: F401
 
 __all__ = [
     "SpectrumParams",
@@ -177,20 +180,30 @@ def g_kernel(k_z, params: SpectrumParams):
     return complex(out) if out.ndim == 0 else out
 
 
-def kernel_area(params: SpectrumParams, *, tol: float = 1e-12) -> complex:
-    """Adaptive quadrature of the kernel over kz <= k0z (expected: -i/Gamma, any a)."""
+def kernel_area(params: SpectrumParams, *, tol: float = 1e-12, full_output: bool = False):
+    """Integral of the kernel over kz <= k0z (expected: -i/Gamma, any a).
+
+    The composite Gauss-Legendre rule of :mod:`gravdicke.quadrature` integrates
+    :func:`g_kernel` over the 300 decay lengths a nu / Gamma below k0z, on
+    panels no wider than two decay lengths.  Raises QuadratureError unless the
+    rule's error estimate is below 100 tol / Gamma.  With ``full_output`` it
+    returns (area, error estimate over 100 tol / Gamma, integrand evaluations)
+    instead of the area alone.
+    """
     a = params.metric.a
     if a <= 0.0:
         raise PhysicsDomainError("kernel undefined at a = 0")
     decay = a * params.nu / params.gamma  # e-folding scale in kz
-    lo = params.k0z - 300.0 * decay       # truncation error ~ e^-300
-    val_im, err = integrate.quad(
-        lambda kz: g_kernel(kz, params).imag, lo, params.k0z,
-        epsabs=tol / max(params.gamma, 1e-300), epsrel=1e-13, limit=300,
-    )
-    if err > 100.0 * tol / params.gamma + 1e-300:
-        raise QuadratureError(f"kernel area quadrature error {err!r} above tolerance")
-    return complex(0.0, val_im)
+    length = 300.0 * decay                # truncation error ~ e^-300
+    # integrated from k0z down, so that the nodes near the peak are placed
+    # relative to k0z and not to the far end, which rounds them by ~300 eps
+    downward, err, evals = gauss_legendre(lambda kz: g_kernel(kz, params), params.k0z,
+                                          params.k0z - length, panel_count(length, 2.0 * decay))
+    area = 0.0 - downward  # not -downward, whose zero real part would print as -0
+    bound = 100.0 * tol / params.gamma
+    if not err < bound:  # a zero tolerance is never met; also catches NaN
+        raise QuadratureError(f"kernel area quadrature error {err!r} above tolerance {bound!r}")
+    return (area, err / bound, evals) if full_output else area
 
 
 def kernel_decay_constant(params: SpectrumParams) -> float:
@@ -595,7 +608,9 @@ def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[Ang
     scale is a log-linear fit over the samples below k0z where |kernel| is a
     normal float: past that it underflows to subnormals, whose few significant
     bits skew the fit, and then to zero.  An a with fewer than two such samples
-    is rejected.
+    is rejected.  Each spectrum's ``meta`` records a, the peak, the decay
+    scale, and the kernel area with its error ratio and integrand evaluations
+    (see :func:`kernel_area`).
     """
     base = params.metric.a
     if base <= 0.0 or halvings < 1:
@@ -617,12 +632,18 @@ def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[Ang
                 f"at a={a!r} fewer than two grid points below k0z have a kernel above "
                 "underflow, so its decay scale cannot be fitted: use fewer halvings"
             )
-        slope = np.polyfit(params.k0z - kz[mask], np.log(mag[mask]), 1)[0]  # = -Gamma/(a nu)
+        # the fit's abscissa is scaled to at most 1, so that its sum of squares cannot overflow
+        depth = params.k0z - kz[mask]
+        reach = float(np.max(depth))
+        slope = np.polyfit(depth / reach, np.log(mag[mask]), 1)[0]  # = -reach Gamma/(a nu)
+        area, area_error_ratio, area_evals = kernel_area(p, full_output=True)
         spec.meta.update(
             a=a,
-            area=kernel_area(p),
+            area=area,
+            area_error_ratio=area_error_ratio,
+            area_integrand_evals=area_evals,
             peak=float(np.max(mag)),
-            decay_scale=float(-1.0 / slope),
+            decay_scale=float(-reach / slope),
         )
         out.append(spec)
     return out

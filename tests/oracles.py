@@ -145,3 +145,23 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
         return up * (np.exp(1j * q * zr) * f(zr) - np.exp(1j * q * zl) * f(zl))
 
     return total + quad(vertical, 0.0, np.inf)
+
+
+def quadpack_kernel_area(params) -> complex:
+    """Area of the emission kernel by QUADPACK, written from the kernel itself.
+
+        int_{-inf}^{k0z} dk_z (-i / (a nu)) exp(-(k0z - k_z) Gamma / (a nu)),
+
+    truncated 300 decay lengths a nu / Gamma below k0z, where the rest is
+    e^-300 of the area.  The integrand is purely imaginary, so only its
+    imaginary part is integrated.  An independent route to the library's
+    Gauss-Legendre panels.
+    """
+    from scipy import integrate
+
+    scale = params.metric.a * params.nu
+    k0z = params.k0[2]
+    value, _ = integrate.quad(lambda kz: -math.exp(-(k0z - kz) * params.gamma / scale) / scale,
+                              k0z - 300.0 * scale / params.gamma, k0z,
+                              epsabs=1e-12 / params.gamma, epsrel=1e-13, limit=300)
+    return complex(0.0, value)

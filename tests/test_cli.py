@@ -349,6 +349,21 @@ class TestBadInputExitCodes:
         self.assert_one_line(capsys)
         assert not (out / "spectrum.csv").exists()
 
+    def test_box_too_flat_for_a_replica_spread_is_undecidable(self, tmp_path, capsys):
+        # every atom at one height: the replicas agree to 1e-157 of the peak, far below
+        # the rounding of the Monte Carlo/quadrature comparison
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum",
+                                      "spectrum": {"grid": {"points": 5}},
+                                      "ensemble": {"n_atoms": 200, "replicas": 2,
+                                                   "box_heights": 1e-155}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ensemble.box_heights" in json.loads(err)["message"]
+
     def test_quadrature_panel_cap_exits_4(self, tmp_path, capsys):
         # 150 decay lengths probed 1e4 decay constants below k0z: about 5e5 panels
         cfg = write_config(tmp_path, {"scenario": "curved-spectrum",
@@ -545,6 +560,29 @@ class TestDeltaLimitScenario:
         areas = [complex(row["area"]["re"], row["area"]["im"]) for row in sweep]
         assert all(abs(a - areas[0]) < 1e-9 * abs(areas[0]) for a in areas)
 
+    def test_metadata_records_area_error_and_work(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 2}})
+        out = tmp_path / "dl"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        sweep = json.loads((out / "metadata.json").read_text())["summary"]["sweep"]
+        for row in sweep:
+            assert 0.0 <= row["area_error_ratio"] < 1.0  # finite, and within tolerance
+            assert row["area_integrand_evals"] > 0
+
+    @pytest.mark.parametrize("spectrum", [{"gamma": 1e-156}, {"nu": 1e154}],
+                             ids=["tiny-gamma", "huge-nu"])
+    def test_decay_scale_near_1e153_fits_without_overflow(self, tmp_path, capsys, spectrum):
+        # a nu / gamma = a 1e156: the grid reaches 8e153 below k0z, whose square overflows
+        cfg = write_config(tmp_path, {"scenario": "delta-limit", "spectrum": spectrum})
+        out = tmp_path / "far"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
+        for row in json.loads((out / "metadata.json").read_text())["summary"]["sweep"]:
+            assert row["decay_scale"] == pytest.approx(row["a"] * 1e156, rel=1e-9)
+
     def test_kernel_underflow_leaves_finite_decay_scales(self, tmp_path, capsys):
         # at the eighth a the kernel underflows to zero over part of the grid
         cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 8}})
@@ -579,14 +617,16 @@ print(json.dumps(loaded))
 
 
 class TestLazyIntegrate:
-    """scipy.integrate is loaded by kernel_area's first QUADPACK call, not by the import."""
+    """No scenario loads scipy.integrate: both quadratures use the package's own rule."""
 
-    def test_loaded_only_by_delta_limit(self, tmp_path):
-        # curved-spectrum integrates with the package's own Gauss-Legendre rule
+    def test_no_scenario_loads_it(self, tmp_path):
         configs = [
             write_config(tmp_path, {"scenario": "spreads"}, name="spreads.json"),
             write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}},
                          name="verify.json"),
+            write_config(tmp_path, {"scenario": "flat-dicke",
+                                    "dicke": {"n_atoms": 200, "replicas": 2, "n_offpeak": 5}},
+                         name="dicke.json"),
             write_config(tmp_path, {"scenario": "curved-spectrum",
                                     "spectrum": {"grid": {"points": 5}},
                                     "ensemble": {"n_atoms": 2000, "replicas": 4}},
@@ -600,7 +640,7 @@ class TestLazyIntegrate:
         proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *configs], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6
 
     def test_one_binding_reaches_scipy(self):
         from scipy import integrate

@@ -95,6 +95,21 @@ class TestKernel:
         area = kernel_area(p, tol=1e-12)
         assert abs(area - (-1j / p.gamma)) <= 1e-10 * abs(1.0 / p.gamma)
 
+    @pytest.mark.parametrize("a", [1e-4, 1e-3, 1e-2])
+    def test_area_matches_quadpack(self, a):
+        p = make_params(a=a)
+        assert abs(kernel_area(p) - oracles.quadpack_kernel_area(p)) <= 1e-12 / p.gamma
+
+    def test_area_records_error_and_work(self):
+        area, ratio, evals = kernel_area(make_params(), full_output=True)
+        assert area == kernel_area(make_params())
+        assert 0.0 <= ratio < 1.0
+        assert evals == 3 * 150 * 20  # 150 panels of two decay lengths, then 300
+
+    def test_zero_area_tolerance_raises(self):
+        with pytest.raises(QuadratureError, match="kernel area"):
+            kernel_area(make_params(), tol=0.0)
+
 
 class TestSpreads:
     def test_quoted_spread_scaled_values(self):
