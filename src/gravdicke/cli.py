@@ -388,19 +388,30 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
     knorm = params.nu / params.constants.c
     wavelength = 2.0 * math.pi / knorm
     side = d.box_wavelengths * wavelength
+    if not math.isfinite(side):
+        raise ConfigError(f"dicke.box_wavelengths {d.box_wavelengths!r} gives a box side "
+                          f"{side!r} that is not finite")
     box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, 977))))
 
     # the zero probe comes first unconditionally: its value must be exactly 1
     probes = [np.zeros(3)]
-    probes += [np.asarray(u, dtype=float) * 2.0 / side for u in d.probes_u]
-    n_named = len(probes)
-    # random far-off-peak probes with |dk| L >= 20 pi
-    for _ in range(d.n_offpeak):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        mag = (20.0 * math.pi / side) * rng.uniform(1.0, 3.0)
-        probes.append(direction * mag)
+    with np.errstate(over="ignore"):  # checked below
+        probes += [np.asarray(u, dtype=float) * 2.0 / side for u in d.probes_u]
+        n_named = len(probes)
+        # random far-off-peak probes with |dk| L >= 20 pi
+        for _ in range(d.n_offpeak):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            mag = (20.0 * math.pi / side) * rng.uniform(1.0, 3.0)
+            probes.append(direction * mag)
+    # |dk . r| <= (|dk_x| + |dk_y| + |dk_z|) L / 2 over the box, in Python floats,
+    # which overflow to inf without a warning
+    for dk in probes:
+        if not math.isfinite(sum(abs(float(x)) for x in dk) * (0.5 * side)):
+            raise ConfigError(f"a flat-dicke probe wavevector {dk.tolist()!r} gives phases over "
+                              f"the box that are not finite: dicke.box_wavelengths too small "
+                              f"or a dicke.probes_u entry too large")
 
     def one(seed) -> list[float]:
         ens = sample_ensemble(n, box, seed, params.nu, params.gamma, (1.0, 0.0, 0.0))

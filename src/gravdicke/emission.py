@@ -22,6 +22,7 @@ __all__ = [
     "Ensemble",
     "TimedDickeState",
     "sample_ensemble",
+    "cis",
     "curved_timed_dicke",
     "single_atom_survival",
 ]
@@ -152,17 +153,46 @@ class TimedDickeState:
         return len(self.amplitudes)
 
 
+def cis(theta) -> np.ndarray:
+    """exp(i theta) for real theta, in an array of theta's shape, from t = tan(theta / 2).
+
+    cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2 t / (1 + t^2), within
+    about 3e-16 of np.exp(1j * theta).  On x86-64 CPUs with AVX-512 numpy runs
+    float64 tan as a SIMD loop, at 2-3 ns per element against some 50 ns for
+    its complex exp (float64 sin and cos are scalar loops too).  Elsewhere it
+    calls the scalar libm tan, so the last bit can differ between machines, but
+    never between reruns or thread counts.  For finite theta |t| stays below
+    about 2e18, so 1 + t^2 cannot overflow; a non-finite theta gives NaN, as
+    np.exp does.  Only t is allocated besides the result, whose real and
+    imaginary views are written in place.  The atom sums use it; the oracles
+    keep np.exp.
+    """
+    t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))  # out=: stays an array at 0-d
+    np.tan(t, out=t)  # contiguous: a strided view would run tan 2-3x slower
+    out = np.empty(t.shape, dtype=complex)
+    cos, sin = out.real, out.imag
+    np.multiply(t, t, out=cos)
+    np.add(cos, 1.0, out=sin)
+    np.reciprocal(sin, out=sin)        # w = 1 / (1 + t^2)
+    np.subtract(1.0, cos, out=cos)
+    cos *= sin                         # (1 - t^2) w
+    sin *= t
+    sin += sin                         # 2 t w
+    return out
+
+
 def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> TimedDickeState:
     """Absorption-conditioned state c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
     The phases are the flat plane-wave phases k0 . r_j, so at a = 0 this is the
     flat timed Dicke state exp(i k0 . r_j) / sqrt(N); the metric enters only
-    through the linearization guard on the atom heights.
+    through the linearization guard on the atom heights.  The phasors come
+    from :func:`cis`.
     """
     k0 = np.asarray(k0, dtype=float).reshape(3)
     dz = ensemble.positions[:, 2] - metric.z0
     check_linearization(metric.a, dz)
-    raw = np.exp(1j * (ensemble.positions @ k0))
+    raw = cis(ensemble.positions @ k0)
     raw /= np.sqrt(np.sum(np.abs(raw) ** 2))
     return TimedDickeState(raw, k0)
 

@@ -10,7 +10,9 @@ pinned to the absorbed photon's).  This module computes the k_z distribution
 
 plus the closed-form spread measures and the flat-space structure factor.
 Each route is an oracle for the others; nothing here reuses another route's
-algebra.
+algebra.  The atom sums (Monte Carlo and structure factor) take their phasors
+from :func:`gravdicke.emission.cis`, a tan half-angle formula; the quadrature
+and the closed forms keep np.exp.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .emission import (
     Box,
     Ensemble,
     TimedDickeState,
+    cis,
     curved_timed_dicke,
     sample_ensemble,
 )
@@ -401,7 +404,7 @@ def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
 # ---------------------------------------------------------------------------
 
 # The atom sum advances e^{-i kz z} along the grid by the trigonometric
-# recurrence (Numerical Recipes sec. 5.4).  It restarts from an exact exp every
+# recurrence (Numerical Recipes sec. 5.4).  It restarts from an exact phasor every
 # _RESEED_EVERY steps, and wherever the grid leaves the current uniform spacing
 # by more than _PHASE_TOL radians at the farthest atom.
 _RESEED_EVERY = 16
@@ -414,7 +417,7 @@ _BATCH_ATOMS = 25_000
 
 
 def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
-    """Mask of the grid points whose phase is taken from an exact exp."""
+    """Mask of the grid points whose phase is computed afresh, not carried by the recurrence."""
     exact = np.ones(kz.size, dtype=bool)
     seed = 0
     for i in range(1, kz.size):
@@ -452,8 +455,8 @@ def monte_carlo_spectrum(
     atom's height; k keeps k0's transverse components, so a global x/y
     translation of the ensemble cancels exactly.  The sum runs over contiguous
     batches of _BATCH_ATOMS atoms, which fix its summation order.  Within a
-    batch the phase e^{-i k . r_j} is taken from one exp at a few grid points
-    and carried between them by a complex multiply per step (see
+    batch the phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
+    points and carried between them by a complex multiply per step (see
     _exact_phase_points), and 1/D_j is built in real arithmetic (see
     _reciprocal).  It carries no error estimate: the spread over independent
     ensembles gives that, see :func:`replicated_mc_spectrum`.
@@ -501,12 +504,13 @@ def monte_carlo_spectrum(
         step_dkz = None
         for i, kzi in enumerate(kz):
             if exact[i]:
-                # the whole phase k . r_j in one exp
-                phased = amps_b * np.exp(-1j * (lateral_b + kzi * z_b))
+                # the whole phase -k . r_j in one cis
+                phased = cis(-(lateral_b + kzi * z_b))
+                phased *= amps_b
                 # a uniform stretch keeps its step across the periodic reseeds
                 if i + 1 < kz.size and not exact[i + 1] and kz[i + 1] - kzi != step_dkz:
                     step_dkz = kz[i + 1] - kzi
-                    step = np.exp(-1j * step_dkz * z_b)
+                    step = cis(-step_dkz * z_b)
             else:
                 phased *= step
             np.multiply(height_b, slope[i], out=u)
@@ -579,10 +583,14 @@ def replicated_mc_spectrum(
 # ---------------------------------------------------------------------------
 
 def structure_factor(positions, delta_k) -> float:
-    """Normalized random-phasor power |mean_j e^{i dk . r_j}|^2, in [0, 1]."""
+    """Normalized random-phasor power |mean_j e^{i dk . r_j}|^2, in [0, 1].
+
+    The phasors come from :func:`gravdicke.emission.cis`, so dk = 0 gives
+    exactly 1.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     dk = np.asarray(delta_k, dtype=float).reshape(3)
-    phasor = np.exp(1j * (pos @ dk)).mean()
+    phasor = cis(pos @ dk).mean()
     return float(np.abs(phasor) ** 2)
 
 

@@ -449,6 +449,19 @@ class TestConfigFuzz:
               deadline=None)
     @given(key=st.sampled_from(FUZZ_KEYS), value=JSON_VALUES)
     def test_leaf_value_exit_code(self, tmp_path, capsys, scenario, key, value):
+        self.run_leaf(tmp_path, capsys, scenario, key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        (("dicke", "box_wavelengths"), 5e-324),
+        (("dicke", "box_wavelengths"), 1e308),
+        (("dicke", "probes_u"), [[1e308, 0.0, 0.0]]),
+    ], ids=["subnormal-box", "overflowing-box", "overflowing-probe"])
+    def test_flat_dicke_float_extremes(self, tmp_path, capsys, key, value):
+        # each once printed numpy warnings; the subnormal box let a NaN reach the gate
+        assert self.run_leaf(tmp_path, capsys, "flat-dicke", key, value) == 2
+
+    @staticmethod
+    def run_leaf(tmp_path, capsys, scenario, key, value) -> int:
         payload = copy.deepcopy(dict(FUZZ_BASE, scenario=scenario))
         table = payload
         for part in key[:-1]:
@@ -468,6 +481,7 @@ class TestConfigFuzz:
         else:
             assert err == ""
             json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
+        return code
 
 
 class TestExports:

@@ -7,6 +7,7 @@ import oracles
 from gravdicke.emission import (
     Box,
     Ensemble,
+    cis,
     curved_timed_dicke,
     sample_ensemble,
     single_atom_survival,
@@ -56,6 +57,46 @@ class TestTypes:
         np.testing.assert_allclose(
             ens.weights, np.sqrt(1.0 - 1e-2 * ens.positions[:, 2]), rtol=1e-14
         )
+
+
+class TestCis:
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e8, 1e16, 1e100, 1e300])
+    def test_matches_exp(self, scale):
+        theta = np.random.default_rng(23).uniform(-scale, scale, 20000)
+        assert np.max(np.abs(cis(theta) - np.exp(1j * theta))) <= 4e-16
+
+    def test_special_angles(self):
+        theta = np.array([0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi, 2.0 * math.pi])
+        assert np.max(np.abs(cis(theta) - np.exp(1j * theta))) <= 4e-16
+
+    def test_zero_is_exactly_one(self):
+        z = cis(0.0)
+        assert z.real == 1.0 and z.imag == 0.0 and not math.copysign(1.0, z.imag) < 0.0
+
+    @pytest.mark.parametrize("theta", [0.7, [0.7, -2.0], [[0.7], [3.0], [-1e5]]],
+                             ids=["0-d", "1-d", "2-d"])
+    def test_keeps_shape(self, theta):
+        z = cis(theta)
+        assert z.shape == np.shape(theta)
+        assert np.max(np.abs(z - np.exp(1j * np.asarray(theta)))) <= 4e-16
+
+    def test_no_warning_for_finite_angles(self):
+        # the largest |tan| over doubles is about 2e18 (x / 2 nearest an odd
+        # multiple of pi / 2), so 1 + t^2 stays finite; pyproject turns any
+        # RuntimeWarning into an error
+        info = np.finfo(float)
+        theta = np.array([info.max, -info.max, info.tiny, 5e-324, 2.0 * 6381956970095103 * 2.0**797,
+                          np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0)])
+        z = cis(theta)
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z - np.exp(1j * theta))) <= 4e-16
+
+    def test_non_finite_gives_nan_like_exp(self):
+        theta = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            z, ref = cis(theta), np.exp(1j * theta)
+        assert np.all(np.isnan(z.real) & np.isnan(z.imag))
+        assert np.all(np.isnan(ref.real) & np.isnan(ref.imag))
 
 
 class TestTimedDicke:

@@ -422,7 +422,17 @@ class TestStructureFactor:
     def test_zero_offset_is_exactly_one(self, seed):
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-5, 5, size=(64, 3))
-        assert structure_factor(pos, np.zeros(3)) == pytest.approx(1.0, abs=1e-14)
+        assert structure_factor(pos, np.zeros(3)) == 1.0
+
+    def test_matches_brute_force_phasor_mean(self, rng):
+        # phases |dk . r| up to 1e3, against an np.exp phasor mean
+        pos = rng.uniform(-50.0, 50.0, size=(2000, 3))
+        for _ in range(20):
+            dk = rng.uniform(-1.0, 1.0, size=3) * rng.choice([1e-3, 1.0, 6.0])
+            phase = pos @ dk
+            assert np.max(np.abs(phase)) <= 1e3
+            brute = abs(np.mean(np.exp(1j * phase))) ** 2
+            assert structure_factor(pos, dk) == pytest.approx(brute, rel=0.0, abs=1e-14)
 
     def test_single_phasor(self, rng):
         pos = rng.uniform(-5, 5, size=(1, 3))
