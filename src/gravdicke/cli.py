@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .emission import Box, sample_ensemble
@@ -40,9 +39,7 @@ from .errors import (
     PhysicsDomainError,
     QuadratureError,
 )
-from .maxwell import residual_slope_study, transversality_check
 from .metric import PhysicalConstants, WeakFieldMetric, check_linearization, surface_param_a
-from .modes import ModeIndex, PerturbedMode, dump_mode_vectors
 from .spectrum import (
     SpectrumParams,
     analytic_spectrum,
@@ -57,6 +54,10 @@ from .spectrum import (
     structure_factor_expectation,
     wavevector_spread,
 )
+
+if typing.TYPE_CHECKING:  # bound on first use, by _import_verify_modes
+    from .maxwell import residual_slope_study, transversality_check
+    from .modes import ModeIndex, PerturbedMode, dump_mode_vectors
 
 SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-limit")
 
@@ -155,6 +156,10 @@ class DeltaConfig:
 
 # far past any point where central differences resolve a mode, yet c |k| t cannot overflow
 MAX_POINT = 1e100
+# the finite-difference step over the wavelength scale 1/|k|: at 1e-7 the halved
+# stencil's rounding floor, eps x its weight sum (16/3) over (rel_step / 2)^2, is half
+# the whole second derivative |k|^2 |f|, and the O(a^2) residual the gate needs far less
+MIN_REL_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,9 @@ class VerifyConfig:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
         _require_positive(self, "verify", ("volume", "rel_step"))
+        if self.rel_step < MIN_REL_STEP:
+            raise ConfigError(f"verify.rel_step must be >= {MIN_REL_STEP:g}, where rounding "
+                              f"error leaves the slope gate undecidable, got {self.rel_step!r}")
         _require_positive(self, "verify", ("n_modes",), MAX_COUNT)
         if self.order not in (2, 4):
             raise ConfigError(f"verify.order must be 2 or 4, got {self.order!r}")
@@ -315,7 +323,8 @@ def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 def _kz_grid(params: SpectrumParams, offsets: np.ndarray, where: str) -> np.ndarray:
     """k0z + offsets x the kernel decay constant; rejects a grid whose c|k| overflows."""
-    with np.errstate(over="ignore"):
+    # an infinite decay constant gives NaN at offset zero; both fail the check below
+    with np.errstate(over="ignore", invalid="ignore"):
         kz = params.k0z + offsets * kernel_decay_constant(params)
         omega = params.constants.c * np.sqrt(np.sum(params.k0[:2] ** 2) + kz * kz)
     if not (np.all(np.isfinite(kz)) and np.all(np.isfinite(omega))):
@@ -339,7 +348,6 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict) -> None:
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
             "threads": cfg.threads,
         },
@@ -564,7 +572,32 @@ def _ratio(num: float, den: float) -> float:
 _MAX_MODE_DRAWS = 10_000
 
 
+# Only verify-modes needs maxwell and modes, some 15 ms of import that the other
+# scenarios skip.  Their names still read as attributes of this module (PEP 562),
+# so that a caller can rebind one before a run, as bench/tracer.py does.
+_VERIFY_MODES_NAMES = ("residual_slope_study", "transversality_check", "ModeIndex",
+                       "PerturbedMode", "dump_mode_vectors")
+
+
+def _import_verify_modes() -> None:
+    """Bind verify-modes' names in this module, keeping any that a caller rebound."""
+    from .maxwell import residual_slope_study, transversality_check
+    from .modes import ModeIndex, PerturbedMode, dump_mode_vectors
+
+    for value in (residual_slope_study, transversality_check, ModeIndex, PerturbedMode,
+                  dump_mode_vectors):
+        globals().setdefault(value.__name__, value)
+
+
+def __getattr__(name: str):
+    if name not in _VERIFY_MODES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_verify_modes()
+    return globals()[name]
+
+
 def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
+    _import_verify_modes()
     constants = _spectrum_params(cfg).constants
     v = cfg.verify
     tol = cfg.tolerances

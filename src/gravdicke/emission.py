@@ -42,8 +42,9 @@ class Box:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.array(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "size", np.array(self.size, dtype=float).reshape(3))
-        if np.any(self.size <= 0.0):
-            raise PhysicsDomainError("box edge lengths must be positive")
+        if not np.all((self.size > 0.0) & np.isfinite(self.size)):
+            raise PhysicsDomainError(f"box edge lengths must be positive and finite, got "
+                                     f"{self.size.tolist()!r}")
 
     @property
     def low(self) -> np.ndarray:

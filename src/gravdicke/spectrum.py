@@ -18,7 +18,6 @@ and the closed forms keep np.exp.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -527,6 +526,8 @@ def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:
     seeds = [(base_seed, r) for r in range(n)]
     if threads == 1:  # in this thread: a worker's own malloc arena adds ~8 MB of peak RSS
         return np.array([one(seed) for seed in seeds])
+    from concurrent.futures import ThreadPoolExecutor  # some 6 ms of import, for threads only
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.array(list(pool.map(one, seeds)))
 

@@ -192,7 +192,7 @@ class TestDeterminism:
         assert main(["--config", cfg, "--output", str(out), "--threads", "2"]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         env = meta["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "threads"}
+        assert set(env) == {"python", "numpy", "cpu_count", "threads"}
         assert env["threads"] == 2
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
 
@@ -460,6 +460,18 @@ class TestConfigFuzz:
         # each once printed numpy warnings; the subnormal box let a NaN reach the gate
         assert self.run_leaf(tmp_path, capsys, "flat-dicke", key, value) == 2
 
+    @pytest.mark.parametrize("scenario, key, value, code", [
+        ("curved-spectrum", ("metric", "a"), 1e308, 2),
+        ("curved-spectrum", ("ensemble", "box_heights"), 1e308, 3),
+        ("curved-spectrum", ("ensemble", "box_aspect"), 1e308, 3),
+        ("verify-modes", ("verify", "volume"), 5e-324, 3),
+        ("verify-modes", ("verify", "rel_step"), 1e-300, 2),
+    ], ids=["overflowing-a", "overflowing-height", "overflowing-aspect", "subnormal-volume",
+            "subnormal-step"])
+    def test_float_extremes(self, tmp_path, capsys, scenario, key, value, code):
+        # each once printed numpy warnings before its exit; the volume put NaN in the message
+        assert self.run_leaf(tmp_path, capsys, scenario, key, value) == code
+
     @staticmethod
     def run_leaf(tmp_path, capsys, scenario, key, value) -> int:
         payload = copy.deepcopy(dict(FUZZ_BASE, scenario=scenario))
@@ -617,44 +629,83 @@ class TestDeltaLimitScenario:
             assert scales[i - 1] / scales[i] == pytest.approx(2.0, rel=1e-9)
 
 
-# runs main once per config path given, and prints whether scipy.integrate was
-# loaded after the import and after each run
+# Runs main once per config path given, and prints which of WATCHED are loaded
+# after the import and after each run.  A first argument "block" makes scipy
+# unimportable first, as in an environment without it.
 LAZY_PROBE = """
 import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
 import gravdicke.cli as cli
-loaded = ["scipy.integrate" in sys.modules]
-for path in sys.argv[1:]:
+WATCHED = ("scipy", "gravdicke.maxwell", "gravdicke.modes", "concurrent.futures")
+loaded = [[name for name in WATCHED if name in sys.modules]]
+for path in sys.argv[2:]:
     assert cli.main(["--config", path, "--output", path + ".out"]) == 0
-    loaded.append("scipy.integrate" in sys.modules)
+    loaded.append([name for name in WATCHED if name in sys.modules])
 print(json.dumps(loaded))
 """
 
+# tiny runs of the five scenarios, verify-modes last, all at --threads 1
+LAZY_CONFIGS = {
+    "spreads": {"scenario": "spreads"},
+    "delta": {"scenario": "delta-limit", "delta": {"halvings": 1}},
+    "dicke": {"scenario": "flat-dicke", "dicke": {"n_atoms": 200, "replicas": 2,
+                                                  "n_offpeak": 5}},
+    "curved": {"scenario": "curved-spectrum", "spectrum": {"grid": {"points": 5}},
+               "ensemble": {"n_atoms": 2000, "replicas": 4}},
+    "verify": {"scenario": "verify-modes", "verify": {"n_modes": 1}},
+}
+
+
+def run_lazy_probe(directory: Path, mode: str) -> list[list[str]]:
+    directory.mkdir()
+    configs = [write_config(directory, cfg, name=f"{name}.json")
+               for name, cfg in LAZY_CONFIGS.items()]
+    src = str(Path(gravdicke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, mode, *configs], cwd=directory,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestLazyIntegrate:
-    """No scenario loads scipy.integrate: both quadratures use the package's own rule."""
+    """A run loads only what it uses: no scenario loads scipy, no scenario but
+    verify-modes loads maxwell and modes, and one thread loads no thread pool."""
 
     def test_no_scenario_loads_it(self, tmp_path):
-        configs = [
-            write_config(tmp_path, {"scenario": "spreads"}, name="spreads.json"),
-            write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}},
-                         name="verify.json"),
-            write_config(tmp_path, {"scenario": "flat-dicke",
-                                    "dicke": {"n_atoms": 200, "replicas": 2, "n_offpeak": 5}},
-                         name="dicke.json"),
-            write_config(tmp_path, {"scenario": "curved-spectrum",
-                                    "spectrum": {"grid": {"points": 5}},
-                                    "ensemble": {"n_atoms": 2000, "replicas": 4}},
-                         name="curved.json"),
-            write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 1}},
-                         name="delta.json"),
-        ]
-        src = str(Path(gravdicke.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, *configs], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [False] * 6
+        loaded = run_lazy_probe(tmp_path / "probe", "run")
+        # after the import, then after spreads, delta-limit, flat-dicke and curved-spectrum
+        assert loaded[:5] == [[]] * 5
+        assert loaded[5] == ["gravdicke.maxwell", "gravdicke.modes"]
+
+    def test_scenarios_run_without_scipy(self, tmp_path):
+        run_lazy_probe(tmp_path / "blocked", "block")
+        run_lazy_probe(tmp_path / "free", "run")
+        written = sorted(p.relative_to(tmp_path / "free")
+                         for p in (tmp_path / "free").glob("*.out/*.csv"))
+        assert len(written) == 6  # verify-modes writes two
+        for rel in written:
+            assert (tmp_path / "blocked" / rel).read_bytes() == (tmp_path / "free" / rel).read_bytes()
+
+    def test_rebound_verify_modes_name_is_called(self, tmp_path, monkeypatch):
+        # bench/tracer.py counts layer calls by rebinding cli attributes like this one
+        calls = []
+        real = gravdicke.cli.residual_slope_study
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gravdicke.cli, "residual_slope_study", counted)
+        cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 2}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "vm")]) == 0
+        assert len(calls) == 2
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gravdicke.cli.no_such_name  # noqa: B018
 
     def test_one_binding_reaches_scipy(self):
         from scipy import integrate

@@ -40,6 +40,13 @@ class TestTypes:
         assert box.contains(np.array([[1.0, 2.0, 4.9]]))[0]
         assert not box.contains(np.array([[1.0, 2.0, 5.1]]))[0]
 
+    @pytest.mark.parametrize("size", [(1.0, 1.0, 0.0), (1.0, -1.0, 1.0),
+                                      (1.0, 1.0, float("inf")), (float("nan"), 1.0, 1.0)])
+    def test_box_rejects_bad_edges(self, size):
+        # an infinite edge once reached sampling, where inf - inf filled a column with NaN
+        with pytest.raises(PhysicsDomainError, match="positive and finite"):
+            Box(center=(0.0, 0.0, 0.0), size=size)
+
     def test_ensemble_rejects_outside_atoms(self):
         with pytest.raises(PhysicsDomainError):
             Ensemble(np.array([[100.0, 0.0, 0.0]]), small_box())

@@ -9,6 +9,7 @@ from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 from gravdicke.modes import (
     ModeIndex,
     PerturbedMode,
+    _cross,
     flat_polarization_basis,
     gauss_law_constant,
     local_wavevector,
@@ -59,6 +60,17 @@ class TestFlatBasis:
             flat_polarization_basis([0.0, 0.0, 0.0])
 
 
+class TestCross:
+    def test_bit_identical_to_np_cross(self):
+        rng = np.random.default_rng(7)
+        pairs = [(rng.normal(size=3) * 10.0 ** rng.integers(-8, 8), rng.normal(size=3))
+                 for _ in range(2000)]
+        basis = list(np.eye(3)) + list(-np.eye(3))
+        pairs += [(u, v) for u in basis for v in basis]
+        for u, v in pairs:
+            assert _cross(u, v).tobytes() == np.cross(u, v).tobytes()
+
+
 class TestModeIndex:
     def test_grazing_guard(self):
         with pytest.raises(PhysicsDomainError):
@@ -94,6 +106,13 @@ class TestAmplitude:
         mode = make_mode([1.0, 1.0, 1.0], a=0.5)
         with pytest.raises(LinearizationError):
             mode_amplitude(mode, 3.0)
+
+    @pytest.mark.parametrize("constants", [CST, PhysicalConstants()], ids=["scaled", "si"])
+    def test_overflowing_amplitude_rejected(self, constants):
+        # sqrt(hbar w / 2 eps0 V) overflows for a subnormal volume; in SI 2 eps0 V is 0
+        with pytest.raises(PhysicsDomainError, match="not finite"):
+            PerturbedMode.build(ModeIndex(np.ones(3), 2), WeakFieldMetric(a=1e-3), constants,
+                                5e-324)
 
 
 class TestPhaseAndWavevector:
