@@ -160,6 +160,9 @@ MAX_POINT = 1e100
 # stencil's rounding floor, eps x its weight sum (16/3) over (rel_step / 2)^2, is half
 # the whole second derivative |k|^2 |f|, and the O(a^2) residual the gate needs far less
 MIN_REL_STEP = 1e-7
+# at 1 the step spans a radian of the carrier phase: rel_step 1 and 2 read as
+# inconclusive, but 5 and 10 alias the wave and fit a slope of about 0
+MAX_REL_STEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,9 @@ class VerifyConfig:
         if self.rel_step < MIN_REL_STEP:
             raise ConfigError(f"verify.rel_step must be >= {MIN_REL_STEP:g}, where rounding "
                               f"error leaves the slope gate undecidable, got {self.rel_step!r}")
+        if self.rel_step >= MAX_REL_STEP:
+            raise ConfigError(f"verify.rel_step must be < {MAX_REL_STEP:g}: a step of a radian "
+                              f"of phase or more resolves no derivative, got {self.rel_step!r}")
         _require_positive(self, "verify", ("n_modes",), MAX_COUNT)
         if self.order not in (2, 4):
             raise ConfigError(f"verify.order must be 2 or 4, got {self.order!r}")
@@ -322,13 +328,18 @@ def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 
 def _kz_grid(params: SpectrumParams, offsets: np.ndarray, where: str) -> np.ndarray:
-    """k0z + offsets x the kernel decay constant; rejects a grid whose c|k| overflows."""
+    """k0z + offsets x the kernel decay constant; rejects a grid whose c|k| overflows,
+    or one so narrow that neighbouring k_z values round to the same float."""
     # an infinite decay constant gives NaN at offset zero; both fail the check below
     with np.errstate(over="ignore", invalid="ignore"):
         kz = params.k0z + offsets * kernel_decay_constant(params)
         omega = params.constants.c * np.sqrt(np.sum(params.k0[:2] ** 2) + kz * kz)
     if not (np.all(np.isfinite(kz)) and np.all(np.isfinite(omega))):
         raise ConfigError(f"{where} reaches k_z values whose c|k| is not finite")
+    if not np.all(np.diff(kz) > 0.0):
+        raise ConfigError(f"{where} collapses: the kernel width a nu / gamma = "
+                          f"{kernel_decay_constant(params):.3g} is too small to resolve "
+                          f"around k0z = {params.k0z:.6g}")
     return kz
 
 
@@ -436,14 +447,17 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
                ["dk_x", "dk_y", "dk_z", "s_mean", "s_stderr", "s_expected"], rows)
     off = mean[n_named:]
     # recorded, not gated: with few replicas a pull is heavy-tailed (t-distributed),
-    # and at 4 replicas a 3 sigma gate on three probes fails about one seed in six
-    pulls = np.abs(mean[1:n_named] - expected[1:n_named]) / np.maximum(stderr[1:n_named], 1e-300)
+    # and at 4 replicas a 3 sigma gate on three probes fails about one seed in six.
+    # The zero probe has no spread and reads 0: there S = 1 = expected exactly
+    pulls = np.abs(mean - expected) / np.maximum(stderr, 1e-300)
     summary = {
         "n_atoms": n,
         "s_at_zero": float(mean[0]),
         "offpeak_mean": float(off.mean()),
         "offpeak_bound_2_over_n": 2.0 / n,
-        "max_named_probe_pull": float(np.max(pulls, initial=0.0)),
+        "max_named_probe_pull": float(np.max(pulls[1:n_named], initial=0.0)),
+        # one per CSV row, in its order
+        "probe_pulls": pulls.tolist(),
     }
     print(f"S(dk=0) = {float(mean[0])!r}; off-peak mean = {summary['offpeak_mean']:.3e} "
           f"(2/N = {2.0 / n:.3e})")
@@ -487,6 +501,12 @@ def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
 # eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
 # the gate; the spread shrinks in proportion to ensemble.box_heights
 _MIN_RELATIVE_SIGMA = 1e-15
+# the atom phases k . r_j round to about ulp(|k0| max|r|), and the Monte Carlo sum
+# relies on exp(i k0 . r_j) exp(-i k . r_j) cancelling in the transverse directions.
+# A sweep of ensemble.box_aspect (200 atoms x 2 replicas and 2e4 x 10) left every
+# pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the gate
+# at 8 rad; 1e-2 rad keeps a hundredfold margin below the first visible effect
+_MAX_PHASE_ULP = 1e-2
 
 
 def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
@@ -523,6 +543,16 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     _write_csv(outdir / "spectrum.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows)
 
+    # after the Monte Carlo sum, whose linearization guard rejects a too tall box first
+    reach = math.hypot(*np.maximum(np.abs(box.low), np.abs(box.high)))  # max |r| in the box
+    phase_ulp = math.ulp(float(np.linalg.norm(params.k0)) * reach)
+    if not phase_ulp <= _MAX_PHASE_ULP:
+        raise ConfigError(
+            f"the ensemble box reaches |r| = {reach:.3g}, where the atom phases |k0| |r| "
+            f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
+            "starts to decide the Monte Carlo gate: lower ensemble.box_aspect or "
+            "ensemble.box_heights"
+        )
     # peak-normalized amplitude comparison, MC against the height-integral oracle
     mc_scale = float(np.max(np.abs(mc.amplitude)))
     q_scale = float(np.max(np.abs(quad.amplitude)))
@@ -656,8 +686,9 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     inconclusive = sum(rep.inconclusive for rep in reports)
     if inconclusive:
         raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are inconclusive "
-                          "(finite-difference or rounding error above the residual), so the "
-                          "slope gate cannot be decided")
+                          "(finite-difference or rounding error above the residual, or a "
+                          "residual that underflowed to zero), so the slope gate cannot be "
+                          "decided")
     worst_wave = max(abs(s.wave_slope - 2.0) for s in studies)
     worst_gauss = max(abs(s.gauss_slope - 2.0) for s in studies)
     summary = {"worst_wave_slope_dev": worst_wave, "worst_gauss_slope_dev": worst_gauss,

@@ -165,8 +165,10 @@ def cis(theta) -> np.ndarray:
     never between reruns or thread counts.  For finite theta |t| stays below
     about 2e18, so 1 + t^2 cannot overflow; a non-finite theta gives NaN, as
     np.exp does.  Only t is allocated besides the result, whose real and
-    imaginary views are written in place.  The atom sums use it; the oracles
-    keep np.exp.
+    imaginary views are written in place.  The Monte Carlo sum and the timed
+    Dicke state use it; the structure factor, which only averages the phasors,
+    sums cos and sin from the same t without forming them.  The oracles keep
+    np.exp.
     """
     t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))  # out=: stays an array at 0-d
     np.tan(t, out=t)  # contiguous: a strided view would run tan 2-3x slower

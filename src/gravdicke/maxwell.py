@@ -179,7 +179,8 @@ def wave_residual(
     residual, or when a rounding floor exceeds the wave or Gauss residual: the
     phase's rounding error magnified by one central difference at step h,
     eps (1 + |phase|) |f| sum|w| / h^n.  Far from the origin that floor swamps
-    the differences.
+    the differences.  A residual of exactly zero is inconclusive too: it means
+    the field underflowed, as at a huge mode volume.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if stencil is None:
@@ -208,7 +209,7 @@ def wave_residual(
         gauss_residual=complex(gauss),
         discretization_estimate=disc,
         gauss_discretization=float(gauss_disc),
-        inconclusive=bool(disc > res_norm or drowned),
+        inconclusive=bool(disc > res_norm or drowned or res_norm == 0.0 or gauss == 0.0),
     )
 
 
@@ -290,11 +291,16 @@ def residual_slope_study(
         reports.append(rep)
         wave_norms.append(rep.residual_norm)
         gauss_norms.append(abs(rep.gauss_residual))
+
+    def slope(norms: list[float]) -> float:
+        # a zero norm has no logarithm; its report is inconclusive, so the slope is NaN
+        return fit_loglog_slope(a_values, norms) if all(norms) else np.nan
+
     return ScalingStudy(
         a_values=tuple(float(a) for a in a_values),
         wave_norms=tuple(wave_norms),
         gauss_norms=tuple(gauss_norms),
-        wave_slope=fit_loglog_slope(a_values, wave_norms),
-        gauss_slope=fit_loglog_slope(a_values, gauss_norms),
+        wave_slope=slope(wave_norms),
+        gauss_slope=slope(gauss_norms),
         reports=tuple(reports),
     )

@@ -10,9 +10,10 @@ pinned to the absorbed photon's).  This module computes the k_z distribution
 
 plus the closed-form spread measures and the flat-space structure factor.
 Each route is an oracle for the others; nothing here reuses another route's
-algebra.  The atom sums (Monte Carlo and structure factor) take their phasors
-from :func:`gravdicke.emission.cis`, a tan half-angle formula; the quadrature
-and the closed forms keep np.exp.
+algebra.  The atom sums work from the tan half-angle t = tan(theta / 2): the
+Monte Carlo sum takes its phasors from :func:`gravdicke.emission.cis`, and the
+structure factor sums cos and sin from t without forming phasors.  The
+quadrature and the closed forms keep np.exp.
 """
 
 from __future__ import annotations
@@ -586,13 +587,25 @@ def replicated_mc_spectrum(
 def structure_factor(positions, delta_k) -> float:
     """Normalized random-phasor power |mean_j e^{i dk . r_j}|^2, in [0, 1].
 
-    The phasors come from :func:`gravdicke.emission.cis`, so dk = 0 gives
-    exactly 1.
+    No phasor is formed: with t = tan(theta / 2), taken as
+    :func:`gravdicke.emission.cis` takes it, and w = 1 / (1 + t^2), the sums
+    are sum cos theta = 2 sum w - N and sum sin theta = 2 sum t w, so the work
+    is one tan and a few real passes over N floats.  At dk = 0, t = 0 and
+    w = 1, so the result is exactly 1.
     """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     dk = np.asarray(delta_k, dtype=float).reshape(3)
-    phasor = cis(pos @ dk).mean()
-    return float(np.abs(phasor) ** 2)
+    t = pos @ dk
+    t *= 0.5
+    np.tan(t, out=t)
+    w = t * t
+    w += 1.0
+    np.reciprocal(w, out=w)
+    n = t.size
+    cos_sum = 2.0 * w.sum() - n
+    t *= w
+    sin_sum = 2.0 * t.sum()
+    return float((cos_sum * cos_sum + sin_sum * sin_sum) / (n * n))
 
 
 def structure_factor_expectation(n: int, box_size, delta_k) -> float:

@@ -76,6 +76,13 @@ class TestConfigParsing:
         path.write_bytes(b"\xff\xfe{")
         assert main(["--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("rel_step", [1.0, 2.0, 5.0, 10.0, 1e308])
+    def test_rel_step_of_a_radian_or_more_rejected_at_parse(self, rel_step):
+        # 5 and 10 alias the wave and once fitted a slope near 0, an oracle mismatch (4)
+        with pytest.raises(ConfigError, match="verify.rel_step must be < 1"):
+            load_config(None, {"scenario": "spreads", "verify": {"rel_step": rel_step}})
+        load_config(None, {"scenario": "spreads", "verify": {"rel_step": 0.99}})
+
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "spreads", "seed": 1})
         out = tmp_path / "ovr"
@@ -144,6 +151,22 @@ class TestFlatDickeScenario:
         summary = json.loads((out / "metadata.json").read_text())["summary"]
         assert summary["s_at_zero"] == 1.0
         assert 0.0 < summary["max_named_probe_pull"] < 1e3
+
+    def test_summary_records_every_probe_pull(self, tmp_path):
+        out = tmp_path / "pulls"
+        assert main(["--config", write_config(tmp_path, self.SMALL), "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        rows = (out / "structure_factor.csv").read_text().strip().splitlines()[1:]
+        pulls = summary["probe_pulls"]
+        # the zero probe, three named probes and the off-peak ones, in CSV order
+        assert len(pulls) == len(rows) == 1 + 3 + self.SMALL["dicke"]["n_offpeak"]
+        assert all(math.isfinite(p) and p >= 0.0 for p in pulls)
+        assert pulls[0] == 0.0
+        assert max(pulls[1:4]) == summary["max_named_probe_pull"]
+        for row, pull in zip(rows, pulls):
+            s_mean, s_stderr, s_expected = map(float, row.split(",")[3:])
+            if s_stderr > 0.0:
+                assert pull == pytest.approx(abs(s_mean - s_expected) / s_stderr, rel=1e-12)
 
     def test_failed_gate_exits_4(self, tmp_path, capsys, monkeypatch):
         # a structure factor off by a constant factor fails S(0) = 1
@@ -418,10 +441,14 @@ FUZZ_KEYS = [
     if path not in (("scenario",), ("output_dir",))
 ]
 SMALL_INTS = st.integers(-3, 5)
+# float limits that uniform float draws almost never hit: overflow at the first
+# product, far past any physical scale, and the smallest normal and subnormal sizes.
+# A top-level value is also drawn from them directly, so that a leaf meets one often
+EXTREME_FLOATS = st.sampled_from([1e308, -1e308, 1e100, 1e-300, 5e-324])
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), EXTREME_FLOATS)
 JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), SMALL_INTS, st.floats(allow_nan=True, allow_infinity=True),
-    st.text(max_size=4),
-    st.lists(st.one_of(st.floats(), SMALL_INTS, st.lists(st.floats(), max_size=4)), max_size=4),
+    st.none(), st.booleans(), SMALL_INTS, FLOATS, EXTREME_FLOATS, st.text(max_size=4),
+    st.lists(st.one_of(FLOATS, SMALL_INTS, st.lists(FLOATS, max_size=4)), max_size=4),
 )
 
 
@@ -466,10 +493,18 @@ class TestConfigFuzz:
         ("curved-spectrum", ("ensemble", "box_aspect"), 1e308, 3),
         ("verify-modes", ("verify", "volume"), 5e-324, 3),
         ("verify-modes", ("verify", "rel_step"), 1e-300, 2),
+        ("curved-spectrum", ("ensemble", "box_aspect"), 1e100, 2),
+        ("verify-modes", ("verify", "volume"), 1e308, 2),
+        ("verify-modes", ("verify", "rel_step"), 10.0, 2),
+        ("delta-limit", ("metric", "a"), 5e-324, 2),
     ], ids=["overflowing-a", "overflowing-height", "overflowing-aspect", "subnormal-volume",
-            "subnormal-step"])
+            "subnormal-step", "rounded-phase-aspect", "underflowing-volume", "wide-step",
+            "subnormal-a"])
     def test_float_extremes(self, tmp_path, capsys, scenario, key, value, code):
-        # each once printed numpy warnings before its exit; the volume put NaN in the message
+        # each once printed numpy warnings before its exit; the volume put NaN in the message.
+        # The last four once ended in 4, 3, 4 and 3: a box so wide that rounding erases
+        # the phase k0 . r, residuals that underflow to zero before the slope fit, a step
+        # of ten radians of phase, and a kernel too narrow for the k_z grid (with a warning)
         assert self.run_leaf(tmp_path, capsys, scenario, key, value) == code
 
     @staticmethod

@@ -161,6 +161,17 @@ class TestSlopeStudy:
         assert study.wave_slope == pytest.approx(2.0, abs=0.05)
         assert study.gauss_slope == pytest.approx(2.0, abs=0.05)
 
+    def test_underflowed_residuals_are_inconclusive(self):
+        # at a mode volume of 1e308 the field is so small that every residual is zero:
+        # the study flags the reports instead of handing log(0) to the slope fit
+        study = residual_slope_study(
+            K_GENERIC, 2, CST, 0.0, 1e308, A_SWEEP, POINT_T, POINT_R
+        )
+        assert study.wave_norms == (0.0, 0.0, 0.0)
+        assert all(rep.inconclusive for rep in study.reports)
+        assert not study.conclusive
+        assert np.isnan(study.wave_slope) and np.isnan(study.gauss_slope)
+
     def test_fit_loglog_slope_requires_positive(self):
         with pytest.raises(PhysicsDomainError):
             fit_loglog_slope([1.0, 2.0], [0.0, 1.0])

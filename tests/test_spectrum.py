@@ -439,6 +439,40 @@ class TestStructureFactor:
         for _ in range(5):
             assert structure_factor(pos, rng.normal(size=3)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_brute_force_at_flat_dicke_scale(self, rng):
+        # the flat-dicke config: 1e4 atoms in a cube 100 wavelengths wide, off-peak
+        # probes with |dk| L in [20 pi, 60 pi]
+        side = 100.0 * 2.0 * math.pi
+        pos = rng.uniform(-0.5 * side, 0.5 * side, size=(10_000, 3))
+        for _ in range(10):
+            direction = rng.normal(size=3)
+            dk = direction / np.linalg.norm(direction) * (20.0 * math.pi / side) \
+                * rng.uniform(1.0, 3.0)
+            brute = abs(np.mean(np.exp(1j * (pos @ dk)))) ** 2
+            assert structure_factor(pos, dk) == pytest.approx(brute, rel=0.0, abs=1e-14)
+
+    def test_single_atom_within_4_eps_of_one(self, rng):
+        # C^2 + S^2 = ((1 - t^2)^2 + 4 t^2) w^2 = 1 up to the rounding of w, C and S
+        eps = np.finfo(float).eps
+        for _ in range(500):
+            pos = rng.uniform(-5.0, 5.0, size=(1, 3)) * 10.0 ** rng.uniform(-3.0, 8.0)
+            dk = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert abs(structure_factor(pos, dk) - 1.0) <= 4 * eps
+
+    @given(angles=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=200),
+           shift=st.floats(-1e-3, 1e-3))
+    def test_cancelling_cosine_sum(self, angles, shift):
+        # phases in pairs phi + d, pi - phi + d: sum cos theta = 0 up to d, so
+        # 2 sum w - N cancels to nearly nothing and the sine sum carries the result
+        phi = np.asarray(angles)
+        phase = np.concatenate([phi, math.pi - phi]) + shift
+        pos = np.zeros((phase.size, 3))
+        pos[:, 0] = phase
+        dk = np.array([1.0, 0.0, 0.0])
+        brute = abs(np.mean(np.exp(1j * phase))) ** 2
+        assert abs(np.mean(np.cos(phase))) <= 1e-3
+        assert structure_factor(pos, dk) == pytest.approx(brute, rel=0.0, abs=1e-14)
+
     def test_expectation_formula_against_replicas(self):
         n, side = 600, 12.0
         box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
