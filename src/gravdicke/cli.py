@@ -216,10 +216,7 @@ class Tolerances:
     quadrature: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("slope", "mc_sigma", "quadrature"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"tolerances.{name} must be finite and > 0, got {value!r}")
+        _require_positive(self, "tolerances", ("slope", "mc_sigma", "quadrature"))
         if not 0.0 < self.mc_fraction <= 1.0:
             raise ConfigError(f"tolerances.mc_fraction must be in (0, 1], got {self.mc_fraction!r}")
 

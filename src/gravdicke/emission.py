@@ -136,15 +136,13 @@ def sample_ensemble(
 
 @dataclass(frozen=True)
 class TimedDickeState:
-    """Normalized single-excitation amplitudes over atoms, tagged by the absorbed k0."""
+    """Normalized single-excitation amplitudes over atoms."""
 
     amplitudes: np.ndarray
-    k0: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "k0", np.array(self.k0, dtype=float).reshape(3))
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise PhysicsDomainError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
@@ -197,7 +195,7 @@ def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> Timed
     check_linearization(metric.a, dz)
     raw = cis(ensemble.positions @ k0)
     raw /= np.sqrt(np.sum(np.abs(raw) ** 2))
-    return TimedDickeState(raw, k0)
+    return TimedDickeState(raw)
 
 
 def single_atom_survival(t, gamma: float):

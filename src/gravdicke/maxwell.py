@@ -47,18 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StencilSpec:
-    """Central-difference steps (one per axis) and the stencil order (2 or 4)."""
+    """Central-difference steps (h_t in time, h on each spatial axis) and order (2 or 4)."""
 
     h_t: float
-    h_x: float
-    h_y: float
-    h_z: float
+    h: float
     order: int = 4
 
     def __post_init__(self) -> None:
         if self.order not in (2, 4):
             raise PhysicsDomainError("stencil order must be 2 or 4")
-        for name in ("h_t", "h_x", "h_y", "h_z"):
+        for name in ("h_t", "h"):
             if not getattr(self, name) > 0.0:
                 raise PhysicsDomainError(f"stencil step {name} must be positive")
 
@@ -66,18 +64,16 @@ class StencilSpec:
     def for_mode(cls, mode: PerturbedMode, rel: float = 0.01, order: int = 4) -> "StencilSpec":
         """Steps at a fixed fraction of the mode's wavelength scale 1/|k|."""
         scale = rel / mode.index.knorm
-        return cls(h_t=scale / mode.constants.c, h_x=scale, h_y=scale, h_z=scale, order=order)
+        return cls(h_t=scale / mode.constants.c, h=scale, order=order)
 
     def halved(self) -> "StencilSpec":
-        return StencilSpec(self.h_t / 2, self.h_x / 2, self.h_y / 2, self.h_z / 2, self.order)
+        return StencilSpec(self.h_t / 2, self.h / 2, self.order)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Richardson-extrapolated residuals of one mode at one spacetime point."""
 
-    t: float
-    r: np.ndarray
     residual_vector: np.ndarray      # (3,) complex, per wave equation
     gauss_residual: complex
     discretization_estimate: float   # leftover FD error bound on |residual_vector|
@@ -111,7 +107,7 @@ _D2_ABS_SUM = {order: sum(map(abs, w)) + abs(_D2_CENTER[order]) for order, w in 
 def _derivatives(field: Callable, t: float, r: np.ndarray, stencil: StencilSpec):
     """First and second derivatives of the vector field along t, x, y, z, and its value."""
     offs = _OFFSETS[stencil.order]
-    steps = (stencil.h_t, stencil.h_x, stencil.h_y, stencil.h_z)
+    steps = (stencil.h_t, stencil.h, stencil.h, stencil.h)
 
     ts = [t]
     rs = [r]
@@ -199,12 +195,10 @@ def wave_residual(
     res_norm = float(np.linalg.norm(res))
     # the carrier phase c|k| t - k . r is rounded to eps times the size of its terms
     noise = _EPS * (1.0 + abs(mode.omega * t) + float(np.abs(mode.k) @ np.abs(r))) * field_norm
-    h = min(mode.constants.c * stencil.h_t, stencil.h_x, stencil.h_y, stencil.h_z)
+    h = min(mode.constants.c * stencil.h_t, stencil.h)
     drowned = (noise * _D2_ABS_SUM[stencil.order] / h**2 > res_norm
                or noise * _D1_ABS_SUM[stencil.order] / h > abs(gauss))
     return ResidualReport(
-        t=t,
-        r=r,
         residual_vector=res,
         gauss_residual=complex(gauss),
         discretization_estimate=disc,
@@ -244,7 +238,6 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 class ScalingStudy:
     """Residual norms of one mode family across a sweep of gravity gradients."""
 
-    a_values: tuple[float, ...]
     wave_norms: tuple[float, ...]
     gauss_norms: tuple[float, ...]
     wave_slope: float
@@ -297,7 +290,6 @@ def residual_slope_study(
         return fit_loglog_slope(a_values, norms) if all(norms) else np.nan
 
     return ScalingStudy(
-        a_values=tuple(float(a) for a in a_values),
         wave_norms=tuple(wave_norms),
         gauss_norms=tuple(gauss_norms),
         wave_slope=slope(wave_norms),

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +28,11 @@ from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric, check_lineariz
 __all__ = [
     "ModeIndex",
     "PerturbedMode",
-    "PerturbationTerm",
     "flat_polarization_basis",
     "mode_amplitude",
     "mode_phase",
     "local_wavevector",
     "gauss_law_constant",
-    "perturbation_M",
     "polarization_E",
     "polarization_H",
     "mode_field_first_order",
@@ -211,35 +208,6 @@ def local_wavevector(mode: PerturbedMode, z):
     )
     out = np.stack(parts, axis=-1)
     return out if np.ndim(dz) else out.reshape(4)
-
-
-class PerturbationTerm(NamedTuple):
-    """First-order correction for one field component.
-
-    ``product_form`` is True when the flat polarization component vanishes and
-    only the product f0_j * M_j is physical; ``value`` then holds that product.
-    """
-
-    value: complex
-    product_form: bool
-
-
-def perturbation_M(mode: PerturbedMode, j: int, z: float) -> PerturbationTerm:
-    """Per-component first-order perturbation M_j(z), integration constants included.
-
-    The real part reproduces the amplitude correction, the imaginary part
-    (minus the constant on j = 3) the quadratic phase correction; the leftover
-    on j in {1, 2} is the polarization mixing term.
-    """
-    if j not in (1, 2, 3):
-        raise PhysicsDomainError("component index j must be 1, 2 or 3")
-    common, mix, gauss = _first_order_terms(mode, float(_delta_z(mode, z)))
-    if j == 3:
-        return PerturbationTerm(complex(common + gauss), False)
-    f0j = mode.f0[j - 1]
-    if f0j == 0.0:
-        return PerturbationTerm(complex(f0j * common + mix[j - 1]), True)
-    return PerturbationTerm(complex(common + mix[j - 1] / f0j), False)
 
 
 def polarization_E(mode: PerturbedMode, z):

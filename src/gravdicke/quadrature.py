@@ -32,24 +32,9 @@ _ORDER = 20
 MAX_PANELS = 2048
 
 
-class _LazyIntegrate:
-    """Stands in for ``scipy.integrate``, which it imports on first attribute access.
-
-    A plain object rather than ``importlib.util.LazyLoader``: the import runs
-    under the ordinary per-module import lock, so a second thread's first
-    touch waits for the first thread's import and never sees a half-loaded
-    module.
-    """
-
-    def __getattr__(self, name: str):
-        from scipy import integrate
-
-        return getattr(integrate, name)
-
-
-# no package code calls it: kept only because bench/tracer.py rebinds
-# quadrature.integrate, until the benchmark counts the panel rule's evaluations
-integrate = _LazyIntegrate()
+# no package code reads it: a plain attribute, for bench/tracer.py to rebind
+# until the benchmark counts the panel rule's evaluations
+integrate = None
 
 
 @functools.cache

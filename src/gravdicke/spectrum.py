@@ -35,9 +35,10 @@ from .emission import (
 from .errors import PhysicsDomainError, QuadratureError
 from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
 from .quadrature import gauss_legendre, panel_count
-# not called here: kept only because bench/tracer.py rebinds spectrum.integrate,
-# until the benchmark counts the panel rule's evaluations instead
-from .quadrature import integrate  # noqa: F401
+
+# no package code reads it: a plain attribute, for bench/tracer.py to rebind
+# until the benchmark counts the panel rule's evaluations
+integrate = None
 
 __all__ = [
     "SpectrumParams",
@@ -156,10 +157,6 @@ class AngularSpectrum:
             raise PhysicsDomainError("amplitude array must match the grid")
         if self.mc_stderr is not None and np.asarray(self.mc_stderr).shape != self.kz_grid.shape:
             raise PhysicsDomainError("stderr array must match the grid")
-
-    @property
-    def probability(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def component_perturbations(mode, z: float):
     """Literal first-order component corrections (M1, M2, M3), constants included.
 
     Independent transcription of the closed-form solutions of the three
-    perturbation equations, used to cross-check ``perturbation_M``:
+    perturbation equations, used to cross-check ``mode_field_first_order``:
     shared real part = amplitude correction, shared imaginary part = quadratic
     phase correction, plus the polarization-mixing ratio on the transverse
     components and the divergence-fixing constant on the vertical one.

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -533,10 +534,7 @@ class TestConfigFuzz:
 
 class TestExports:
     MODULES = ("metric", "modes", "maxwell", "emission", "spectrum", "quadrature")
-    # perturbation_M stays public although no module calls it: tests/test_modes.py
-    # checks it against oracles.component_perturbations, the only independent
-    # test of modes._first_order_terms
-    UNREACHED_ALLOWED = ["modes.perturbation_M"]
+    UNREACHED_ALLOWED = []
 
     def test_every_exported_name_is_reached(self):
         """A name in a module's __all__ is used by some package module, by the
@@ -742,8 +740,45 @@ class TestLazyIntegrate:
         with pytest.raises(AttributeError, match="no_such_name"):
             gravdicke.cli.no_such_name  # noqa: B018
 
-    def test_one_binding_reaches_scipy(self):
-        from scipy import integrate
 
-        assert gravdicke.spectrum.integrate is gravdicke.quadrature.integrate
-        assert gravdicke.quadrature.integrate.quad is integrate.quad
+def load_tracer():
+    """bench/tracer.py, loaded by path: the benchmark's span tracer, outside the package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("gravdicke_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the body runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestTracerContract:
+    """Every module attribute that bench/tracer.py rebinds exists on the package, so
+    that deleting one fails here and not only in the benchmark's traced runs."""
+
+    def test_every_binding_resolves(self):
+        tracer = load_tracer()
+        for mod_name, attr, _, _ in tracer.BINDINGS:
+            module = importlib.import_module(f"gravdicke.{mod_name}")
+            if module is gravdicke.cli and attr in gravdicke.cli._VERIFY_MODES_NAMES:
+                # bound on first use, through the module's PEP 562 __getattr__
+                assert callable(gravdicke.cli.__getattr__(attr)), attr
+            assert callable(getattr(module, attr)), f"{mod_name}.{attr}"
+        for mod_name in tracer.QUAD_USERS:
+            assert hasattr(importlib.import_module(f"gravdicke.{mod_name}"), "integrate"), mod_name
+
+    def test_install_and_uninstall(self):
+        tracer = load_tracer()
+        before = {(m, a): getattr(importlib.import_module(f"gravdicke.{m}"), a)
+                  for m, a, _, _ in tracer.BINDINGS}
+        recorder = tracer.Tracer()
+        try:
+            recorder.install(gravdicke)
+            assert all(getattr(importlib.import_module(f"gravdicke.{m}"), a) is not fn
+                       for (m, a), fn in before.items())
+        finally:
+            recorder.uninstall()
+        assert all(getattr(importlib.import_module(f"gravdicke.{m}"), a) is fn
+                   for (m, a), fn in before.items())

@@ -28,14 +28,16 @@ class TestStencil:
     def test_for_mode_scaling(self):
         mode = make_mode()
         st = StencilSpec.for_mode(mode, rel=0.02)
-        assert st.h_x == pytest.approx(0.02 / mode.index.knorm)
-        assert st.h_t == pytest.approx(st.h_x / CST.c)
+        assert st.h == pytest.approx(0.02 / mode.index.knorm)
+        assert st.h_t == pytest.approx(st.h / CST.c)
 
     def test_validation(self):
         with pytest.raises(PhysicsDomainError):
-            StencilSpec(1e-2, 1e-2, 1e-2, 1e-2, order=3)
+            StencilSpec(1e-2, 1e-2, order=3)
         with pytest.raises(PhysicsDomainError):
-            StencilSpec(0.0, 1e-2, 1e-2, 1e-2)
+            StencilSpec(0.0, 1e-2)
+        with pytest.raises(PhysicsDomainError):
+            StencilSpec(1e-2, 0.0)
 
 
 class TestWaveResidual:
@@ -65,7 +67,7 @@ class TestWaveResidual:
 
     def test_coarse_stencil_flagged_inconclusive(self):
         mode = make_mode(a=1e-4)
-        coarse = StencilSpec(h_t=0.9, h_x=0.9, h_y=0.9, h_z=0.9, order=2)
+        coarse = StencilSpec(h_t=0.9, h=0.9, order=2)
         rep = wave_residual(mode, POINT_T, POINT_R, coarse)
         assert rep.inconclusive
 
@@ -73,11 +75,6 @@ class TestWaveResidual:
         # at t = 1e6 the rounded carrier phase swamps the O(a^2) residual at a = 1e-4
         assert not wave_residual(make_mode(a=1e-4), POINT_T, POINT_R).inconclusive
         assert wave_residual(make_mode(a=1e-4), 1e6, POINT_R).inconclusive
-
-    def test_report_carries_point(self):
-        rep = wave_residual(make_mode(), POINT_T, POINT_R)
-        assert rep.t == POINT_T
-        np.testing.assert_array_equal(rep.r, POINT_R)
 
 
 class TestGaussResidual:

@@ -16,7 +16,6 @@ from gravdicke.modes import (
     mode_amplitude,
     mode_field_first_order,
     mode_phase,
-    perturbation_M,
     polarization_E,
     polarization_H,
 )
@@ -26,6 +25,14 @@ CST = PhysicalConstants.scaled()
 
 def make_mode(k, s=2, a=1e-3, z0=0.0, volume=1.0):
     return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a, z0=z0), CST, volume)
+
+
+def first_order_products(mode, z):
+    """f0_j M_j for each component j at height z, read off the first-order field at
+    t = 0 and r = (0, 0, z), where it is the flat carrier times f0_j (1 + a M_j)."""
+    field = mode_field_first_order(mode, 0.0, np.array([0.0, 0.0, z]))
+    carrier = mode.flat_amplitude * np.exp(1j * -(mode.k[2] * z))
+    return (field / carrier - mode.f0) / mode.metric.a
 
 
 unit_vectors = st.tuples(
@@ -97,7 +104,7 @@ class TestAmplitude:
         mode = make_mode([1.0, 1.0, 1.0], s=2, a=1e-2)
         z = 1.0  # a dz = 0.01
         assert mode_amplitude(mode, z) == pytest.approx(mode.flat_amplitude * 1.005, rel=1e-12)
-        m3 = perturbation_M(mode, 3, z).value
+        m3 = oracles.component_perturbations(mode, z)[2]
         assert mode_amplitude(mode, z) == pytest.approx(
             mode.flat_amplitude * (1.0 + mode.metric.a * m3.real), rel=1e-12
         )
@@ -152,19 +159,22 @@ class TestPhaseAndWavevector:
 
 
 class TestPerturbationM:
+    """The per-component corrections M_j of mode_field_first_order, against the
+    literal formulas of oracles.component_perturbations."""
+
     def test_m3_reference_height_is_divergence_constant(self):
         mode = make_mode([0.7, -0.3, 0.9])
         kx, ky, kz = mode.k
         expected = -1j * (kx**2 + ky**2) / (4.0 * kz**3)
-        assert perturbation_M(mode, 3, 0.0).value == pytest.approx(expected)
+        m3 = first_order_products(mode, 0.0)[2] / mode.f0[2]
+        assert m3 == pytest.approx(expected, rel=1e-9)
         assert gauss_law_constant(mode) == pytest.approx(expected)
 
     def test_m1_vanishes_when_unmixed(self):
         # s = 1 polarization is horizontal: no vertical component to mix in
         mode = make_mode([0.7, -0.3, 0.9], s=1)
-        term = perturbation_M(mode, 1, 0.0)
-        assert term.value == 0.0
-        assert not term.product_form
+        assert mode.f0[0] != 0.0
+        assert first_order_products(mode, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_against_literal_component_formulas(self, rng):
         for _ in range(25):
@@ -173,15 +183,12 @@ class TestPerturbationM:
                 k = rng.normal(size=3)
             mode = make_mode(k, s=2, a=10 ** rng.uniform(-4, -2))
             z = rng.uniform(-0.5, 0.5)
-            m1, m2, m3 = oracles.component_perturbations(mode, z)
-            assert perturbation_M(mode, 3, z).value == pytest.approx(m3, rel=1e-12)
-            if m1 is not None:
-                got = perturbation_M(mode, 1, z)
-                assert not got.product_form
-                assert got.value == pytest.approx(m1, rel=1e-12)
-            if m2 is not None:
-                got = perturbation_M(mode, 2, z)
-                assert got.value == pytest.approx(m2, rel=1e-12)
+            literal = oracles.component_perturbations(mode, z)
+            products = first_order_products(mode, z)
+            for j, m in enumerate(literal):
+                if m is not None:
+                    assert products[j] / mode.f0[j] == pytest.approx(m, rel=1e-9, abs=1e-9)
+            m1, _, m3 = literal
             # shared structure: transverse corrections differ from the vertical
             # one only by the real mixing ratio and the constant
             if m1 is not None:
@@ -192,15 +199,9 @@ class TestPerturbationM:
         # k in the x-z plane puts the s=1 polarization along y: f0_x = 0
         mode = make_mode([1.0, 0.0, 1.0], s=1)
         assert mode.f0[0] == pytest.approx(0.0, abs=1e-15)
-        term = perturbation_M(mode, 1, 0.3)
-        assert term.product_form
         # only the product f0_1 * M_1 is physical; here it is the pure mixing term
         kx, _, kz = mode.k
-        assert term.value == pytest.approx(kx * 0.3 * mode.f0[2] / (2.0 * kz))
-
-    def test_bad_axis(self):
-        with pytest.raises(PhysicsDomainError):
-            perturbation_M(make_mode([1.0, 0.0, 1.0]), 4, 0.0)
+        assert first_order_products(mode, 0.3)[0] == pytest.approx(kx * 0.3 * mode.f0[2] / (2.0 * kz))
 
 
 class TestPolarizations:

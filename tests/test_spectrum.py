@@ -264,10 +264,6 @@ class TestAngularSpectrum:
         with pytest.raises(PhysicsDomainError):
             AngularSpectrum(np.array([0.0, 1.0]), np.zeros(2, complex), "guess")
 
-    def test_probability(self):
-        spec = AngularSpectrum(np.array([0.0, 1.0]), np.array([1 + 1j, 2.0]), "analytic")
-        np.testing.assert_allclose(spec.probability, [2.0, 4.0])
-
 
 class TestMonteCarlo:
     def setup_method(self):
@@ -296,7 +292,8 @@ class TestMonteCarlo:
         ens2 = type(ens)(shifted_pos, big, ens.weights)
         state2 = curved_timed_dicke(ens2, p.k0, p.metric)
         spec2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
-        np.testing.assert_allclose(spec2.probability, spec.probability, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(spec2.amplitude) ** 2, np.abs(spec.amplitude) ** 2,
+                                   rtol=1e-12)
 
     def test_mismatch_rejected(self):
         p = self.params
