@@ -16,6 +16,7 @@ an invalid config, not an oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -24,6 +25,7 @@ import math
 import os
 import platform
 import sys
+import time
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -340,15 +342,31 @@ def _kz_grid(params: SpectrumParams, offsets: np.ndarray, where: str) -> np.ndar
     return kz
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the block's wall time to stages[name]["s"]; the block adds its work counts.
+
+    stages[name] is the dict the block receives.  A stage entered twice sums.
+    """
+    entry = stages.setdefault(name, {"s": 0.0})
+    start = time.perf_counter()
+    try:
+        yield entry
+    finally:
+        entry["s"] += time.perf_counter() - start
 
 
-def _write_metadata(outdir: Path, cfg: Config, summary: dict) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list], stages: dict) -> None:
+    with _stage(stages, "write_csv") as work:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        work["bytes"] = work.get("bytes", 0) + path.stat().st_size
+
+
+def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> None:
     meta = {
         "package_version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -361,6 +379,8 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict) -> None:
         },
         "config": dataclasses.asdict(cfg),
         "summary": summary,
+        # wall time in seconds and the work count of each timed stage
+        "stages": stages,
     }
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, default=_json_default))
     (outdir / "resolved_config.json").write_text(json.dumps(meta["config"], indent=2))
@@ -380,7 +400,7 @@ def _json_default(obj):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _run_spreads(cfg: Config, outdir: Path) -> dict:
+def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     dw = frequency_spread(params)
     wv = wavevector_spread(params)
@@ -390,6 +410,7 @@ def _run_spreads(cfg: Config, outdir: Path) -> dict:
         ["a", "nu", "gamma", "theta0", "wavevector_spread", "kernel_decay_constant",
          "frequency_spread"],
         [[params.metric.a, params.nu, params.gamma, params.theta0, wv, dec, dw]],
+        stages,
     )
     print(f"frequency spread: {dw:.4g} 1/s")
     print(f"wavevector spread (quoted, with cos theta0): {wv:.4g} 1/m")
@@ -397,7 +418,7 @@ def _run_spreads(cfg: Config, outdir: Path) -> dict:
     return {"frequency_spread": dw, "wavevector_spread": wv, "kernel_decay_constant": dec}
 
 
-def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
+def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     d = cfg.dicke
     n = d.n_atoms
@@ -433,7 +454,10 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
         ens = sample_ensemble(n, box, seed, params.nu, params.gamma, (1.0, 0.0, 0.0))
         return [structure_factor(ens.positions, dk) for dk in probes]
 
-    mean, stderr = mean_stderr(run_replicas(one, d.replicas, cfg.seed, cfg.threads))
+    with _stage(stages, "structure_factor") as work:
+        samples = run_replicas(one, d.replicas, cfg.seed, cfg.threads)
+        work["atom_probe"] = n * len(probes) * d.replicas
+    mean, stderr = mean_stderr(samples)
     expected = np.array([structure_factor_expectation(n, box.size, dk) for dk in probes])
 
     rows = [
@@ -441,7 +465,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
         for i, dk in enumerate(probes)
     ]
     _write_csv(outdir / "structure_factor.csv",
-               ["dk_x", "dk_y", "dk_z", "s_mean", "s_stderr", "s_expected"], rows)
+               ["dk_x", "dk_y", "dk_z", "s_mean", "s_stderr", "s_expected"], rows, stages)
     off = mean[n_named:]
     # recorded, not gated: with few replicas a pull is heavy-tailed (t-distributed),
     # and at 4 replicas a 3 sigma gate on three probes fails about one seed in six.
@@ -461,12 +485,13 @@ def _run_flat_dicke(cfg: Config, outdir: Path) -> dict:
     if mean[0] != 1.0 or not off.mean() <= 2.0 / n:
         raise OracleMismatchError(
             f"structure factor needs S(0) = 1 exactly and an off-peak mean <= 2/N, got "
-            f"S(0) = {float(mean[0])!r} and off-peak mean {summary['offpeak_mean']!r}"
+            f"S(0) = {float(mean[0])!r} and off-peak mean {summary['offpeak_mean']!r}",
+            summary,
         )
     return summary
 
 
-def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
+def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     # the grid spans the widest kernel, the one at the starting a
     kz = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
@@ -490,7 +515,7 @@ def _run_delta_limit(cfg: Config, outdir: Path) -> dict:
               f"decay_scale={sp.meta['decay_scale']:.4e} "
               f"area={sp.meta['area']:.6e}")
     _write_csv(outdir / "delta_limit.csv",
-               ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows)
+               ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
     return {"sweep": table}
 
 
@@ -506,7 +531,17 @@ _MIN_RELATIVE_SIGMA = 1e-15
 _MAX_PHASE_ULP = 1e-2
 
 
-def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
+def _noise_only_chi2_per_dof(replicas: int) -> float | None:
+    """Expected mean squared pull of R replicas of circular complex Gaussian noise.
+
+    A pull squared is the squared deviation of the replica mean over its
+    estimated variance: an F(2, 2(R - 1)) variate, whose mean (R - 1)/(R - 2)
+    is infinite at R = 2 (None).
+    """
+    return (replicas - 1) / (replicas - 2) if replicas > 2 else None
+
+
+def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     metric = params.metric
     if metric.a <= 0.0:
@@ -521,12 +556,16 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
 
     g = cfg.spectrum.grid
     kz = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
-    mc = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas, cfg.seed,
-                                threads=cfg.threads)
-    quad = quadrature_spectrum(
-        kz, params, (box.low[2], box.high[2]), tol.quadrature,
-        dispersion="exact", tails="none", include_volume_weight=True,
-    )
+    with _stage(stages, "replicas") as work:
+        mc = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas, cfg.seed,
+                                    threads=cfg.threads)
+        work["atom_kz"] = e.n_atoms * e.replicas * kz.size
+    with _stage(stages, "quadrature") as work:
+        quad = quadrature_spectrum(
+            kz, params, (box.low[2], box.high[2]), tol.quadrature,
+            dispersion="exact", tails="none", include_volume_weight=True,
+        )
+        work["integrand_evals"] = quad.meta["integrand_evals"]
     ana = analytic_spectrum(kz, params)
 
     rows = []
@@ -538,7 +577,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
         rows.append(["montecarlo", metric.a, k, mc.amplitude[i].real, mc.amplitude[i].imag,
                      prob[i], mc.mc_stderr[i]])
     _write_csv(outdir / "spectrum.csv",
-               ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows)
+               ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
 
     # after the Monte Carlo sum, whose linearization guard rejects a too tall box first
     reach = math.hypot(*np.maximum(np.abs(box.low), np.abs(box.high)))  # max |r| in the box
@@ -553,7 +592,8 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     # peak-normalized amplitude comparison, MC against the height-integral oracle
     mc_scale = float(np.max(np.abs(mc.amplitude)))
     q_scale = float(np.max(np.abs(quad.amplitude)))
-    dev = np.abs(mc.amplitude / mc_scale - quad.amplitude / q_scale)
+    signed_dev = mc.amplitude / mc_scale - quad.amplitude / q_scale
+    dev = np.abs(signed_dev)
     sigma = mc.mc_stderr / mc_scale
     if not np.min(sigma) >= _MIN_RELATIVE_SIGMA:
         raise ConfigError(
@@ -566,11 +606,21 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())
     up = float(prob[kz > params.k0z].sum() / prob.sum())
+    # a bias shows as a signed mean pull that grows with the replica count
+    thirds = [signed_dev[part] / sigma[part] for part in np.array_split(np.arange(kz.size), 3)]
     summary = {
         "mc_vs_quadrature_fraction_within_sigma": frac,
         "sigma": tol.mc_sigma,
         "max_deviation_over_sigma": float(np.max(pulls)),
+        "pull_p50": float(np.quantile(pulls, 0.5)),
+        "pull_p90": float(np.quantile(pulls, 0.9)),
+        "pulls_beyond_2_sigma": int(np.count_nonzero(pulls > 2.0)),
+        "pulls_beyond_3_sigma": int(np.count_nonzero(pulls > 3.0)),
+        # over the low, middle and high third of the grid, in k_z order
+        "signed_pull_mean_re": [float(np.mean(t.real)) for t in thirds],
+        "signed_pull_mean_im": [float(np.mean(t.imag)) for t in thirds],
         "pull_chi2_per_dof": float(np.mean(pulls**2)),
+        "pull_chi2_per_dof_noise_only": _noise_only_chi2_per_dof(e.replicas),
         "upward_probability_fraction": up,
         # the quadrature's worst error estimate over its tolerance (<= 1), and its work
         "quadrature_worst_error_ratio": quad.meta["worst_error_ratio"],
@@ -585,7 +635,8 @@ def _run_curved_spectrum(cfg: Config, outdir: Path) -> dict:
     if frac < tol.mc_fraction:
         raise OracleMismatchError(
             f"only {frac:.1%} of grid points within {tol.mc_sigma} sigma "
-            f"(needed {tol.mc_fraction:.0%})"
+            f"(needed {tol.mc_fraction:.0%})",
+            summary,
         )
     return summary
 
@@ -623,7 +674,7 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
+def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
     _import_verify_modes()
     constants = _spectrum_params(cfg).constants
     v = cfg.verify
@@ -675,9 +726,12 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
          "gauss_re", "gauss_im", "disc_estimate", "gauss_disc_estimate",
          "wave_slope", "gauss_slope"],
         rows,
+        stages,
     )
-    dump_mode_vectors(outdir / "mode_vectors.csv", modes_for_dump,
-                      [z0 - 0.25, z0, z0 + 0.25])
+    with _stage(stages, "write_csv") as work:
+        dump_mode_vectors(outdir / "mode_vectors.csv", modes_for_dump,
+                          [z0 - 0.25, z0, z0 + 0.25])
+        work["bytes"] += (outdir / "mode_vectors.csv").stat().st_size
 
     reports = [rep for s in studies for rep in s.reports]
     inconclusive = sum(rep.inconclusive for rep in reports)
@@ -698,7 +752,8 @@ def _run_verify_modes(cfg: Config, outdir: Path) -> dict:
     if worst_wave > tol.slope or worst_gauss > tol.slope:
         raise OracleMismatchError(
             f"residual scaling slope off by {max(worst_wave, worst_gauss):.3f} "
-            f"(tolerance {tol.slope})"
+            f"(tolerance {tol.slope})",
+            summary,
         )
     return summary
 
@@ -715,6 +770,14 @@ _RUNNERS = {
 # first match wins; every package error ends in one of these codes
 _EXIT_CODES = ((ConfigError, 2), (PhysicsDomainError, 3), (QuadratureError, 4),
                (OracleMismatchError, 4), (GravDickeError, 1))
+
+
+def _is_finite(summary: dict) -> bool:
+    try:
+        json.dumps(summary, allow_nan=False, default=_json_default)
+    except ValueError:
+        return False
+    return True
 
 
 def _report_error(outdir: Path | None, exc: Exception) -> None:
@@ -741,6 +804,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     outdir = None
+    stages: dict = {}
     try:
         cfg = load_config(args.config, {
             "scenario": args.scenario,
@@ -753,16 +817,18 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
         outdir = Path(cfg.output_dir)
-        summary = _RUNNERS[cfg.scenario](cfg, outdir)
-        try:
-            json.dumps(summary, allow_nan=False, default=_json_default)
-        except ValueError as exc:
+        summary = _RUNNERS[cfg.scenario](cfg, outdir, stages)
+        if not _is_finite(summary):
             raise PhysicsDomainError(f"{cfg.scenario} gave a non-finite result: "
-                                     f"{json.dumps(summary, default=_json_default)}") from exc
+                                     f"{json.dumps(summary, default=_json_default)}")
     except GravDickeError as exc:
+        # a failed gate's summary is the record of what failed: it is written too
+        failed = getattr(exc, "summary", None)
+        if failed is not None and _is_finite(failed):
+            _write_metadata(outdir, cfg, failed, stages)
         _report_error(outdir, exc)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    _write_metadata(outdir, cfg, summary)
+    _write_metadata(outdir, cfg, summary, stages)
     return 0
 
 

@@ -54,17 +54,6 @@ class Box:
     def high(self) -> np.ndarray:
         return self.center + 0.5 * self.size
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        # column by column: an (N, 3) array against a 3-vector runs numpy's
-        # inner loop over the length-3 axis
-        pts = np.atleast_2d(points)
-        low, high = self.low, self.high
-        inside = np.ones(len(pts), dtype=bool)
-        for k in range(3):
-            col = pts[:, k]
-            inside &= (col >= low[k]) & (col <= high[k])
-        return inside
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -83,8 +72,10 @@ class Ensemble:
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
         object.__setattr__(self, "positions", pos)
-        if not np.all(self.box.contains(pos)):
-            raise PhysicsDomainError("all atoms must lie inside the box")
+        # a column's min and max decide (a NaN is both, and fails both tests)
+        for col, low, high in zip(pos.T, self.box.low, self.box.high):
+            if not (col.min() >= low and col.max() <= high):
+                raise PhysicsDomainError("all atoms must lie inside the box")
         if self.weights is None:
             object.__setattr__(self, "weights", np.ones(len(pos)))
         else:
@@ -194,7 +185,9 @@ def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> Timed
     dz = ensemble.positions[:, 2] - metric.z0
     check_linearization(metric.a, dz)
     raw = cis(ensemble.positions @ k0)
-    raw /= np.sqrt(np.sum(np.abs(raw) ** 2))
+    # a real product with 1 / norm: numpy's complex division by a real scalar
+    # multiplies by the same reciprocal, at some three times the cost
+    raw.view(float)[:] *= 1.0 / np.sqrt(np.sum(np.abs(raw) ** 2))
     return TimedDickeState(raw)
 
 

@@ -22,4 +22,12 @@ class QuadratureError(GravDickeError, RuntimeError):
 
 
 class OracleMismatchError(GravDickeError, RuntimeError):
-    """Independent numerical cross-check disagreed beyond tolerance."""
+    """Independent numerical cross-check disagreed beyond tolerance.
+
+    ``summary`` carries the run's summary when the gate failed after building
+    it, so that the record of what failed is still written.
+    """
+
+    def __init__(self, message: str, summary: dict | None = None) -> None:
+        super().__init__(message)
+        self.summary = summary

@@ -75,10 +75,17 @@ class WeakFieldMetric:
 
 
 def check_linearization(a: float, dz) -> None:
-    """Raise unless |a * dz| < 1 everywhere; silent extrapolation is never allowed."""
+    """Raise unless |a * dz| < 1 everywhere; silent extrapolation is never allowed.
+
+    A rounded |a * dz| grows with |dz|, so the extremes of dz decide: only
+    a * min(dz) and a * max(dz) are formed.  A NaN in dz is its min and max.
+    """
+    dz = np.asarray(dz, dtype=float)
+    if dz.size == 0:
+        return
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow or a NaN fails the test
-        inside = np.abs(a * np.asarray(dz, dtype=float)) < 1.0
-    if not np.all(inside):
+        inside = abs(a * dz.min()) < 1.0 and abs(a * dz.max()) < 1.0
+    if not inside:
         raise LinearizationError(
             f"|a * dz| >= 1 leaves the linearized-metric domain (a={a!r})"
         )

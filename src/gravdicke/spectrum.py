@@ -428,15 +428,16 @@ def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
 
 
 def _reciprocal(u: np.ndarray, g: float, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = 1 / (u + i g) = (u - i g) w, w = 1 / (u^2 + g^2), in real arithmetic into buffers.
+    """out = 1 / (u + i g) = (u - i g) / w, w = u^2 + g^2, in real arithmetic into buffers.
 
-    Real u needs neither a promotion to complex nor a complex division.
+    Real u needs neither a promotion to complex nor a complex division.  Each
+    part is one division by w, a pass and a rounding fewer than a product with
+    1 / w.  np.square rounds u^2 as u * u does, in a loop that reads one array.
     """
-    np.multiply(u, u, out=w)
+    np.square(u, out=w)
     w += g * g
-    np.reciprocal(w, out=w)
-    np.multiply(u, w, out=out.real)
-    np.multiply(w, -g, out=out.imag)
+    np.divide(u, w, out=out.real)
+    np.divide(-g, w, out=out.imag)
     return out
 
 
@@ -469,7 +470,8 @@ def monte_carlo_spectrum(
     a = params.metric.a
     pos = ensemble.positions
     zs = pos[:, 2]
-    exact = _exact_phase_points(kz, float(np.max(np.abs(zs))))
+    z_lo, z_hi = float(zs.min()), float(zs.max())
+    exact = _exact_phase_points(kz, max(-z_lo, z_hi))
 
     # D_j(kz) = x_j + i Gamma/2 with x_j = (omega - nu) + slope (Z - z_j).  Each grid
     # point divides D by a scale s >= Gamma/2 and >= |x_j| / 2 for every atom, so
@@ -478,11 +480,13 @@ def monte_carlo_spectrum(
     omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
     detuning = omega - params.nu
     slope = 0.5 * a * omega
-    height_max = max(abs(params.Z - zs.min()), abs(params.Z - zs.max()))
+    height_max = max(abs(params.Z - z_lo), abs(params.Z - z_hi))
     scale = np.maximum(np.maximum(np.abs(detuning), slope * height_max), 0.5 * params.gamma)
     detuning /= scale
     slope /= scale
     g = 0.5 * params.gamma / scale
+    # Python floats: a numpy scalar operand costs more per call than the call's work
+    kz_list, detuning, slope, g = kz.tolist(), detuning.tolist(), slope.tolist(), g.tolist()
 
     # batches outside, kz inside: one batch's arrays stay in cache while the
     # phase e^{-i kz z} is advanced by one complex multiply per grid step
@@ -493,20 +497,25 @@ def monte_carlo_spectrum(
     batch_sums = np.empty((len(starts), kz.size), dtype=complex)
     for b, start in enumerate(starts):
         rows = slice(start, start + _BATCH_ATOMS)
-        x_b, y_b, z_b = pos[rows].T
+        x_b, y_b, _ = pos[rows].T
+        z_b = zs[rows].copy()  # contiguous: every pass below reads it
         amps_b = state.amplitudes[rows] * ensemble.weights[rows]
-        lateral_b = kx * x_b + ky * y_b
+        # with -k_perp . r_j formed once per batch, the phase at an exact point takes
+        # two contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
+        neg_lateral_b = -(kx * x_b + ky * y_b)
         height_b = params.Z - z_b
         u, w, inv = u_buf[:z_b.size], w_buf[:z_b.size], inv_buf[:z_b.size]
         step_dkz = None
-        for i, kzi in enumerate(kz):
+        for i, kzi in enumerate(kz_list):
             if exact[i]:
                 # the whole phase -k . r_j in one cis
-                phased = cis(-(lateral_b + kzi * z_b))
+                theta = np.multiply(z_b, kzi)
+                np.subtract(neg_lateral_b, theta, out=theta)
+                phased = cis(theta)
                 phased *= amps_b
                 # a uniform stretch keeps its step across the periodic reseeds
-                if i + 1 < kz.size and not exact[i + 1] and kz[i + 1] - kzi != step_dkz:
-                    step_dkz = kz[i + 1] - kzi
+                if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
+                    step_dkz = kz_list[i + 1] - kzi
                     step = cis(-step_dkz * z_b)
             else:
                 phased *= step

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -178,6 +179,30 @@ class TestFlatDickeScenario:
         assert main(["--config", write_config(tmp_path, self.SMALL), "--output", str(out)]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "OracleMismatchError"
         assert (out / "structure_factor.csv").exists()
+        # the failed gate's summary is written, next to error.json
+        assert json.loads((out / "metadata.json").read_text())["summary"]["s_at_zero"] == 0.5
+        assert (out / "error.json").is_file()
+
+
+class TestNoiseOnlyChi2:
+    """(R - 1)/(R - 2), the mean squared pull of R replicas of pure noise."""
+
+    @pytest.mark.parametrize("replicas", [5, 20])
+    def test_matches_simulated_complex_gaussian_replicas(self, replicas):
+        rng = np.random.default_rng(replicas)
+        points = 40_000
+        samples = rng.normal(size=(replicas, points)) + 1j * rng.normal(size=(replicas, points))
+        mean, stderr = gravdicke.spectrum.mean_stderr(samples)  # the true mean is 0
+        chi2 = float(np.mean(np.abs(mean / stderr) ** 2))
+        expected = gravdicke.cli._noise_only_chi2_per_dof(replicas)
+        # a pull squared is F(2, 2(R - 1)): variance 3.6 at R = 5 and 1.25 at R = 20,
+        # so 5 standard errors of the mean of 40 000 are under 0.05 and 0.03
+        assert abs(chi2 - expected) < 5.0 * math.sqrt(3.6 / points)
+        assert abs(chi2 - 1.0) > 0.04  # not the large-R limit 1
+
+    def test_two_replicas_have_no_finite_expectation(self):
+        assert gravdicke.cli._noise_only_chi2_per_dof(2) is None
+        assert gravdicke.cli._noise_only_chi2_per_dof(20) == pytest.approx(19 / 18)
 
 
 class TestDeterminism:
@@ -206,9 +231,12 @@ class TestDeterminism:
             assert main(["--config", cfg, "--output", str(out)]) == 0
             outs.append(json.loads((out / "metadata.json").read_text()))
         for meta in outs:
-            meta.pop("generated_at")           # the one allowed difference
+            meta.pop("generated_at")           # the allowed differences: the timestamp
+            for stage in meta["stages"].values():
+                assert stage.pop("s") >= 0.0   # and the stage wall times
             meta["config"].pop("output_dir")   # varied by the test itself
-        assert outs[0] == outs[1]
+        assert set(outs[0]["stages"]) == {"replicas", "quadrature", "write_csv"}
+        assert outs[0] == outs[1]              # work counts included
 
     def test_metadata_records_environment_and_pulls(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
@@ -219,6 +247,42 @@ class TestDeterminism:
         assert set(env) == {"python", "numpy", "cpu_count", "threads"}
         assert env["threads"] == 2
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
+
+    def test_metadata_records_pull_report(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "pulls"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        keys = ("pull_p50", "pull_p90", "max_deviation_over_sigma", "pulls_beyond_2_sigma",
+                "pulls_beyond_3_sigma", "pull_chi2_per_dof", "pull_chi2_per_dof_noise_only")
+        for key in keys:
+            assert summary[key] is None or math.isfinite(summary[key]), key
+        assert 0.0 <= summary["pull_p50"] <= summary["pull_p90"] <= summary[
+            "max_deviation_over_sigma"]
+        assert 0 <= summary["pulls_beyond_3_sigma"] <= summary["pulls_beyond_2_sigma"] <= 21
+        for part in ("re", "im"):
+            means = summary[f"signed_pull_mean_{part}"]
+            assert len(means) == 3 and all(map(math.isfinite, means))
+        assert summary["pull_chi2_per_dof_noise_only"] == 1.5  # (4 - 1) / (4 - 2)
+
+    def test_noise_only_chi2_is_null_at_two_replicas(self, tmp_path):
+        cfg = write_config(tmp_path, dict(self.CFG, ensemble={"n_atoms": 2000, "replicas": 2}))
+        out = tmp_path / "two"
+        main(["--config", cfg, "--output", str(out)])  # the gate may fail at 2 replicas
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        assert summary["pull_chi2_per_dof_noise_only"] is None
+
+    def test_stages_record_time_and_work(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "stages"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        stages = meta["stages"]
+        assert all(0.0 <= stage["s"] < 60.0 for stage in stages.values())
+        assert stages["replicas"]["atom_kz"] == 2000 * 4 * 21
+        assert stages["quadrature"]["integrand_evals"] == meta["summary"][
+            "quadrature_integrand_evals"]
+        assert stages["write_csv"]["bytes"] == (out / "spectrum.csv").stat().st_size
 
     def test_metadata_records_quadrature_error_and_work(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
@@ -263,6 +327,28 @@ class TestExitCodes:
         assert main(["--config", cfg, "--output", str(out)]) == 4
         report = json.loads((out / "error.json").read_text())
         assert report["error"] == "OracleMismatchError"
+        self.assert_failed_gate_on_record(out, "worst_wave_slope_dev")
+
+    def test_failed_monte_carlo_gate_on_record(self, tmp_path):
+        # no Monte Carlo point lies within 1e-6 sigma of the quadrature
+        cfg = write_config(tmp_path, {
+            "scenario": "curved-spectrum",
+            "ensemble": {"n_atoms": 200, "replicas": 3},
+            "spectrum": {"grid": {"points": 5}},
+            "tolerances": {"mc_sigma": 1e-6},
+        })
+        out = tmp_path / "mc_gate"
+        assert main(["--config", cfg, "--output", str(out)]) == 4
+        assert json.loads((out / "error.json").read_text())["error"] == "OracleMismatchError"
+        self.assert_failed_gate_on_record(out, "max_deviation_over_sigma")
+
+    @staticmethod
+    def assert_failed_gate_on_record(out: Path, summary_key: str) -> None:
+        """The summary the gate failed on is written, with the stages and the config."""
+        meta = json.loads((out / "metadata.json").read_text())
+        assert math.isfinite(meta["summary"][summary_key])
+        assert meta["stages"]["write_csv"]["bytes"] > 0
+        assert (out / "resolved_config.json").is_file()
 
 
 class TestBadInputExitCodes:

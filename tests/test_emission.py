@@ -37,8 +37,31 @@ class TestTypes:
         box = Box(center=(1.0, 2.0, 3.0), size=(2.0, 2.0, 4.0))
         np.testing.assert_array_equal(box.low, [0.0, 1.0, 1.0])
         np.testing.assert_array_equal(box.high, [2.0, 3.0, 5.0])
-        assert box.contains(np.array([[1.0, 2.0, 4.9]]))[0]
-        assert not box.contains(np.array([[1.0, 2.0, 5.1]]))[0]
+        Ensemble(np.array([[1.0, 2.0, 4.9]]), box)
+        with pytest.raises(PhysicsDomainError, match="inside the box"):
+            Ensemble(np.array([[1.0, 2.0, 5.1]]), box)
+
+    def test_ensemble_containment_faces(self):
+        box = Box(center=(1.0, 2.0, 3.0), size=(2.0, 2.0, 4.0))
+        middle = (box.low + box.high) / 2.0
+        for axis in range(3):
+            for face, outward in ((box.low, -np.inf), (box.high, np.inf)):
+                on_face = middle.copy()
+                on_face[axis] = face[axis]
+                # the other atoms sit inside, so that each face is tested on its own
+                Ensemble(np.array([middle, on_face, middle]), box)
+                outside = on_face.copy()
+                outside[axis] = np.nextafter(face[axis], outward)  # one ulp out
+                with pytest.raises(PhysicsDomainError, match="inside the box"):
+                    Ensemble(np.array([middle, outside, middle]), box)
+            with_nan = middle.copy()
+            with_nan[axis] = np.nan
+            with pytest.raises(PhysicsDomainError, match="inside the box"):
+                Ensemble(np.array([middle, with_nan]), box)
+        # all eight corners at once
+        corners = np.array([[x, y, z] for x in (box.low[0], box.high[0])
+                            for y in (box.low[1], box.high[1]) for z in (box.low[2], box.high[2])])
+        assert Ensemble(corners, box).n == 8
 
     @pytest.mark.parametrize("size", [(1.0, 1.0, 0.0), (1.0, -1.0, 1.0),
                                       (1.0, 1.0, float("inf")), (float("nan"), 1.0, 1.0)])

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gravdicke.errors import LinearizationError, PhysicsDomainError
 from gravdicke.metric import (
@@ -63,6 +65,39 @@ class TestVolumeAndMeasure:
             for a, dz in ((1e300, 1e300), (0.0, float("inf")), (0.5, float("nan"))):
                 with pytest.raises(LinearizationError):
                     check_linearization(a, dz)
+
+
+def _elementwise_verdict(a, dz) -> bool:
+    """The guard as it was written before it read only min(dz) and max(dz)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(np.abs(a * np.asarray(dz, dtype=float)) < 1.0))
+
+
+EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324, 0.0, -0.0, 1.0,
+            -1.0]
+VALUES = st.one_of(st.sampled_from(EXTREMES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestGuardFromExtremes:
+    @given(a=st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 1e308, float("nan"),
+                                        float("inf")]), st.floats(min_value=0.0)),
+           dz=st.one_of(VALUES, st.lists(VALUES, max_size=12)))
+    def test_same_verdict_as_elementwise(self, a, dz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                check_linearization(a, dz)
+                passed = True
+            except LinearizationError:
+                passed = False
+        assert passed == _elementwise_verdict(a, dz)
+
+    def test_empty_passes_and_extremes_fail(self):
+        check_linearization(1e308, np.array([]))
+        check_linearization(float("nan"), [])
+        for dz in ([0.0, float("nan")], [float("-inf"), 0.0], [1e308, 1.0], [-1e308]):
+            with pytest.raises(LinearizationError):
+                check_linearization(1e-3, dz)
 
 
 def test_metric_validation():
