@@ -30,6 +30,13 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+# numpy's OpenBLAS starts a worker thread per core at import.  A run's only BLAS
+# products over atoms are two (N, 3) @ 3 matvecs, and --threads is its only
+# parallelism, so a process that starts here loads OpenBLAS single-threaded.  A
+# user's own value wins, and a process that loaded numpy first keeps its set-up.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__
@@ -376,6 +383,7 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> N
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "threads": cfg.threads,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "config": dataclasses.asdict(cfg),
         "summary": summary,

@@ -60,7 +60,9 @@ class Ensemble:
     """Identical two-level atoms at positions inside a box.
 
     ``weights`` carries the curved-volume importance weight sqrt(1 - a dz) per
-    atom (all ones in flat space).
+    atom (all ones in flat space).  The record may alias the arrays it is given:
+    float64 positions and weights are taken with np.asarray, not copied, so a
+    caller that writes to them afterwards writes to the record.
     """
 
     positions: np.ndarray
@@ -68,7 +70,7 @@ class Ensemble:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pos = np.array(self.positions, dtype=float)
+        pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
         object.__setattr__(self, "positions", pos)
@@ -79,7 +81,7 @@ class Ensemble:
         if self.weights is None:
             object.__setattr__(self, "weights", np.ones(len(pos)))
         else:
-            w = np.array(self.weights, dtype=float)
+            w = np.asarray(self.weights, dtype=float)
             if w.shape != (len(pos),):
                 raise PhysicsDomainError("weights must have one entry per atom")
             object.__setattr__(self, "weights", w)
@@ -127,12 +129,17 @@ def sample_ensemble(
 
 @dataclass(frozen=True)
 class TimedDickeState:
-    """Normalized single-excitation amplitudes over atoms."""
+    """Normalized single-excitation amplitudes over atoms.
+
+    The record may alias the array it is given: complex128 amplitudes are taken
+    with np.asarray, not copied, so a caller that writes to them afterwards
+    writes to the record.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-12:

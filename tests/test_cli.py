@@ -244,8 +244,9 @@ class TestDeterminism:
         assert main(["--config", cfg, "--output", str(out), "--threads", "2"]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         env = meta["environment"]
-        assert set(env) == {"python", "numpy", "cpu_count", "threads"}
+        assert set(env) == {"python", "numpy", "cpu_count", "threads", "openblas_num_threads"}
         assert env["threads"] == 2
+        assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
 
     def test_metadata_records_pull_report(self, tmp_path):
@@ -776,15 +777,25 @@ LAZY_CONFIGS = {
 }
 
 
+def child_env(**changes: str | None) -> dict[str, str]:
+    """This process's environment with the package's source tree first on PYTHONPATH
+    and each keyword's variable set to its value, or removed for None."""
+    src = str(Path(gravdicke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
 def run_lazy_probe(directory: Path, mode: str) -> list[list[str]]:
     directory.mkdir()
     configs = [write_config(directory, cfg, name=f"{name}.json")
                for name, cfg in LAZY_CONFIGS.items()]
-    src = str(Path(gravdicke.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, mode, *configs], cwd=directory,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -825,6 +836,36 @@ class TestLazyIntegrate:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             gravdicke.cli.no_such_name  # noqa: B018
+
+
+class TestBlasThreads:
+    """A process that starts in gravdicke.cli runs OpenBLAS on one thread unless
+    OPENBLAS_NUM_THREADS says otherwise, and no CSV byte depends on that setting."""
+
+    @pytest.mark.parametrize("name", ["curved", "dicke"])
+    def test_default_one_thread_user_value_wins_same_bytes(self, tmp_path, name):
+        cfg = write_config(tmp_path, LAZY_CONFIGS[name])
+        bodies = []
+        # unset, the run sets "1": its bytes are those of OPENBLAS_NUM_THREADS=1
+        for value, recorded in ((None, "1"), ("2", "2")):
+            out = tmp_path / f"blas_{recorded}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gravdicke.cli", "--config", cfg, "--output", str(out)],
+                env=child_env(OPENBLAS_NUM_THREADS=value), capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            meta = json.loads((out / "metadata.json").read_text())
+            assert meta["environment"]["openblas_num_threads"] == recorded
+            bodies.append([path.read_bytes() for path in sorted(out.glob("*.csv"))])
+        assert len(bodies[0]) == 1 and bodies[0] == bodies[1]
+
+    def test_numpy_loaded_first_keeps_environment(self):
+        code = "import numpy, gravdicke.cli, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=child_env(OPENBLAS_NUM_THREADS=None),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
 
 
 def load_tracer():

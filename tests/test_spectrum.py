@@ -409,7 +409,8 @@ class TestReciprocal:
         w, out = np.empty(x.size), np.empty(x.size, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = spectrum._reciprocal(x / scale, 0.5 * gamma / scale, w, out) / scale
+            g = 0.5 * gamma / scale
+            got = spectrum._reciprocal(x / scale, g * g, -g, w, out) / scale
         exact = 1.0 / (x + 0.5j * gamma)
         assert np.max(np.abs(got - exact) / np.abs(exact)) <= 4 * np.finfo(float).eps
 
