@@ -373,6 +373,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list], stages: dict) ->
         work["bytes"] = work.get("bytes", 0) + path.stat().st_size
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MB (2**20 bytes), or None without resource."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0**20 if sys.platform == "darwin" else 2.0**10)  # bytes there, KiB on Linux
+
+
 def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> None:
     meta = {
         "package_version": __version__,
@@ -384,6 +394,7 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> N
             "cpu_count": os.cpu_count(),
             "threads": cfg.threads,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "peak_rss_mb": _peak_rss_mb(),
         },
         "config": dataclasses.asdict(cfg),
         "summary": summary,
@@ -459,7 +470,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
                               f"or a dicke.probes_u entry too large")
 
     def one(seed) -> list[float]:
-        ens = sample_ensemble(n, box, seed, params.nu, params.gamma, (1.0, 0.0, 0.0))
+        ens = sample_ensemble(n, box, seed, params.nu, params.gamma)
         return [structure_factor(ens.positions, dk) for dk in probes]
 
     with _stage(stages, "structure_factor") as work:

@@ -21,6 +21,7 @@ __all__ = [
     "Box",
     "Ensemble",
     "TimedDickeState",
+    "ensemble_stream",
     "sample_ensemble",
     "cis",
     "curved_timed_dicke",
@@ -99,26 +100,37 @@ def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None) -> np.ndarray
     return np.sqrt(1.0 - metric.a * dz)
 
 
+def ensemble_stream(seed: int | tuple[int, ...]) -> np.random.Generator:
+    """The Philox stream that ensembles with this seed are drawn from.
+
+    An int seed s and the tuple (s,) give the same stream.
+    """
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def sample_ensemble(
     n: int,
     box: Box,
-    seed: int | tuple[int, ...],
+    seed: int | tuple[int, ...] | np.random.Generator,
     nu: float,
     gamma: float,
-    dipole,
     metric: WeakFieldMetric | None = None,
 ) -> Ensemble:
     """Draw N atom positions uniformly in the box with a Philox stream.
 
-    The atomic line (nu, gamma) is checked against the weak-coupling guard;
-    neither it nor the dipole is stored, since no atom sum reads them.
+    An int or tuple ``seed`` starts the stream ensemble_stream(seed); a
+    Generator is drawn from where its stream stands, and advanced.  Each atom
+    takes three consecutive doubles of the stream, so ensembles of n_1, n_2, ...
+    atoms drawn in turn from one Generator are, concatenated, bit for bit the
+    ensemble of n_1 + n_2 + ... atoms drawn at once from its seed, weights
+    included.  The atomic line (nu, gamma) is checked against the
+    weak-coupling guard and not stored, since no atom sum reads it.
     """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
     if not 0.0 < gamma < GAMMA_NU_MAX * nu:
         raise PhysicsDomainError(f"need 0 < gamma < {GAMMA_NU_MAX:g} nu (weak-coupling guard)")
-    # an int seed s and the tuple (s,) give the same stream
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = seed if isinstance(seed, np.random.Generator) else ensemble_stream(seed)
     pos = rng.random((n, 3))
     for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
         col = pos[:, k]

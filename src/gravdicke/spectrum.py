@@ -30,6 +30,7 @@ from .emission import (
     TimedDickeState,
     cis,
     curved_timed_dicke,
+    ensemble_stream,
     sample_ensemble,
 )
 from .errors import PhysicsDomainError, QuadratureError
@@ -407,9 +408,10 @@ def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
 _RESEED_EVERY = 16
 _PHASE_TOL = 1e-12
 
-# Atoms per batch of the atom sum: a batch's arrays take about 2 MB, one core's
-# L2 cache, and each numpy call on them runs long enough between GIL handoffs
-# for replicas on two threads to overlap.
+# Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
+# arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
+# on them runs long enough between GIL handoffs for replicas on two threads to
+# overlap.  A replica's allocations peak at about 4.4 MB, whatever its atom count.
 _BATCH_ATOMS = 25_000
 
 
@@ -453,9 +455,10 @@ def monte_carlo_spectrum(
 
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
-    translation of the ensemble cancels exactly.  The sum runs over contiguous
-    batches of _BATCH_ATOMS atoms, which fix its summation order.  Within a
-    batch the phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
+    translation of the ensemble cancels exactly.  The whole ensemble is summed
+    in one pass per grid point, in atom order, with working arrays of its size:
+    :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
+    The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
     _exact_phase_points), and 1/D_j is built in real arithmetic (see
     _reciprocal).  It carries no error estimate: the spread over independent
@@ -470,9 +473,9 @@ def monte_carlo_spectrum(
     kx, ky = params.k0[0], params.k0[1]
     c = params.constants.c
     a = params.metric.a
-    pos = ensemble.positions
-    zs = pos[:, 2]
-    z_lo, z_hi = float(zs.min()), float(zs.max())
+    xs, ys, zs = ensemble.positions.T
+    z = zs.copy()  # contiguous: every pass below reads it
+    z_lo, z_hi = float(z.min()), float(z.max())
     exact = _exact_phase_points(kz, max(-z_lo, z_hi))
 
     # D_j(kz) = x_j + i Gamma/2 with x_j = (omega - nu) + slope (Z - z_j).  Each grid
@@ -491,44 +494,35 @@ def monte_carlo_spectrum(
     kz_list, detuning, slope, g = kz.tolist(), detuning.tolist(), slope.tolist(), g.tolist()
     g_sq, neg_g = [x * x for x in g], [-x for x in g]
 
-    # batches outside, kz inside: one batch's arrays stay in cache while the
-    # phase e^{-i kz z} is advanced by one complex multiply per grid step
-    starts = range(0, ensemble.n, _BATCH_ATOMS)
-    size = min(ensemble.n, _BATCH_ATOMS)
-    u_buf, w_buf = np.empty(size), np.empty(size)
-    inv_buf = np.empty(size, dtype=complex)
-    batch_sums = np.empty((len(starts), kz.size), dtype=complex)
-    for b, start in enumerate(starts):
-        rows = slice(start, start + _BATCH_ATOMS)
-        x_b, y_b, _ = pos[rows].T
-        z_b = zs[rows].copy()  # contiguous: every pass below reads it
-        amps_b = state.amplitudes[rows] * ensemble.weights[rows]
-        # with -k_perp . r_j formed once per batch, the phase at an exact point takes
-        # two contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
-        neg_lateral_b = -(kx * x_b + ky * y_b)
-        height_b = params.Z - z_b
-        u, w, inv = u_buf[:z_b.size], w_buf[:z_b.size], inv_buf[:z_b.size]
-        step_dkz = None
-        for i, kzi in enumerate(kz_list):
-            if exact[i]:
-                # the whole phase -k . r_j in one cis
-                theta = np.multiply(z_b, kzi)
-                np.subtract(neg_lateral_b, theta, out=theta)
-                phased = cis(theta)
-                phased *= amps_b
-                # a uniform stretch keeps its step across the periodic reseeds
-                if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
-                    step_dkz = kz_list[i + 1] - kzi
-                    step = cis(-step_dkz * z_b)
-            else:
-                phased *= step
-            np.multiply(height_b, slope[i], out=u)
-            u += detuning[i]
-            _reciprocal(u, g_sq[i], neg_g[i], w, inv)
-            inv *= phased
-            batch_sums[b, i] = np.add.reduce(inv)  # np.sum's reduction, without its wrapper
+    amps = state.amplitudes * ensemble.weights
+    # with -k_perp . r_j formed once, the phase at an exact point takes two
+    # contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
+    neg_lateral = -(kx * xs + ky * ys)
+    height = params.Z - z
+    u, w = np.empty(z.size), np.empty(z.size)
+    inv = np.empty(z.size, dtype=complex)
+    sums = np.empty(kz.size, dtype=complex)
+    step_dkz = None
+    for i, kzi in enumerate(kz_list):
+        if exact[i]:
+            # the whole phase -k . r_j in one cis
+            theta = np.multiply(z, kzi)
+            np.subtract(neg_lateral, theta, out=theta)
+            phased = cis(theta)
+            phased *= amps
+            # a uniform stretch keeps its step across the periodic reseeds
+            if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
+                step_dkz = kz_list[i + 1] - kzi
+                step = cis(-step_dkz * z)
+        else:
+            phased *= step
+        np.multiply(height, slope[i], out=u)
+        u += detuning[i]
+        _reciprocal(u, g_sq[i], neg_g[i], w, inv)
+        inv *= phased
+        sums[i] = np.add.reduce(inv)  # np.sum's reduction, without its wrapper
 
-    return AngularSpectrum(kz, batch_sums.sum(axis=0) / scale, "montecarlo")
+    return AngularSpectrum(kz, sums / scale, "montecarlo")
 
 
 def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:
@@ -565,16 +559,33 @@ def replicated_mc_spectrum(
 ) -> AngularSpectrum:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
-    Replica r draws its atoms from the child stream (base_seed, r); ``mc_stderr``
-    is the replica-to-replica standard error of the mean amplitude.
+    Replica r draws its n_atoms atoms from the one stream
+    ensemble_stream((base_seed, r)), in consecutive batches of at most
+    _BATCH_ATOMS: the batches are the atoms one draw of n_atoms would give (see
+    :func:`gravdicke.emission.sample_ensemble`), and no more than one batch is
+    held at a time.  Each batch of m atoms gets its own timed Dicke state and
+    atom sum, weighted by sqrt(m / n_atoms) and added in batch order.  That is
+    the whole ensemble's sum: its state e^{i k0 . r_j} / sqrt(N), restricted to
+    the batch, is sqrt(m / N) times the batch's own state e^{i k0 . r_j} / sqrt(m).
+    The two differ only in rounding, since each state is normalized by its
+    computed norm, and |cis| is 1 to about 3e-16.  ``mc_stderr`` is the
+    replica-to-replica standard error of the mean amplitude.
     """
+    if n_atoms < 1:
+        raise PhysicsDomainError("need at least one atom")
     kz = np.asarray(kz_grid, dtype=float)
 
     def one(seed) -> np.ndarray:
-        ens = sample_ensemble(n_atoms, box, seed, params.nu, params.gamma,
-                              (1.0, 0.0, 0.0), metric=params.metric)
-        state = curved_timed_dicke(ens, params.k0, params.metric)
-        return monte_carlo_spectrum(ens, state, kz, params).amplitude
+        rng = ensemble_stream(seed)
+        total = np.zeros(kz.size, dtype=complex)
+        for start in range(0, n_atoms, _BATCH_ATOMS):
+            m = min(_BATCH_ATOMS, n_atoms - start)
+            # module globals, and n, ensemble and grid passed by position, so that
+            # bench/tracer.py can wrap each batch's calls and count their atoms
+            ens = sample_ensemble(m, box, rng, params.nu, params.gamma, metric=params.metric)
+            state = curved_timed_dicke(ens, params.k0, params.metric)
+            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, state, kz, params).amplitude
+        return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -66,7 +66,7 @@ def test_criterion_02_flat_directionality():
     box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
     rng = np.random.default_rng(811)
 
-    ens = sample_ensemble(n, box, 811, 1.0, 1e-2, (1.0, 0.0, 0.0))
+    ens = sample_ensemble(n, box, 811, 1.0, 1e-2)
     peak = structure_factor(ens.positions, np.zeros(3))
     ok_peak = peak == 1.0
 
@@ -88,7 +88,7 @@ def test_criterion_02_flat_directionality():
     n_rep = 200
     vals = np.empty((n_rep, len(probes)))
     for rep in range(n_rep):
-        e = sample_ensemble(n, box, (811, rep), 1.0, 1e-2, (1.0, 0.0, 0.0))
+        e = sample_ensemble(n, box, (811, rep), 1.0, 1e-2)
         for i, dk in enumerate(probes):
             vals[rep, i] = structure_factor(e.positions, dk)
     mean = vals.mean(axis=0)

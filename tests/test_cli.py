@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -231,7 +232,8 @@ class TestDeterminism:
             assert main(["--config", cfg, "--output", str(out)]) == 0
             outs.append(json.loads((out / "metadata.json").read_text()))
         for meta in outs:
-            meta.pop("generated_at")           # the allowed differences: the timestamp
+            meta.pop("generated_at")           # the allowed differences: the timestamp,
+            meta["environment"].pop("peak_rss_mb")  # this test process's peak memory so far
             for stage in meta["stages"].values():
                 assert stage.pop("s") >= 0.0   # and the stage wall times
             meta["config"].pop("output_dir")   # varied by the test itself
@@ -244,10 +246,17 @@ class TestDeterminism:
         assert main(["--config", cfg, "--output", str(out), "--threads", "2"]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         env = meta["environment"]
-        assert set(env) == {"python", "numpy", "cpu_count", "threads", "openblas_num_threads"}
+        assert set(env) == {"python", "numpy", "cpu_count", "threads", "openblas_num_threads",
+                            "peak_rss_mb"}
         assert env["threads"] == 2
         assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        # KiB on Linux; a peak only grows, so the test process's is at least as high
+        assert 0.0 < env["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
+
+    def test_peak_rss_is_null_without_resource(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import resource raises ImportError
+        assert gravdicke.cli._peak_rss_mb() is None
 
     def test_metadata_records_pull_report(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)

@@ -9,6 +9,7 @@ from gravdicke.emission import (
     Ensemble,
     cis,
     curved_timed_dicke,
+    ensemble_stream,
     sample_ensemble,
     single_atom_survival,
 )
@@ -17,7 +18,6 @@ from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 
 CST = PhysicalConstants.scaled()
 NU, GAMMA = 1.0, 1e-2
-DIPOLE = np.array([0.3, -0.1, 0.2])
 FLAT = WeakFieldMetric(a=0.0)
 
 
@@ -29,9 +29,9 @@ class TestTypes:
     def test_atom_guards(self):
         for gamma in (-1.0, 0.0, 0.5 * NU, float("nan")):  # 0.5 nu: not weakly coupled
             with pytest.raises(PhysicsDomainError):
-                sample_ensemble(10, small_box(), 1, NU, gamma, DIPOLE)
+                sample_ensemble(10, small_box(), 1, NU, gamma)
         with pytest.raises(PhysicsDomainError):
-            sample_ensemble(0, small_box(), 1, NU, GAMMA, DIPOLE)
+            sample_ensemble(0, small_box(), 1, NU, GAMMA)
 
     def test_box(self):
         box = Box(center=(1.0, 2.0, 3.0), size=(2.0, 2.0, 4.0))
@@ -75,15 +75,28 @@ class TestTypes:
             Ensemble(np.array([[100.0, 0.0, 0.0]]), small_box())
 
     def test_sampling_is_deterministic(self):
-        a = sample_ensemble(50, small_box(), 99, NU, GAMMA, DIPOLE)
-        b = sample_ensemble(50, small_box(), 99, NU, GAMMA, DIPOLE)
+        a = sample_ensemble(50, small_box(), 99, NU, GAMMA)
+        b = sample_ensemble(50, small_box(), 99, NU, GAMMA)
         np.testing.assert_array_equal(a.positions, b.positions)
-        c = sample_ensemble(50, small_box(), 100, NU, GAMMA, DIPOLE)
+        c = sample_ensemble(50, small_box(), 100, NU, GAMMA)
         assert not np.array_equal(a.positions, c.positions)
+
+    def test_generator_continues_the_seeded_stream(self):
+        # batches of 333 atoms and a ragged last one of 1, from one Generator: 999
+        # doubles per batch, so batches do not start on Philox's 4-word blocks
+        metric = WeakFieldMetric(a=1e-2, z0=0.0)
+        whole = sample_ensemble(1000, small_box(), (41, 3), NU, GAMMA, metric=metric)
+        rng = ensemble_stream((41, 3))
+        parts = [sample_ensemble(m, small_box(), rng, NU, GAMMA, metric=metric)
+                 for m in (333, 333, 333, 1)]
+        np.testing.assert_array_equal(np.concatenate([e.positions for e in parts]),
+                                      whole.positions)
+        np.testing.assert_array_equal(np.concatenate([e.weights for e in parts]), whole.weights)
+        assert not np.all(whole.weights == 1.0)
 
     def test_volume_weights(self):
         metric = WeakFieldMetric(a=1e-2, z0=0.0)
-        ens = sample_ensemble(500, small_box(), 7, NU, GAMMA, DIPOLE, metric=metric)
+        ens = sample_ensemble(500, small_box(), 7, NU, GAMMA, metric=metric)
         np.testing.assert_allclose(
             ens.weights, np.sqrt(1.0 - 1e-2 * ens.positions[:, 2]), rtol=1e-14
         )
@@ -131,7 +144,7 @@ class TestCis:
 
 class TestTimedDicke:
     def test_single_atom(self):
-        ens = sample_ensemble(1, small_box(), 3, NU, GAMMA, DIPOLE)
+        ens = sample_ensemble(1, small_box(), 3, NU, GAMMA)
         state = curved_timed_dicke(ens, [0.0, 0.0, 1.0], FLAT)
         assert abs(state.amplitudes[0]) == pytest.approx(1.0)
 
@@ -142,12 +155,12 @@ class TestTimedDicke:
         np.testing.assert_allclose(state.amplitudes, 0.5 * np.ones(4))
 
     def test_norm_large_ensemble(self):
-        ens = sample_ensemble(1000, small_box(), 11, NU, GAMMA, DIPOLE)
+        ens = sample_ensemble(1000, small_box(), 11, NU, GAMMA)
         state = curved_timed_dicke(ens, [0.0, 0.0, 1.0], FLAT)
         assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_curved_reduces_to_flat(self):
-        ens = sample_ensemble(200, small_box(), 13, NU, GAMMA, DIPOLE)
+        ens = sample_ensemble(200, small_box(), 13, NU, GAMMA)
         k0 = np.array([0.0, 0.0, 1.0])
         flat = np.exp(1j * (ens.positions @ k0)) / math.sqrt(ens.n)
         for a in (0.0, 1e-3):
@@ -155,7 +168,7 @@ class TestTimedDicke:
             np.testing.assert_allclose(curved.amplitudes, flat, atol=1e-15)
 
     def test_curved_normalization_brute_force(self):
-        ens = sample_ensemble(300, small_box(), 17, NU, GAMMA, DIPOLE)
+        ens = sample_ensemble(300, small_box(), 17, NU, GAMMA)
         k0 = np.array([0.2, 0.0, 0.98])
         k0 = k0 / np.linalg.norm(k0) * NU / CST.c
         state = curved_timed_dicke(ens, k0, WeakFieldMetric(a=1e-3))
@@ -167,7 +180,7 @@ class TestTimedDicke:
         )
 
     def test_curved_rejects_outside_linear_domain(self):
-        ens = sample_ensemble(100, small_box(), 19, NU, GAMMA, DIPOLE)
+        ens = sample_ensemble(100, small_box(), 19, NU, GAMMA)
         heights = np.abs(ens.positions[:, 2])
         with pytest.raises(LinearizationError):
             curved_timed_dicke(ens, [0.0, 0.0, 1.0], WeakFieldMetric(a=1.01 / heights.max()))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,7 +276,7 @@ class TestMonteCarlo:
 
     def test_flat_coherent_peak(self):
         p = make_params(a=1e-12)  # effectively flat but kernel-safe
-        ens = sample_ensemble(400, self.box, 21, p.nu, p.gamma, (1, 0, 0))
+        ens = sample_ensemble(400, self.box, 21, p.nu, p.gamma)
         state = curved_timed_dicke(ens, p.k0, p.metric)
         spec = monte_carlo_spectrum(ens, state, np.array([p.k0z]), p)
         # all phasors align at k = k0: |amp| = sqrt(N) / |i G / 2|
@@ -284,7 +285,7 @@ class TestMonteCarlo:
 
     def test_translation_invariance_in_xy(self):
         p = self.params
-        ens = sample_ensemble(500, self.box, 23, p.nu, p.gamma, (1, 0, 0), metric=p.metric)
+        ens = sample_ensemble(500, self.box, 23, p.nu, p.gamma, metric=p.metric)
         state = curved_timed_dicke(ens, p.k0, p.metric)
         spec = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
@@ -297,8 +298,8 @@ class TestMonteCarlo:
 
     def test_mismatch_rejected(self):
         p = self.params
-        ens = sample_ensemble(50, self.box, 25, p.nu, p.gamma, (1, 0, 0))
-        other = sample_ensemble(60, self.box, 26, p.nu, p.gamma, (1, 0, 0))
+        ens = sample_ensemble(50, self.box, 25, p.nu, p.gamma)
+        other = sample_ensemble(60, self.box, 26, p.nu, p.gamma)
         state = curved_timed_dicke(other, p.k0, p.metric)
         with pytest.raises(PhysicsDomainError):
             monte_carlo_spectrum(ens, state, self.kz, p)
@@ -357,8 +358,8 @@ def brute_force_atom_sum(ens, state, kz_grid, p):
     return np.array(amps)
 
 
-class TestPhaseRecurrence:
-    """The recurrence-based atom sum against a brute-force sum, to 1e-12 of the peak."""
+class RecurrenceCase:
+    """Set-up shared by the atom-sum tests: the spectrum tests' box, three kinds of grid."""
 
     def setup_method(self):
         self.params = make_params()
@@ -375,16 +376,19 @@ class TestPhaseRecurrence:
         steps = np.random.default_rng(5).uniform(0.05, 0.6, 30)
         return k0z + dk * (np.cumsum(steps) - 8.0)
 
+
+class TestPhaseRecurrence(RecurrenceCase):
+    """The recurrence-based atom sum against a brute-force sum, to 1e-12 of the peak."""
+
+    # monte_carlo_spectrum sums what it is given in one pass; a replica's
+    # batches are tested in TestBatchComposition
     @pytest.mark.parametrize("grid, n_atoms", [
         ("uniform", 1600), ("two-spacing", 1600), ("irregular", 1600), ("uniform", 10),
-        # one atom short of a full batch, one atom into a second and into a third batch
-        ("two-spacing", spectrum._BATCH_ATOMS - 1), ("two-spacing", spectrum._BATCH_ATOMS + 1),
-        ("uniform", 2 * spectrum._BATCH_ATOMS + 1),
     ])
     def test_matches_brute_force(self, grid, n_atoms):
         p = self.params
         kz = self.grid(grid)
-        ens = sample_ensemble(n_atoms, self.box, 61, p.nu, p.gamma, (1, 0, 0), metric=p.metric)
+        ens = sample_ensemble(n_atoms, self.box, 61, p.nu, p.gamma, metric=p.metric)
         state = curved_timed_dicke(ens, p.k0, p.metric)
         spec = monte_carlo_spectrum(ens, state, kz, p)
         amps = brute_force_atom_sum(ens, state, kz, p)
@@ -396,6 +400,67 @@ class TestPhaseRecurrence:
         kz = self.grid("uniform")
         exact = spectrum._exact_phase_points(kz, 0.5 * self.box.size[2])
         assert exact[0] and exact.sum() <= 3
+
+
+class TestBatchComposition(RecurrenceCase):
+    """A replica built batch by batch, at a small _BATCH_ATOMS, against its whole ensemble."""
+
+    B = 400  # stands in for _BATCH_ATOMS
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_BATCH_ATOMS", self.B)
+
+    @pytest.mark.parametrize("grid, n_atoms", [
+        # one atom short of a full batch, one atom into a second and into a third
+        # batch, and two and a half batches
+        ("two-spacing", B - 1), ("two-spacing", B + 1), ("uniform", 2 * B + 1),
+        ("irregular", 5 * B // 2),
+    ])
+    def test_matches_whole_ensemble_sums(self, monkeypatch, grid, n_atoms):
+        p = self.params
+        kz = self.grid(grid)
+        sizes = []
+        real_sum = spectrum.monte_carlo_spectrum
+
+        def recording_sum(ens, *args):
+            sizes.append(ens.n)
+            return real_sum(ens, *args)
+
+        monkeypatch.setattr(spectrum, "monte_carlo_spectrum", recording_sum)
+        got = replicated_mc_spectrum(p, kz, n_atoms, self.box, 3, 61)
+        full, last = divmod(n_atoms, self.B)
+        assert sizes == 3 * ([self.B] * full + [last] * (last > 0))
+        # each replica's whole ensemble, from the same seed, summed atom by atom
+        sums = []
+        for r in range(3):
+            ens = sample_ensemble(n_atoms, self.box, (61, r), p.nu, p.gamma, metric=p.metric)
+            state = curved_timed_dicke(ens, p.k0, p.metric)
+            sums.append(brute_force_atom_sum(ens, state, kz, p))
+        mean = np.mean(sums, axis=0)
+        peak = np.max(np.abs(mean))
+        assert np.max(np.abs(got.amplitude - mean)) <= 1e-12 * peak
+
+    def test_needs_an_atom(self):
+        # no batch to draw: without the check the replicas would be silent zeros
+        with pytest.raises(PhysicsDomainError, match="at least one atom"):
+            replicated_mc_spectrum(self.params, self.grid("uniform"), 0, self.box, 2, 61)
+
+    def test_replica_memory_does_not_grow_with_atoms(self):
+        # at 4 and 8 batches a replica holds one batch at a time; a replica that
+        # held its whole ensemble would peak some 50 bytes per atom higher at 8
+        p = self.params
+        kz = self.grid("two-spacing")
+        replicated_mc_spectrum(p, kz, self.B, self.box, 2, 7)  # a first call's one-off allocations
+        peaks = []
+        for n_batches in (4, 8):
+            tracemalloc.start()
+            try:
+                replicated_mc_spectrum(p, kz, n_batches * self.B, self.box, 2, 7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 8 * self.B
 
 
 class TestReciprocal:
@@ -482,7 +547,7 @@ class TestStructureFactor:
         n_rep = 200
         vals = np.empty((n_rep, len(probes)))
         for rep in range(n_rep):
-            ens = sample_ensemble(n, box, (5150, rep), 1.0, 1e-2, (1, 0, 0))
+            ens = sample_ensemble(n, box, (5150, rep), 1.0, 1e-2)
             for i, dk in enumerate(probes):
                 vals[rep, i] = structure_factor(ens.positions, dk)
         mean = vals.mean(axis=0)
@@ -506,7 +571,7 @@ class TestStructureFactor:
         n_seeds = 40
         rng = np.random.default_rng(62)
         for seed in range(n_seeds):
-            ens = sample_ensemble(n, box, (7000, seed), 1.0, 1e-2, (1, 0, 0))
+            ens = sample_ensemble(n, box, (7000, seed), 1.0, 1e-2)
             vals = []
             for _ in range(30):
                 direction = rng.normal(size=3)
