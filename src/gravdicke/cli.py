@@ -297,8 +297,12 @@ def load_config(path: str | None, overrides: dict) -> Config:
     return _parse(Config, user, "")
 
 
+def _constants(cfg: Config) -> PhysicalConstants:
+    return PhysicalConstants() if cfg.unit_regime == "si" else PhysicalConstants.scaled()
+
+
 def _spectrum_params(cfg: Config) -> SpectrumParams:
-    constants = PhysicalConstants() if cfg.unit_regime == "si" else PhysicalConstants.scaled()
+    constants = _constants(cfg)
     m, s = cfg.metric, cfg.spectrum
     a = m.a if m.g is None else surface_param_a(m.g, constants)
     params = SpectrumParams.from_angles(
@@ -470,7 +474,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
                               f"or a dicke.probes_u entry too large")
 
     def one(seed) -> list[float]:
-        ens = sample_ensemble(n, box, seed, params.nu, params.gamma)
+        ens = sample_ensemble(n, box, seed)
         return [structure_factor(ens.positions, dk) for dk in probes]
 
     with _stage(stages, "structure_factor") as work:
@@ -515,24 +519,15 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
     # the grid spans the widest kernel, the one at the starting a
     kz = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
                   "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
-    sweep = flat_delta_limit(kz, params, cfg.delta.halvings)
     rows = []
     table = []
-    for sp in sweep:
-        for k, amp in zip(sp.kz_grid, sp.amplitude):
-            rows.append(["analytic", sp.meta["a"], k, amp.real, amp.imag, abs(amp) ** 2, ""])
-        table.append({
-            "a": sp.meta["a"],
-            "peak": sp.meta["peak"],
-            "decay_scale": sp.meta["decay_scale"],
-            "area": sp.meta["area"],
-            # the area quadrature's error estimate over its tolerance (< 1), and its work
-            "area_error_ratio": sp.meta["area_error_ratio"],
-            "area_integrand_evals": sp.meta["area_integrand_evals"],
-        })
-        print(f"a={sp.meta['a']:.3e}: peak={sp.meta['peak']:.4e} "
-              f"decay_scale={sp.meta['decay_scale']:.4e} "
-              f"area={sp.meta['area']:.6e}")
+    for amps, entry in flat_delta_limit(kz, params, cfg.delta.halvings):
+        for k, amp in zip(kz, amps):
+            rows.append(["analytic", entry["a"], k, amp.real, amp.imag, abs(amp) ** 2, ""])
+        table.append(entry)
+        print(f"a={entry['a']:.3e}: peak={entry['peak']:.4e} "
+              f"decay_scale={entry['decay_scale']:.4e} "
+              f"area={entry['area']:.6e}")
     _write_csv(outdir / "delta_limit.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
     return {"sweep": table}
@@ -576,25 +571,22 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     g = cfg.spectrum.grid
     kz = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
     with _stage(stages, "replicas") as work:
-        mc = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas, cfg.seed,
-                                    threads=cfg.threads)
+        mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
+                                                     cfg.seed, threads=cfg.threads)
         work["atom_kz"] = e.n_atoms * e.replicas * kz.size
     with _stage(stages, "quadrature") as work:
-        quad = quadrature_spectrum(
+        quad, quad_error_ratio, quad_evals = quadrature_spectrum(
             kz, params, (box.low[2], box.high[2]), tol.quadrature,
             dispersion="exact", tails="none", include_volume_weight=True,
         )
-        work["integrand_evals"] = quad.meta["integrand_evals"]
-    ana = analytic_spectrum(kz, params)
+        work["integrand_evals"] = quad_evals
 
     rows = []
-    for sp in (ana, quad):
-        for k, amp in zip(sp.kz_grid, sp.amplitude):
-            rows.append([sp.method, metric.a, k, amp.real, amp.imag, abs(amp) ** 2, ""])
-    prob = mc.meta["probability_mean"]
-    for i, k in enumerate(mc.kz_grid):
-        rows.append(["montecarlo", metric.a, k, mc.amplitude[i].real, mc.amplitude[i].imag,
-                     prob[i], mc.mc_stderr[i]])
+    for method, amps in (("analytic", analytic_spectrum(kz, params)), ("quadrature", quad)):
+        for k, amp in zip(kz, amps):
+            rows.append([method, metric.a, k, amp.real, amp.imag, abs(amp) ** 2, ""])
+    for k, amp, prob_k, err in zip(kz, mc, prob, mc_stderr):
+        rows.append(["montecarlo", metric.a, k, amp.real, amp.imag, prob_k, err])
     _write_csv(outdir / "spectrum.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
 
@@ -609,11 +601,11 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
             "ensemble.box_heights"
         )
     # peak-normalized amplitude comparison, MC against the height-integral oracle
-    mc_scale = float(np.max(np.abs(mc.amplitude)))
-    q_scale = float(np.max(np.abs(quad.amplitude)))
-    signed_dev = mc.amplitude / mc_scale - quad.amplitude / q_scale
+    mc_scale = float(np.max(np.abs(mc)))
+    q_scale = float(np.max(np.abs(quad)))
+    signed_dev = mc / mc_scale - quad / q_scale
     dev = np.abs(signed_dev)
-    sigma = mc.mc_stderr / mc_scale
+    sigma = mc_stderr / mc_scale
     if not np.min(sigma) >= _MIN_RELATIVE_SIGMA:
         raise ConfigError(
             f"ensemble.box_heights={e.box_heights!r} gives a replica spread down to "
@@ -642,8 +634,8 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         "pull_chi2_per_dof_noise_only": _noise_only_chi2_per_dof(e.replicas),
         "upward_probability_fraction": up,
         # the quadrature's worst error estimate over its tolerance (<= 1), and its work
-        "quadrature_worst_error_ratio": quad.meta["worst_error_ratio"],
-        "quadrature_integrand_evals": quad.meta["integrand_evals"],
+        "quadrature_worst_error_ratio": quad_error_ratio,
+        "quadrature_integrand_evals": quad_evals,
         "n_atoms": e.n_atoms,
         "replicas": e.replicas,
     }
@@ -695,7 +687,7 @@ def __getattr__(name: str):
 
 def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
     _import_verify_modes()
-    constants = _spectrum_params(cfg).constants
+    constants = _constants(cfg)
     v = cfg.verify
     tol = cfg.tolerances
     z0 = cfg.metric.z0

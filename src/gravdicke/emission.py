@@ -17,7 +17,6 @@ from .errors import PhysicsDomainError
 from .metric import WeakFieldMetric, check_linearization
 
 __all__ = [
-    "GAMMA_NU_MAX",
     "Box",
     "Ensemble",
     "TimedDickeState",
@@ -27,10 +26,6 @@ __all__ = [
     "curved_timed_dicke",
     "single_atom_survival",
 ]
-
-# Weak-coupling guard on Gamma/nu.  The order-unity test regime runs at
-# Gamma/nu = 1e-2, so the bound sits just above it.
-GAMMA_NU_MAX = 2e-2
 
 
 @dataclass(frozen=True)
@@ -112,8 +107,6 @@ def sample_ensemble(
     n: int,
     box: Box,
     seed: int | tuple[int, ...] | np.random.Generator,
-    nu: float,
-    gamma: float,
     metric: WeakFieldMetric | None = None,
 ) -> Ensemble:
     """Draw N atom positions uniformly in the box with a Philox stream.
@@ -123,13 +116,11 @@ def sample_ensemble(
     takes three consecutive doubles of the stream, so ensembles of n_1, n_2, ...
     atoms drawn in turn from one Generator are, concatenated, bit for bit the
     ensemble of n_1 + n_2 + ... atoms drawn at once from its seed, weights
-    included.  The atomic line (nu, gamma) is checked against the
-    weak-coupling guard and not stored, since no atom sum reads it.
+    included.  With a ``metric``, the heights must pass its linearization
+    guard (see :func:`gravdicke.metric.check_linearization`).
     """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
-    if not 0.0 < gamma < GAMMA_NU_MAX * nu:
-        raise PhysicsDomainError(f"need 0 < gamma < {GAMMA_NU_MAX:g} nu (weak-coupling guard)")
     rng = seed if isinstance(seed, np.random.Generator) else ensemble_stream(seed)
     pos = rng.random((n, 3))
     for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
@@ -192,17 +183,15 @@ def cis(theta) -> np.ndarray:
     return out
 
 
-def curved_timed_dicke(ensemble: Ensemble, k0, metric: WeakFieldMetric) -> TimedDickeState:
+def curved_timed_dicke(ensemble: Ensemble, k0) -> TimedDickeState:
     """Absorption-conditioned state c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
-    The phases are the flat plane-wave phases k0 . r_j, so at a = 0 this is the
-    flat timed Dicke state exp(i k0 . r_j) / sqrt(N); the metric enters only
-    through the linearization guard on the atom heights.  The phasors come
-    from :func:`cis`.
+    The phases are the flat plane-wave phases k0 . r_j, so this is the flat
+    timed Dicke state exp(i k0 . r_j) / sqrt(N) at any a: the metric enters a
+    curved ensemble through its volume weights, whose linearization guard
+    :func:`sample_ensemble` applies.  The phasors come from :func:`cis`.
     """
     k0 = np.asarray(k0, dtype=float).reshape(3)
-    dz = ensemble.positions[:, 2] - metric.z0
-    check_linearization(metric.a, dz)
     raw = cis(ensemble.positions @ k0)
     # a real product with 1 / norm: numpy's complex division by a real scalar
     # multiplies by the same reciprocal, at some three times the cost

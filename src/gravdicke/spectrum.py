@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emission import (
-    GAMMA_NU_MAX,
     Box,
     Ensemble,
     TimedDickeState,
@@ -37,13 +36,16 @@ from .errors import PhysicsDomainError, QuadratureError
 from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
 from .quadrature import gauss_legendre, panel_count
 
+# Weak-coupling guard on Gamma/nu.  The order-unity test regime runs at
+# Gamma/nu = 1e-2, so the bound sits just above it.
+GAMMA_NU_MAX = 2e-2
+
 # no package code reads it: a plain attribute, for bench/tracer.py to rebind
 # until the benchmark counts the panel rule's evaluations
 integrate = None
 
 __all__ = [
     "SpectrumParams",
-    "AngularSpectrum",
     "g_kernel",
     "kernel_area",
     "kernel_decay_constant",
@@ -137,29 +139,6 @@ class SpectrumParams:
         return math.acos(self.cos_theta0)
 
 
-@dataclass
-class AngularSpectrum:
-    """Emitted-photon amplitude sampled on a k_z grid, with run details in ``meta``."""
-
-    kz_grid: np.ndarray
-    amplitude: np.ndarray
-    method: str
-    mc_stderr: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.kz_grid = np.asarray(self.kz_grid, dtype=float)
-        self.amplitude = np.asarray(self.amplitude, dtype=complex)
-        if self.method not in ("analytic", "quadrature", "montecarlo"):
-            raise PhysicsDomainError(f"unknown spectrum method {self.method!r}")
-        if self.kz_grid.ndim != 1 or np.any(np.diff(self.kz_grid) <= 0.0):
-            raise PhysicsDomainError("kz grid must be 1-D and strictly increasing")
-        if self.amplitude.shape != self.kz_grid.shape:
-            raise PhysicsDomainError("amplitude array must match the grid")
-        if self.mc_stderr is not None and np.asarray(self.mc_stderr).shape != self.kz_grid.shape:
-            raise PhysicsDomainError("stderr array must match the grid")
-
-
 # ---------------------------------------------------------------------------
 # closed-form kernel and spread measures
 # ---------------------------------------------------------------------------
@@ -181,15 +160,14 @@ def g_kernel(k_z, params: SpectrumParams):
     return complex(out) if out.ndim == 0 else out
 
 
-def kernel_area(params: SpectrumParams, *, tol: float = 1e-12, full_output: bool = False):
+def kernel_area(params: SpectrumParams, *, tol: float = 1e-12) -> tuple[complex, float, int]:
     """Integral of the kernel over kz <= k0z (expected: -i/Gamma, any a).
 
     The composite Gauss-Legendre rule of :mod:`gravdicke.quadrature` integrates
     :func:`g_kernel` over the 300 decay lengths a nu / Gamma below k0z, on
     panels no wider than two decay lengths.  Raises QuadratureError unless the
-    rule's error estimate is below 100 tol / Gamma.  With ``full_output`` it
-    returns (area, error estimate over 100 tol / Gamma, integrand evaluations)
-    instead of the area alone.
+    rule's error estimate is below 100 tol / Gamma.  Returns (area, error
+    estimate over 100 tol / Gamma, integrand evaluations).
     """
     a = params.metric.a
     if a <= 0.0:
@@ -204,7 +182,7 @@ def kernel_area(params: SpectrumParams, *, tol: float = 1e-12, full_output: bool
     bound = 100.0 * tol / params.gamma
     if not err < bound:  # a zero tolerance is never met; also catches NaN
         raise QuadratureError(f"kernel area quadrature error {err!r} above tolerance {bound!r}")
-    return (area, err / bound, evals) if full_output else area
+    return area, err / bound, evals
 
 
 def kernel_decay_constant(params: SpectrumParams) -> float:
@@ -262,7 +240,7 @@ def z_integral_oracle(
     dispersion: str = "resonant",
     tails: str = "rotated",
     include_volume_weight: bool = False,
-) -> complex:
+) -> tuple[complex, float, int]:
     """Numerically integrate dz e^{i (k0z - kz) z} / [(w - nu + i G/2) + (a/2) w (Z - z)].
 
     This is the height integral the emission kernel was extracted from, and it
@@ -286,24 +264,11 @@ def z_integral_oracle(
     from the path and, along the window, half an oscillation period pi/|q|;
     along the tails, which reach 40/|q| into the half-plane, no wider than 1/|q|.
 
-    The returned value omits the common modal prefactor, like the kernel it is
-    compared against.
+    Returns (value, error estimate over quadrature_tol x peak scale
+    4 pi / (a w), integrand evaluations); a ratio above 1 raises
+    QuadratureError.  The value omits the common modal prefactor, like the
+    kernel it is compared against.
     """
-    return _height_integral(k_z, params, z_range, quadrature_tol, dispersion=dispersion,
-                            tails=tails, include_volume_weight=include_volume_weight)[0]
-
-
-def _height_integral(
-    k_z: float,
-    params: SpectrumParams,
-    z_range: tuple[float, float],
-    quadrature_tol: float,
-    *,
-    dispersion: str = "resonant",
-    tails: str = "rotated",
-    include_volume_weight: bool = False,
-) -> tuple[complex, float, int]:
-    """z_integral_oracle's value, its error over quadrature_tol x peak scale, and its evaluations."""
     params.require_directional()
     z_lo, z_hi = float(z_range[0]), float(z_range[1])
     if not z_hi > z_lo:
@@ -377,24 +342,23 @@ def quadrature_spectrum(
     z_range: tuple[float, float],
     quadrature_tol: float = 1e-9,
     **oracle_kwargs,
-) -> AngularSpectrum:
-    """Height-integral oracle evaluated over a whole grid.
+) -> tuple[np.ndarray, float, int]:
+    """:func:`z_integral_oracle` over a grid.
 
-    ``meta`` records the worst error estimate over quadrature_tol x peak scale
-    (``worst_error_ratio``, at most 1) and the integrand evaluations.
+    Returns (amplitudes, worst error ratio, integrand evaluations): the largest
+    of the points' error estimates over quadrature_tol x peak scale (at most 1),
+    and the evaluations summed over the grid.
     """
-    kz = np.asarray(kz_grid, dtype=float)
-    points = [_height_integral(k, params, z_range, quadrature_tol, **oracle_kwargs) for k in kz]
-    return AngularSpectrum(kz, [value for value, _, _ in points], "quadrature", meta={
-        "worst_error_ratio": max((ratio for _, ratio, _ in points), default=0.0),
-        "integrand_evals": sum(n for _, _, n in points),
-    })
+    points = [z_integral_oracle(k, params, z_range, quadrature_tol, **oracle_kwargs)
+              for k in np.asarray(kz_grid, dtype=float)]
+    return (np.array([value for value, _, _ in points], dtype=complex),
+            max((ratio for _, ratio, _ in points), default=0.0),
+            sum(n for _, _, n in points))
 
 
-def analytic_spectrum(kz_grid, params: SpectrumParams) -> AngularSpectrum:
-    """Closed-form kernel sampled over a grid."""
-    kz = np.asarray(kz_grid, dtype=float)
-    return AngularSpectrum(kz, g_kernel(kz, params), "analytic", meta={"a": params.metric.a})
+def analytic_spectrum(kz_grid, params: SpectrumParams) -> np.ndarray:
+    """Closed-form kernel amplitudes over a grid."""
+    return g_kernel(np.asarray(kz_grid, dtype=float), params)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +414,8 @@ def monte_carlo_spectrum(
     state: TimedDickeState,
     kz_grid,
     params: SpectrumParams,
-) -> AngularSpectrum:
-    """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz).
+) -> np.ndarray:
+    """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz), over the grid.
 
     D_j is the detuning denominator with the mode frequency shifted to the
     atom's height; k keeps k0's transverse components, so a global x/y
@@ -522,7 +486,7 @@ def monte_carlo_spectrum(
         inv *= phased
         sums[i] = np.add.reduce(inv)  # np.sum's reduction, without its wrapper
 
-    return AngularSpectrum(kz, sums / scale, "montecarlo")
+    return sums / scale
 
 
 def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:
@@ -556,7 +520,7 @@ def replicated_mc_spectrum(
     base_seed: int,
     *,
     threads: int = 1,
-) -> AngularSpectrum:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
     Replica r draws its n_atoms atoms from the one stream
@@ -568,8 +532,9 @@ def replicated_mc_spectrum(
     the whole ensemble's sum: its state e^{i k0 . r_j} / sqrt(N), restricted to
     the batch, is sqrt(m / N) times the batch's own state e^{i k0 . r_j} / sqrt(m).
     The two differ only in rounding, since each state is normalized by its
-    computed norm, and |cis| is 1 to about 3e-16.  ``mc_stderr`` is the
-    replica-to-replica standard error of the mean amplitude.
+    computed norm, and |cis| is 1 to about 3e-16.  Returns (mean, stderr,
+    probability): the replicas' mean amplitude, its replica-to-replica standard
+    error, and the replicas' mean |amplitude|^2.
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
@@ -582,9 +547,9 @@ def replicated_mc_spectrum(
             m = min(_BATCH_ATOMS, n_atoms - start)
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
-            ens = sample_ensemble(m, box, rng, params.nu, params.gamma, metric=params.metric)
-            state = curved_timed_dicke(ens, params.k0, params.metric)
-            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, state, kz, params).amplitude
+            ens = sample_ensemble(m, box, rng, metric=params.metric)
+            state = curved_timed_dicke(ens, params.k0)
+            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, state, kz, params)
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
@@ -596,8 +561,7 @@ def replicated_mc_spectrum(
             "Monte Carlo amplitudes, of order sqrt(n_atoms) / gamma, are too large to square "
             f"in floating point (gamma={params.gamma!r})"
         )
-    return AngularSpectrum(kz, mean_amp, "montecarlo", mc_stderr=amp_stderr,
-                           meta={"probability_mean": probability})
+    return mean_amp, amp_stderr, probability
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +605,8 @@ def structure_factor_expectation(n: int, box_size, delta_k) -> float:
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
-def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[AngularSpectrum]:
+def flat_delta_limit(kz_grid, params: SpectrumParams,
+                     halvings: int) -> list[tuple[np.ndarray, dict]]:
     """Kernel sampled at a * 0.5**i for i < halvings, starting from a = params.metric.a.
 
     Demonstrates the flat limit: the measured decay scale halves with a, the
@@ -650,9 +615,9 @@ def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[Ang
     scale is a log-linear fit over the samples below k0z where |kernel| is a
     normal float: past that it underflows to subnormals, whose few significant
     bits skew the fit, and then to zero.  An a with fewer than two such samples
-    is rejected.  Each spectrum's ``meta`` records a, the peak, the decay
-    scale, and the kernel area with its error ratio and integrand evaluations
-    (see :func:`kernel_area`).
+    is rejected.  Returns one (amplitudes, entry) pair per a.  The entry holds
+    a, the peak, the decay scale, and the kernel area with its error ratio and
+    integrand evaluations (see :func:`kernel_area`).
     """
     base = params.metric.a
     if base <= 0.0 or halvings < 1:
@@ -666,8 +631,8 @@ def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[Ang
             WeakFieldMetric(a=a, z0=params.metric.z0),
             params.Z, params.constants,
         )
-        spec = analytic_spectrum(kz, p)
-        mag = np.abs(spec.amplitude)
+        amps = analytic_spectrum(kz, p)
+        mag = np.abs(amps)
         mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)
         if np.count_nonzero(mask) < 2:
             raise PhysicsDomainError(
@@ -678,14 +643,14 @@ def flat_delta_limit(kz_grid, params: SpectrumParams, halvings: int) -> list[Ang
         depth = params.k0z - kz[mask]
         reach = float(np.max(depth))
         slope = np.polyfit(depth / reach, np.log(mag[mask]), 1)[0]  # = -reach Gamma/(a nu)
-        area, area_error_ratio, area_evals = kernel_area(p, full_output=True)
-        spec.meta.update(
-            a=a,
-            area=area,
-            area_error_ratio=area_error_ratio,
-            area_integrand_evals=area_evals,
-            peak=float(np.max(mag)),
-            decay_scale=float(-reach / slope),
-        )
-        out.append(spec)
+        area, area_error_ratio, area_evals = kernel_area(p)
+        out.append((amps, {
+            "a": a,
+            "peak": float(np.max(mag)),
+            "decay_scale": float(-reach / slope),
+            "area": area,
+            # the area quadrature's error estimate over its tolerance (< 1), and its work
+            "area_error_ratio": area_error_ratio,
+            "area_integrand_evals": area_evals,
+        }))
     return out

@@ -700,6 +700,16 @@ class TestVerifyModesScenario:
         for col in ("kx", "s", "a", "gauss_re", "disc_estimate", "wave_slope", "gauss_slope"):
             assert col in header
 
+    @pytest.mark.parametrize("sections", [
+        {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
+        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
+    ], ids=["strong-coupling", "tall-reference-height"])
+    def test_unread_sections_are_not_checked(self, tmp_path, sections):
+        # verify-modes reads unit_regime, metric.z0, verify and tolerances, nothing else
+        cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1},
+                                      **sections})
+        assert main(["--config", cfg, "--output", str(tmp_path / "vm")]) == 0
+
 
 class TestDeltaLimitScenario:
     def test_peak_doubles_and_area_fixed(self, tmp_path):
@@ -904,6 +914,32 @@ class TestTracerContract:
             assert callable(getattr(module, attr)), f"{mod_name}.{attr}"
         for mod_name in tracer.QUAD_USERS:
             assert hasattr(importlib.import_module(f"gravdicke.{mod_name}"), "integrate"), mod_name
+
+    def test_traced_runs_count_calls_and_work(self, tmp_path):
+        # the tracer's work functions read the wrapped calls' positional arguments,
+        # so a changed signature fails here rather than only in a traced benchmark run
+        tracer = load_tracer()
+        recorder = tracer.Tracer()
+        configs = {
+            "curved": {"scenario": "curved-spectrum", "ensemble": {"n_atoms": 2000, "replicas": 4},
+                       "spectrum": {"grid": {"lo": -5.0, "hi": 2.0, "points": 21}}},
+            "delta": {"scenario": "delta-limit", "delta": {"halvings": 2, "grid_points": 21}},
+        }
+        recorder.install(gravdicke)
+        try:
+            for name, payload in configs.items():
+                cfg = write_config(tmp_path, payload, f"{name}.json")
+                assert main(["--config", cfg, "--output", str(tmp_path / name)]) == 0, name
+        finally:
+            recorder.uninstall()
+        calls, work = {}, {}
+        for span in recorder.spans:
+            calls[span.name] = calls.get(span.name, 0) + 1
+            work[span.name] = work.get(span.name, 0.0) + span.work
+        for name in ("spectrum.monte_carlo_spectrum", "emission.sample_ensemble",
+                     "emission.curved_timed_dicke", "spectrum.quadrature_spectrum"):
+            assert calls.get(name, 0) > 0 and work[name] > 0, name
+        assert calls.get("spectrum.kernel_area", 0) > 0
 
     def test_install_and_uninstall(self):
         tracer = load_tracer()

@@ -15,7 +15,6 @@ from gravdicke.errors import PhysicsDomainError, QuadratureError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 from gravdicke.quadrature import MAX_PANELS, gauss_legendre, panel_count
 from gravdicke.spectrum import (
-    AngularSpectrum,
     SpectrumParams,
     flat_delta_limit,
     frequency_spread,
@@ -50,6 +49,10 @@ class TestParams:
     def test_resonance_enforced(self):
         with pytest.raises(PhysicsDomainError):
             SpectrumParams(np.array([0.0, 0.0, 2.0]), 1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, CST)
+        # and the weak-coupling guard on the line: 0.5 nu is not weakly coupled
+        for gamma in (-1.0, 0.0, 0.5, float("nan")):
+            with pytest.raises(PhysicsDomainError):
+                make_params(nu=1.0, gamma=gamma)
 
     def test_from_angles_geometry(self):
         p = make_params(theta0=math.pi / 3)
@@ -93,17 +96,16 @@ class TestKernel:
     @pytest.mark.parametrize("a", [1e-4, 1e-3, 1e-2])
     def test_area_invariance(self, a):
         p = make_params(a=a)
-        area = kernel_area(p, tol=1e-12)
+        area, _, _ = kernel_area(p, tol=1e-12)
         assert abs(area - (-1j / p.gamma)) <= 1e-10 * abs(1.0 / p.gamma)
 
     @pytest.mark.parametrize("a", [1e-4, 1e-3, 1e-2])
     def test_area_matches_quadpack(self, a):
         p = make_params(a=a)
-        assert abs(kernel_area(p) - oracles.quadpack_kernel_area(p)) <= 1e-12 / p.gamma
+        assert abs(kernel_area(p)[0] - oracles.quadpack_kernel_area(p)) <= 1e-12 / p.gamma
 
     def test_area_records_error_and_work(self):
-        area, ratio, evals = kernel_area(make_params(), full_output=True)
-        assert area == kernel_area(make_params())
+        _, ratio, evals = kernel_area(make_params())
         assert 0.0 <= ratio < 1.0
         assert evals == 3 * 150 * 20  # 150 panels of two decay lengths, then 300
 
@@ -146,7 +148,7 @@ class TestHeightIntegralOracle:
         zr = (-50.0 * ell, 50.0 * ell)
         q_folds = np.arange(0.1, 7.0, 0.34)
         kz = p.k0z - q_folds * kernel_decay_constant(p)
-        oracle = np.abs([z_integral_oracle(k, p, zr) for k in kz])
+        oracle = np.abs([z_integral_oracle(k, p, zr)[0] for k in kz])
         kernel = np.abs(g_kernel(kz, p))
         ratio = (oracle / oracle.max()) / (kernel / kernel.max())
         np.testing.assert_allclose(ratio, 1.0, rtol=1e-6)
@@ -156,8 +158,8 @@ class TestHeightIntegralOracle:
         ell = decay_length(p)
         zr = (-50.0 * ell, 50.0 * ell)
         width = kernel_decay_constant(p)
-        peak = abs(z_integral_oracle(p.k0z - 0.1 * width, p, zr))
-        off = abs(z_integral_oracle(p.k0z + 5.0 * width, p, zr))
+        peak = abs(z_integral_oracle(p.k0z - 0.1 * width, p, zr)[0])
+        off = abs(z_integral_oracle(p.k0z + 5.0 * width, p, zr)[0])
         assert off <= 1e-2 * peak
 
     def test_window_doubling_invariance(self):
@@ -165,8 +167,8 @@ class TestHeightIntegralOracle:
         p = make_params()
         ell = decay_length(p)
         kz = p.k0z - 2.0 * p.metric.a * p.nu / p.gamma
-        v1 = z_integral_oracle(kz, p, (-30.0 * ell, 30.0 * ell))
-        v2 = z_integral_oracle(kz, p, (-60.0 * ell, 60.0 * ell))
+        v1, _, _ = z_integral_oracle(kz, p, (-30.0 * ell, 30.0 * ell))
+        v2, _, _ = z_integral_oracle(kz, p, (-60.0 * ell, 60.0 * ell))
         assert v1 == pytest.approx(v2, rel=1e-8)
 
     def test_small_gradient_fixed_window_gives_window_sinc(self):
@@ -175,7 +177,8 @@ class TestHeightIntegralOracle:
         p = make_params(a=1e-9)
         w = 20.0
         q = 0.21
-        val = z_integral_oracle(p.k0z - q, p, (-w, w), tails="none", dispersion="resonant")
+        val, _, _ = z_integral_oracle(p.k0z - q, p, (-w, w), tails="none",
+                                      dispersion="resonant")
         d0 = 0.5j * p.gamma
         expected = 2.0 * math.sin(q * w) / (q * d0)
         assert val == pytest.approx(expected, rel=1e-4)
@@ -222,7 +225,7 @@ class TestPanelRule:
     @pytest.mark.parametrize("case", list(_quadpack_cases()))
     def test_matches_quadpack(self, case):
         params, kz, z_range, kw = _quadpack_cases()[case]
-        panels = quadrature_spectrum(kz, params, z_range, 1e-9, **kw).amplitude
+        panels, _, _ = quadrature_spectrum(kz, params, z_range, 1e-9, **kw)
         quadpack = np.array([oracles.quadpack_height_integral(params, k, z_range, **kw)
                              for k in kz])
         peak = np.max(np.abs(quadpack))
@@ -250,20 +253,11 @@ class TestPanelRule:
         p = make_params()
         ell = decay_length(p)
         kz = p.k0z + kernel_decay_constant(p) * np.array([-2.0, 0.0, 1.0])
-        spec = quadrature_spectrum(kz, p, (-40.0 * ell, 40.0 * ell), dispersion="exact",
-                                   tails="none", include_volume_weight=True)
-        assert 0.0 < spec.meta["worst_error_ratio"] <= 1.0
-        assert spec.meta["integrand_evals"] > 0 and spec.meta["integrand_evals"] % 60 == 0
-
-
-class TestAngularSpectrum:
-    def test_grid_must_increase(self):
-        with pytest.raises(PhysicsDomainError):
-            AngularSpectrum(np.array([1.0, 0.5]), np.zeros(2, complex), "analytic")
-
-    def test_method_validated(self):
-        with pytest.raises(PhysicsDomainError):
-            AngularSpectrum(np.array([0.0, 1.0]), np.zeros(2, complex), "guess")
+        _, ratio, evals = quadrature_spectrum(kz, p, (-40.0 * ell, 40.0 * ell),
+                                              dispersion="exact", tails="none",
+                                              include_volume_weight=True)
+        assert 0.0 < ratio <= 1.0
+        assert evals > 0 and evals % 60 == 0
 
 
 class TestMonteCarlo:
@@ -276,48 +270,47 @@ class TestMonteCarlo:
 
     def test_flat_coherent_peak(self):
         p = make_params(a=1e-12)  # effectively flat but kernel-safe
-        ens = sample_ensemble(400, self.box, 21, p.nu, p.gamma)
-        state = curved_timed_dicke(ens, p.k0, p.metric)
-        spec = monte_carlo_spectrum(ens, state, np.array([p.k0z]), p)
+        ens = sample_ensemble(400, self.box, 21)
+        state = curved_timed_dicke(ens, p.k0)
+        amps = monte_carlo_spectrum(ens, state, np.array([p.k0z]), p)
         # all phasors align at k = k0: |amp| = sqrt(N) / |i G / 2|
         expected = math.sqrt(ens.n) / (0.5 * p.gamma)
-        assert abs(spec.amplitude[0]) == pytest.approx(expected, rel=1e-9)
+        assert abs(amps[0]) == pytest.approx(expected, rel=1e-9)
 
     def test_translation_invariance_in_xy(self):
         p = self.params
-        ens = sample_ensemble(500, self.box, 23, p.nu, p.gamma, metric=p.metric)
-        state = curved_timed_dicke(ens, p.k0, p.metric)
-        spec = monte_carlo_spectrum(ens, state, self.kz, p)
+        ens = sample_ensemble(500, self.box, 23, metric=p.metric)
+        state = curved_timed_dicke(ens, p.k0)
+        amps = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
         big = Box(center=(0.0, 0.0, 0.0), size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
         ens2 = type(ens)(shifted_pos, big, ens.weights)
-        state2 = curved_timed_dicke(ens2, p.k0, p.metric)
-        spec2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
-        np.testing.assert_allclose(np.abs(spec2.amplitude) ** 2, np.abs(spec.amplitude) ** 2,
-                                   rtol=1e-12)
+        state2 = curved_timed_dicke(ens2, p.k0)
+        amps2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
+        np.testing.assert_allclose(np.abs(amps2) ** 2, np.abs(amps) ** 2, rtol=1e-12)
 
     def test_mismatch_rejected(self):
         p = self.params
-        ens = sample_ensemble(50, self.box, 25, p.nu, p.gamma)
-        other = sample_ensemble(60, self.box, 26, p.nu, p.gamma)
-        state = curved_timed_dicke(other, p.k0, p.metric)
+        ens = sample_ensemble(50, self.box, 25)
+        other = sample_ensemble(60, self.box, 26)
+        state = curved_timed_dicke(other, p.k0)
         with pytest.raises(PhysicsDomainError):
             monte_carlo_spectrum(ens, state, self.kz, p)
-        state_ok = curved_timed_dicke(ens, p.k0, p.metric)
+        state_ok = curved_timed_dicke(ens, p.k0)
         with pytest.raises(PhysicsDomainError):
             monte_carlo_spectrum(ens, state_ok, np.array([]), p)
 
     def test_replicated_matches_quadrature_pointwise(self):
         p = self.params
-        mc = replicated_mc_spectrum(p, self.kz, n_atoms=10000, box=self.box,
-                                    n_replicas=8, base_seed=31)
-        quad = quadrature_spectrum(
+        mc, mc_stderr, _ = replicated_mc_spectrum(p, self.kz, n_atoms=10000, box=self.box,
+                                                  n_replicas=8, base_seed=31)
+        quad, _, _ = quadrature_spectrum(
             self.kz, p, (self.box.low[2], self.box.high[2]),
             dispersion="exact", tails="none", include_volume_weight=True,
         )
-        mc_n = mc.amplitude / np.max(np.abs(mc.amplitude))
-        qd_n = quad.amplitude / np.max(np.abs(quad.amplitude))
-        sig = np.maximum(mc.mc_stderr / np.max(np.abs(mc.amplitude)), 1e-300)
+        mc_n = mc / np.max(np.abs(mc))
+        qd_n = quad / np.max(np.abs(quad))
+        sig = np.maximum(mc_stderr / np.max(np.abs(mc)), 1e-300)
         frac = np.mean(np.abs(mc_n - qd_n) <= 3.0 * sig)
         assert frac >= 0.9
 
@@ -325,8 +318,8 @@ class TestMonteCarlo:
         p = self.params
         serial = replicated_mc_spectrum(p, self.kz, 2000, self.box, 4, 77, threads=1)
         threaded = replicated_mc_spectrum(p, self.kz, 2000, self.box, 4, 77, threads=3)
-        np.testing.assert_array_equal(serial.amplitude, threaded.amplitude)
-        np.testing.assert_array_equal(serial.mc_stderr, threaded.mc_stderr)
+        for got, want in zip(threaded, serial):  # mean, stderr and probability
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMeanStderr:
@@ -388,12 +381,12 @@ class TestPhaseRecurrence(RecurrenceCase):
     def test_matches_brute_force(self, grid, n_atoms):
         p = self.params
         kz = self.grid(grid)
-        ens = sample_ensemble(n_atoms, self.box, 61, p.nu, p.gamma, metric=p.metric)
-        state = curved_timed_dicke(ens, p.k0, p.metric)
-        spec = monte_carlo_spectrum(ens, state, kz, p)
+        ens = sample_ensemble(n_atoms, self.box, 61, metric=p.metric)
+        state = curved_timed_dicke(ens, p.k0)
+        got = monte_carlo_spectrum(ens, state, kz, p)
         amps = brute_force_atom_sum(ens, state, kz, p)
         peak = np.max(np.abs(amps))
-        assert np.max(np.abs(spec.amplitude - amps)) <= 1e-12 * peak
+        assert np.max(np.abs(got - amps)) <= 1e-12 * peak
 
     def test_uniform_grid_takes_few_exact_phases(self):
         # guards the test above against passing only because every point reseeds
@@ -428,18 +421,18 @@ class TestBatchComposition(RecurrenceCase):
             return real_sum(ens, *args)
 
         monkeypatch.setattr(spectrum, "monte_carlo_spectrum", recording_sum)
-        got = replicated_mc_spectrum(p, kz, n_atoms, self.box, 3, 61)
+        got, _, _ = replicated_mc_spectrum(p, kz, n_atoms, self.box, 3, 61)
         full, last = divmod(n_atoms, self.B)
         assert sizes == 3 * ([self.B] * full + [last] * (last > 0))
         # each replica's whole ensemble, from the same seed, summed atom by atom
         sums = []
         for r in range(3):
-            ens = sample_ensemble(n_atoms, self.box, (61, r), p.nu, p.gamma, metric=p.metric)
-            state = curved_timed_dicke(ens, p.k0, p.metric)
+            ens = sample_ensemble(n_atoms, self.box, (61, r), metric=p.metric)
+            state = curved_timed_dicke(ens, p.k0)
             sums.append(brute_force_atom_sum(ens, state, kz, p))
         mean = np.mean(sums, axis=0)
         peak = np.max(np.abs(mean))
-        assert np.max(np.abs(got.amplitude - mean)) <= 1e-12 * peak
+        assert np.max(np.abs(got - mean)) <= 1e-12 * peak
 
     def test_needs_an_atom(self):
         # no batch to draw: without the check the replicas would be silent zeros
@@ -547,7 +540,7 @@ class TestStructureFactor:
         n_rep = 200
         vals = np.empty((n_rep, len(probes)))
         for rep in range(n_rep):
-            ens = sample_ensemble(n, box, (5150, rep), 1.0, 1e-2)
+            ens = sample_ensemble(n, box, (5150, rep))
             for i, dk in enumerate(probes):
                 vals[rep, i] = structure_factor(ens.positions, dk)
         mean = vals.mean(axis=0)
@@ -571,7 +564,7 @@ class TestStructureFactor:
         n_seeds = 40
         rng = np.random.default_rng(62)
         for seed in range(n_seeds):
-            ens = sample_ensemble(n, box, (7000, seed), 1.0, 1e-2)
+            ens = sample_ensemble(n, box, (7000, seed))
             vals = []
             for _ in range(30):
                 direction = rng.normal(size=3)
@@ -591,12 +584,12 @@ class TestDeltaLimit:
         width = kernel_decay_constant(p)
         kz = p.k0z + np.concatenate([np.linspace(-8 * width, 0, 120, endpoint=False),
                                      [0.0], np.linspace(0, width, 10)[1:]])
-        specs = flat_delta_limit(kz, p, 4)
-        assert [s.meta["a"] for s in specs] == [2e-3, 1e-3, 5e-4, 2.5e-4]
-        widths = [s.meta["decay_scale"] for s in specs]
-        peaks = [s.meta["peak"] for s in specs]
-        areas = [s.meta["area"] for s in specs]
-        for i in range(1, len(specs)):
+        entries = [entry for _, entry in flat_delta_limit(kz, p, 4)]
+        assert [e["a"] for e in entries] == [2e-3, 1e-3, 5e-4, 2.5e-4]
+        widths = [e["decay_scale"] for e in entries]
+        peaks = [e["peak"] for e in entries]
+        areas = [e["area"] for e in entries]
+        for i in range(1, len(entries)):
             assert widths[i - 1] / widths[i] == pytest.approx(2.0, rel=1e-9)
             assert peaks[i] / peaks[i - 1] == pytest.approx(2.0, rel=1e-9)
             assert areas[i] == pytest.approx(areas[0], rel=1e-9)
