@@ -73,6 +73,8 @@ SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-
 MAX_ATOMS = 10**7  # per ensemble; the positions alone take 24 bytes per atom
 # replicas, grid points, off-peak probes and modes: every count of work a run loops over
 MAX_COUNT = 10**5
+# each replica worker is an OS thread with its own stack and malloc arena; far past any core count
+MAX_THREADS = 256
 
 
 def _require_positive(section, prefix: str, names: tuple[str, ...], high: float = math.inf) -> None:
@@ -165,7 +167,7 @@ class DeltaConfig:
 
 # far past any point where central differences resolve a mode, yet c |k| t cannot overflow
 MAX_POINT = 1e100
-# the finite-difference step over the wavelength scale 1/|k|: at 1e-7 the halved
+# the finite-difference step over the wavelength scale 1/|k|: at 1e-7 the h/2
 # stencil's rounding floor, eps x its weight sum (16/3) over (rel_step / 2)^2, is half
 # the whole second derivative |k|^2 |f|, and the O(a^2) residual the gate needs far less
 MIN_REL_STEP = 1e-7
@@ -250,8 +252,9 @@ class Config:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.unit_regime not in ("si", "scaled"):
             raise ConfigError("unit_regime must be 'si' or 'scaled'")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be an integer >= 1, got {self.threads!r}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"threads must be an integer in [1, {MAX_THREADS}], "
+                              f"got {self.threads!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -442,10 +445,14 @@ def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
 
 
 def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
-    params = _spectrum_params(cfg)
+    # of the metric and spectrum sections only nu is read: it sets the box's wavelength
+    nu = cfg.spectrum.nu
+    knorm = nu / _constants(cfg).c
+    if not 0.0 < knorm < math.inf:  # also rejects NaN, and an SI nu / c that underflows to 0
+        raise PhysicsDomainError(f"spectrum.nu must be finite and > 0, with nu / c > 0, "
+                                 f"got {nu!r}")
     d = cfg.dicke
     n = d.n_atoms
-    knorm = params.nu / params.constants.c
     wavelength = 2.0 * math.pi / knorm
     side = d.box_wavelengths * wavelength
     if not math.isfinite(side):

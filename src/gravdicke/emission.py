@@ -19,7 +19,6 @@ from .metric import WeakFieldMetric, check_linearization
 __all__ = [
     "Box",
     "Ensemble",
-    "TimedDickeState",
     "ensemble_stream",
     "sample_ensemble",
     "cis",
@@ -130,29 +129,6 @@ def sample_ensemble(
     return Ensemble(pos, box, _volume_weights(pos[:, 2], metric))
 
 
-@dataclass(frozen=True)
-class TimedDickeState:
-    """Normalized single-excitation amplitudes over atoms.
-
-    The record may alias the array it is given: complex128 amplitudes are taken
-    with np.asarray, not copied, so a caller that writes to them afterwards
-    writes to the record.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise PhysicsDomainError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
-
-    @property
-    def n(self) -> int:
-        return len(self.amplitudes)
-
-
 def cis(theta) -> np.ndarray:
     """exp(i theta) for real theta, in an array of theta's shape, from t = tan(theta / 2).
 
@@ -183,20 +159,22 @@ def cis(theta) -> np.ndarray:
     return out
 
 
-def curved_timed_dicke(ensemble: Ensemble, k0) -> TimedDickeState:
-    """Absorption-conditioned state c_j ~ exp(i k0 . r_j), renormalized to unit norm.
+def curved_timed_dicke(ensemble: Ensemble, k0) -> np.ndarray:
+    """Absorption-conditioned amplitudes c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
-    The phases are the flat plane-wave phases k0 . r_j, so this is the flat
-    timed Dicke state exp(i k0 . r_j) / sqrt(N) at any a: the metric enters a
-    curved ensemble through its volume weights, whose linearization guard
-    :func:`sample_ensemble` applies.  The phasors come from :func:`cis`.
+    Returns the state itself: a fresh complex array with one amplitude per atom,
+    in the ensemble's atom order.  The phases are the flat plane-wave phases
+    k0 . r_j, so this is the flat timed Dicke state exp(i k0 . r_j) / sqrt(N) at
+    any a: the metric enters a curved ensemble through its volume weights, whose
+    linearization guard :func:`sample_ensemble` applies.  The phasors come from
+    :func:`cis`.
     """
     k0 = np.asarray(k0, dtype=float).reshape(3)
     raw = cis(ensemble.positions @ k0)
     # a real product with 1 / norm: numpy's complex division by a real scalar
     # multiplies by the same reciprocal, at some three times the cost
     raw.view(float)[:] *= 1.0 / np.sqrt(np.sum(np.abs(raw) ** 2))
-    return TimedDickeState(raw)
+    return raw
 
 
 def single_atom_survival(t, gamma: float):

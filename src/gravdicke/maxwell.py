@@ -34,7 +34,6 @@ from .modes import (
 )
 
 __all__ = [
-    "StencilSpec",
     "ResidualReport",
     "TransversalityReport",
     "ScalingStudy",
@@ -43,31 +42,6 @@ __all__ = [
     "residual_slope_study",
     "fit_loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class StencilSpec:
-    """Central-difference steps (h_t in time, h on each spatial axis) and order (2 or 4)."""
-
-    h_t: float
-    h: float
-    order: int = 4
-
-    def __post_init__(self) -> None:
-        if self.order not in (2, 4):
-            raise PhysicsDomainError("stencil order must be 2 or 4")
-        for name in ("h_t", "h"):
-            if not getattr(self, name) > 0.0:
-                raise PhysicsDomainError(f"stencil step {name} must be positive")
-
-    @classmethod
-    def for_mode(cls, mode: PerturbedMode, rel: float = 0.01, order: int = 4) -> "StencilSpec":
-        """Steps at a fixed fraction of the mode's wavelength scale 1/|k|."""
-        scale = rel / mode.index.knorm
-        return cls(h_t=scale / mode.constants.c, h=scale, order=order)
-
-    def halved(self) -> "StencilSpec":
-        return StencilSpec(self.h_t / 2, self.h / 2, self.order)
 
 
 @dataclass(frozen=True)
@@ -104,10 +78,9 @@ _D1_ABS_SUM = {order: sum(map(abs, w)) for order, w in _D1_WEIGHTS.items()}
 _D2_ABS_SUM = {order: sum(map(abs, w)) + abs(_D2_CENTER[order]) for order, w in _D2_WEIGHTS.items()}
 
 
-def _derivatives(field: Callable, t: float, r: np.ndarray, stencil: StencilSpec):
+def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple, order: int):
     """First and second derivatives of the vector field along t, x, y, z, and its value."""
-    offs = _OFFSETS[stencil.order]
-    steps = (stencil.h_t, stencil.h, stencil.h, stencil.h)
+    offs = _OFFSETS[order]
 
     ts = [t]
     rs = [r]
@@ -126,23 +99,24 @@ def _derivatives(field: Callable, t: float, r: np.ndarray, stencil: StencilSpec)
     center = values[0]
     d1 = np.empty((4, 3), dtype=complex)
     d2 = np.empty((4, 3), dtype=complex)
-    w1 = _D1_WEIGHTS[stencil.order]
-    w2 = _D2_WEIGHTS[stencil.order]
+    w1 = _D1_WEIGHTS[order]
+    w2 = _D2_WEIGHTS[order]
     block = len(offs)
     for axis in range(4):
         vals = values[1 + axis * block : 1 + (axis + 1) * block]
         h = steps[axis]
         d1[axis] = sum(w * v for w, v in zip(w1, vals)) / h
-        d2[axis] = (sum(w * v for w, v in zip(w2, vals)) + _D2_CENTER[stencil.order] * center) / h**2
+        d2[axis] = (sum(w * v for w, v in zip(w2, vals)) + _D2_CENTER[order] * center) / h**2
     return d1, d2, center
 
 
 def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray,
-                   stencil: StencilSpec):
+                   h: float, order: int):
     a = mode.metric.a
     dz = r[2] - mode.metric.z0
     c = mode.constants.c
-    d1, d2, center = _derivatives(field, t, r, stencil)
+    # time step h / c: the same fraction of a period as h is of a wavelength
+    d1, d2, center = _derivatives(field, t, r, (h / c, h, h, h), order)
     dtt, dxx, dyy, dzz = d2
     dx1, dy1, dz1 = d1[1], d1[2], d1[3]
 
@@ -161,33 +135,40 @@ def wave_residual(
     mode: PerturbedMode,
     t: float,
     r,
-    stencil: StencilSpec | None = None,
     *,
+    rel_step: float = 0.01,
+    order: int = 4,
     field: Callable | None = None,
 ) -> ResidualReport:
     """Residual of the three linearized wave equations at one point.
 
-    Evaluates the field (by default the first-order form with the Gauss-law
-    constant) on two stencils (h and h/2) and Richardson-extrapolates, so the
-    returned residual is the physics residual and ``discretization_estimate``
-    bounds what finite differencing left behind.  A report is flagged
-    inconclusive, never silently passed, when that estimate exceeds the wave
-    residual, or when a rounding floor exceeds the wave or Gauss residual: the
-    phase's rounding error magnified by one central difference at step h,
-    eps (1 + |phase|) |f| sum|w| / h^n.  Far from the origin that floor swamps
-    the differences.  A residual of exactly zero is inconclusive too: it means
-    the field underflowed, as at a huge mode volume.
+    Central differences of ``order`` 2 or 4 take the spatial step
+    h = rel_step / |k|, a fixed fraction of the mode's wavelength scale, and
+    the time step h / c.  The field (by default the first-order form with the
+    Gauss-law constant; ``field`` substitutes another) is differenced at h and
+    at h/2 and Richardson-extrapolated, so the returned residual is the physics
+    residual and ``discretization_estimate`` bounds what finite differencing
+    left behind.  A report is flagged inconclusive, never silently passed, when
+    that estimate exceeds the wave residual, or when a rounding floor exceeds
+    the wave or Gauss residual: the phase's rounding error magnified by one
+    central difference at step h, eps (1 + |phase|) |f| sum|w| / h^n.  Far from
+    the origin that floor swamps the differences.  A residual of exactly zero
+    is inconclusive too: it means the field underflowed, as at a huge mode
+    volume.
     """
+    if order not in (2, 4):
+        raise PhysicsDomainError("stencil order must be 2 or 4")
+    if not rel_step > 0.0:
+        raise PhysicsDomainError("stencil step rel_step must be positive")
     r = np.asarray(r, dtype=float).reshape(3)
-    if stencil is None:
-        stencil = StencilSpec.for_mode(mode)
     if field is None:
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
+    h = rel_step / mode.index.knorm
 
-    res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, stencil)
-    res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, stencil.halved())
+    res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, h, order)
+    res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, h / 2, order)
 
-    factor = 2**stencil.order
+    factor = 2**order
     res = (factor * res_h2 - res_h) / (factor - 1)
     gauss = (factor * gauss_h2 - gauss_h) / (factor - 1)
     disc = float(np.linalg.norm(res_h2 - res_h)) / (factor - 1)
@@ -195,9 +176,8 @@ def wave_residual(
     res_norm = float(np.linalg.norm(res))
     # the carrier phase c|k| t - k . r is rounded to eps times the size of its terms
     noise = _EPS * (1.0 + abs(mode.omega * t) + float(np.abs(mode.k) @ np.abs(r))) * field_norm
-    h = min(mode.constants.c * stencil.h_t, stencil.h)
-    drowned = (noise * _D2_ABS_SUM[stencil.order] / h**2 > res_norm
-               or noise * _D1_ABS_SUM[stencil.order] / h > abs(gauss))
+    drowned = (noise * _D2_ABS_SUM[order] / h**2 > res_norm
+               or noise * _D1_ABS_SUM[order] / h > abs(gauss))
     return ResidualReport(
         residual_vector=res,
         gauss_residual=complex(gauss),
@@ -236,10 +216,12 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class ScalingStudy:
-    """Residual norms of one mode family across a sweep of gravity gradients."""
+    """One mode family's residual reports across a sweep of gravity gradients.
 
-    wave_norms: tuple[float, ...]
-    gauss_norms: tuple[float, ...]
+    ``wave_slope`` and ``gauss_slope`` are the log-log slopes of the reports'
+    ``residual_norm`` and ``abs(gauss_residual)`` against a.
+    """
+
     wave_slope: float
     gauss_slope: float
     reports: tuple[ResidualReport, ...]
@@ -266,33 +248,26 @@ def residual_slope_study(
     """Sweep the gravity gradient and fit the wave/Gauss residual scaling slopes.
 
     With all first-order terms in place both slopes sit at 2; ablating the
-    Gauss-law constant pulls the Gauss slope down to ~1.
+    Gauss-law constant pulls the Gauss slope down to ~1.  ``rel_step`` and
+    ``order`` set every report's stencil (see :func:`wave_residual`).
     """
     r = np.asarray(r, dtype=float).reshape(3)
-    wave_norms = []
-    gauss_norms = []
     reports = []
     for a in a_values:
         mode = PerturbedMode.build(
             ModeIndex(k, s), WeakFieldMetric(a=a, z0=z0), constants, volume
         )
-        stencil = StencilSpec.for_mode(mode, rel=rel_step, order=order)
         field = lambda ts, rs, m=mode: mode_field_first_order(  # noqa: E731
             m, ts, rs, include_gauss_constant=include_gauss_constant,
         )
-        rep = wave_residual(mode, t, r, stencil, field=field)
-        reports.append(rep)
-        wave_norms.append(rep.residual_norm)
-        gauss_norms.append(abs(rep.gauss_residual))
+        reports.append(wave_residual(mode, t, r, rel_step=rel_step, order=order, field=field))
 
     def slope(norms: list[float]) -> float:
         # a zero norm has no logarithm; its report is inconclusive, so the slope is NaN
         return fit_loglog_slope(a_values, norms) if all(norms) else np.nan
 
     return ScalingStudy(
-        wave_norms=tuple(wave_norms),
-        gauss_norms=tuple(gauss_norms),
-        wave_slope=slope(wave_norms),
-        gauss_slope=slope(gauss_norms),
+        wave_slope=slope([rep.residual_norm for rep in reports]),
+        gauss_slope=slope([abs(rep.gauss_residual) for rep in reports]),
         reports=tuple(reports),
     )

@@ -26,7 +26,6 @@ import numpy as np
 from .emission import (
     Box,
     Ensemble,
-    TimedDickeState,
     cis,
     curved_timed_dicke,
     ensemble_stream,
@@ -411,16 +410,18 @@ def _reciprocal(u: np.ndarray, g_sq: float, neg_g: float, w: np.ndarray,
 
 def monte_carlo_spectrum(
     ensemble: Ensemble,
-    state: TimedDickeState,
+    amplitudes: np.ndarray,
     kz_grid,
     params: SpectrumParams,
 ) -> np.ndarray:
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz), over the grid.
 
-    D_j is the detuning denominator with the mode frequency shifted to the
-    atom's height; k keeps k0's transverse components, so a global x/y
-    translation of the ensemble cancels exactly.  The whole ensemble is summed
-    in one pass per grid point, in atom order, with working arrays of its size:
+    c_j are the state's ``amplitudes``, one per atom in the ensemble's order, as
+    :func:`gravdicke.emission.curved_timed_dicke` returns them.  D_j is the
+    detuning denominator with the mode frequency shifted to the atom's height;
+    k keeps k0's transverse components, so a global x/y translation of the
+    ensemble cancels exactly.  The whole ensemble is summed in one pass per
+    grid point, in atom order, with working arrays of its size:
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
     The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
@@ -429,8 +430,9 @@ def monte_carlo_spectrum(
     ensembles gives that, see :func:`replicated_mc_spectrum`.
     """
     params.require_directional()
-    if state.n != ensemble.n:
-        raise PhysicsDomainError("state and ensemble must share atom ordering")
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    if amplitudes.shape != (ensemble.n,):
+        raise PhysicsDomainError("amplitudes must have one entry per atom of the ensemble")
     kz = np.asarray(kz_grid, dtype=float)
     if kz.ndim != 1 or kz.size == 0:
         raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
@@ -458,7 +460,7 @@ def monte_carlo_spectrum(
     kz_list, detuning, slope, g = kz.tolist(), detuning.tolist(), slope.tolist(), g.tolist()
     g_sq, neg_g = [x * x for x in g], [-x for x in g]
 
-    amps = state.amplitudes * ensemble.weights
+    amps = amplitudes * ensemble.weights
     # with -k_perp . r_j formed once, the phase at an exact point takes two
     # contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
     neg_lateral = -(kx * xs + ky * ys)
@@ -548,8 +550,8 @@ def replicated_mc_spectrum(
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
             ens = sample_ensemble(m, box, rng, metric=params.metric)
-            state = curved_timed_dicke(ens, params.k0)
-            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, state, kz, params)
+            amps = curved_timed_dicke(ens, params.k0)
+            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params)
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)

@@ -23,7 +23,7 @@ import gravdicke
 import gravdicke.cli
 import gravdicke.quadrature
 import gravdicke.spectrum
-from gravdicke.cli import MAX_ATOMS, MAX_COUNT, load_config, main
+from gravdicke.cli import MAX_ATOMS, MAX_COUNT, MAX_THREADS, load_config, main
 from gravdicke.errors import ConfigError
 
 
@@ -183,6 +183,16 @@ class TestFlatDickeScenario:
         # the failed gate's summary is written, next to error.json
         assert json.loads((out / "metadata.json").read_text())["summary"]["s_at_zero"] == 0.5
         assert (out / "error.json").is_file()
+
+    @pytest.mark.parametrize("sections", [
+        {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
+        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
+    ], ids=["strong-coupling", "tall-reference-height"])
+    def test_unread_sections_are_not_checked(self, tmp_path, sections):
+        # flat-dicke reads unit_regime, seed, spectrum.nu and dicke, nothing else
+        cfg = write_config(tmp_path, {"scenario": "flat-dicke",
+                                      "dicke": {"n_atoms": 100, "replicas": 2}, **sections})
+        assert main(["--config", cfg, "--output", str(tmp_path / "fd")]) == 0
 
 
 class TestNoiseOnlyChi2:
@@ -421,6 +431,10 @@ class TestBadInputExitCodes:
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
         ({"scenario": "curved-spectrum", "spectrum": {"nu": 1e-200, "gamma": 1e-202},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
+        ({"scenario": "flat-dicke", "spectrum": {"nu": float("inf")}}, 3),
+        ({"scenario": "flat-dicke", "spectrum": {"nu": 0.0}}, 3),
+        ({"scenario": "flat-dicke", "spectrum": {"nu": -1.0}}, 3),
+        ({"scenario": "flat-dicke", "unit_regime": "si", "spectrum": {"nu": 5e-324}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
@@ -433,7 +447,9 @@ class TestBadInputExitCodes:
             "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
-            "infinite-a-value", "nan-probe", "unbounded-Z", "underflowing-k0-norm"])
+            "infinite-a-value", "nan-probe", "unbounded-Z", "underflowing-k0-norm",
+            "flat-dicke-infinite-nu", "flat-dicke-zero-nu", "flat-dicke-negative-nu",
+            "flat-dicke-underflowing-k0-norm"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -454,6 +470,16 @@ class TestBadInputExitCodes:
         with pytest.raises(ConfigError, match=f"{key}.*{MAX_COUNT}"):
             load_config(cfg, {})
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 10**6])
+    def test_thread_count_over_cap_rejected_at_parse(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, {"scenario": "spreads"})
+        # rejected while parsing, so no run starts a thread pool
+        with pytest.raises(ConfigError, match=f"threads.*{MAX_THREADS}"):
+            load_config(cfg, {"threads": threads})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o"),
+                     "--threads", str(threads)]) == 2
         self.assert_one_line(capsys)
 
     def test_overflowing_monte_carlo_square_is_a_domain_error(self, tmp_path, capsys):
@@ -887,17 +913,48 @@ class TestBlasThreads:
         assert proc.stdout.strip() == "None"
 
 
-def load_tracer():
-    """bench/tracer.py, loaded by path: the benchmark's span tracer, outside the package."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("gravdicke_bench_tracer", path)
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_bench(stem: str):
+    """bench/<stem>.py, loaded by path: the benchmark lives outside the package.
+
+    bench/run.py puts bench/ on sys.path and imports tracer from there; both
+    are undone after loading, so no test sees them.
+    """
+    spec = importlib.util.spec_from_file_location(f"gravdicke_bench_{stem}",
+                                                  REPO / "bench" / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
+    path, had_tracer = list(sys.path), "tracer" in sys.modules
     sys.modules[spec.name] = module  # dataclasses look their module up while the body runs
     try:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
+        sys.path[:] = path
+        if not had_tracer:
+            sys.modules.pop("tracer", None)
     return module
+
+
+def load_tracer():
+    """bench/tracer.py: the benchmark's span tracer."""
+    return load_bench("tracer")
+
+
+class TestBenchmarkReference:
+    """Each configs/*.json, at its own seed, writes every CSV that bench/reference holds
+    for it, within the benchmark's own tolerance (bench/run.py compare_reference)."""
+
+    @pytest.mark.parametrize("config", sorted(p.stem for p in (REPO / "configs").glob("*.json")))
+    def test_config_matches_reference(self, tmp_path, config):
+        bench = load_bench("run")
+        out = tmp_path / config
+        assert main(["--config", str(bench.CONFIGS / f"{config}.json"), "--output", str(out)]) == 0
+        references = sorted((bench.REFERENCE / config).glob("*.csv"))
+        assert references
+        for ref in references:
+            assert bench.compare_reference(out / ref.name, ref) == []
 
 
 class TestTracerContract:

@@ -4,7 +4,6 @@ import pytest
 from gravdicke.errors import PhysicsDomainError
 from gravdicke.maxwell import (
     ScalingStudy,
-    StencilSpec,
     fit_loglog_slope,
     residual_slope_study,
     transversality_check,
@@ -25,19 +24,21 @@ def make_mode(k=K_GENERIC, s=2, a=1e-3, z0=0.0):
 
 
 class TestStencil:
-    def test_for_mode_scaling(self):
-        mode = make_mode()
-        st = StencilSpec.for_mode(mode, rel=0.02)
-        assert st.h == pytest.approx(0.02 / mode.index.knorm)
-        assert st.h_t == pytest.approx(st.h / CST.c)
+    def test_time_step_is_space_step_over_c(self):
+        # in SI units c is 3e8, so a time step of h in place of h / c shows; at c = 1
+        # (every other test here) the two are the same
+        k = 1e7 * np.array([0.8, -0.5, 0.9])
+        mode = PerturbedMode.build(ModeIndex(k, 2), WeakFieldMetric(a=0.0),
+                                   PhysicalConstants(), 1.0)
+        rep = wave_residual(mode, 1e-16, 1e-8 * np.array([2.0, -1.5, 3.5]))
+        assert rep.residual_norm < 1e-9 * mode.index.knorm**2 * mode.flat_amplitude
 
     def test_validation(self):
+        mode = make_mode()
         with pytest.raises(PhysicsDomainError):
-            StencilSpec(1e-2, 1e-2, order=3)
+            wave_residual(mode, POINT_T, POINT_R, order=3)
         with pytest.raises(PhysicsDomainError):
-            StencilSpec(0.0, 1e-2)
-        with pytest.raises(PhysicsDomainError):
-            StencilSpec(1e-2, 0.0)
+            wave_residual(mode, POINT_T, POINT_R, rel_step=0.0)
 
 
 class TestWaveResidual:
@@ -62,13 +63,14 @@ class TestWaveResidual:
             K_GENERIC, 2, CST, 0.0, 1.0, A_SWEEP, POINT_T, np.array([0.2, -0.15, 0.0])
         )
         assert study.wave_slope == pytest.approx(2.0, abs=0.1)
-        fitted_c = max(n / a**2 for n, a in zip(study.wave_norms, A_SWEEP))
-        assert all(n <= 1.01 * fitted_c * a**2 for n, a in zip(study.wave_norms, A_SWEEP))
+        norms = [rep.residual_norm for rep in study.reports]
+        fitted_c = max(n / a**2 for n, a in zip(norms, A_SWEEP))
+        assert all(n <= 1.01 * fitted_c * a**2 for n, a in zip(norms, A_SWEEP))
 
     def test_coarse_stencil_flagged_inconclusive(self):
         mode = make_mode(a=1e-4)
-        coarse = StencilSpec(h_t=0.9, h=0.9, order=2)
-        rep = wave_residual(mode, POINT_T, POINT_R, coarse)
+        # h = 0.9, as rel_step is a fraction of 1 / |k|
+        rep = wave_residual(mode, POINT_T, POINT_R, rel_step=0.9 * mode.index.knorm, order=2)
         assert rep.inconclusive
 
     def test_far_point_drowned_in_rounding_is_inconclusive(self):
@@ -92,7 +94,8 @@ class TestGaussResidual:
         )
         assert with_c.gauss_slope == pytest.approx(2.0, abs=0.1)
         assert without.gauss_slope == pytest.approx(1.0, abs=0.1)
-        assert without.gauss_norms[0] > 50.0 * with_c.gauss_norms[0]
+        assert (abs(without.reports[0].gauss_residual)
+                > 50.0 * abs(with_c.reports[0].gauss_residual))
 
     def test_component_ablation_degrades_wave_slope(self):
         # one component without its O(a) correction: that component taken
@@ -164,7 +167,7 @@ class TestSlopeStudy:
         study = residual_slope_study(
             K_GENERIC, 2, CST, 0.0, 1e308, A_SWEEP, POINT_T, POINT_R
         )
-        assert study.wave_norms == (0.0, 0.0, 0.0)
+        assert [rep.residual_norm for rep in study.reports] == [0.0, 0.0, 0.0]
         assert all(rep.inconclusive for rep in study.reports)
         assert not study.conclusive
         assert np.isnan(study.wave_slope) and np.isnan(study.gauss_slope)

@@ -346,7 +346,7 @@ def brute_force_atom_sum(ens, state, kz_grid, p):
     for kz in kz_grid:
         omega = p.constants.c * math.sqrt(kx**2 + ky**2 + kz**2)
         den = omega - p.nu + 0.5j * p.gamma + 0.5 * p.metric.a * omega * (p.Z - z)
-        terms = state.amplitudes * ens.weights * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
+        terms = state * ens.weights * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
         amps.append(terms.sum())
     return np.array(amps)
 
