@@ -380,14 +380,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list], stages: dict) ->
         work["bytes"] = work.get("bytes", 0) + path.stat().st_size
 
 
-def _peak_rss_mb() -> float | None:
-    """The process's peak resident set size so far in MB (2**20 bytes), or None without resource."""
+def _resource_use() -> dict:
+    """The process's peak RSS (MB of 2**20 bytes) and minor page faults so far; None without resource."""
     try:
         import resource
     except ImportError:  # Windows
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2.0**20 if sys.platform == "darwin" else 2.0**10)  # bytes there, KiB on Linux
+        return {"peak_rss_mb": None, "minor_faults": None}
+    use = resource.getrusage(resource.RUSAGE_SELF)
+    # bytes on macOS, KiB on Linux
+    return {"peak_rss_mb": use.ru_maxrss / (2.0**20 if sys.platform == "darwin" else 2.0**10),
+            "minor_faults": use.ru_minflt}
 
 
 def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> None:
@@ -401,7 +403,7 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> N
             "cpu_count": os.cpu_count(),
             "threads": cfg.threads,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-            "peak_rss_mb": _peak_rss_mb(),
+            **_resource_use(),
         },
         "config": dataclasses.asdict(cfg),
         "summary": summary,

@@ -2,9 +2,11 @@
 
 Only the single-excitation amplitude sector is represented: states are complex
 amplitude arrays over atoms, never operator matrices.  Ensembles are sampled
-uniformly in coordinate volume with a seeded counter-based generator, and the
+uniformly in coordinate volume from a seeded Philox stream, and the
 curved-space volume element enters as a per-atom importance weight rather than
-by rejection, so runs are bit-reproducible across platforms.
+by rejection, so every atom takes exactly three doubles of the stream.  Runs
+are byte-identical across reruns and thread counts on one machine; another
+machine can differ in the last bit of a phasor (see :func:`cis`).
 """
 
 from __future__ import annotations
@@ -86,12 +88,14 @@ class Ensemble:
         return self.positions.shape[0]
 
 
-def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None) -> np.ndarray:
+def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None, out: np.ndarray) -> np.ndarray:
     if metric is None or metric.a == 0.0:
-        return np.ones(len(z))
-    dz = z - metric.z0
+        out.fill(1.0)
+        return out
+    dz = np.subtract(z, metric.z0, out=out)
     check_linearization(metric.a, dz)
-    return np.sqrt(1.0 - metric.a * dz)
+    dz *= metric.a
+    return np.sqrt(np.subtract(1.0, dz, out=dz), out=dz)
 
 
 def ensemble_stream(seed: int | tuple[int, ...]) -> np.random.Generator:
@@ -107,6 +111,8 @@ def sample_ensemble(
     box: Box,
     seed: int | tuple[int, ...] | np.random.Generator,
     metric: WeakFieldMetric | None = None,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Ensemble:
     """Draw N atom positions uniformly in the box with a Philox stream.
 
@@ -116,20 +122,24 @@ def sample_ensemble(
     atoms drawn in turn from one Generator are, concatenated, bit for bit the
     ensemble of n_1 + n_2 + ... atoms drawn at once from its seed, weights
     included.  With a ``metric``, the heights must pass its linearization
-    guard (see :func:`gravdicke.metric.check_linearization`).
+    guard (see :func:`gravdicke.metric.check_linearization`).  ``out``, a
+    (positions, weights) pair of C-contiguous float arrays of shapes (n, 3)
+    and (n,), receives the draw in place of fresh arrays, with the same bits,
+    and the Ensemble returned aliases it.
     """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
     rng = seed if isinstance(seed, np.random.Generator) else ensemble_stream(seed)
-    pos = rng.random((n, 3))
+    pos, weights = (np.empty((n, 3)), np.empty(n)) if out is None else out
+    rng.random((n, 3), out=pos)
     for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
         col = pos[:, k]
         col *= size
         col += low
-    return Ensemble(pos, box, _volume_weights(pos[:, 2], metric))
+    return Ensemble(pos, box, _volume_weights(pos[:, 2], metric, weights))
 
 
-def cis(theta) -> np.ndarray:
+def cis(theta, out: np.ndarray | None = None, *, work: np.ndarray | None = None) -> np.ndarray:
     """exp(i theta) for real theta, in an array of theta's shape, from t = tan(theta / 2).
 
     cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2 t / (1 + t^2), within
@@ -139,15 +149,20 @@ def cis(theta) -> np.ndarray:
     calls the scalar libm tan, so the last bit can differ between machines, but
     never between reruns or thread counts.  For finite theta |t| stays below
     about 2e18, so 1 + t^2 cannot overflow; a non-finite theta gives NaN, as
-    np.exp does.  Only t is allocated besides the result, whose real and
-    imaginary views are written in place.  The Monte Carlo sum and the timed
-    Dicke state use it; the structure factor, which only averages the phasors,
-    sums cos and sin from the same t without forming them.  The oracles keep
-    np.exp.
+    np.exp does.  As with a ufunc, ``out`` (a C-contiguous complex array of
+    theta's shape) receives the result, whose real and imaginary views are
+    written in place, and ``work`` (a C-contiguous float array of theta's
+    shape, theta's own array allowed, which is then overwritten) receives t;
+    each left out is allocated.  The Monte Carlo sum and the timed Dicke state
+    use it; the structure factor, which only averages the phasors, sums cos
+    and sin from the same t without forming them.  The oracles keep np.exp.
     """
-    t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))  # out=: stays an array at 0-d
+    if work is None:
+        work = np.empty(np.shape(theta))  # out=: stays an array at 0-d
+    t = np.multiply(theta, 0.5, out=work)
     np.tan(t, out=t)  # contiguous: a strided view would run tan 2-3x slower
-    out = np.empty(t.shape, dtype=complex)
+    if out is None:
+        out = np.empty(t.shape, dtype=complex)
     cos, sin = out.real, out.imag
     np.multiply(t, t, out=cos)
     np.add(cos, 1.0, out=sin)
@@ -159,21 +174,27 @@ def cis(theta) -> np.ndarray:
     return out
 
 
-def curved_timed_dicke(ensemble: Ensemble, k0) -> np.ndarray:
+def curved_timed_dicke(ensemble: Ensemble, k0, *, out: np.ndarray | None = None,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """Absorption-conditioned amplitudes c_j ~ exp(i k0 . r_j), renormalized to unit norm.
 
-    Returns the state itself: a fresh complex array with one amplitude per atom,
-    in the ensemble's atom order.  The phases are the flat plane-wave phases
-    k0 . r_j, so this is the flat timed Dicke state exp(i k0 . r_j) / sqrt(N) at
-    any a: the metric enters a curved ensemble through its volume weights, whose
+    Returns the state itself: a complex array with one amplitude per atom, in
+    the ensemble's atom order.  It is written into ``out`` when that is given
+    (a C-contiguous complex array of ensemble.n entries), and the phases and
+    |c_j|^2 pass through ``work`` (a C-contiguous float array of as many); each
+    left out is allocated.  The phases are the flat plane-wave phases k0 . r_j,
+    so this is the flat timed Dicke state exp(i k0 . r_j) / sqrt(N) at any a:
+    the metric enters a curved ensemble through its volume weights, whose
     linearization guard :func:`sample_ensemble` applies.  The phasors come from
     :func:`cis`.
     """
     k0 = np.asarray(k0, dtype=float).reshape(3)
-    raw = cis(ensemble.positions @ k0)
+    theta = np.matmul(ensemble.positions, k0, out=work)
+    raw = cis(theta, out=out, work=theta)
+    norm_sq = np.sum(np.square(np.abs(raw, out=theta), out=theta))
     # a real product with 1 / norm: numpy's complex division by a real scalar
     # multiplies by the same reciprocal, at some three times the cost
-    raw.view(float)[:] *= 1.0 / np.sqrt(np.sum(np.abs(raw) ** 2))
+    raw.view(float)[:] *= 1.0 / np.sqrt(norm_sq)
     return raw
 
 

@@ -19,6 +19,7 @@ quadrature and the closed forms keep np.exp.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -374,7 +375,9 @@ _PHASE_TOL = 1e-12
 # Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
 # arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
 # on them runs long enough between GIL handoffs for replicas on two threads to
-# overlap.  A replica's allocations peak at about 4.4 MB, whatever its atom count.
+# overlap.  Each thread reuses one workspace of batch-sized arrays, 3.8 MB at
+# this size, whatever the replicas' atom count: glibc would hand arrays this
+# large back to the kernel after each batch and fault them in again.
 _BATCH_ATOMS = 25_000
 
 
@@ -408,11 +411,18 @@ def _reciprocal(u: np.ndarray, g_sq: float, neg_g: float, w: np.ndarray,
     return out
 
 
+def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: five real rows, four complex."""
+    return np.empty((5, n)), np.empty((4, n), dtype=complex)
+
+
 def monte_carlo_spectrum(
     ensemble: Ensemble,
     amplitudes: np.ndarray,
     kz_grid,
     params: SpectrumParams,
+    *,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz), over the grid.
 
@@ -421,7 +431,9 @@ def monte_carlo_spectrum(
     detuning denominator with the mode frequency shifted to the atom's height;
     k keeps k0's transverse components, so a global x/y translation of the
     ensemble cancels exactly.  The whole ensemble is summed in one pass per
-    grid point, in atom order, with working arrays of its size:
+    grid point, in atom order, with working arrays of its size: fresh ones, or
+    the first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
+    _sum_work makes them for at least that many atoms.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
     The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
@@ -436,11 +448,14 @@ def monte_carlo_spectrum(
     kz = np.asarray(kz_grid, dtype=float)
     if kz.ndim != 1 or kz.size == 0:
         raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
+    real, cplx = _sum_work(ensemble.n) if work is None else work
+    z, neg_lateral, height, u, w = real[:, :ensemble.n]
+    amps, phased, step, inv = cplx[:, :ensemble.n]
     kx, ky = params.k0[0], params.k0[1]
     c = params.constants.c
     a = params.metric.a
     xs, ys, zs = ensemble.positions.T
-    z = zs.copy()  # contiguous: every pass below reads it
+    np.copyto(z, zs)  # contiguous: every pass below reads it
     z_lo, z_hi = float(z.min()), float(z.max())
     exact = _exact_phase_points(kz, max(-z_lo, z_hi))
 
@@ -460,26 +475,26 @@ def monte_carlo_spectrum(
     kz_list, detuning, slope, g = kz.tolist(), detuning.tolist(), slope.tolist(), g.tolist()
     g_sq, neg_g = [x * x for x in g], [-x for x in g]
 
-    amps = amplitudes * ensemble.weights
+    np.multiply(amplitudes, ensemble.weights, out=amps)
     # with -k_perp . r_j formed once, the phase at an exact point takes two
     # contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
-    neg_lateral = -(kx * xs + ky * ys)
-    height = params.Z - z
-    u, w = np.empty(z.size), np.empty(z.size)
-    inv = np.empty(z.size, dtype=complex)
+    np.multiply(xs, kx, out=neg_lateral)
+    neg_lateral += np.multiply(ys, ky, out=u)
+    np.negative(neg_lateral, out=neg_lateral)
+    np.subtract(params.Z, z, out=height)
     sums = np.empty(kz.size, dtype=complex)
     step_dkz = None
     for i, kzi in enumerate(kz_list):
         if exact[i]:
-            # the whole phase -k . r_j in one cis
-            theta = np.multiply(z, kzi)
+            # the whole phase -k . r_j in one cis, its angle in u until u's own pass
+            theta = np.multiply(z, kzi, out=u)
             np.subtract(neg_lateral, theta, out=theta)
-            phased = cis(theta)
+            cis(theta, out=phased, work=theta)
             phased *= amps
             # a uniform stretch keeps its step across the periodic reseeds
             if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
                 step_dkz = kz_list[i + 1] - kzi
-                step = cis(-step_dkz * z)
+                cis(np.multiply(z, -step_dkz, out=u), out=step, work=u)
         else:
             phased *= step
         np.multiply(height, slope[i], out=u)
@@ -534,24 +549,36 @@ def replicated_mc_spectrum(
     the whole ensemble's sum: its state e^{i k0 . r_j} / sqrt(N), restricted to
     the batch, is sqrt(m / N) times the batch's own state e^{i k0 . r_j} / sqrt(m).
     The two differ only in rounding, since each state is normalized by its
-    computed norm, and |cis| is 1 to about 3e-16.  Returns (mean, stderr,
-    probability): the replicas' mean amplitude, its replica-to-replica standard
-    error, and the replicas' mean |amplitude|^2.
+    computed norm, and |cis| is 1 to about 3e-16.  Every batch a thread runs,
+    in all of its replicas, is drawn, phased and summed in that thread's one
+    workspace of batch-sized arrays, passed down as out= and work= buffers;
+    the values are those the allocating calls give, bit for bit.  Returns
+    (mean, stderr, probability): the replicas' mean amplitude, its
+    replica-to-replica standard error, and the replicas' mean |amplitude|^2.
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
     kz = np.asarray(kz_grid, dtype=float)
+    local = threading.local()  # each thread's workspace, made for its first replica
 
     def one(seed) -> np.ndarray:
+        if not hasattr(local, "work"):
+            size = min(_BATCH_ATOMS, n_atoms)
+            local.work = (np.empty((size, 3)), np.empty(size), np.empty(size, dtype=complex),
+                          _sum_work(size))
+        positions, weights, state, sum_work = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
         for start in range(0, n_atoms, _BATCH_ATOMS):
             m = min(_BATCH_ATOMS, n_atoms - start)
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
-            ens = sample_ensemble(m, box, rng, metric=params.metric)
-            amps = curved_timed_dicke(ens, params.k0)
-            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params)
+            ens = sample_ensemble(m, box, rng, metric=params.metric,
+                                  out=(positions[:m], weights[:m]))
+            # the state's phases pass through a row of the sum's work, which the sum overwrites
+            amps = curved_timed_dicke(ens, params.k0, out=state[:m], work=sum_work[0][0, :m])
+            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params,
+                                                                   work=sum_work)
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)

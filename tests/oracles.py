@@ -43,20 +43,18 @@ def volterra_flat_band(gamma: float, t_max: float, n_steps: int, bandwidth: floa
     return tau, c
 
 
-def component_polarization_H(mode, z: float) -> np.ndarray:
+def component_polarization_H(mode, z: float, k_local, f) -> np.ndarray:
     """Magnetic polarization from the three literal component formulas.
 
-    Built directly from the local wavevector and the corrected electric
-    polarization, component by component, with wavelength-proportional
+    Built directly from the local wavevector ``k_local`` = (omega, k_x, k_y, k_z)
+    and the corrected electric polarization ``f`` at height z, which the caller
+    passes in, component by component, with wavelength-proportional
     (post-geometrical) factors set to zero.  Independent transcription used to
     cross-check the vector-form construction.
     """
-    from gravdicke.modes import local_wavevector, polarization_E
-
     a = mode.metric.a
     dz = z - mode.metric.z0
-    kt = local_wavevector(mode, z)[1:]
-    f = polarization_E(mode, z)
+    kt = np.asarray(k_local)[1:]
     knorm = mode.index.knorm
     scale = (1.0 + a * dz) / knorm
     p1 = -(kt[1] * f[2] - kt[2] * f[1]) * scale

@@ -244,6 +244,7 @@ class TestDeterminism:
         for meta in outs:
             meta.pop("generated_at")           # the allowed differences: the timestamp,
             meta["environment"].pop("peak_rss_mb")  # this test process's peak memory so far
+            meta["environment"].pop("minor_faults")  # and its page faults so far
             for stage in meta["stages"].values():
                 assert stage.pop("s") >= 0.0   # and the stage wall times
             meta["config"].pop("output_dir")   # varied by the test itself
@@ -257,16 +258,17 @@ class TestDeterminism:
         meta = json.loads((out / "metadata.json").read_text())
         env = meta["environment"]
         assert set(env) == {"python", "numpy", "cpu_count", "threads", "openblas_num_threads",
-                            "peak_rss_mb"}
+                            "peak_rss_mb", "minor_faults"}
         assert env["threads"] == 2
         assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
         # KiB on Linux; a peak only grows, so the test process's is at least as high
         assert 0.0 < env["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < env["minor_faults"] <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
 
     def test_peak_rss_is_null_without_resource(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "resource", None)  # import resource raises ImportError
-        assert gravdicke.cli._peak_rss_mb() is None
+        assert gravdicke.cli._resource_use() == {"peak_rss_mb": None, "minor_faults": None}
 
     def test_metadata_records_pull_report(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
@@ -686,6 +688,130 @@ class TestExports:
     def test_module_all_resolves(self, name):
         module = importlib.import_module(f"gravdicke.{name}")
         assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _loaded_globals(node, local=frozenset()):
+    """Names that node loads from its module's scope: not a parameter or an assigned name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        local = local | {a.arg for a in params if a} | {
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _loaded_globals(child, local)
+
+
+def route_closures(routes: dict) -> dict:
+    """Each route's package call closure: the module-level functions, classes and
+    constants its entry points reach by name, through relative imports.
+
+    A class counts whole, methods included, so a route that takes a record
+    also reaches every guard and constant of that record.
+    """
+    defs, scopes = {}, {}
+    for path in Path(gravdicke.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        mod, tree = path.stem, ast.parse(path.read_text())
+        scope = scopes[mod] = {}
+        for node in ast.walk(tree):  # lazy imports inside functions too
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+            else:
+                continue
+            for name in names:
+                scope[name] = f"{mod}.{name}"
+                defs[f"{mod}.{name}"] = node
+
+    def resolve(key):
+        while key not in defs:  # an imported name: follow it to the module defining it
+            mod, name = key.split(".")
+            key = scopes[mod][name]
+        return key
+
+    closures = {}
+    for route, entries in routes.items():
+        seen, todo = set(), list(entries)
+        while todo:
+            key = todo.pop()
+            if key not in seen:
+                seen.add(key)
+                scope = scopes[key.split(".")[0]]
+                todo += [resolve(scope[n]) for n in _loaded_globals(defs[key]) if n in scope]
+        closures[route] = seen
+    return closures
+
+
+class TestRouteIndependence:
+    """The closed-form, quadrature, Monte Carlo and finite-difference routes share no algebra.
+
+    Each route is an oracle for the others, so a definition two routes reach
+    is pinned here with the reason it may be shared.  A change that must share
+    more widens SHARED in plain sight.
+    """
+
+    ROUTES = {
+        "montecarlo": ["spectrum.replicated_mc_spectrum"],
+        "quadrature": ["spectrum.quadrature_spectrum"],
+        "closed_form": ["spectrum.analytic_spectrum", "spectrum.kernel_decay_constant",
+                        "spectrum.kernel_area"],
+        "finite_differences": ["maxwell.wave_residual", "maxwell.residual_slope_study"],
+    }
+    ALL = frozenset(ROUTES)
+    SPECTRAL = frozenset({"montecarlo", "quadrature", "closed_form"})
+    AREA = frozenset({"quadrature", "closed_form"})
+    GUARDED = frozenset({"montecarlo", "finite_differences"})
+    # every definition that more than one route reaches: (routes, why it may be shared)
+    SHARED = {
+        "errors.GravDickeError": (ALL, "base of the error classes"),
+        "errors.PhysicsDomainError": (ALL, "the error a route raises on an input outside its domain"),
+        "errors.LinearizationError": (GUARDED, "raised by the linearization guard"),
+        "errors.QuadratureError": (AREA, "raised by the Gauss-Legendre rule's panel cap"),
+        "metric.PhysicalConstants": (ALL, "a record of input constants"),
+        "metric.WeakFieldMetric": (ALL, "a record of the input metric parameters"),
+        "metric.KZ_GUARD": (ALL, "the grazing-angle guard of SpectrumParams and of the modes"),
+        "metric.check_linearization": (GUARDED, "an input guard on |a dz| < 1, no route's algebra"),
+        "spectrum.SpectrumParams": (SPECTRAL, "the record of the emission geometry and its guards"),
+        "spectrum.GAMMA_NU_MAX": (SPECTRAL, "SpectrumParams' weak-coupling guard"),
+        "quadrature.gauss_legendre": (AREA, "a generic integration rule: the closed form's area "
+                                      "check integrates its own kernel with it"),
+        "quadrature.panel_count": (AREA, "the rule's panel count and cap"),
+        "quadrature.MAX_PANELS": (AREA, "the rule's panel cap"),
+        "quadrature._panel_sum": (AREA, "the rule's composite sum"),
+        "quadrature._nodes_weights": (AREA, "the rule's Legendre nodes and weights"),
+        "quadrature._ORDER": (AREA, "the rule's order"),
+    }
+
+    def test_routes_share_only_the_pinned_definitions(self):
+        closures = route_closures(self.ROUTES)
+        reached_by = {}
+        for route, closure in closures.items():
+            for key in closure:
+                reached_by.setdefault(key, set()).add(route)
+        shared = {key: routes for key, routes in reached_by.items() if len(routes) > 1}
+        assert shared == {key: set(routes) for key, (routes, _) in self.SHARED.items()}
+        # the walk sees each route's own algebra, the Monte Carlo's working arrays included
+        assert {"spectrum._sum_work", "emission.cis"} <= closures["montecarlo"]
+        assert "spectrum.g_kernel" in closures["closed_form"]
+        assert "spectrum.z_integral_oracle" in closures["quadrature"]
+        assert "modes.mode_field_first_order" in closures["finite_differences"]
+
+    def test_oracles_import_nothing_from_the_package(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module or "" for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)]
+        assert imported and not [m for m in imported if m.split(".")[0] == "gravdicke"]
 
 
 class TestVerifyModesScenario:

@@ -91,6 +91,17 @@ class TestTypes:
         np.testing.assert_array_equal(np.concatenate([e.weights for e in parts]), whole.weights)
         assert not np.all(whole.weights == 1.0)
 
+    @pytest.mark.parametrize("metric", [None, WeakFieldMetric(a=1e-2, z0=0.0)])
+    def test_sampling_into_buffers(self, metric):
+        # the first 300 rows of larger arrays, as a short last batch gets them
+        pos, weights = np.full((400, 3), np.nan), np.full(400, np.nan)
+        ens = sample_ensemble(300, small_box(), 5, metric=metric, out=(pos[:300], weights[:300]))
+        fresh = sample_ensemble(300, small_box(), 5, metric=metric)
+        assert np.shares_memory(ens.positions, pos) and np.shares_memory(ens.weights, weights)
+        np.testing.assert_array_equal(ens.positions, fresh.positions)
+        np.testing.assert_array_equal(ens.weights, fresh.weights)
+        assert np.isnan(pos[300:]).all() and np.isnan(weights[300:]).all()
+
     def test_volume_weights(self):
         metric = WeakFieldMetric(a=1e-2, z0=0.0)
         ens = sample_ensemble(500, small_box(), 7, metric=metric)
@@ -139,7 +150,25 @@ class TestCis:
         assert np.all(np.isnan(ref.real) & np.isnan(ref.imag))
 
 
+    def test_into_buffers(self):
+        theta = np.linspace(-40.0, 40.0, 1001)
+        out, work = np.empty(1001, dtype=complex), theta.copy()
+        assert cis(theta, out=out, work=work) is out
+        np.testing.assert_array_equal(out, cis(theta))
+        np.testing.assert_array_equal(work, np.tan(0.5 * theta))  # work holds t
+        work = theta.copy()
+        assert cis(work, out=out, work=work) is out  # theta's own array as the work
+        np.testing.assert_array_equal(out, cis(theta))
+
+
 class TestTimedDicke:
+    def test_into_buffers(self):
+        ens = sample_ensemble(500, small_box(), 29, metric=WeakFieldMetric(a=1e-2))
+        k0 = np.array([0.0, 0.6, 0.8])
+        out, work = np.empty(500, dtype=complex), np.empty(500)
+        assert curved_timed_dicke(ens, k0, out=out, work=work) is out
+        np.testing.assert_array_equal(out, curved_timed_dicke(ens, k0))
+
     def test_single_atom(self):
         ens = sample_ensemble(1, small_box(), 3)
         state = curved_timed_dicke(ens, [0.0, 0.0, 1.0])

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +31,11 @@ from gravdicke.spectrum import (
     wavevector_spread,
     z_integral_oracle,
 )
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 CST = PhysicalConstants.scaled()
 
@@ -416,9 +422,9 @@ class TestBatchComposition(RecurrenceCase):
         sizes = []
         real_sum = spectrum.monte_carlo_spectrum
 
-        def recording_sum(ens, *args):
+        def recording_sum(ens, *args, **kwargs):
             sizes.append(ens.n)
-            return real_sum(ens, *args)
+            return real_sum(ens, *args, **kwargs)
 
         monkeypatch.setattr(spectrum, "monte_carlo_spectrum", recording_sum)
         got, _, _ = replicated_mc_spectrum(p, kz, n_atoms, self.box, 3, 61)
@@ -454,6 +460,52 @@ class TestBatchComposition(RecurrenceCase):
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 8 * self.B
+
+
+class TestReplicaWorkspace(RecurrenceCase):
+    """Each thread's batch-sized working arrays, reused by every batch and replica it runs."""
+
+    def test_sum_into_larger_work(self):
+        p = self.params
+        kz = self.grid("two-spacing")
+        ens = sample_ensemble(300, self.box, 43, metric=p.metric)
+        state = curved_timed_dicke(ens, p.k0)
+        real, cplx = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
+        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
+        np.testing.assert_array_equal(got, monte_carlo_spectrum(ens, state, kz, p))
+
+    def test_threads_keep_their_own_workspace(self, monkeypatch):
+        # more threads than cores, many small batches and a short switch interval:
+        # a workspace two threads shared would mix their batches
+        monkeypatch.setattr(spectrum, "_BATCH_ATOMS", 250)
+        p = self.params
+        kz = self.grid("uniform")
+        serial = replicated_mc_spectrum(p, kz, 1100, self.box, 8, 47, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = replicated_mc_spectrum(p, kz, 1100, self.box, 8, 47, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):  # mean, stderr and probability
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage on Linux")
+    def test_replicas_add_no_page_faults(self):
+        # at full 25 000-atom batches, arrays made and freed batch by batch took
+        # about 3 000 minor faults per replica, as glibc gave them back to the kernel
+        p = self.params
+        kz = self.grid("two-spacing")
+        n_atoms = 2 * spectrum._BATCH_ATOMS + 1000  # two full batches and a short one
+
+        def faults(n_replicas):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            replicated_mc_spectrum(p, kz, n_atoms, self.box, n_replicas, 5)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(2)  # a first call's one-off allocations
+        assert (faults(6) - faults(2)) / 4 < 250
 
 
 class TestReciprocal:
