@@ -40,7 +40,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
 import numpy as np
 
 from . import __version__
-from .emission import Box, sample_ensemble
+from .emission import Box, ensemble_stream, sample_ensemble
 from .errors import (
     ConfigError,
     GravDickeError,
@@ -54,6 +54,7 @@ from .spectrum import (
     analytic_spectrum,
     flat_delta_limit,
     frequency_spread,
+    frequency_spread_over_gamma,
     kernel_decay_constant,
     mean_stderr,
     quadrature_spectrum,
@@ -112,7 +113,6 @@ class SpectrumConfig:
     nu: float = 1.0
     gamma: float = 1e-2
     theta0: float = 0.5235987755982988   # pi/6
-    phi: float = 0.0
     Z: float = 0.0
     grid: GridConfig = GridConfig()
 
@@ -310,7 +310,7 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
     a = m.a if m.g is None else surface_param_a(m.g, constants)
     params = SpectrumParams.from_angles(
         nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a=a, z0=m.z0), Z=s.Z,
-        theta0=s.theta0, phi=s.phi, constants=constants,
+        theta0=s.theta0, constants=constants,
     )
     # the mode reference height enters every denominator through a (Z - z0)
     check_linearization(a, s.Z - m.z0)
@@ -461,7 +461,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
         raise ConfigError(f"dicke.box_wavelengths {d.box_wavelengths!r} gives a box side "
                           f"{side!r} that is not finite")
     box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, 977))))
+    rng = ensemble_stream((cfg.seed, 977))
 
     # the zero probe comes first unconditionally: its value must be exactly 1
     probes = [np.zeros(3)]
@@ -564,6 +564,12 @@ def _noise_only_chi2_per_dof(replicas: int) -> float | None:
     return (replicas - 1) / (replicas - 2) if replicas > 2 else None
 
 
+def _noise_only_false_alarm(replicas: int, sigma: float) -> float:
+    """Chance that noise alone puts one point's pull above sigma: the F(2, 2(R - 1))
+    tail (1 + sigma^2 / (R - 1))^-(R - 1) at sigma^2."""
+    return (1.0 + sigma * sigma / (replicas - 1)) ** (1 - replicas)
+
+
 def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     metric = params.metric
@@ -585,9 +591,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         work["atom_kz"] = e.n_atoms * e.replicas * kz.size
     with _stage(stages, "quadrature") as work:
         quad, quad_error_ratio, quad_evals = quadrature_spectrum(
-            kz, params, (box.low[2], box.high[2]), tol.quadrature,
-            dispersion="exact", tails="none", include_volume_weight=True,
-        )
+            kz, params, (box.low[2], box.high[2]), tol.quadrature)
         work["integrand_evals"] = quad_evals
 
     rows = []
@@ -641,7 +645,10 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         "signed_pull_mean_im": [float(np.mean(t.imag)) for t in thirds],
         "pull_chi2_per_dof": float(np.mean(pulls**2)),
         "pull_chi2_per_dof_noise_only": _noise_only_chi2_per_dof(e.replicas),
+        "pull_false_alarm_per_point_noise_only": _noise_only_false_alarm(e.replicas, tol.mc_sigma),
         "upward_probability_fraction": up,
+        # small where the analytic rows, the kernel model, meet the gated slab model
+        "frequency_spread_over_gamma": frequency_spread_over_gamma(params),
         # the quadrature's worst error estimate over its tolerance (<= 1), and its work
         "quadrature_worst_error_ratio": quad_error_ratio,
         "quadrature_integrand_evals": quad_evals,
@@ -703,7 +710,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
     point = v.point
     t, r = point.t, np.array([point.x, point.y, point.z])
 
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, 31))))
+    rng = ensemble_stream((cfg.seed, 31))
     rows = []
     studies = []
     modes_for_dump = []

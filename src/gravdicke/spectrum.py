@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "kernel_decay_constant",
     "wavevector_spread",
     "frequency_spread",
+    "frequency_spread_over_gamma",
     "z_integral_oracle",
     "quadrature_spectrum",
     "analytic_spectrum",
@@ -112,18 +113,16 @@ class SpectrumParams:
         metric: WeakFieldMetric,
         Z: float,
         theta0: float,
-        phi: float = 0.0,
         constants: PhysicalConstants | None = None,
     ) -> "SpectrumParams":
-        if not (math.isfinite(theta0) and math.isfinite(phi)):
-            raise PhysicsDomainError("theta0 and phi must be finite")
+        """k0 = (nu / c) (sin theta0, 0, cos theta0): no route depends on k0's azimuth."""
+        if not math.isfinite(theta0):
+            raise PhysicsDomainError("theta0 must be finite")
         constants = constants or PhysicalConstants.scaled()
         knorm = nu / constants.c
         # Python floats, so a non-finite nu reaches the finiteness check without
         # a numpy warning on stderr
-        direction = (math.sin(theta0) * math.cos(phi), math.sin(theta0) * math.sin(phi),
-                     math.cos(theta0))
-        k0 = np.array([knorm * u for u in direction])
+        k0 = np.array([knorm * u for u in (math.sin(theta0), 0.0, math.cos(theta0))])
         return cls(k0, nu, gamma, metric, Z, constants)
 
     @property
@@ -207,17 +206,16 @@ def frequency_spread(params: SpectrumParams) -> float:
     )
 
 
+def frequency_spread_over_gamma(params: SpectrumParams) -> float | None:
+    """:func:`frequency_spread` over Gamma (None past the largest float): the
+    closed-form kernel, derived with the mode frequency locked to nu, needs it small."""
+    ratio = frequency_spread(params) / params.gamma
+    return ratio if math.isfinite(ratio) else None
+
+
 # ---------------------------------------------------------------------------
 # direct quadrature of the height integral
 # ---------------------------------------------------------------------------
-
-def _omega_for(params: SpectrumParams, kz: float, dispersion: str) -> float:
-    if dispersion == "resonant":
-        return params.nu
-    if dispersion == "exact":
-        return params.constants.c * math.hypot(params.k0[0], params.k0[1], kz)
-    raise PhysicsDomainError(f"unknown dispersion {dispersion!r}")
-
 
 def _distance(point: complex, start: complex, end: complex) -> float:
     """Distance in the complex plane from a point to the segment [start, end]."""
@@ -237,32 +235,27 @@ def z_integral_oracle(
     z_range: tuple[float, float],
     quadrature_tol: float = 1e-9,
     *,
-    dispersion: str = "resonant",
-    tails: str = "rotated",
-    include_volume_weight: bool = False,
+    model: str = "kernel",
 ) -> tuple[complex, float, int]:
-    """Numerically integrate dz e^{i (k0z - kz) z} / [(w - nu + i G/2) + (a/2) w (Z - z)].
+    """Numerically integrate dz rho(z) e^{i (k0z - kz) z} / [(w - nu + i G/2) + (a/2) w (Z - z)].
 
     This is the height integral the emission kernel was extracted from, and it
     is evaluated without using that extraction: the denominator is never
-    factored, only integration paths are chosen.
-
-    tails="rotated" evaluates the infinite-extent integral: outside [z_lo, z_hi]
-    the path is turned into the complex half-plane where the oscillatory factor
-    decays (legitimate because the integrand's only pole lies inside the window
-    strip), which removes hard-window ringing entirely; the result is then
-    window independent.  tails="none" integrates the literal finite window,
-    which is what a finite atom slab physically produces.
-
-    dispersion picks the mode frequency entering the denominator: "resonant"
-    locks it to nu (the regime in which the closed-form kernel is derived),
-    "exact" uses c |k| with the transverse components pinned to k0's (matching
-    the Monte Carlo sum).
+    factored, only integration paths are chosen.  ``model`` picks the physics.
+    "kernel", the closed form's regime, locks the mode frequency w to nu, takes
+    rho = 1 and fills all heights: outside [z_lo, z_hi] the path turns into the
+    half-plane where e^{i q z} decays (legitimate because the integrand's only
+    pole lies inside the window strip), so the value is window independent.
+    "slab", what the Monte Carlo sums, fills [z_lo, z_hi] alone, with w = c |k|
+    (k's transverse components pinned to k0's) and the curved volume element
+    rho = 1 - (a/2) (z - z0).  Their shapes part once
+    :func:`frequency_spread_over_gamma` is not small.
 
     Each path is integrated by the composite Gauss-Legendre rule of
     :mod:`gravdicke.quadrature`, with panels no wider than the pole's distance
     from the path and, along the window, half an oscillation period pi/|q|;
-    along the tails, which reach 40/|q| into the half-plane, no wider than 1/|q|.
+    along the kernel's tails, which reach 40/|q| into the half-plane, no wider
+    than 1/|q|.
 
     Returns (value, error estimate over quadrature_tol x peak scale
     4 pi / (a w), integrand evaluations); a ratio above 1 raises
@@ -270,31 +263,31 @@ def z_integral_oracle(
     kernel it is compared against.
     """
     params.require_directional()
+    if model not in ("kernel", "slab"):
+        raise PhysicsDomainError(f"unknown height-integral model {model!r}")
     z_lo, z_hi = float(z_range[0]), float(z_range[1])
     if not z_hi > z_lo:
         raise PhysicsDomainError("z_range must be increasing")
     a = params.metric.a
     if a <= 0.0:
         raise PhysicsDomainError("height integral degenerates at a = 0")
-    if tails not in ("rotated", "none"):
-        raise PhysicsDomainError(f"unknown tails mode {tails!r}")
 
+    slab = model == "slab"
     q = params.k0z - float(k_z)
-    omega = _omega_for(params, float(k_z), dispersion)
+    omega = params.constants.c * math.hypot(*params.k0[:2], k_z) if slab else params.nu
     b = 0.5 * a * omega
     c0 = (omega - params.nu) + 0.5j * params.gamma + b * params.Z  # denominator = c0 - b z
-    z0_ref = params.metric.z0
 
-    if include_volume_weight:
+    if slab:
         def f(z):
-            return (1.0 - 0.5 * a * (z - z0_ref)) / (c0 - b * z)
+            return (1.0 - 0.5 * a * (z - params.metric.z0)) / (c0 - b * z)
     else:
         def f(z):
             return 1.0 / (c0 - b * z)
 
     peak_scale = 2.0 * math.pi / b
     pole = c0 / b  # where the integrand is singular; it sets the panel widths
-    if tails == "rotated" and q > 0.0 and not z_lo < pole.real < z_hi:
+    if not slab and q > 0.0 and not z_lo < pole.real < z_hi:
         raise QuadratureError(
             "window must horizontally contain the resonance pole "
             f"(pole at z={pole.real!r}, window=({z_lo!r}, {z_hi!r}))"
@@ -305,7 +298,7 @@ def z_integral_oracle(
     if q != 0.0:
         width = min(width, math.pi / abs(q))
     paths = [(lambda z: np.exp(1j * q * z) * f(z), z_lo, z_hi, panel_count(z_hi - z_lo, width))]
-    if tails == "rotated" and q != 0.0:
+    if not slab and q != 0.0:
         up = math.copysign(1.0, q) * 1j  # the half-plane where e^{i q z} decays
         reach = _TAIL_DECAYS / abs(q)
         width = min(1.0 / abs(q), _distance(pole, z_lo, z_lo + up * reach),
@@ -323,7 +316,7 @@ def z_integral_oracle(
         total += value
         err += value_err
         evals += n
-    if tails == "rotated" and q == 0.0:
+    if not slab and q == 0.0:
         # exact tail pair: the antiderivative's log arguments stay in the
         # upper half-plane for all real z, so principal branches are safe
         total -= (1j * math.pi + np.log(c0 - b * z_lo) - np.log(c0 - b * z_hi)) / b
@@ -341,15 +334,14 @@ def quadrature_spectrum(
     params: SpectrumParams,
     z_range: tuple[float, float],
     quadrature_tol: float = 1e-9,
-    **oracle_kwargs,
 ) -> tuple[np.ndarray, float, int]:
-    """:func:`z_integral_oracle` over a grid.
+    """:func:`z_integral_oracle`'s "slab" model, the Monte Carlo's, over a grid.
 
     Returns (amplitudes, worst error ratio, integrand evaluations): the largest
     of the points' error estimates over quadrature_tol x peak scale (at most 1),
     and the evaluations summed over the grid.
     """
-    points = [z_integral_oracle(k, params, z_range, quadrature_tol, **oracle_kwargs)
+    points = [z_integral_oracle(k, params, z_range, quadrature_tol, model="slab")
               for k in np.asarray(kz_grid, dtype=float)]
     return (np.array([value for value, _, _ in points], dtype=complex),
             max((ratio for _, ratio, _ in points), default=0.0),
@@ -375,7 +367,7 @@ _PHASE_TOL = 1e-12
 # Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
 # arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
 # on them runs long enough between GIL handoffs for replicas on two threads to
-# overlap.  Each thread reuses one workspace of batch-sized arrays, 3.8 MB at
+# overlap.  Each thread reuses one workspace of batch-sized arrays, 3.4 MB at
 # this size, whatever the replicas' atom count: glibc would hand arrays this
 # large back to the kernel after each batch and fault them in again.
 _BATCH_ATOMS = 25_000
@@ -433,7 +425,9 @@ def monte_carlo_spectrum(
     ensemble cancels exactly.  The whole ensemble is summed in one pass per
     grid point, in atom order, with working arrays of its size: fresh ones, or
     the first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
-    _sum_work makes them for at least that many atoms.
+    _sum_work makes them for at least that many atoms.  ``amplitudes`` may be
+    the first ensemble.n entries of the first complex row of ``work``: the
+    weights then multiply them in place.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
     The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
@@ -564,9 +558,8 @@ def replicated_mc_spectrum(
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
             size = min(_BATCH_ATOMS, n_atoms)
-            local.work = (np.empty((size, 3)), np.empty(size), np.empty(size, dtype=complex),
-                          _sum_work(size))
-        positions, weights, state, sum_work = local.work
+            local.work = (np.empty((size, 3)), np.empty(size), _sum_work(size))
+        positions, weights, sum_work = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
         for start in range(0, n_atoms, _BATCH_ATOMS):
@@ -575,8 +568,9 @@ def replicated_mc_spectrum(
             # bench/tracer.py can wrap each batch's calls and count their atoms
             ens = sample_ensemble(m, box, rng, metric=params.metric,
                                   out=(positions[:m], weights[:m]))
-            # the state's phases pass through a row of the sum's work, which the sum overwrites
-            amps = curved_timed_dicke(ens, params.k0, out=state[:m], work=sum_work[0][0, :m])
+            # the state is built in the sum's first rows, which the sum weights in place
+            amps = curved_timed_dicke(ens, params.k0, out=sum_work[1][0, :m],
+                                      work=sum_work[0][0, :m])
             total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params,
                                                                    work=sum_work)
         return total
@@ -645,8 +639,9 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
     normal float: past that it underflows to subnormals, whose few significant
     bits skew the fit, and then to zero.  An a with fewer than two such samples
     is rejected.  Returns one (amplitudes, entry) pair per a.  The entry holds
-    a, the peak, the decay scale, and the kernel area with its error ratio and
-    integrand evaluations (see :func:`kernel_area`).
+    a, the peak, the decay scale, the kernel area with its error ratio and
+    integrand evaluations (see :func:`kernel_area`), and
+    :func:`frequency_spread_over_gamma`.
     """
     base = params.metric.a
     if base <= 0.0 or halvings < 1:
@@ -655,11 +650,7 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
     out = []
     for i in range(halvings):
         a = base * 0.5**i
-        p = SpectrumParams(
-            params.k0, params.nu, params.gamma,
-            WeakFieldMetric(a=a, z0=params.metric.z0),
-            params.Z, params.constants,
-        )
+        p = replace(params, metric=WeakFieldMetric(a=a, z0=params.metric.z0))
         amps = analytic_spectrum(kz, p)
         mag = np.abs(amps)
         mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)
@@ -681,5 +672,6 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
             # the area quadrature's error estimate over its tolerance (< 1), and its work
             "area_error_ratio": area_error_ratio,
             "area_integrand_evals": area_evals,
+            "frequency_spread_over_gamma": frequency_spread_over_gamma(p),
         }))
     return out

@@ -150,8 +150,7 @@ def test_criterion_05_monte_carlo_consistency():
 
     mc, mc_stderr, prob = replicated_mc_spectrum(p, kz, n_atoms=10**5, box=box, n_replicas=20,
                                                  base_seed=90125, threads=2)
-    quad, _, _ = quadrature_spectrum(kz, p, (box.low[2], box.high[2]), 1e-9,
-                                     dispersion="exact", tails="none", include_volume_weight=True)
+    quad, _, _ = quadrature_spectrum(kz, p, (box.low[2], box.high[2]), 1e-9)
 
     mc_n = mc / np.max(np.abs(mc))
     qd_n = quad / np.max(np.abs(quad))

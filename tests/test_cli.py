@@ -62,6 +62,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key: frobnicate"):
             load_config(cfg, {})
 
+    def test_removed_phi_key(self, tmp_path):
+        # k0 lies in the x-z plane: no route depends on its azimuth
+        cfg = write_config(tmp_path, {"scenario": "spreads", "spectrum": {"phi": 0.0}})
+        with pytest.raises(ConfigError, match="unknown config key: spectrum.phi"):
+            load_config(cfg, {})
+
     def test_strict_parse_surfaces_path(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "spreads", "metric": {"aa": 1.0}})
         code = main(["--config", cfg, "--output", str(tmp_path / "o")])
@@ -214,6 +220,47 @@ class TestNoiseOnlyChi2:
     def test_two_replicas_have_no_finite_expectation(self):
         assert gravdicke.cli._noise_only_chi2_per_dof(2) is None
         assert gravdicke.cli._noise_only_chi2_per_dof(20) == pytest.approx(19 / 18)
+
+    @pytest.mark.parametrize("replicas, rate", [(2, "0.1"), (4, "0.016"), (20, "0.00063")])
+    def test_false_alarm_per_point_at_3_sigma(self, replicas, rate):
+        # (1 + 9/(R - 1))^-(R - 1), to two figures
+        assert f"{gravdicke.cli._noise_only_false_alarm(replicas, 3.0):.2g}" == rate
+
+    def test_false_alarm_matches_simulated_complex_gaussian_replicas(self):
+        rng = np.random.default_rng(4)
+        points = 40_000
+        samples = rng.normal(size=(4, points)) + 1j * rng.normal(size=(4, points))
+        mean, stderr = gravdicke.spectrum.mean_stderr(samples)
+        rate = float(np.mean(np.abs(mean / stderr) > 3.0))
+        expected = gravdicke.cli._noise_only_false_alarm(4, 3.0)  # 1/64
+        assert abs(rate - expected) < 5.0 * math.sqrt(expected / points)
+
+
+class TestResonanceRatio:
+    """frequency_spread / gamma, small where the kernel's resonant derivation holds."""
+
+    # a c nu cos(theta0) / gamma^2 at the default a = 1e-3, theta0 = pi/6, gamma = 1e-2
+    RATIO = 5.0 * math.sqrt(3.0)
+
+    def test_curved_spectrum_summary(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum",
+                                      "ensemble": {"n_atoms": 200, "replicas": 2},
+                                      "spectrum": {"grid": {"points": 5}}})
+        out = tmp_path / "cs"
+        assert main(["--config", cfg, "--output", str(out)]) in (0, 4)  # 2 replicas: reported
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        assert summary["frequency_spread_over_gamma"] == pytest.approx(self.RATIO, rel=1e-12)
+        # one point's false-alarm chance at 2 replicas and 3 sigma, not gated
+        assert summary["pull_false_alarm_per_point_noise_only"] == pytest.approx(0.1)
+
+    def test_delta_limit_sweep_rows_halve(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "delta-limit",
+                                      "delta": {"halvings": 3, "grid_points": 9}})
+        out = tmp_path / "dl"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        sweep = json.loads((out / "metadata.json").read_text())["summary"]["sweep"]
+        ratios = [row["frequency_spread_over_gamma"] for row in sweep]
+        assert ratios == pytest.approx([self.RATIO, self.RATIO / 2, self.RATIO / 4], rel=1e-12)
 
 
 class TestDeterminism:
@@ -398,6 +445,7 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "threads": 2.7}, 2),
         ({"scenario": "flat-dicke", "dicke": {"replicas": 0}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"beta": 1.0}}, 2),
+        ({"scenario": "curved-spectrum", "spectrum": {"phi": 0.0}}, 2),
         ({"scenario": "spreads", "metric": {"a": 10**400}}, 2),
         ({"scenario": "spreads", "spectrum": {"theta0": float("inf")}}, 3),
         ({"scenario": "verify-modes", "verify": {"n_modes": 2, "rel_step": 0.3, "order": 2}}, 2),
@@ -441,7 +489,7 @@ class TestBadInputExitCodes:
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
             "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
-            "huge-int-a", "infinite-theta0", "inconclusive-residuals",
+            "removed-key-phi", "huge-int-a", "infinite-theta0", "inconclusive-residuals",
             "negative-mc-tolerances", "negative-slope-tolerance", "infinite-grid-lo",
             "overflowing-grid-hi", "zero-rel-step", "order-3", "zero-volume",
             "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",

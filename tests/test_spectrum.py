@@ -19,6 +19,7 @@ from gravdicke.spectrum import (
     SpectrumParams,
     flat_delta_limit,
     frequency_spread,
+    frequency_spread_over_gamma,
     g_kernel,
     kernel_area,
     kernel_decay_constant,
@@ -65,6 +66,8 @@ class TestParams:
         assert np.linalg.norm(p.k0) == pytest.approx(p.nu / CST.c)
         assert p.cos_theta0 == pytest.approx(0.5)
         assert p.theta0 == pytest.approx(math.pi / 3)
+        # k0 lies in the x-z plane: no route depends on its azimuth
+        assert p.k0[1] == 0.0 and p.k0[0] > 0.0
 
     def test_tiny_k0_keeps_its_angle(self):
         # |k0| = 1e-200: squaring its components underflows, math.hypot does not
@@ -146,6 +149,11 @@ class TestSpreads:
         )
         assert frequency_spread(p) == pytest.approx(0.5996, rel=1e-3)
 
+    def test_frequency_spread_over_gamma(self):
+        assert frequency_spread_over_gamma(make_params()) == pytest.approx(5.0 * math.sqrt(3.0))
+        # 8.66e-3 / gamma^2 is past the largest float at gamma = 1e-156
+        assert frequency_spread_over_gamma(make_params(gamma=1e-156)) is None
+
 
 class TestHeightIntegralOracle:
     def test_matches_kernel_shape(self):
@@ -178,61 +186,70 @@ class TestHeightIntegralOracle:
         assert v1 == pytest.approx(v2, rel=1e-8)
 
     def test_small_gradient_fixed_window_gives_window_sinc(self):
-        # as a -> 0 at fixed window the denominator freezes and the integral
-        # becomes the window Fourier factor 2 sin(q W) / (q D0)
+        # as a -> 0 at fixed window the slab's denominator and volume weight
+        # freeze and the integral becomes the window Fourier factor 2 sin(q W) / (q D0),
+        # with D0 = (omega - nu) + i Gamma/2 at the exact dispersion omega = c |k|
         p = make_params(a=1e-9)
         w = 20.0
         q = 0.21
-        val, _, _ = z_integral_oracle(p.k0z - q, p, (-w, w), tails="none",
-                                      dispersion="resonant")
-        d0 = 0.5j * p.gamma
+        kz = p.k0z - q
+        val, _, _ = z_integral_oracle(kz, p, (-w, w), model="slab")
+        omega = CST.c * math.hypot(p.k0[0], p.k0[1], kz)
+        d0 = (omega - p.nu) + 0.5j * p.gamma
         expected = 2.0 * math.sin(q * w) / (q * d0)
         assert val == pytest.approx(expected, rel=1e-4)
 
     def test_upward_rotation_requires_pole_in_window(self):
         p = make_params()
-        # exact dispersion moves the resonance height far from Z for deep tails
+        # the kernel's resonance pole sits at height Z = 0, outside the window
         kz = p.k0z - 5.0 * kernel_decay_constant(p)
-        with pytest.raises(QuadratureError):
-            z_integral_oracle(kz, p, (-20.0, 20.0), dispersion="exact", tails="rotated")
+        with pytest.raises(QuadratureError, match="contain the resonance pole"):
+            z_integral_oracle(kz, p, (1.0, 20.0), model="kernel")
 
     def test_invalid_arguments(self):
         p = make_params()
         with pytest.raises(PhysicsDomainError):
             z_integral_oracle(0.5, p, (1.0, -1.0))
-        with pytest.raises(PhysicsDomainError):
-            z_integral_oracle(0.5, p, (-1.0, 1.0), dispersion="nope")
+        with pytest.raises(PhysicsDomainError, match="unknown height-integral model"):
+            z_integral_oracle(0.5, p, (-1.0, 1.0), model="nope")
         with pytest.raises(PhysicsDomainError):
             z_integral_oracle(0.5, make_params(a=0.0), (-1.0, 1.0))
 
 
+# each model of z_integral_oracle as the QUADPACK oracle's own knobs
+_QUADPACK_KNOBS = {
+    "kernel": dict(dispersion="resonant", tails="rotated", include_volume_weight=False),
+    "slab": dict(dispersion="exact", tails="none", include_volume_weight=True),
+}
+
+
 def _quadpack_cases():
-    """(params, kz grid, z window, oracle keywords) of the grids the panel rule must reproduce."""
+    """(params, kz grid, z window, model) of the grids the panel rule must reproduce."""
     p = make_params(a=1e-3)
     ell = decay_length(p)
     decay = kernel_decay_constant(p)
-    rotated = dict(dispersion="resonant", tails="rotated", include_volume_weight=False)
-    window = dict(dispersion="exact", tails="none", include_volume_weight=True)
     offsets = np.arange(-8.0, 3.01, 0.25)
     # the small-a, tall-box corner: 150 decay lengths at a = 1e-4, |a z| up to 0.75
     corner = make_params(a=1e-4)
     corner_height = 150.0 * decay_length(corner)
     return {
         "criterion-4": (p, np.sort(p.k0z - np.arange(0.1, 6.95, 0.2) * decay),
-                        (-50.0 * ell, 50.0 * ell), rotated),
-        "criterion-5": (p, p.k0z + offsets * decay, (-40.0 * ell, 40.0 * ell), window),
+                        (-50.0 * ell, 50.0 * ell), "kernel"),
+        "criterion-5": (p, p.k0z + offsets * decay, (-40.0 * ell, 40.0 * ell), "slab"),
         "small-a-tall-box": (corner, corner.k0z + offsets * kernel_decay_constant(corner),
-                             (-0.5 * corner_height, 0.5 * corner_height), window),
-        "q-zero": (p, np.array([p.k0z]), (-50.0 * ell, 50.0 * ell), rotated),
+                             (-0.5 * corner_height, 0.5 * corner_height), "slab"),
+        "q-zero": (p, np.array([p.k0z]), (-50.0 * ell, 50.0 * ell), "kernel"),
     }
 
 
 class TestPanelRule:
     @pytest.mark.parametrize("case", list(_quadpack_cases()))
     def test_matches_quadpack(self, case):
-        params, kz, z_range, kw = _quadpack_cases()[case]
-        panels, _, _ = quadrature_spectrum(kz, params, z_range, 1e-9, **kw)
-        quadpack = np.array([oracles.quadpack_height_integral(params, k, z_range, **kw)
+        params, kz, z_range, model = _quadpack_cases()[case]
+        panels = np.array([z_integral_oracle(k, params, z_range, 1e-9, model=model)[0]
+                           for k in kz])
+        quadpack = np.array([oracles.quadpack_height_integral(params, k, z_range,
+                                                              **_QUADPACK_KNOBS[model])
                              for k in kz])
         peak = np.max(np.abs(quadpack))
         assert np.max(np.abs(panels - quadpack)) <= 1e-10 * peak
@@ -259,9 +276,7 @@ class TestPanelRule:
         p = make_params()
         ell = decay_length(p)
         kz = p.k0z + kernel_decay_constant(p) * np.array([-2.0, 0.0, 1.0])
-        _, ratio, evals = quadrature_spectrum(kz, p, (-40.0 * ell, 40.0 * ell),
-                                              dispersion="exact", tails="none",
-                                              include_volume_weight=True)
+        _, ratio, evals = quadrature_spectrum(kz, p, (-40.0 * ell, 40.0 * ell))
         assert 0.0 < ratio <= 1.0
         assert evals > 0 and evals % 60 == 0
 
@@ -310,10 +325,7 @@ class TestMonteCarlo:
         p = self.params
         mc, mc_stderr, _ = replicated_mc_spectrum(p, self.kz, n_atoms=10000, box=self.box,
                                                   n_replicas=8, base_seed=31)
-        quad, _, _ = quadrature_spectrum(
-            self.kz, p, (self.box.low[2], self.box.high[2]),
-            dispersion="exact", tails="none", include_volume_weight=True,
-        )
+        quad, _, _ = quadrature_spectrum(self.kz, p, (self.box.low[2], self.box.high[2]))
         mc_n = mc / np.max(np.abs(mc))
         qd_n = quad / np.max(np.abs(quad))
         sig = np.maximum(mc_stderr / np.max(np.abs(mc)), 1e-300)
@@ -473,6 +485,17 @@ class TestReplicaWorkspace(RecurrenceCase):
         real, cplx = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, monte_carlo_spectrum(ens, state, kz, p))
+
+    def test_amplitudes_in_the_first_complex_row(self):
+        # as replicated_mc_spectrum builds each batch's state: the weights multiply it in place
+        p = self.params
+        kz = self.grid("two-spacing")
+        ens = sample_ensemble(300, self.box, 43, metric=p.metric)
+        real, cplx = spectrum._sum_work(400)
+        state = curved_timed_dicke(ens, p.k0, out=cplx[0, :300], work=real[0, :300])
+        want = monte_carlo_spectrum(ens, state.copy(), kz, p)
+        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
+        np.testing.assert_array_equal(got, want)
 
     def test_threads_keep_their_own_workspace(self, monkeypatch):
         # more threads than cores, many small batches and a short switch interval:
