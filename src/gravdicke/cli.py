@@ -30,12 +30,17 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-# numpy's OpenBLAS starts a worker thread per core at import.  A run's only BLAS
-# products over atoms are two (N, 3) @ 3 matvecs, and --threads is its only
-# parallelism, so a process that starts here loads OpenBLAS single-threaded.  A
-# user's own value wins, and a process that loaded numpy first keeps its set-up.
-if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# Two settings for a process that starts here, before numpy loads; a process that
+# loaded numpy first keeps its own set-up.  numpy's OpenBLAS starts a worker thread
+# per core at import, but a run's only BLAS products over atoms are two (N, 3) @ 3
+# matvecs and --threads is its only parallelism, so OpenBLAS runs single-threaded
+# unless the user's own value says otherwise.  And numpy.random imports secrets,
+# hmac and hashlib, whose _hashlib maps OpenSSL's libcrypto, some 3 MB resident, for
+# hashes no run takes: a None entry blocks that import, hashlib falls back to
+# CPython's built-in md5, sha and blake2, and an _hashlib already loaded stays.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 
@@ -380,6 +385,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list], stages: dict) ->
         work["bytes"] = work.get("bytes", 0) + path.stat().st_size
 
 
+def _vm_hwm_kib() -> int | None:
+    """Peak resident size of this process's own address space, in KiB (Linux VmHWM); else None.
+
+    Linux's ru_maxrss also counts the image that exec replaced, so a process
+    started by a larger one reports its parent's size.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _resource_use() -> dict:
     """The process's peak RSS (MB of 2**20 bytes) and minor page faults so far; None without resource."""
     try:
@@ -387,9 +408,11 @@ def _resource_use() -> dict:
     except ImportError:  # Windows
         return {"peak_rss_mb": None, "minor_faults": None}
     use = resource.getrusage(resource.RUSAGE_SELF)
-    # bytes on macOS, KiB on Linux
-    return {"peak_rss_mb": use.ru_maxrss / (2.0**20 if sys.platform == "darwin" else 2.0**10),
-            "minor_faults": use.ru_minflt}
+    hwm = _vm_hwm_kib()
+    # ru_maxrss is in bytes on macOS, KiB elsewhere
+    peak = (hwm / 2.0**10 if hwm is not None
+            else use.ru_maxrss / (2.0**20 if sys.platform == "darwin" else 2.0**10))
+    return {"peak_rss_mb": peak, "minor_faults": use.ru_minflt}
 
 
 def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> None:
@@ -528,9 +551,13 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
     # the grid spans the widest kernel, the one at the starting a
     kz = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
                   "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
+    with _stage(stages, "delta_sweep") as work:
+        sweep = flat_delta_limit(kz, params, cfg.delta.halvings)
+        work["kernel_area_calls"] = len(sweep)
+        work["integrand_evals"] = sum(entry["area_integrand_evals"] for _, entry in sweep)
     rows = []
     table = []
-    for amps, entry in flat_delta_limit(kz, params, cfg.delta.halvings):
+    for amps, entry in sweep:
         for k, amp in zip(kz, amps):
             rows.append(["analytic", entry["a"], k, amp.real, amp.imag, abs(amp) ** 2, ""])
         table.append(entry)
@@ -723,9 +750,12 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
             raise ConfigError(f"no mode with |k_z| >= verify.min_kz_fraction |k| in "
                               f"{_MAX_MODE_DRAWS} draws: lower verify.min_kz_fraction")
         # vertical polarization component present, so the divergence test is nontrivial
-        study = residual_slope_study(
-            k, 2, constants, z0, v.volume, v.a_values, t, r, rel_step=v.rel_step, order=v.order,
-        )
+        with _stage(stages, "fd_residuals") as work:
+            study = residual_slope_study(
+                k, 2, constants, z0, v.volume, v.a_values, t, r, rel_step=v.rel_step,
+                order=v.order,
+            )
+            work["mode_a"] = work.get("mode_a", 0) + len(v.a_values)
         studies.append(study)
         for a, rep in zip(v.a_values, study.reports):
             rows.append([

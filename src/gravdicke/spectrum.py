@@ -367,7 +367,7 @@ _PHASE_TOL = 1e-12
 # Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
 # arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
 # on them runs long enough between GIL handoffs for replicas on two threads to
-# overlap.  Each thread reuses one workspace of batch-sized arrays, 3.4 MB at
+# overlap.  Each thread reuses one workspace of batch-sized arrays, 2.6 MB at
 # this size, whatever the replicas' atom count: glibc would hand arrays this
 # large back to the kernel after each batch and fault them in again.
 _BATCH_ATOMS = 25_000
@@ -408,6 +408,18 @@ def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((5, n)), np.empty((4, n), dtype=complex)
 
 
+def _batch_work(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One thread's workspace for batches of up to n atoms: (positions, weights, sum work).
+
+    The (n, 3) positions and n weights are the float view of the atom sum's last
+    two complex rows, step and 1/D, which its grid loop writes only after it
+    has read them (see :func:`monte_carlo_spectrum`).
+    """
+    work = _sum_work(n)
+    spare = work[1][2:].view(float).reshape(-1)  # 4 n floats
+    return spare[:3 * n].reshape(n, 3), spare[3 * n:], work
+
+
 def monte_carlo_spectrum(
     ensemble: Ensemble,
     amplitudes: np.ndarray,
@@ -427,7 +439,10 @@ def monte_carlo_spectrum(
     the first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
     _sum_work makes them for at least that many atoms.  ``amplitudes`` may be
     the first ensemble.n entries of the first complex row of ``work``: the
-    weights then multiply them in place.
+    weights then multiply them in place.  The ensemble's positions and weights
+    may live in the float view of the last two complex rows of ``work``: they
+    are read into the real rows and the weighted amplitudes before the grid
+    loop first writes those two rows.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
     The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
@@ -503,7 +518,7 @@ def monte_carlo_spectrum(
 def run_replicas(one, n: int, base_seed: int, threads: int = 1) -> np.ndarray:
     """Stack one((base_seed, r)) for r < n in replica order: bit-identical at any ``threads``."""
     seeds = [(base_seed, r) for r in range(n)]
-    if threads == 1:  # in this thread: a worker's own malloc arena adds ~8 MB of peak RSS
+    if threads == 1:  # in this thread: a one-worker pool adds about 1 MB of peak RSS
         return np.array([one(seed) for seed in seeds])
     from concurrent.futures import ThreadPoolExecutor  # some 6 ms of import, for threads only
 
@@ -545,10 +560,11 @@ def replicated_mc_spectrum(
     The two differ only in rounding, since each state is normalized by its
     computed norm, and |cis| is 1 to about 3e-16.  Every batch a thread runs,
     in all of its replicas, is drawn, phased and summed in that thread's one
-    workspace of batch-sized arrays, passed down as out= and work= buffers;
-    the values are those the allocating calls give, bit for bit.  Returns
-    (mean, stderr, probability): the replicas' mean amplitude, its
-    replica-to-replica standard error, and the replicas' mean |amplitude|^2.
+    workspace of batch-sized arrays (see _batch_work), passed down as out=
+    and work= buffers; the values are those the allocating calls give, bit
+    for bit.  Returns (mean, stderr, probability): the replicas' mean
+    amplitude, its replica-to-replica standard error, and the replicas' mean
+    |amplitude|^2.
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
@@ -557,8 +573,7 @@ def replicated_mc_spectrum(
 
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
-            size = min(_BATCH_ATOMS, n_atoms)
-            local.work = (np.empty((size, 3)), np.empty(size), _sum_work(size))
+            local.work = _batch_work(min(_BATCH_ATOMS, n_atoms))
         positions, weights, sum_work = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)

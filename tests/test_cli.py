@@ -308,9 +308,11 @@ class TestDeterminism:
                             "peak_rss_mb", "minor_faults"}
         assert env["threads"] == 2
         assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
-        # KiB on Linux; a peak only grows, so the test process's is at least as high
-        assert 0.0 < env["peak_rss_mb"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        assert 0 < env["minor_faults"] <= resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        # a peak and a fault count only grow, so the test process's, read the same
+        # way later, are at least as high
+        later = gravdicke.cli._resource_use()
+        assert 0.0 < env["peak_rss_mb"] <= later["peak_rss_mb"]
+        assert 0 < env["minor_faults"] <= later["minor_faults"]
         assert meta["summary"]["pull_chi2_per_dof"] >= 0.0
 
     def test_peak_rss_is_null_without_resource(self, monkeypatch):
@@ -352,6 +354,27 @@ class TestDeterminism:
         assert stages["quadrature"]["integrand_evals"] == meta["summary"][
             "quadrature_integrand_evals"]
         assert stages["write_csv"]["bytes"] == (out / "spectrum.csv").stat().st_size
+
+    @staticmethod
+    def tiny_run_metadata(tmp_path: Path, name: str) -> dict:
+        cfg = write_config(tmp_path, LAZY_CONFIGS[name], name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        return json.loads((out / "metadata.json").read_text())
+
+    def test_delta_sweep_stage_counts_kernel_areas(self, tmp_path):
+        meta = self.tiny_run_metadata(tmp_path, "delta")
+        stages, sweep = meta["stages"], meta["summary"]["sweep"]
+        assert set(stages) == {"delta_sweep", "write_csv"}
+        assert 0.0 <= stages["delta_sweep"]["s"] < 60.0
+        assert stages["delta_sweep"]["kernel_area_calls"] == len(sweep) == 1
+        assert stages["delta_sweep"]["integrand_evals"] == sweep[0]["area_integrand_evals"] > 0
+
+    def test_fd_residuals_stage_counts_modes_times_a_values(self, tmp_path):
+        stages = self.tiny_run_metadata(tmp_path, "verify")["stages"]
+        assert set(stages) == {"fd_residuals", "write_csv"}
+        assert 0.0 <= stages["fd_residuals"]["s"] < 60.0
+        assert stages["fd_residuals"]["mode_a"] == 1 * 3  # one mode, three a values
 
     def test_metadata_records_quadrature_error_and_work(self, tmp_path):
         cfg = write_config(tmp_path, self.CFG)
@@ -1085,6 +1108,65 @@ class TestBlasThreads:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "None"
+
+
+# Runs main on the config path given into the output directory given, then
+# prints what _hashlib is in sys.modules and whether hashlib still hashes.  A
+# first argument "preload" imports _hashlib first, as a program that hashes does.
+HASHLIB_PROBE = """
+import sys
+if sys.argv[1] == "preload":
+    import _hashlib
+from gravdicke.cli import main
+assert main(["--config", sys.argv[2], "--output", sys.argv[3]]) == 0
+import hashlib
+print(type(sys.modules.get("_hashlib")).__name__, hashlib.sha256(b"").hexdigest()[:8])
+"""
+
+
+class TestProcessFootprint:
+    """A process that starts in gravdicke.cli maps no OpenSSL, and its metadata
+    reports its own peak RSS, not its parent's."""
+
+    def run_probe(self, tmp_path: Path, mode: str) -> tuple[str, bytes]:
+        # curved-spectrum draws its ensembles with numpy.random, which imports hashlib
+        cfg = write_config(tmp_path, LAZY_CONFIGS["curved"], name=f"{mode}.json")
+        out = tmp_path / mode
+        proc = subprocess.run([sys.executable, "-c", HASHLIB_PROBE, mode, cfg, str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        return proc.stdout.splitlines()[-1], (out / "spectrum.csv").read_bytes()
+
+    def test_no_openssl_and_a_preloaded_one_stays(self, tmp_path):
+        blocked, blocked_csv = self.run_probe(tmp_path, "run")
+        kept, kept_csv = self.run_probe(tmp_path, "preload")
+        # hashlib falls back to CPython's built-in sha256 and hashes the same
+        assert blocked == "NoneType e3b0c442"
+        assert kept == "module e3b0c442"
+        assert blocked_csv == kept_csv
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads Linux's VmHWM; ru_maxrss elsewhere")
+    def test_peak_rss_is_the_runs_own(self, tmp_path):
+        # Linux's ru_maxrss keeps the size of the image exec replaced: a run
+        # launched by a parent holding 128 MB would report more than 128 MB
+        cfg = write_config(tmp_path, LAZY_CONFIGS["spreads"])
+        out = tmp_path / "own"
+        code = ("import subprocess, sys\n"
+                "held = bytearray(b'\\x01') * (128 << 20)\n"
+                "subprocess.run([sys.executable, '-m', 'gravdicke.cli', '--config', sys.argv[1],\n"
+                "                '--output', sys.argv[2]], check=True, stdout=subprocess.DEVNULL)\n")
+        proc = subprocess.run([sys.executable, "-c", code, cfg, str(out)], env=child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak = json.loads((out / "metadata.json").read_text())["environment"]["peak_rss_mb"]
+        assert 0.0 < peak < 128.0
+
+    def test_peak_rss_falls_back_to_getrusage(self, monkeypatch):
+        monkeypatch.setattr(gravdicke.cli, "_vm_hwm_kib", lambda: None)  # as off Linux
+        peak = gravdicke.cli._resource_use()["peak_rss_mb"]
+        assert 0.0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 REPO = Path(__file__).resolve().parents[1]

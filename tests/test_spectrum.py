@@ -497,6 +497,24 @@ class TestReplicaWorkspace(RecurrenceCase):
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("grid", ["uniform", "two-spacing", "irregular"])
+    def test_positions_and_weights_in_the_last_complex_rows(self, grid):
+        # as replicated_mc_spectrum draws a short last batch: the draw fills the
+        # float view of the step and 1/D rows, which the grid loop overwrites
+        p = self.params
+        kz = self.grid(grid)
+        positions, weights, (real, cplx) = spectrum._batch_work(400)
+        assert np.shares_memory(positions, cplx[2:]) and np.shares_memory(weights, cplx[3])
+        ens = sample_ensemble(300, self.box, 43, metric=p.metric,
+                              out=(positions[:300], weights[:300]))
+        fresh = sample_ensemble(300, self.box, 43, metric=p.metric)
+        np.testing.assert_array_equal(ens.positions, fresh.positions)
+        np.testing.assert_array_equal(ens.weights, fresh.weights)
+        want = monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0), kz, p)
+        state = curved_timed_dicke(ens, p.k0, out=cplx[0, :300], work=real[0, :300])
+        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
+        np.testing.assert_array_equal(got, want)
+
     def test_threads_keep_their_own_workspace(self, monkeypatch):
         # more threads than cores, many small batches and a short switch interval:
         # a workspace two threads shared would mix their batches
