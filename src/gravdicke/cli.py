@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import datetime
 import json
 import math
@@ -27,7 +26,6 @@ import platform
 import sys
 import time
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 # Two settings for a process that starts here, before numpy loads; a process that
@@ -92,20 +90,18 @@ def _require_positive(section, prefix: str, names: tuple[str, ...], high: float 
             raise ConfigError(f"{prefix}.{name} must be <= {high}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(typing.NamedTuple):
     a: float = 1e-3
     g: float | None = None          # free-fall acceleration; overrides a when set
     z0: float = 0.0
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(typing.NamedTuple):
     lo: float = -8.0                # offsets in units of a nu / Gamma
     hi: float = 3.0
     points: int = 45
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)
                 and self.lo < 0.0 < self.hi and 3 <= self.points <= MAX_COUNT):
             raise ConfigError(f"spectrum.grid needs finite lo < 0 < hi and 3 <= points <= "
@@ -113,8 +109,7 @@ class GridConfig:
                               f"points={self.points!r}")
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
+class SpectrumConfig(typing.NamedTuple):
     nu: float = 1.0
     gamma: float = 1e-2
     theta0: float = 0.5235987755982988   # pi/6
@@ -122,14 +117,13 @@ class SpectrumConfig:
     grid: GridConfig = GridConfig()
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(typing.NamedTuple):
     n_atoms: int = 20000
     replicas: int = 8
     box_heights: float = 80.0       # z extent in decay lengths Gamma/(a nu)
     box_aspect: float = 0.1         # transverse edge / z extent
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.replicas < 2:
             raise ConfigError("ensemble.replicas must be >= 2: the Monte Carlo gate needs "
                               "a replica spread")
@@ -138,15 +132,14 @@ class EnsembleConfig:
         _require_positive(self, "ensemble", ("box_heights", "box_aspect"))
 
 
-@dataclass(frozen=True)
-class DickeConfig:
+class DickeConfig(typing.NamedTuple):
     n_atoms: int = 10000
     box_wavelengths: float = 100.0  # cube side in units of 2 pi / |k0|
     n_offpeak: int = 50
     replicas: int = 50
     probes_u: tuple[tuple[float, ...], ...] = ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), (1.0, 1.5, 0.7))
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.n_offpeak < 1:
             raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
         if self.replicas < 2 or any(len(u) != 3 for u in self.probes_u):
@@ -157,12 +150,11 @@ class DickeConfig:
         _require_positive(self, "dicke", ("box_wavelengths",))
 
 
-@dataclass(frozen=True)
-class DeltaConfig:
+class DeltaConfig(typing.NamedTuple):
     halvings: int = 4
     grid_points: int = 161
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.halvings < 1:
             raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1")
         if not 3 <= self.grid_points <= MAX_COUNT:
@@ -181,22 +173,19 @@ MIN_REL_STEP = 1e-7
 MAX_REL_STEP = 1.0
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(typing.NamedTuple):
     t: float = 0.3
     x: float = 0.2
     y: float = -0.15
     z: float = 0.35
 
-    def __post_init__(self) -> None:
-        coords = dataclasses.astuple(self)
-        if not all(abs(v) <= MAX_POINT for v in coords):  # also rejects NaN
+    def check(self) -> None:
+        if not all(abs(v) <= MAX_POINT for v in self):  # also rejects NaN
             raise ConfigError(f"verify.point coordinates must be finite with |value| <= "
-                              f"{MAX_POINT:g}, got {coords!r}")
+                              f"{MAX_POINT:g}, got {tuple(self)!r}")
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(typing.NamedTuple):
     n_modes: int = 6
     a_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
     min_kz_fraction: float = 0.1
@@ -205,7 +194,7 @@ class VerifyConfig:
     rel_step: float = 0.01
     order: int = 4
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if len(set(self.a_values)) < 2 or self.n_modes < 1:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
@@ -224,21 +213,19 @@ class VerifyConfig:
                               f"{self.min_kz_fraction!r}")
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(typing.NamedTuple):
     slope: float = 0.1
     mc_sigma: float = 3.0
     mc_fraction: float = 0.95
     quadrature: float = 1e-9
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         _require_positive(self, "tolerances", ("slope", "mc_sigma", "quadrature"))
         if not 0.0 < self.mc_fraction <= 1.0:
             raise ConfigError(f"tolerances.mc_fraction must be in (0, 1], got {self.mc_fraction!r}")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(typing.NamedTuple):
     scenario: str = ""
     seed: int = 12345
     output_dir: str = "out"
@@ -252,7 +239,7 @@ class Config:
     verify: VerifyConfig = VerifyConfig()
     tolerances: Tolerances = Tolerances()
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.unit_regime not in ("si", "scaled"):
@@ -265,8 +252,12 @@ class Config:
 
 
 def _parse(tp, value, key: str):
-    """Check a JSON value against a config field type: the one place config types are known."""
-    if dataclasses.is_dataclass(tp):
+    """Check a JSON value against a config field type: the one place config types are known.
+
+    A section (a named tuple) is checked as soon as it is built, so its
+    sections are checked before it; defaults are valid by construction.
+    """
+    if hasattr(tp, "_fields"):
         if not isinstance(value, dict):
             raise ConfigError(f"config key {key} must be a table")
         hints = typing.get_type_hints(tp)
@@ -274,7 +265,10 @@ def _parse(tp, value, key: str):
         for name in value:
             if name not in hints:
                 raise ConfigError(f"unknown config key: {prefix}{name}")
-        return tp(**{name: _parse(hints[name], v, prefix + name) for name, v in value.items()})
+        section = tp(**{name: _parse(hints[name], v, prefix + name) for name, v in value.items()})
+        if hasattr(section, "check"):
+            section.check()
+        return section
     args = typing.get_args(tp)
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list):
@@ -426,15 +420,23 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> N
             "cpu_count": os.cpu_count(),
             "threads": cfg.threads,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            # when true, each process compiles the package's source again at import
+            "dont_write_bytecode": sys.dont_write_bytecode,
             **_resource_use(),
         },
-        "config": dataclasses.asdict(cfg),
+        "config": _asdict(cfg),
         "summary": summary,
         # wall time in seconds and the work count of each timed stage
         "stages": stages,
     }
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, default=_json_default))
     (outdir / "resolved_config.json").write_text(json.dumps(meta["config"], indent=2))
+
+
+def _asdict(section) -> dict:
+    """A config section as a dict, with its sections as nested dicts."""
+    return {name: _asdict(value) if hasattr(value, "_fields") else value
+            for name, value in zip(section._fields, section)}
 
 
 def _json_default(obj):
@@ -612,6 +614,19 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
 
     g = cfg.spectrum.grid
     kz = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
+    # before any replica runs: the height guard that the Monte Carlo sum applies to
+    # each atom, here on the box's z faces, so that a too tall box exits 3 ...
+    check_linearization(metric.a, [box.low[2] - metric.z0, box.high[2] - metric.z0])
+    # ... and then the rounding of the atom phases over the box
+    reach = math.hypot(*np.maximum(np.abs(box.low), np.abs(box.high)))  # max |r| in the box
+    phase_ulp = math.ulp(float(np.linalg.norm(params.k0)) * reach)
+    if not phase_ulp <= _MAX_PHASE_ULP:
+        raise ConfigError(
+            f"the ensemble box reaches |r| = {reach:.3g}, where the atom phases |k0| |r| "
+            f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
+            "starts to decide the Monte Carlo gate: lower ensemble.box_aspect or "
+            "ensemble.box_heights"
+        )
     with _stage(stages, "replicas") as work:
         mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
                                                      cfg.seed, threads=cfg.threads)
@@ -630,16 +645,6 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     _write_csv(outdir / "spectrum.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
 
-    # after the Monte Carlo sum, whose linearization guard rejects a too tall box first
-    reach = math.hypot(*np.maximum(np.abs(box.low), np.abs(box.high)))  # max |r| in the box
-    phase_ulp = math.ulp(float(np.linalg.norm(params.k0)) * reach)
-    if not phase_ulp <= _MAX_PHASE_ULP:
-        raise ConfigError(
-            f"the ensemble box reaches |r| = {reach:.3g}, where the atom phases |k0| |r| "
-            f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
-            "starts to decide the Monte Carlo gate: lower ensemble.box_aspect or "
-            "ensemble.box_heights"
-        )
     # peak-normalized amplitude comparison, MC against the height-integral oracle
     mc_scale = float(np.max(np.abs(mc)))
     q_scale = float(np.max(np.abs(quad)))

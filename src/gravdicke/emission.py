@@ -11,7 +11,7 @@ machine can differ in the last bit of a phasor (see :func:`cis`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,19 +29,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "center size")):
     """Axis-aligned sampling volume."""
 
-    center: np.ndarray
-    size: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", np.array(self.center, dtype=float).reshape(3))
-        object.__setattr__(self, "size", np.array(self.size, dtype=float).reshape(3))
-        if not np.all((self.size > 0.0) & np.isfinite(self.size)):
+    def __new__(cls, center, size) -> "Box":
+        center = np.array(center, dtype=float).reshape(3)
+        size = np.array(size, dtype=float).reshape(3)
+        if not np.all((size > 0.0) & np.isfinite(size)):
             raise PhysicsDomainError(f"box edge lengths must be positive and finite, got "
-                                     f"{self.size.tolist()!r}")
+                                     f"{size.tolist()!r}")
+        return super().__new__(cls, center, size)
 
     @property
     def low(self) -> np.ndarray:
@@ -52,8 +51,7 @@ class Box:
         return self.center + 0.5 * self.size
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(namedtuple("Ensemble", "positions box weights")):
     """Identical two-level atoms at positions inside a box.
 
     ``weights`` carries the curved-volume importance weight sqrt(1 - a dz) per
@@ -62,26 +60,23 @@ class Ensemble:
     caller that writes to them afterwards writes to the record.
     """
 
-    positions: np.ndarray
-    box: Box
-    weights: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
+    def __new__(cls, positions, box: Box, weights=None) -> "Ensemble":
+        pos = np.asarray(positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
-        object.__setattr__(self, "positions", pos)
         # a column's min and max decide (a NaN is both, and fails both tests)
-        for col, low, high in zip(pos.T, self.box.low, self.box.high):
+        for col, low, high in zip(pos.T, box.low, box.high):
             if not (col.min() >= low and col.max() <= high):
                 raise PhysicsDomainError("all atoms must lie inside the box")
-        if self.weights is None:
-            object.__setattr__(self, "weights", np.ones(len(pos)))
+        if weights is None:
+            w = np.ones(len(pos))
         else:
-            w = np.asarray(self.weights, dtype=float)
+            w = np.asarray(weights, dtype=float)
             if w.shape != (len(pos),):
                 raise PhysicsDomainError("weights must have one entry per atom")
-            object.__setattr__(self, "weights", w)
+        return super().__new__(cls, pos, box, w)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,6 @@ Checks provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Richardson-extrapolated residuals of one mode at one spacetime point."""
 
     residual_vector: np.ndarray      # (3,) complex, per wave equation
@@ -214,8 +212,7 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
-@dataclass(frozen=True)
-class ScalingStudy:
+class ScalingStudy(NamedTuple):
     """One mode family's residual reports across a sweep of gravity gradients.
 
     ``wave_slope`` and ``gauss_slope`` are the log-log slopes of the reports'

@@ -14,7 +14,7 @@ double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,19 +34,22 @@ __all__ = [
 KZ_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar eps0")):
     """Fundamental constants; fully overridable for scaled/natural-unit work."""
 
-    c: float = 299_792_458.0          # speed of light, m/s
-    hbar: float = 1.054_571_817e-34   # reduced Planck constant, J s
-    eps0: float = 8.854_187_8128e-12  # vacuum permittivity, F/m
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("c", "hbar", "eps0"):
-            value = getattr(self, name)
+    def __new__(
+        cls,
+        c: float = 299_792_458.0,          # speed of light, m/s
+        hbar: float = 1.054_571_817e-34,   # reduced Planck constant, J s
+        eps0: float = 8.854_187_8128e-12,  # vacuum permittivity, F/m
+    ) -> "PhysicalConstants":
+        self = super().__new__(cls, c, hbar, eps0)
+        for name, value in zip(self._fields, self):
             if not (math.isfinite(value) and value > 0.0):
                 raise PhysicsDomainError(f"constant {name!r} must be finite and strictly positive")
+        return self
 
     @classmethod
     def scaled(cls) -> "PhysicalConstants":
@@ -54,24 +57,23 @@ class PhysicalConstants:
         return cls(c=1.0, hbar=1.0, eps0=1.0)
 
 
-@dataclass(frozen=True)
-class WeakFieldMetric:
+class WeakFieldMetric(namedtuple("WeakFieldMetric", "a z0")):
     """Linearized static metric g_00 = 1 + a (z - z0), g_zz = -(1 - a (z - z0)).
 
     ``a`` is the gravity-gradient parameter (1/m) and ``z0`` the reference
     height where the metric is exactly Minkowskian.
     """
 
-    a: float = 0.0
-    z0: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a >= 0.0):
+    def __new__(cls, a: float = 0.0, z0: float = 0.0) -> "WeakFieldMetric":
+        if not (math.isfinite(a) and a >= 0.0):
             raise PhysicsDomainError(
-                f"gravity-gradient parameter a must be finite and >= 0, got {self.a!r}"
+                f"gravity-gradient parameter a must be finite and >= 0, got {a!r}"
             )
-        if not math.isfinite(self.z0):
-            raise PhysicsDomainError(f"reference height z0 must be finite, got {self.z0!r}")
+        if not math.isfinite(z0):
+            raise PhysicsDomainError(f"reference height z0 must be finite, got {z0!r}")
+        return super().__new__(cls, a, z0)
 
 
 def check_linearization(a: float, dz) -> None:

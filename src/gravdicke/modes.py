@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,23 +51,21 @@ def _cross(u, v) -> np.ndarray:
                      u[0] * v[1] - u[1] * v[0]])
 
 
-@dataclass(frozen=True)
-class ModeIndex:
+class ModeIndex(namedtuple("ModeIndex", "k s")):
     """Wavevector plus polarization label, with the grazing-mode guard baked in."""
 
-    k: np.ndarray
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        k = np.array(self.k, dtype=float).reshape(3)
-        object.__setattr__(self, "k", k)
-        if self.s not in (1, 2):
+    def __new__(cls, k, s: int) -> "ModeIndex":
+        k = np.array(k, dtype=float).reshape(3)
+        if s not in (1, 2):
             raise PhysicsDomainError("polarization label s must be 1 or 2")
         norm = float(np.linalg.norm(k))
         if norm == 0.0:
             raise PhysicsDomainError("zero wavevector")
         if abs(k[2]) <= KZ_GUARD * norm:
             raise PhysicsDomainError(f"grazing mode rejected: |k_z| <= {KZ_GUARD:g} |k|")
+        return super().__new__(cls, k, s)
 
     @property
     def knorm(self) -> float:
@@ -94,8 +93,7 @@ def flat_polarization_basis(k) -> tuple[np.ndarray, np.ndarray]:
     return f1, f2
 
 
-@dataclass(frozen=True)
-class PerturbedMode:
+class PerturbedMode(NamedTuple):
     """A field eigenmode bound to a metric, a quantization volume and constants."""
 
     index: ModeIndex

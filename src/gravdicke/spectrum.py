@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -65,35 +65,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectrumParams:
-    """Emission geometry: absorbed wavevector, atomic line, metric, mode reference height."""
+class SpectrumParams(namedtuple("SpectrumParams", "k0 nu gamma metric Z constants")):
+    """Emission geometry: absorbed wavevector, atomic line, metric, mode reference height.
 
-    k0: np.ndarray
-    nu: float
-    gamma: float
-    metric: WeakFieldMetric
-    Z: float
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants.scaled)
+    ``constants`` left out is the scaled regime, PhysicalConstants.scaled().
+    """
 
-    def __post_init__(self) -> None:
-        k0 = np.array(self.k0, dtype=float).reshape(3)
-        object.__setattr__(self, "k0", k0)
-        if not (np.all(np.isfinite(k0)) and all(map(math.isfinite, (self.nu, self.gamma, self.Z)))):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        k0,
+        nu: float,
+        gamma: float,
+        metric: WeakFieldMetric,
+        Z: float,
+        constants: PhysicalConstants | None = None,
+    ) -> "SpectrumParams":
+        k0 = np.array(k0, dtype=float).reshape(3)
+        if constants is None:
+            constants = PhysicalConstants.scaled()
+        if not (np.all(np.isfinite(k0)) and all(map(math.isfinite, (nu, gamma, Z)))):
             raise PhysicsDomainError("k0, nu, gamma and Z must be finite")
         knorm = math.hypot(*k0)  # scaled, so it cannot overflow where |k0|^2 does
         if not math.isfinite(knorm * knorm):  # every k_z route squares k
             raise PhysicsDomainError(f"|k0|^2 overflows (|k0|={knorm!r})")
-        target = self.nu / self.constants.c
+        target = nu / constants.c
         if abs(knorm - target) > 1e-8 * target:
             raise PhysicsDomainError(
                 "absorbed photon must be resonant: |k0| = nu / c "
                 f"(got |k0|={knorm!r}, nu/c={target!r})"
             )
-        if not 0.0 < self.gamma < GAMMA_NU_MAX * self.nu:
+        if not 0.0 < gamma < GAMMA_NU_MAX * nu:
             raise PhysicsDomainError(
                 f"need 0 < gamma << nu (weak-coupling guard at {GAMMA_NU_MAX:g})"
             )
+        return super().__new__(cls, k0, nu, gamma, metric, Z, constants)
 
     def require_directional(self) -> None:
         """Guard for the k_z-resolved operations: grazing k0 is excluded there.
@@ -665,7 +672,9 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
     out = []
     for i in range(halvings):
         a = base * 0.5**i
-        p = replace(params, metric=WeakFieldMetric(a=a, z0=params.metric.z0))
+        # built anew, so that the constructor's checks run on the new record
+        p = SpectrumParams(params.k0, params.nu, params.gamma,
+                           WeakFieldMetric(a=a, z0=params.metric.z0), params.Z, params.constants)
         amps = analytic_spectrum(kz, p)
         mag = np.abs(amps)
         mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)

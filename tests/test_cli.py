@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import copy
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -305,8 +304,9 @@ class TestDeterminism:
         meta = json.loads((out / "metadata.json").read_text())
         env = meta["environment"]
         assert set(env) == {"python", "numpy", "cpu_count", "threads", "openblas_num_threads",
-                            "peak_rss_mb", "minor_faults"}
+                            "dont_write_bytecode", "peak_rss_mb", "minor_faults"}
         assert env["threads"] == 2
+        assert env["dont_write_bytecode"] is sys.dont_write_bytecode
         assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
         # a peak and a fault count only grow, so the test process's, read the same
         # way later, are at least as high
@@ -607,6 +607,27 @@ class TestBadInputExitCodes:
         assert "verify.min_kz_fraction" in json.loads(err)["message"]
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("ensemble, code, error", [
+        ({}, 2, "ConfigError"),
+        ({"box_heights": 300.0}, 3, "LinearizationError"),
+    ], ids=["rounded-phases", "too-tall"])
+    def test_far_box_exits_before_any_replica(self, tmp_path, capsys, monkeypatch, ensemble,
+                                              code, error):
+        # at z0 = Z = 1e14 the atom phases round to 1/64 rad, and the Monte Carlo and
+        # the quadrature would run for seconds before the quadrature's rounding exits 4;
+        # a box too tall for the linearization guard still exits 3
+        def never(*args, **kwargs):
+            raise AssertionError("a stage ran past the box guards")
+
+        monkeypatch.setattr(gravdicke.cli, "replicated_mc_spectrum", never)
+        monkeypatch.setattr(gravdicke.cli, "quadrature_spectrum", never)
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum", "metric": {"z0": 1e14},
+                                      "spectrum": {"Z": 1e14}, "ensemble": ensemble})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--output", str(out)]) == code
+        assert json.loads((out / "error.json").read_text())["error"] == error
+        self.assert_one_line(capsys)
+
     def test_output_names_a_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "spreads"})
         target = tmp_path / "taken"
@@ -633,7 +654,7 @@ def _leaf_keys(table: dict, prefix: tuple = ()):
 
 
 FUZZ_KEYS = [
-    path for path in _leaf_keys(dataclasses.asdict(load_config(None, {"scenario": "spreads"})))
+    path for path in _leaf_keys(gravdicke.cli._asdict(load_config(None, {"scenario": "spreads"})))
     if path not in (("scenario",), ("output_dir",))
 ]
 SMALL_INTS = st.integers(-3, 5)
@@ -999,7 +1020,8 @@ import json, sys
 if sys.argv[1] == "block":
     sys.modules["scipy"] = None
 import gravdicke.cli as cli
-WATCHED = ("scipy", "gravdicke.maxwell", "gravdicke.modes", "concurrent.futures")
+WATCHED = ("scipy", "gravdicke.maxwell", "gravdicke.modes", "concurrent.futures", "dataclasses",
+           "numpy.polynomial")
 loaded = [[name for name in WATCHED if name in sys.modules]]
 for path in sys.argv[2:]:
     assert cli.main(["--config", path, "--output", path + ".out"]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 import oracles
 from gravdicke import spectrum
@@ -14,7 +15,7 @@ from gravdicke.cli import _offset_grid
 from gravdicke.emission import Box, curved_timed_dicke, sample_ensemble
 from gravdicke.errors import PhysicsDomainError, QuadratureError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
-from gravdicke.quadrature import MAX_PANELS, gauss_legendre, panel_count
+from gravdicke.quadrature import MAX_PANELS, _nodes_weights, gauss_legendre, panel_count
 from gravdicke.spectrum import (
     SpectrumParams,
     flat_delta_limit,
@@ -60,6 +61,10 @@ class TestParams:
         for gamma in (-1.0, 0.0, 0.5, float("nan")):
             with pytest.raises(PhysicsDomainError):
                 make_params(nu=1.0, gamma=gamma)
+
+    def test_constants_default_to_scaled(self):
+        p = SpectrumParams(np.array([0.0, 0.0, 1.0]), 1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0)
+        assert p.constants == PhysicalConstants.scaled()
 
     def test_from_angles_geometry(self):
         p = make_params(theta0=math.pi / 3)
@@ -261,6 +266,12 @@ class TestPanelRule:
         # degree 39 is exact on a single 20-node panel
         value, _, _ = gauss_legendre(lambda z: 40.0 * z**39 + 0j, 0.0, 1.0, 1)
         assert value == pytest.approx(1.0, rel=1e-14)
+
+    def test_node_table_is_leggauss_bit_for_bit(self):
+        nodes, weights = _nodes_weights()
+        ref_nodes, ref_weights = leggauss(20)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
 
     def test_panel_count(self):
         assert panel_count(1.0, 2.0) == 1
