@@ -121,7 +121,6 @@ class EnsembleConfig(typing.NamedTuple):
     n_atoms: int = 20000
     replicas: int = 8
     box_heights: float = 80.0       # z extent in decay lengths Gamma/(a nu)
-    box_aspect: float = 0.1         # transverse edge / z extent
 
     def check(self) -> None:
         if self.replicas < 2:
@@ -129,7 +128,7 @@ class EnsembleConfig(typing.NamedTuple):
                               "a replica spread")
         _require_positive(self, "ensemble", ("n_atoms",), MAX_ATOMS)
         _require_positive(self, "ensemble", ("replicas",), MAX_COUNT)
-        _require_positive(self, "ensemble", ("box_heights", "box_aspect"))
+        _require_positive(self, "ensemble", ("box_heights",))
 
 
 class DickeConfig(typing.NamedTuple):
@@ -137,14 +136,12 @@ class DickeConfig(typing.NamedTuple):
     box_wavelengths: float = 100.0  # cube side in units of 2 pi / |k0|
     n_offpeak: int = 50
     replicas: int = 50
-    probes_u: tuple[tuple[float, ...], ...] = ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), (1.0, 1.5, 0.7))
 
     def check(self) -> None:
         if self.n_offpeak < 1:
             raise ConfigError("dicke.n_offpeak must be >= 1: the off-peak check needs probes")
-        if self.replicas < 2 or any(len(u) != 3 for u in self.probes_u):
-            raise ConfigError("dicke.replicas must be >= 2, for a replica spread, and each "
-                              "dicke.probes_u entry a 3-vector")
+        if self.replicas < 2:
+            raise ConfigError("dicke.replicas must be >= 2, for a replica spread")
         _require_positive(self, "dicke", ("n_atoms",), MAX_ATOMS)
         _require_positive(self, "dicke", ("n_offpeak", "replicas"), MAX_COUNT)
         _require_positive(self, "dicke", ("box_wavelengths",))
@@ -164,13 +161,6 @@ class DeltaConfig(typing.NamedTuple):
 
 # far past any point where central differences resolve a mode, yet c |k| t cannot overflow
 MAX_POINT = 1e100
-# the finite-difference step over the wavelength scale 1/|k|: at 1e-7 the h/2
-# stencil's rounding floor, eps x its weight sum (16/3) over (rel_step / 2)^2, is half
-# the whole second derivative |k|^2 |f|, and the O(a^2) residual the gate needs far less
-MIN_REL_STEP = 1e-7
-# at 1 the step spans a radian of the carrier phase: rel_step 1 and 2 read as
-# inconclusive, but 5 and 10 alias the wave and fit a slope of about 0
-MAX_REL_STEP = 1.0
 
 
 class PointConfig(typing.NamedTuple):
@@ -189,25 +179,16 @@ class VerifyConfig(typing.NamedTuple):
     n_modes: int = 6
     a_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
     min_kz_fraction: float = 0.1
-    volume: float = 1.0
     point: PointConfig = PointConfig()
-    rel_step: float = 0.01
-    order: int = 4
 
     def check(self) -> None:
         if len(set(self.a_values)) < 2 or self.n_modes < 1:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
-        _require_positive(self, "verify", ("volume", "rel_step"))
-        if self.rel_step < MIN_REL_STEP:
-            raise ConfigError(f"verify.rel_step must be >= {MIN_REL_STEP:g}, where rounding "
-                              f"error leaves the slope gate undecidable, got {self.rel_step!r}")
-        if self.rel_step >= MAX_REL_STEP:
-            raise ConfigError(f"verify.rel_step must be < {MAX_REL_STEP:g}: a step of a radian "
-                              f"of phase or more resolves no derivative, got {self.rel_step!r}")
+        if not all(a > 0.0 for a in self.a_values):
+            raise ConfigError(f"verify.a_values must all be > 0: a log-log slope needs positive "
+                              f"a, got {self.a_values!r}")
         _require_positive(self, "verify", ("n_modes",), MAX_COUNT)
-        if self.order not in (2, 4):
-            raise ConfigError(f"verify.order must be 2 or 4, got {self.order!r}")
         if not 0.0 <= self.min_kz_fraction < 1.0:
             raise ConfigError("verify.min_kz_fraction must be in [0, 1), got "
                               f"{self.min_kz_fraction!r}")
@@ -286,11 +267,21 @@ def _parse(tp, value, key: str):
     return float(value) if tp is float else value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's table, rejecting a repeated key, which json.loads would keep the last of."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise ConfigError(f"config key {key!r} is repeated in one table")
+        table[key] = value
+    return table
+
+
 def load_config(path: str | None, overrides: dict) -> Config:
     user: dict = {}
     if path is not None:
         try:
-            user = json.loads(Path(path).read_text())
+            user = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
@@ -307,7 +298,7 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
     constants = _constants(cfg)
     m, s = cfg.metric, cfg.spectrum
     a = m.a if m.g is None else surface_param_a(m.g, constants)
-    params = SpectrumParams.from_angles(
+    params = SpectrumParams(
         nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a=a, z0=m.z0), Z=s.Z,
         theta0=s.theta0, constants=constants,
     )
@@ -471,6 +462,11 @@ def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
     return {"frequency_spread": dw, "wavevector_spread": wv, "kernel_decay_constant": dec}
 
 
+# the named flat-dicke probes in units of 2 / box side, so that each component is
+# the argument dk_i L / 2 of its sinc^2 factor in the expectation
+_NAMED_PROBES_U = ((1.0, 0.0, 0.0), (2.5, 0.0, 0.0), (1.0, 1.5, 0.7))
+
+
 def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     # of the metric and spectrum sections only nu is read: it sets the box's wavelength
     nu = cfg.spectrum.nu
@@ -491,7 +487,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     # the zero probe comes first unconditionally: its value must be exactly 1
     probes = [np.zeros(3)]
     with np.errstate(over="ignore"):  # checked below
-        probes += [np.asarray(u, dtype=float) * 2.0 / side for u in d.probes_u]
+        probes += [np.asarray(u, dtype=float) * 2.0 / side for u in _NAMED_PROBES_U]
         n_named = len(probes)
         # random far-off-peak probes with |dk| L >= 20 pi
         for _ in range(d.n_offpeak):
@@ -504,8 +500,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     for dk in probes:
         if not math.isfinite(sum(abs(float(x)) for x in dk) * (0.5 * side)):
             raise ConfigError(f"a flat-dicke probe wavevector {dk.tolist()!r} gives phases over "
-                              f"the box that are not finite: dicke.box_wavelengths too small "
-                              f"or a dicke.probes_u entry too large")
+                              f"the box that are not finite: dicke.box_wavelengths too small")
 
     def one(seed) -> list[float]:
         ens = sample_ensemble(n, box, seed)
@@ -577,10 +572,13 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 _MIN_RELATIVE_SIGMA = 1e-15
 # the atom phases k . r_j round to about ulp(|k0| max|r|), and the Monte Carlo sum
 # relies on exp(i k0 . r_j) exp(-i k . r_j) cancelling in the transverse directions.
-# A sweep of ensemble.box_aspect (200 atoms x 2 replicas and 2e4 x 10) left every
+# A sweep of the box's transverse edge (200 atoms x 2 replicas and 2e4 x 10) left every
 # pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the gate
 # at 8 rad; 1e-2 rad keeps a hundredfold margin below the first visible effect
 _MAX_PHASE_ULP = 1e-2
+# the box's transverse edge over its height: the lateral phases cancel exactly in
+# the Monte Carlo sum, so the edge changes only rounding
+_BOX_ASPECT = 0.1
 
 
 def _noise_only_chi2_per_dof(replicas: int) -> float | None:
@@ -609,7 +607,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
 
     ell = params.gamma / (metric.a * params.nu)
     height = e.box_heights * ell
-    side = e.box_aspect * height
+    side = _BOX_ASPECT * height
     box = Box(center=(0.0, 0.0, metric.z0), size=(side, side, height))
 
     g = cfg.spectrum.grid
@@ -624,8 +622,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         raise ConfigError(
             f"the ensemble box reaches |r| = {reach:.3g}, where the atom phases |k0| |r| "
             f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
-            "starts to decide the Monte Carlo gate: lower ensemble.box_aspect or "
-            "ensemble.box_heights"
+            "starts to decide the Monte Carlo gate: lower ensemble.box_heights"
         )
     with _stage(stages, "replicas") as work:
         mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
@@ -707,6 +704,8 @@ def _ratio(num: float, den: float) -> float:
 # an isotropic k meets |k_z| >= f |k| with probability 1 - f, so this many
 # draws fail by chance only for f within about 1e-3 of 1
 _MAX_MODE_DRAWS = 10_000
+# every residual scales as 1 / sqrt(volume), and its slope in a does not
+_MODE_VOLUME = 1.0
 
 
 # Only verify-modes needs maxwell and modes, some 15 ms of import that the other
@@ -754,12 +753,15 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
         else:
             raise ConfigError(f"no mode with |k_z| >= verify.min_kz_fraction |k| in "
                               f"{_MAX_MODE_DRAWS} draws: lower verify.min_kz_fraction")
-        # vertical polarization component present, so the divergence test is nontrivial
+        # vertical polarization component present, so the divergence test is nontrivial.
+        # The stencil's defaults, order 4 at step rel_step / |k| with rel_step 0.01: at
+        # rel_step 1e-7 the h/2 stencil's rounding floor, eps x its weight sum (16/3) over
+        # (rel_step / 2)^2, is half the whole second derivative |k|^2 |f|, and the O(a^2)
+        # residual the gate needs far less.  At 1 the step spans a radian of the carrier
+        # phase: 1 and 2 read as inconclusive, but 5 and 10 alias the wave and fit a
+        # slope of about 0
         with _stage(stages, "fd_residuals") as work:
-            study = residual_slope_study(
-                k, 2, constants, z0, v.volume, v.a_values, t, r, rel_step=v.rel_step,
-                order=v.order,
-            )
+            study = residual_slope_study(k, 2, constants, z0, _MODE_VOLUME, v.a_values, t, r)
             work["mode_a"] = work.get("mode_a", 0) + len(v.a_values)
         studies.append(study)
         for a, rep in zip(v.a_values, study.reports):
@@ -773,7 +775,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
                 study.wave_slope, study.gauss_slope,
             ])
         mode = PerturbedMode.build(
-            ModeIndex(k, 2), WeakFieldMetric(a=v.a_values[-1], z0=z0), constants, v.volume,
+            ModeIndex(k, 2), WeakFieldMetric(a=v.a_values[-1], z0=z0), constants, _MODE_VOLUME,
         )
         modes_for_dump.append(mode)
         tr = transversality_check(mode, z0 + point.z)

@@ -65,42 +65,38 @@ __all__ = [
 ]
 
 
-class SpectrumParams(namedtuple("SpectrumParams", "k0 nu gamma metric Z constants")):
-    """Emission geometry: absorbed wavevector, atomic line, metric, mode reference height.
+class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 constants")):
+    """Emission geometry: atomic line, metric, mode reference height, absorbed photon's angle.
 
-    ``constants`` left out is the scaled regime, PhysicalConstants.scaled().
+    The absorbed wavevector is k0 = (nu / c) (sin theta0, 0, cos theta0): no
+    route depends on its azimuth.  ``constants`` left out is the scaled regime,
+    PhysicalConstants.scaled().
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        k0,
         nu: float,
         gamma: float,
         metric: WeakFieldMetric,
         Z: float,
+        theta0: float,
         constants: PhysicalConstants | None = None,
     ) -> "SpectrumParams":
-        k0 = np.array(k0, dtype=float).reshape(3)
         if constants is None:
             constants = PhysicalConstants.scaled()
-        if not (np.all(np.isfinite(k0)) and all(map(math.isfinite, (nu, gamma, Z)))):
-            raise PhysicsDomainError("k0, nu, gamma and Z must be finite")
-        knorm = math.hypot(*k0)  # scaled, so it cannot overflow where |k0|^2 does
+        if not all(map(math.isfinite, (nu, gamma, Z, theta0))):
+            raise PhysicsDomainError("nu, gamma, Z and theta0 must be finite")
+        self = super().__new__(cls, nu, gamma, metric, Z, theta0, constants)
+        knorm = math.hypot(*self.k0)  # scaled, so it cannot overflow where |k0|^2 does
         if not math.isfinite(knorm * knorm):  # every k_z route squares k
             raise PhysicsDomainError(f"|k0|^2 overflows (|k0|={knorm!r})")
-        target = nu / constants.c
-        if abs(knorm - target) > 1e-8 * target:
-            raise PhysicsDomainError(
-                "absorbed photon must be resonant: |k0| = nu / c "
-                f"(got |k0|={knorm!r}, nu/c={target!r})"
-            )
         if not 0.0 < gamma < GAMMA_NU_MAX * nu:
             raise PhysicsDomainError(
                 f"need 0 < gamma << nu (weak-coupling guard at {GAMMA_NU_MAX:g})"
             )
-        return super().__new__(cls, k0, nu, gamma, metric, Z, constants)
+        return self
 
     def require_directional(self) -> None:
         """Guard for the k_z-resolved operations: grazing k0 is excluded there.
@@ -112,25 +108,11 @@ class SpectrumParams(namedtuple("SpectrumParams", "k0 nu gamma metric Z constant
         if abs(self.cos_theta0) <= KZ_GUARD:
             raise PhysicsDomainError("k0 too close to horizontal: cos(theta0) under guard")
 
-    @classmethod
-    def from_angles(
-        cls,
-        nu: float,
-        gamma: float,
-        metric: WeakFieldMetric,
-        Z: float,
-        theta0: float,
-        constants: PhysicalConstants | None = None,
-    ) -> "SpectrumParams":
-        """k0 = (nu / c) (sin theta0, 0, cos theta0): no route depends on k0's azimuth."""
-        if not math.isfinite(theta0):
-            raise PhysicsDomainError("theta0 must be finite")
-        constants = constants or PhysicalConstants.scaled()
-        knorm = nu / constants.c
-        # Python floats, so a non-finite nu reaches the finiteness check without
-        # a numpy warning on stderr
-        k0 = np.array([knorm * u for u in (math.sin(theta0), 0.0, math.cos(theta0))])
-        return cls(k0, nu, gamma, metric, Z, constants)
+    @property
+    def k0(self) -> np.ndarray:
+        """The absorbed photon's wavevector (nu / c) (sin theta0, 0, cos theta0)."""
+        knorm = self.nu / self.constants.c
+        return np.array([knorm * u for u in (math.sin(self.theta0), 0.0, math.cos(self.theta0))])
 
     @property
     def k0z(self) -> float:
@@ -139,10 +121,6 @@ class SpectrumParams(namedtuple("SpectrumParams", "k0 nu gamma metric Z constant
     @property
     def cos_theta0(self) -> float:
         return self.k0z / math.hypot(*self.k0)  # np.linalg.norm underflows for tiny |k0|
-
-    @property
-    def theta0(self) -> float:
-        return math.acos(self.cos_theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +651,8 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
     for i in range(halvings):
         a = base * 0.5**i
         # built anew, so that the constructor's checks run on the new record
-        p = SpectrumParams(params.k0, params.nu, params.gamma,
-                           WeakFieldMetric(a=a, z0=params.metric.z0), params.Z, params.constants)
+        p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a, z0=params.metric.z0),
+                           params.Z, params.theta0, params.constants)
         amps = analytic_spectrum(kz, p)
         mag = np.abs(amps)
         mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)

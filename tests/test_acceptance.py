@@ -42,7 +42,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def scaled_params(a: float, theta0: float = math.pi / 6) -> SpectrumParams:
-    return SpectrumParams.from_angles(
+    return SpectrumParams(
         nu=1.0, gamma=1e-2, metric=WeakFieldMetric(a=a, z0=0.0), Z=0.0,
         theta0=theta0, constants=CST,
     )
@@ -50,7 +50,7 @@ def scaled_params(a: float, theta0: float = math.pi / 6) -> SpectrumParams:
 
 def test_criterion_01_frequency_spread_number():
     """Earth-surface inputs give a sub-10-Hz frequency spread of order 0.6."""
-    params = SpectrumParams.from_angles(
+    params = SpectrumParams(
         nu=1e15, gamma=1e8, metric=WeakFieldMetric(a=2e-16), Z=0.0, theta0=0.0,
         constants=PhysicalConstants(),
     )

@@ -84,12 +84,9 @@ class TestConfigParsing:
         path.write_bytes(b"\xff\xfe{")
         assert main(["--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("rel_step", [1.0, 2.0, 5.0, 10.0, 1e308])
-    def test_rel_step_of_a_radian_or_more_rejected_at_parse(self, rel_step):
-        # 5 and 10 alias the wave and once fitted a slope near 0, an oracle mismatch (4)
-        with pytest.raises(ConfigError, match="verify.rel_step must be < 1"):
-            load_config(None, {"scenario": "spreads", "verify": {"rel_step": rel_step}})
-        load_config(None, {"scenario": "spreads", "verify": {"rel_step": 0.99}})
+    def test_settable_keys_are_pinned(self):
+        # every leaf of the config is an input a run can set: a new one shows here
+        assert tuple(_leaf_keys(gravdicke.cli._asdict(gravdicke.cli.Config()))) == SETTABLE_KEYS
 
     def test_cli_overrides(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "spreads", "seed": 1})
@@ -103,7 +100,7 @@ class TestConfigParsing:
             "scenario": "spreads",
             "metric": {"g": 9.81},
             "verify": {"a_values": [1e-3, 2e-3]},
-            "dicke": {"probes_u": [[1, 2, 3]]},
+            "dicke": {"replicas": 3},
         })
         out = tmp_path / "rt"
         assert main(["--config", cfg, "--output", str(out)]) == 0
@@ -461,7 +458,8 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "spectrum": {"nu": float("inf")}}, 3),
         ({"scenario": "flat-dicke", "seed": -1}, 2),
         ({"scenario": "spreads", "spectrum": {"nu": None}}, 2),
-        ({"scenario": "flat-dicke", "dicke": {"probes_u": [[1, 2]]}}, 2),
+        ({"scenario": "flat-dicke",
+          "dicke": {"probes_u": [[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [1.0, 1.5, 0.7]]}}, 2),
         ({"scenario": "spreads", "metric": {"a": "0.001"}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": 100.5}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": True}}, 2),
@@ -471,21 +469,21 @@ class TestBadInputExitCodes:
         ({"scenario": "curved-spectrum", "spectrum": {"phi": 0.0}}, 2),
         ({"scenario": "spreads", "metric": {"a": 10**400}}, 2),
         ({"scenario": "spreads", "spectrum": {"theta0": float("inf")}}, 3),
-        ({"scenario": "verify-modes", "verify": {"n_modes": 2, "rel_step": 0.3, "order": 2}}, 2),
+        ({"scenario": "verify-modes", "verify": {"n_modes": 2, "point": {"t": 1e6}}}, 2),
         ({"scenario": "curved-spectrum", "tolerances": {"mc_fraction": -1, "mc_sigma": -5}}, 2),
         ({"scenario": "verify-modes", "tolerances": {"slope": -1}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": float("-inf")}},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"hi": 1e308}},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
-        ({"scenario": "verify-modes", "verify": {"rel_step": 0}}, 2),
-        ({"scenario": "verify-modes", "verify": {"order": 3}}, 2),
-        ({"scenario": "verify-modes", "verify": {"volume": 0}}, 2),
+        ({"scenario": "verify-modes", "verify": {"rel_step": 0.01}}, 2),
+        ({"scenario": "verify-modes", "verify": {"order": 4}}, 2),
+        ({"scenario": "verify-modes", "verify": {"volume": 1.0}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": 0}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"box_wavelengths": -1}}, 2),
         ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": 0}}, 2),
         ({"scenario": "curved-spectrum", "ensemble": {"box_heights": -1}}, 2),
-        ({"scenario": "curved-spectrum", "ensemble": {"box_aspect": 0}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"box_aspect": 0.1}}, 2),
         ({"scenario": "delta-limit", "delta": {"halvings": 2000}}, 3),
         ({"scenario": "flat-dicke", "dicke": {"replicas": 1}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": -1e308}},
@@ -499,7 +497,8 @@ class TestBadInputExitCodes:
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": MAX_ATOMS + 1}}, 2),
         ({"scenario": "curved-spectrum", "ensemble": {"n_atoms": MAX_ATOMS + 1}}, 2),
         ({"scenario": "spreads", "verify": {"a_values": [1e-3, float("inf")]}}, 2),
-        ({"scenario": "spreads", "dicke": {"probes_u": [[1.0, float("nan"), 0.0]]}}, 2),
+        ({"scenario": "verify-modes", "verify": {"a_values": [0.0, 1e-3]}}, 2),
+        ({"scenario": "verify-modes", "verify": {"a_values": [-1e-3, 1e-3]}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"Z": 1e200},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 3),
         ({"scenario": "curved-spectrum", "spectrum": {"nu": 1e-200, "gamma": 1e-202},
@@ -510,23 +509,38 @@ class TestBadInputExitCodes:
         ({"scenario": "flat-dicke", "unit_regime": "si", "spectrum": {"nu": 5e-324}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
-            "negative-seed", "null-nu", "probe-not-3-vector", "string-a", "float-n-atoms",
+            "negative-seed", "null-nu", "removed-key-probes-u", "string-a", "float-n-atoms",
             "bool-n-atoms", "float-threads", "no-dicke-replicas", "removed-key-beta",
             "removed-key-phi", "huge-int-a", "infinite-theta0", "inconclusive-residuals",
             "negative-mc-tolerances", "negative-slope-tolerance", "infinite-grid-lo",
-            "overflowing-grid-hi", "zero-rel-step", "order-3", "zero-volume",
+            "overflowing-grid-hi", "removed-key-rel-step", "removed-key-order",
+            "removed-key-volume",
             "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",
-            "negative-box-heights", "zero-box-aspect", "underflowing-halvings",
+            "negative-box-heights", "removed-key-box-aspect", "underflowing-halvings",
             "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
-            "infinite-a-value", "nan-probe", "unbounded-Z", "underflowing-k0-norm",
+            "infinite-a-value", "zero-a-value", "negative-a-value", "unbounded-Z",
+            "underflowing-k0-norm",
             "flat-dicke-infinite-nu", "flat-dicke-zero-nu", "flat-dicke-negative-nu",
             "flat-dicke-underflowing-k0-norm"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
         self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"scenario": "spreads", "metric": {"a": 1e-3, "a": 2e-3}}', "'a'"),
+        ('{"scenario": "spreads", "seed": 1, "scenario": "flat-dicke"}', "'scenario'"),
+    ], ids=["nested", "top-level"])
+    def test_repeated_key(self, tmp_path, capsys, text, key):
+        # json.loads alone keeps the last value: the run would go ahead at a = 2e-3
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"config key {key} is repeated" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("payload, key", [
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"points": 10**30}}}, "points"),
@@ -653,10 +667,22 @@ def _leaf_keys(table: dict, prefix: tuple = ()):
             yield prefix + (key,)
 
 
-FUZZ_KEYS = [
-    path for path in _leaf_keys(gravdicke.cli._asdict(load_config(None, {"scenario": "spreads"})))
-    if path not in (("scenario",), ("output_dir",))
-]
+SETTABLE_KEYS = (
+    ("scenario",), ("seed",), ("output_dir",), ("unit_regime",), ("threads",),
+    ("metric", "a"), ("metric", "g"), ("metric", "z0"),
+    ("spectrum", "nu"), ("spectrum", "gamma"), ("spectrum", "theta0"), ("spectrum", "Z"),
+    ("spectrum", "grid", "lo"), ("spectrum", "grid", "hi"), ("spectrum", "grid", "points"),
+    ("ensemble", "n_atoms"), ("ensemble", "replicas"), ("ensemble", "box_heights"),
+    ("dicke", "n_atoms"), ("dicke", "box_wavelengths"), ("dicke", "n_offpeak"),
+    ("dicke", "replicas"),
+    ("delta", "halvings"), ("delta", "grid_points"),
+    ("verify", "n_modes"), ("verify", "a_values"), ("verify", "min_kz_fraction"),
+    ("verify", "point", "t"), ("verify", "point", "x"), ("verify", "point", "y"),
+    ("verify", "point", "z"),
+    ("tolerances", "slope"), ("tolerances", "mc_sigma"), ("tolerances", "mc_fraction"),
+    ("tolerances", "quadrature"),
+)
+FUZZ_KEYS = [path for path in SETTABLE_KEYS if path not in (("scenario",), ("output_dir",))]
 SMALL_INTS = st.integers(-3, 5)
 # float limits that uniform float draws almost never hit: overflow at the first
 # product, far past any physical scale, and the smallest normal and subnormal sizes.
@@ -698,8 +724,7 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("key, value", [
         (("dicke", "box_wavelengths"), 5e-324),
         (("dicke", "box_wavelengths"), 1e308),
-        (("dicke", "probes_u"), [[1e308, 0.0, 0.0]]),
-    ], ids=["subnormal-box", "overflowing-box", "overflowing-probe"])
+    ], ids=["subnormal-box", "overflowing-box"])
     def test_flat_dicke_float_extremes(self, tmp_path, capsys, key, value):
         # each once printed numpy warnings; the subnormal box let a NaN reach the gate
         assert self.run_leaf(tmp_path, capsys, "flat-dicke", key, value) == 2
@@ -707,21 +732,11 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("scenario, key, value, code", [
         ("curved-spectrum", ("metric", "a"), 1e308, 2),
         ("curved-spectrum", ("ensemble", "box_heights"), 1e308, 3),
-        ("curved-spectrum", ("ensemble", "box_aspect"), 1e308, 3),
-        ("verify-modes", ("verify", "volume"), 5e-324, 3),
-        ("verify-modes", ("verify", "rel_step"), 1e-300, 2),
-        ("curved-spectrum", ("ensemble", "box_aspect"), 1e100, 2),
-        ("verify-modes", ("verify", "volume"), 1e308, 2),
-        ("verify-modes", ("verify", "rel_step"), 10.0, 2),
         ("delta-limit", ("metric", "a"), 5e-324, 2),
-    ], ids=["overflowing-a", "overflowing-height", "overflowing-aspect", "subnormal-volume",
-            "subnormal-step", "rounded-phase-aspect", "underflowing-volume", "wide-step",
-            "subnormal-a"])
+    ], ids=["overflowing-a", "overflowing-height", "subnormal-a"])
     def test_float_extremes(self, tmp_path, capsys, scenario, key, value, code):
-        # each once printed numpy warnings before its exit; the volume put NaN in the message.
-        # The last four once ended in 4, 3, 4 and 3: a box so wide that rounding erases
-        # the phase k0 . r, residuals that underflow to zero before the slope fit, a step
-        # of ten radians of phase, and a kernel too narrow for the k_z grid (with a warning)
+        # each once printed numpy warnings before its exit.  The last once ended in 3,
+        # with a warning: a kernel too narrow for the k_z grid
         assert self.run_leaf(tmp_path, capsys, scenario, key, value) == code
 
     @staticmethod
@@ -1259,6 +1274,9 @@ class TestTracerContract:
             "curved": {"scenario": "curved-spectrum", "ensemble": {"n_atoms": 2000, "replicas": 4},
                        "spectrum": {"grid": {"lo": -5.0, "hi": 2.0, "points": 21}}},
             "delta": {"scenario": "delta-limit", "delta": {"halvings": 2, "grid_points": 21}},
+            "verify": {"scenario": "verify-modes", "verify": {"n_modes": 2}},
+            "dicke": {"scenario": "flat-dicke",
+                      "dicke": {"n_atoms": 200, "n_offpeak": 2, "replicas": 2}},
         }
         recorder.install(gravdicke)
         try:
@@ -1275,6 +1293,13 @@ class TestTracerContract:
                      "emission.curved_timed_dicke", "spectrum.quadrature_spectrum"):
             assert calls.get(name, 0) > 0 and work[name] > 0, name
         assert calls.get("spectrum.kernel_area", 0) > 0
+        # one study per mode, whose work is its a values (the call's args[5])
+        n_a = len(gravdicke.cli.VerifyConfig().a_values)
+        assert calls["maxwell.residual_slope_study"] == 2
+        assert work["maxwell.residual_slope_study"] == 2 * n_a
+        # one call per probe and replica, whose work is its atoms (the call's args[0]):
+        # the zero probe, three named ones and two off-peak, at 200 atoms x 2 replicas
+        assert work["spectrum.structure_factor"] == 200 * 6 * 2
 
     def test_install_and_uninstall(self):
         tracer = load_tracer()

@@ -27,7 +27,7 @@ def records() -> dict:
     found = [cfg, cfg.metric, cfg.spectrum, cfg.spectrum.grid, cfg.ensemble, cfg.dicke,
              cfg.delta, cfg.verify, cfg.verify.point, cfg.tolerances,
              constants, curved, box, Ensemble(np.zeros((2, 3)), box),
-             SpectrumParams.from_angles(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5),
+             SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5),
              index, mode, study, study.reports[0], transversality_check(mode, 0.1)]
     return {type(record).__name__: record for record in found}
 

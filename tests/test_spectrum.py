@@ -43,7 +43,7 @@ CST = PhysicalConstants.scaled()
 
 
 def make_params(a=1e-3, nu=1.0, gamma=1e-2, theta0=math.pi / 6, Z=0.0):
-    return SpectrumParams.from_angles(
+    return SpectrumParams(
         nu=nu, gamma=gamma, metric=WeakFieldMetric(a=a, z0=0.0), Z=Z, theta0=theta0,
         constants=CST,
     )
@@ -55,24 +55,31 @@ def decay_length(params):
 
 class TestParams:
     def test_resonance_enforced(self):
-        with pytest.raises(PhysicsDomainError):
-            SpectrumParams(np.array([0.0, 0.0, 2.0]), 1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, CST)
-        # and the weak-coupling guard on the line: 0.5 nu is not weakly coupled
-        for gamma in (-1.0, 0.0, 0.5, float("nan")):
+        # the absorbed photon is resonant by construction: |k0| = nu / c at any angle
+        for theta0 in (0.0, 0.3, math.pi / 2, 2.0, -4.0):
+            p = make_params(nu=2.5, theta0=theta0)
+            assert math.hypot(*p.k0) == pytest.approx(2.5 / CST.c, rel=1e-15)
+        # and the weak-coupling guard on the line: 0.5 nu is not weakly coupled, and
+        # no gamma is below a line at nu <= 0
+        for nu, gamma in ((1.0, -1.0), (1.0, 0.0), (1.0, 0.5), (1.0, float("nan")),
+                          (0.0, 1e-2), (-1.0, 1e-2)):
             with pytest.raises(PhysicsDomainError):
-                make_params(nu=1.0, gamma=gamma)
+                make_params(nu=nu, gamma=gamma)
 
     def test_constants_default_to_scaled(self):
-        p = SpectrumParams(np.array([0.0, 0.0, 1.0]), 1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0)
+        p = SpectrumParams(1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, 0.0)
         assert p.constants == PhysicalConstants.scaled()
 
     def test_from_angles_geometry(self):
         p = make_params(theta0=math.pi / 3)
         assert np.linalg.norm(p.k0) == pytest.approx(p.nu / CST.c)
         assert p.cos_theta0 == pytest.approx(0.5)
-        assert p.theta0 == pytest.approx(math.pi / 3)
+        assert p.theta0 == math.pi / 3
         # k0 lies in the x-z plane: no route depends on its azimuth
         assert p.k0[1] == 0.0 and p.k0[0] > 0.0
+        assert p.k0z == p.k0[2] == (p.nu / CST.c) * math.cos(math.pi / 3)
+        # the angle given is kept as given, also outside [0, pi]
+        assert make_params(theta0=-math.pi / 6).theta0 == -math.pi / 6
 
     def test_tiny_k0_keeps_its_angle(self):
         # |k0| = 1e-200: squaring its components underflows, math.hypot does not
@@ -148,7 +155,7 @@ class TestSpreads:
 
     def test_earth_frequency_spread(self):
         si = PhysicalConstants()
-        p = SpectrumParams.from_angles(
+        p = SpectrumParams(
             nu=1e15, gamma=1e8, metric=WeakFieldMetric(a=2e-16), Z=0.0, theta0=0.0,
             constants=si,
         )
