@@ -51,8 +51,8 @@ class Box(namedtuple("Box", "center size")):
         return self.center + 0.5 * self.size
 
 
-class Ensemble(namedtuple("Ensemble", "positions box weights")):
-    """Identical two-level atoms at positions inside a box.
+class Ensemble(namedtuple("Ensemble", "positions weights")):
+    """Identical two-level atoms at positions inside a box, which is checked and not kept.
 
     ``weights`` carries the curved-volume importance weight sqrt(1 - a dz) per
     atom (all ones in flat space).  The record may alias the arrays it is given:
@@ -76,7 +76,7 @@ class Ensemble(namedtuple("Ensemble", "positions box weights")):
             w = np.asarray(weights, dtype=float)
             if w.shape != (len(pos),):
                 raise PhysicsDomainError("weights must have one entry per atom")
-        return super().__new__(cls, pos, box, w)
+        return super().__new__(cls, pos, w)
 
     @property
     def n(self) -> int:

@@ -148,11 +148,14 @@ def wave_residual(
     residual and ``discretization_estimate`` bounds what finite differencing
     left behind.  A report is flagged inconclusive, never silently passed, when
     that estimate exceeds the wave residual, or when a rounding floor exceeds
-    the wave or Gauss residual: the phase's rounding error magnified by one
-    central difference at step h, eps (1 + |phase|) |f| sum|w| / h^n.  Far from
-    the origin that floor swamps the differences.  A residual of exactly zero
-    is inconclusive too: it means the field underflowed, as at a huge mode
-    volume.
+    the wave or Gauss residual.  The floor is the phase's rounding error
+    eps (1 + |phase|) |f| as the extrapolated residual carries it: through the
+    h/2 stencil, sum|w| / (h/2)^n, at the Richardson weight
+    2^order / (2^order - 1), once for each differenced axis (four second
+    derivatives in a wave equation, three first derivatives in Gauss's law).
+    Far from the origin that floor swamps the differences.  A residual of
+    exactly zero is inconclusive too: it means the field underflowed, as at a
+    huge mode volume.
     """
     if order not in (2, 4):
         raise PhysicsDomainError("stencil order must be 2 or 4")
@@ -174,8 +177,9 @@ def wave_residual(
     res_norm = float(np.linalg.norm(res))
     # the carrier phase c|k| t - k . r is rounded to eps times the size of its terms
     noise = _EPS * (1.0 + abs(mode.omega * t) + float(np.abs(mode.k) @ np.abs(r))) * field_norm
-    drowned = (noise * _D2_ABS_SUM[order] / h**2 > res_norm
-               or noise * _D1_ABS_SUM[order] / h > abs(gauss))
+    noise *= factor / (factor - 1)
+    drowned = (4 * noise * _D2_ABS_SUM[order] / (h / 2) ** 2 > res_norm
+               or 3 * noise * _D1_ABS_SUM[order] / (h / 2) > abs(gauss))
     return ResidualReport(
         residual_vector=res,
         gauss_residual=complex(gauss),

@@ -469,7 +469,7 @@ class TestBadInputExitCodes:
         ({"scenario": "curved-spectrum", "spectrum": {"phi": 0.0}}, 2),
         ({"scenario": "spreads", "metric": {"a": 10**400}}, 2),
         ({"scenario": "spreads", "spectrum": {"theta0": float("inf")}}, 3),
-        ({"scenario": "verify-modes", "verify": {"n_modes": 2, "point": {"t": 1e6}}}, 2),
+        ({"scenario": "verify-modes", "verify": {"n_modes": 2, "a_values": [1e-14, 1e-13]}}, 2),
         ({"scenario": "curved-spectrum", "tolerances": {"mc_fraction": -1, "mc_sigma": -5}}, 2),
         ({"scenario": "verify-modes", "tolerances": {"slope": -1}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": float("-inf")}},
@@ -488,8 +488,11 @@ class TestBadInputExitCodes:
         ({"scenario": "flat-dicke", "dicke": {"replicas": 1}}, 2),
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"lo": -1e308}},
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
-        ({"scenario": "verify-modes", "verify": {"point": {"x": float("nan")}}}, 2),
-        ({"scenario": "verify-modes", "verify": {"point": {"t": 1e308}}}, 2),
+        ({"scenario": "verify-modes",
+          "verify": {"point": {"t": 0.3, "x": 0.2, "y": -0.15, "z": 0.35}}}, 2),
+        ({"scenario": "verify-modes", "verify": {"height": float("nan")}}, 2),
+        ({"scenario": "verify-modes", "verify": {"height": float("-inf")}}, 2),
+        ({"scenario": "verify-modes", "verify": {"n_modes": 1, "height": 200.0}}, 3),
         ({"scenario": "spreads", "metric": {"a": 1e308}}, 3),
         ({"scenario": "delta-limit", "spectrum": {"gamma": 1e-300}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": 10**30}}, 2),
@@ -517,7 +520,8 @@ class TestBadInputExitCodes:
             "removed-key-volume",
             "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",
             "negative-box-heights", "removed-key-box-aspect", "underflowing-halvings",
-            "one-dicke-replica", "huge-grid-lo", "nan-point-x", "overflowing-point-t",
+            "one-dicke-replica", "huge-grid-lo", "removed-key-point", "nan-height",
+            "infinite-height", "height-past-linearization",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
             "infinite-a-value", "zero-a-value", "negative-a-value", "unbounded-Z",
@@ -677,8 +681,7 @@ SETTABLE_KEYS = (
     ("dicke", "replicas"),
     ("delta", "halvings"), ("delta", "grid_points"),
     ("verify", "n_modes"), ("verify", "a_values"), ("verify", "min_kz_fraction"),
-    ("verify", "point", "t"), ("verify", "point", "x"), ("verify", "point", "y"),
-    ("verify", "point", "z"),
+    ("verify", "height"),
     ("tolerances", "slope"), ("tolerances", "mc_sigma"), ("tolerances", "mc_fraction"),
     ("tolerances", "quadrature"),
 )
@@ -941,15 +944,32 @@ class TestVerifyModesScenario:
         assert 0.0 < summary["max_discretization_ratio"] <= 1.0
         assert summary["max_gauss_discretization_ratio"] > 0.0
 
-    @pytest.mark.parametrize("coordinate, value, code", [
-        ("t", 1e3, 0), ("t", 1e6, 2), ("x", 1e6, 2),
-    ])
-    def test_far_point_rounding_is_undecidable_not_a_mismatch(self, tmp_path, coordinate,
-                                                              value, code):
-        # far out the rounded phase swamps the residuals: exit 2, not a slope mismatch (4)
+    def test_summary_records_height_and_contractions(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "verify-modes",
-                                      "verify": {"n_modes": 2, "point": {coordinate: value}}})
-        assert main(["--config", cfg, "--output", str(tmp_path / "far")]) == code
+                                      "verify": {"n_modes": 2, "height": 0.5}})
+        out = tmp_path / "vmt"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        summary = json.loads((out / "metadata.json").read_text())["summary"]
+        assert summary["height"] == 0.5
+        # O(a^2) at the largest a, 1e-2, and nonzero off the reference height
+        for key in ("max_p_dot_f", "max_k_dot_f", "max_p_dot_k"):
+            assert 0.0 <= summary[key] < 1e-3, key
+        assert summary["max_k_dot_f"] > 0.0
+        header, *rows = (out / "residuals.csv").read_text().splitlines()
+        column = header.split(",").index("z")
+        assert {row.split(",")[column] for row in rows} == {"0.5"}
+
+    def test_outputs_do_not_depend_on_reference_height(self, tmp_path):
+        # the metric depends on z - z0 alone, so heights are taken above z0 and z0 is
+        # not read
+        bodies = []
+        for z0 in (0.0, 5.0):
+            cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 2},
+                                          "metric": {"z0": z0}}, f"z0-{z0}.json")
+            out = tmp_path / f"z0-{z0}"
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+            bodies.append([csv_body(out / name) for name in ("residuals.csv", "mode_vectors.csv")])
+        assert bodies[0] == bodies[1]
 
     def test_residual_csv_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}})
@@ -962,9 +982,11 @@ class TestVerifyModesScenario:
     @pytest.mark.parametrize("sections", [
         {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
         {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
-    ], ids=["strong-coupling", "tall-reference-height"])
+        {"metric": {"z0": 1e3}},                           # |a dz| >= 1 at dz = 0.35 - z0
+    ], ids=["strong-coupling", "tall-reference-height", "far-metric-z0"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
-        # verify-modes reads unit_regime, metric.z0, verify and tolerances, nothing else
+        # verify-modes reads unit_regime, verify and tolerances, nothing else: the metric
+        # depends on z - z0 alone, so its checks take the metric at z0 = 0
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1},
                                       **sections})
         assert main(["--config", cfg, "--output", str(tmp_path / "vm")]) == 0
@@ -1271,6 +1293,7 @@ class TestTracerContract:
         tracer = load_tracer()
         recorder = tracer.Tracer()
         configs = {
+            "spreads": {"scenario": "spreads"},
             "curved": {"scenario": "curved-spectrum", "ensemble": {"n_atoms": 2000, "replicas": 4},
                        "spectrum": {"grid": {"lo": -5.0, "hi": 2.0, "points": 21}}},
             "delta": {"scenario": "delta-limit", "delta": {"halvings": 2, "grid_points": 21}},
@@ -1293,6 +1316,10 @@ class TestTracerContract:
                      "emission.curved_timed_dicke", "spectrum.quadrature_spectrum"):
             assert calls.get(name, 0) > 0 and work[name] > 0, name
         assert calls.get("spectrum.kernel_area", 0) > 0
+        # spreads makes one call to each closed form, and only it calls the first two
+        for name in ("spectrum.frequency_spread", "spectrum.wavevector_spread"):
+            assert calls[name] == 1, name
+        assert calls["spectrum.kernel_decay_constant"] >= 1
         # one study per mode, whose work is its a values (the call's args[5])
         n_a = len(gravdicke.cli.VerifyConfig().a_values)
         assert calls["maxwell.residual_slope_study"] == 2

@@ -78,6 +78,17 @@ class TestWaveResidual:
         assert not wave_residual(make_mode(a=1e-4), POINT_T, POINT_R).inconclusive
         assert wave_residual(make_mode(a=1e-4), 1e6, POINT_R).inconclusive
 
+    def test_rounding_floor_covers_the_extrapolated_residual(self):
+        # at t = 1e3 the a = 1e-4 residual reads 2.07e-8 against the 8.60e-9 it reads at
+        # t = 0.3.  That is rounding: one difference's noise at step h is only 0.79 of it,
+        # but the h/2 stencil's, Richardson-weighted over four axes, is 13 times it
+        mode = make_mode(k=(0.4, -0.7, 0.9), a=1e-4)
+        near = wave_residual(mode, POINT_T, POINT_R)
+        far = wave_residual(mode, 1e3, POINT_R)
+        assert not near.inconclusive
+        assert far.residual_norm > 2.0 * near.residual_norm
+        assert far.inconclusive
+
 
 class TestGaussResidual:
     def test_flat_space(self):

@@ -25,7 +25,7 @@ def records() -> dict:
     study = residual_slope_study(index.k, 2, constants, 0.0, 1.0, (1e-3, 1e-2), 0.3,
                                  (0.2, -0.15, 0.35))
     found = [cfg, cfg.metric, cfg.spectrum, cfg.spectrum.grid, cfg.ensemble, cfg.dicke,
-             cfg.delta, cfg.verify, cfg.verify.point, cfg.tolerances,
+             cfg.delta, cfg.verify, cfg.tolerances,
              constants, curved, box, Ensemble(np.zeros((2, 3)), box),
              SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5),
              index, mode, study, study.reports[0], transversality_check(mode, 0.1)]
@@ -33,7 +33,7 @@ def records() -> dict:
 
 
 RECORDS = ("Config", "MetricConfig", "SpectrumConfig", "GridConfig", "EnsembleConfig",
-           "DickeConfig", "DeltaConfig", "VerifyConfig", "PointConfig", "Tolerances",
+           "DickeConfig", "DeltaConfig", "VerifyConfig", "Tolerances",
            "PhysicalConstants", "WeakFieldMetric", "Box", "Ensemble", "SpectrumParams",
            "ModeIndex", "PerturbedMode", "ScalingStudy", "ResidualReport",
            "TransversalityReport")
