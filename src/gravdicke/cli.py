@@ -163,11 +163,8 @@ class VerifyConfig(typing.NamedTuple):
     n_modes: int = 6
     a_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
     min_kz_fraction: float = 0.1
-    height: float = 0.35            # above the metric's reference height
 
     def check(self) -> None:
-        if not math.isfinite(self.height):
-            raise ConfigError(f"verify.height must be finite, got {self.height!r}")
         if len(set(self.a_values)) < 2 or self.n_modes < 1:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
@@ -411,8 +408,10 @@ def _write_metadata(outdir: Path, cfg: Config, summary: dict, stages: dict) -> N
 
 
 def _asdict(section) -> dict:
-    """A config section as a dict, with its sections as nested dicts."""
-    return {name: _asdict(value) if hasattr(value, "_fields") else value
+    """A config section as a dict, its sections as nested dicts and an unread non-finite
+    number, which JSON cannot hold, as null."""
+    return {name: _asdict(value) if hasattr(value, "_fields")
+            else None if isinstance(value, float) and not math.isfinite(value) else value
             for name, value in zip(section._fields, section)}
 
 
@@ -692,11 +691,11 @@ def _ratio(num: float, den: float) -> float:
 _MAX_MODE_DRAWS = 10_000
 # every residual scales as 1 / sqrt(volume), and its slope in a does not
 _MODE_VOLUME = 1.0
-# (t, x, y) of every residual.  A mode is the carrier e^{i(omega t - k . r)} times an
+# (t, x, y, z) of every check.  A mode is the carrier e^{i(omega t - k . r)} times an
 # envelope in z, and the metric depends on z - z0 alone, so a residual's size depends
-# on the height alone: other values of t, x and y only add rounding to the phase.
-# The metric is taken at z0 = 0 for the same reason, and every height is one above z0
-_CARRIER_POINT = (0.3, 0.2, -0.15)
+# on the height alone: other t, x and y only add rounding to the phase.  So the metric
+# is taken at z0 = 0, and every z is a height above z0
+_CARRIER_POINT = (0.3, 0.2, -0.15, 0.35)
 
 
 # Only verify-modes needs maxwell and modes, some 15 ms of import that the other
@@ -728,8 +727,8 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
     constants = _constants(cfg)
     v = cfg.verify
     tol = cfg.tolerances
-    t, x, y = _CARRIER_POINT
-    r = np.array([x, y, v.height])
+    t, x, y, z = _CARRIER_POINT
+    r = np.array([x, y, z])
 
     rng = ensemble_stream((cfg.seed, 31))
     rows = []
@@ -769,7 +768,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
             ModeIndex(k, 2), WeakFieldMetric(a=v.a_values[-1]), constants, _MODE_VOLUME,
         )
         modes_for_dump.append(mode)
-        tr = transversality_check(mode, v.height)
+        tr = transversality_check(mode, z)
         contractions.append(tr)
         print(f"mode {m}: wave slope {study.wave_slope:.3f}, gauss slope "
               f"{study.gauss_slope:.3f}, transversality "
@@ -807,7 +806,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
                "max_p_dot_f": max(tr.p_dot_f for tr in contractions),
                "max_k_dot_f": max(tr.k_dot_f for tr in contractions),
                "max_p_dot_k": max(tr.p_dot_k for tr in contractions),
-               "n_modes": v.n_modes, "a_values": v.a_values, "height": v.height}
+               "n_modes": v.n_modes, "a_values": v.a_values}
     if worst_wave > tol.slope or worst_gauss > tol.slope:
         raise OracleMismatchError(
             f"residual scaling slope off by {max(worst_wave, worst_gauss):.3f} "

@@ -189,12 +189,15 @@ class TestFlatDickeScenario:
     @pytest.mark.parametrize("sections", [
         {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
         {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
-    ], ids=["strong-coupling", "tall-reference-height"])
+        {"metric": {"a": float("nan")}},                   # echoed as null
+    ], ids=["strong-coupling", "tall-reference-height", "nan-metric-a"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
         # flat-dicke reads unit_regime, seed, spectrum.nu and dicke, nothing else
         cfg = write_config(tmp_path, {"scenario": "flat-dicke",
                                       "dicke": {"n_atoms": 100, "replicas": 2}, **sections})
-        assert main(["--config", cfg, "--output", str(tmp_path / "fd")]) == 0
+        out = tmp_path / "fd"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert_strict_json(out)
 
 
 class TestNoiseOnlyChi2:
@@ -490,9 +493,6 @@ class TestBadInputExitCodes:
           "ensemble": {"n_atoms": 200, "replicas": 2}}, 2),
         ({"scenario": "verify-modes",
           "verify": {"point": {"t": 0.3, "x": 0.2, "y": -0.15, "z": 0.35}}}, 2),
-        ({"scenario": "verify-modes", "verify": {"height": float("nan")}}, 2),
-        ({"scenario": "verify-modes", "verify": {"height": float("-inf")}}, 2),
-        ({"scenario": "verify-modes", "verify": {"n_modes": 1, "height": 200.0}}, 3),
         ({"scenario": "spreads", "metric": {"a": 1e308}}, 3),
         ({"scenario": "delta-limit", "spectrum": {"gamma": 1e-300}}, 2),
         ({"scenario": "flat-dicke", "dicke": {"n_atoms": 10**30}}, 2),
@@ -520,8 +520,7 @@ class TestBadInputExitCodes:
             "removed-key-volume",
             "no-dicke-atoms", "negative-box-wavelengths", "no-ensemble-atoms",
             "negative-box-heights", "removed-key-box-aspect", "underflowing-halvings",
-            "one-dicke-replica", "huge-grid-lo", "removed-key-point", "nan-height",
-            "infinite-height", "height-past-linearization",
+            "one-dicke-replica", "huge-grid-lo", "removed-key-point",
             "overflowing-spreads", "underflowing-gamma", "astronomical-dicke-atoms",
             "astronomical-ensemble-atoms", "dicke-atoms-over-cap", "ensemble-atoms-over-cap",
             "infinite-a-value", "zero-a-value", "negative-a-value", "unbounded-Z",
@@ -681,7 +680,6 @@ SETTABLE_KEYS = (
     ("dicke", "replicas"),
     ("delta", "halvings"), ("delta", "grid_points"),
     ("verify", "n_modes"), ("verify", "a_values"), ("verify", "min_kz_fraction"),
-    ("verify", "height"),
     ("tolerances", "slope"), ("tolerances", "mc_sigma"), ("tolerances", "mc_fraction"),
     ("tolerances", "quadrature"),
 )
@@ -711,6 +709,12 @@ FUZZ_BASE = {
 
 def _reject_constant(constant):
     raise ValueError(f"metadata.json holds the non-JSON constant {constant}")
+
+
+def assert_strict_json(out: Path) -> None:
+    """Both config echoes are JSON proper, with no NaN or Infinity."""
+    for name in ("metadata.json", "resolved_config.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
 class TestConfigFuzz:
@@ -944,20 +948,18 @@ class TestVerifyModesScenario:
         assert 0.0 < summary["max_discretization_ratio"] <= 1.0
         assert summary["max_gauss_discretization_ratio"] > 0.0
 
-    def test_summary_records_height_and_contractions(self, tmp_path):
-        cfg = write_config(tmp_path, {"scenario": "verify-modes",
-                                      "verify": {"n_modes": 2, "height": 0.5}})
+    def test_summary_records_contractions(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 2}})
         out = tmp_path / "vmt"
         assert main(["--config", cfg, "--output", str(out)]) == 0
         summary = json.loads((out / "metadata.json").read_text())["summary"]
-        assert summary["height"] == 0.5
         # O(a^2) at the largest a, 1e-2, and nonzero off the reference height
         for key in ("max_p_dot_f", "max_k_dot_f", "max_p_dot_k"):
             assert 0.0 <= summary[key] < 1e-3, key
         assert summary["max_k_dot_f"] > 0.0
         header, *rows = (out / "residuals.csv").read_text().splitlines()
         column = header.split(",").index("z")
-        assert {row.split(",")[column] for row in rows} == {"0.5"}
+        assert {row.split(",")[column] for row in rows} == {"0.35"}
 
     def test_outputs_do_not_depend_on_reference_height(self, tmp_path):
         # the metric depends on z - z0 alone, so heights are taken above z0 and z0 is
@@ -982,14 +984,17 @@ class TestVerifyModesScenario:
     @pytest.mark.parametrize("sections", [
         {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
         {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
-        {"metric": {"z0": 1e3}},                           # |a dz| >= 1 at dz = 0.35 - z0
-    ], ids=["strong-coupling", "tall-reference-height", "far-metric-z0"])
+        {"metric": {"z0": 1e3}},                           # heights are taken above z0
+        {"metric": {"z0": float("nan")}},                  # echoed as null
+    ], ids=["strong-coupling", "tall-reference-height", "far-metric-z0", "nan-metric-z0"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
         # verify-modes reads unit_regime, verify and tolerances, nothing else: the metric
         # depends on z - z0 alone, so its checks take the metric at z0 = 0
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1},
                                       **sections})
-        assert main(["--config", cfg, "--output", str(tmp_path / "vm")]) == 0
+        out = tmp_path / "vm"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert_strict_json(out)
 
 
 class TestDeltaLimitScenario:
