@@ -555,15 +555,13 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 # eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
 # the gate; the spread shrinks in proportion to ensemble.box_heights
 _MIN_RELATIVE_SIGMA = 1e-15
-# the atom phases k . r_j round to about ulp(|k0| max|r|), and the Monte Carlo sum
-# relies on exp(i k0 . r_j) exp(-i k . r_j) cancelling in the transverse directions.
-# A sweep of the box's transverse edge (200 atoms x 2 replicas and 2e4 x 10) left every
-# pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the gate
-# at 8 rad; 1e-2 rad keeps a hundredfold margin below the first visible effect
+# the atom phases k0z z_j and k_z z_j round to ulp(max(|k0z|, max|k_z|) max|z|).  The bound
+# was set when the sum still formed the lateral phases k . r_j and cancelled them in
+# floating point: a sweep of their size (200 atoms x 2 replicas and 2e4 x 10) left
+# every pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the
+# gate at 8 rad.  It is kept for the height phases, a hundredfold below the first
+# visible effect
 _MAX_PHASE_ULP = 1e-2
-# the box's transverse edge over its height: the lateral phases cancel exactly in
-# the Monte Carlo sum, so the edge changes only rounding
-_BOX_ASPECT = 0.1
 
 
 def _noise_only_chi2_per_dof(replicas: int) -> float | None:
@@ -592,8 +590,8 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
 
     ell = params.gamma / (metric.a * params.nu)
     height = e.box_heights * ell
-    side = _BOX_ASPECT * height
-    box = Box(center=(0.0, 0.0, metric.z0), size=(side, side, height))
+    # a cube: the Monte Carlo reads only heights, so the transverse edge moves no bit
+    box = Box(center=(0.0, 0.0, metric.z0), size=(height, height, height))
 
     g = cfg.spectrum.grid
     kz = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
@@ -601,11 +599,11 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     # each atom, here on the box's z faces, so that a too tall box exits 3 ...
     check_linearization(metric.a, [box.low[2] - metric.z0, box.high[2] - metric.z0])
     # ... and then the rounding of the atom phases over the box
-    reach = math.hypot(*np.maximum(np.abs(box.low), np.abs(box.high)))  # max |r| in the box
-    phase_ulp = math.ulp(float(np.linalg.norm(params.k0)) * reach)
+    reach = max(abs(box.low[2]), abs(box.high[2]))  # max |z| in the box
+    phase_ulp = math.ulp(max(abs(params.k0z), float(np.max(np.abs(kz)))) * reach)
     if not phase_ulp <= _MAX_PHASE_ULP:
         raise ConfigError(
-            f"the ensemble box reaches |r| = {reach:.3g}, where the atom phases |k0| |r| "
+            f"the ensemble box reaches |z| = {reach:.3g}, where the atom phases |k_z| |z| "
             f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
             "starts to decide the Monte Carlo gate: lower ensemble.box_heights"
         )
@@ -629,10 +627,9 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
 
     # peak-normalized amplitude comparison, MC against the height-integral oracle
     mc_scale = float(np.max(np.abs(mc)))
-    q_scale = float(np.max(np.abs(quad)))
-    signed_dev = mc / mc_scale - quad / q_scale
-    dev = np.abs(signed_dev)
     sigma = mc_stderr / mc_scale
+    # before the quadrature is scaled: a box too thin for this check can leave its
+    # peak zero or subnormal, and the division by it would overflow
     if not np.min(sigma) >= _MIN_RELATIVE_SIGMA:
         raise ConfigError(
             f"ensemble.box_heights={e.box_heights!r} gives a replica spread down to "
@@ -640,6 +637,8 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
             f"{_MIN_RELATIVE_SIGMA:g} below which rounding decides the Monte Carlo gate: "
             "use a taller box"
         )
+    signed_dev = mc / mc_scale - quad / float(np.max(np.abs(quad)))
+    dev = np.abs(signed_dev)
     pulls = dev / sigma
     within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())
@@ -744,7 +743,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
             raise ConfigError(f"no mode with |k_z| >= verify.min_kz_fraction |k| in "
                               f"{_MAX_MODE_DRAWS} draws: lower verify.min_kz_fraction")
         # vertical polarization component present, so the divergence test is nontrivial.
-        # The stencil's defaults, order 4 at step rel_step / |k| with rel_step 0.01: at
+        # wave_residual's stencil, order 4 at step rel_step / |k| with rel_step 0.01: at
         # rel_step 1e-7 the h/2 stencil's rounding floor, eps x its weight sum (16/3) over
         # (rel_step / 2)^2, is half the whole second derivative |k|^2 |f|, and the O(a^2)
         # residual the gate needs far less.  At 1 the step spans a radian of the carrier

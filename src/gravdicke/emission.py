@@ -169,22 +169,22 @@ def cis(theta, out: np.ndarray | None = None, *, work: np.ndarray | None = None)
     return out
 
 
-def curved_timed_dicke(ensemble: Ensemble, k0, *, out: np.ndarray | None = None,
+def curved_timed_dicke(ensemble: Ensemble, k0z: float, *, out: np.ndarray | None = None,
                        work: np.ndarray | None = None) -> np.ndarray:
-    """Absorption-conditioned amplitudes c_j ~ exp(i k0 . r_j), renormalized to unit norm.
+    """Absorption-conditioned amplitudes c_j = exp(i k0z z_j), renormalized to unit norm.
 
-    Returns the state itself: a complex array with one amplitude per atom, in
-    the ensemble's atom order.  It is written into ``out`` when that is given
-    (a C-contiguous complex array of ensemble.n entries), and the phases and
-    |c_j|^2 pass through ``work`` (a C-contiguous float array of as many); each
-    left out is allocated.  The phases are the flat plane-wave phases k0 . r_j,
-    so this is the flat timed Dicke state exp(i k0 . r_j) / sqrt(N) at any a:
-    the metric enters a curved ensemble through its volume weights, whose
-    linearization guard :func:`sample_ensemble` applies.  The phasors come from
-    :func:`cis`.
+    This is the timed Dicke state exp(i k0 . r_j) / sqrt(N) restricted to the
+    heights, which is exact for the emission: every mode the atom sum runs over
+    keeps k0's transverse components, so in exp(i k0 . r_j) exp(-i k . r_j) =
+    exp(i (k0z - k_z) z_j) the x and y phases cancel atom by atom.  Returns the
+    state itself, one amplitude per atom in the ensemble's order, written into
+    ``out`` when that is given (a C-contiguous complex array of ensemble.n
+    entries); the phases and |c_j|^2 pass through ``work`` (a C-contiguous
+    float array of as many).  Each left out is allocated.  The phases are flat
+    at any a: the metric enters through the volume weights, whose linearization
+    guard :func:`sample_ensemble` applies.  The phasors come from :func:`cis`.
     """
-    k0 = np.asarray(k0, dtype=float).reshape(3)
-    theta = np.matmul(ensemble.positions, k0, out=work)
+    theta = np.multiply(ensemble.positions[:, 2], k0z, out=work)
     raw = cis(theta, out=out, work=theta)
     norm_sq = np.sum(np.square(np.abs(raw, out=theta), out=theta))
     # a real product with 1 / norm: numpy's complex division by a real scalar

@@ -242,15 +242,13 @@ def residual_slope_study(
     t: float,
     r,
     *,
-    rel_step: float = 0.01,
-    order: int = 4,
     include_gauss_constant: bool = True,
 ) -> ScalingStudy:
     """Sweep the gravity gradient and fit the wave/Gauss residual scaling slopes.
 
     With all first-order terms in place both slopes sit at 2; ablating the
-    Gauss-law constant pulls the Gauss slope down to ~1.  ``rel_step`` and
-    ``order`` set every report's stencil (see :func:`wave_residual`).
+    Gauss-law constant pulls the Gauss slope down to ~1.  Every report takes
+    :func:`wave_residual`'s default stencil.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     reports = []
@@ -261,7 +259,7 @@ def residual_slope_study(
         field = lambda ts, rs, m=mode: mode_field_first_order(  # noqa: E731
             m, ts, rs, include_gauss_constant=include_gauss_constant,
         )
-        reports.append(wave_residual(mode, t, r, rel_step=rel_step, order=order, field=field))
+        reports.append(wave_residual(mode, t, r, field=field))
 
     def slope(norms: list[float]) -> float:
         # a zero norm has no logarithm; its report is inconclusive, so the slope is NaN

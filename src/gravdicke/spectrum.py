@@ -1,7 +1,8 @@
 """Angular/spectral distribution of the re-emitted photon, three independent ways.
 
-The directional structure lives entirely in k_z (the transverse components are
-pinned to the absorbed photon's).  This module computes the k_z distribution
+The directional structure lives entirely in k_z: the transverse components are
+pinned to the absorbed photon's, and their phases cancel atom by atom.  This
+module computes the k_z distribution
 
 * analytically: a one-sided exponential kernel with a hard cutoff at the
   incoming k0z and decay constant Gamma/(a nu),
@@ -352,7 +353,7 @@ _PHASE_TOL = 1e-12
 # Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
 # arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
 # on them runs long enough between GIL handoffs for replicas on two threads to
-# overlap.  Each thread reuses one workspace of batch-sized arrays, 2.6 MB at
+# overlap.  Each thread reuses one workspace of batch-sized arrays, 2.4 MB at
 # this size, whatever the replicas' atom count: glibc would hand arrays this
 # large back to the kernel after each batch and fault them in again.
 _BATCH_ATOMS = 25_000
@@ -389,8 +390,9 @@ def _reciprocal(u: np.ndarray, g_sq: float, neg_g: float, w: np.ndarray,
 
 
 def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: five real rows, four complex."""
-    return np.empty((5, n)), np.empty((4, n), dtype=complex)
+    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: four real rows (no x or y
+    enters the sum), four complex."""
+    return np.empty((4, n)), np.empty((4, n), dtype=complex)
 
 
 def _batch_work(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -398,7 +400,8 @@ def _batch_work(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.nd
 
     The (n, 3) positions and n weights are the float view of the atom sum's last
     two complex rows, step and 1/D, which its grid loop writes only after it
-    has read them (see :func:`monte_carlo_spectrum`).
+    has read them (see :func:`monte_carlo_spectrum`).  Of the positions, the state
+    and the sum read only the heights.
     """
     work = _sum_work(n)
     spare = work[1][2:].view(float).reshape(-1)  # 4 n floats
@@ -413,23 +416,24 @@ def monte_carlo_spectrum(
     *,
     work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i k . r_j} / D_j(kz), over the grid.
+    """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
 
-    c_j are the state's ``amplitudes``, one per atom in the ensemble's order, as
-    :func:`gravdicke.emission.curved_timed_dicke` returns them.  D_j is the
-    detuning denominator with the mode frequency shifted to the atom's height;
-    k keeps k0's transverse components, so a global x/y translation of the
-    ensemble cancels exactly.  The whole ensemble is summed in one pass per
-    grid point, in atom order, with working arrays of its size: fresh ones, or
-    the first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
-    _sum_work makes them for at least that many atoms.  ``amplitudes`` may be
-    the first ensemble.n entries of the first complex row of ``work``: the
-    weights then multiply them in place.  The ensemble's positions and weights
-    may live in the float view of the last two complex rows of ``work``: they
-    are read into the real rows and the weighted amplitudes before the grid
-    loop first writes those two rows.
+    c_j are the state's ``amplitudes``, one per atom in the ensemble's order,
+    as :func:`gravdicke.emission.curved_timed_dicke` returns them.  D_j is the
+    detuning denominator with the mode frequency shifted to the atom's height.
+    k keeps k0's transverse components, so its x and y phases cancel the
+    state's atom by atom: they are never formed, and k_x and k_y enter only
+    c|k|.  The whole ensemble is summed in one pass per grid point, in atom
+    order, with working arrays of its size: fresh ones, or the first ensemble.n
+    columns of ``work``, a pair of C-contiguous arrays as _sum_work makes them
+    for at least that many atoms.  ``amplitudes`` may be the first ensemble.n
+    entries of the first complex row of ``work``: the weights then multiply
+    them in place.  The ensemble's positions and weights may live in the float
+    view of the last two complex rows of ``work``: they are read into the real
+    rows and the weighted amplitudes before the grid loop first writes those
+    two rows.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
-    The phase e^{-i k . r_j} is computed whole by :func:`cis` at a few grid
+    The phase e^{-i kz z_j} is computed whole by :func:`cis` at a few grid
     points and carried between them by a complex multiply per step (see
     _exact_phase_points), and 1/D_j is built in real arithmetic (see
     _reciprocal).  It carries no error estimate: the spread over independent
@@ -443,13 +447,12 @@ def monte_carlo_spectrum(
     if kz.ndim != 1 or kz.size == 0:
         raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
     real, cplx = _sum_work(ensemble.n) if work is None else work
-    z, neg_lateral, height, u, w = real[:, :ensemble.n]
+    z, height, u, w = real[:, :ensemble.n]
     amps, phased, step, inv = cplx[:, :ensemble.n]
     kx, ky = params.k0[0], params.k0[1]
     c = params.constants.c
     a = params.metric.a
-    xs, ys, zs = ensemble.positions.T
-    np.copyto(z, zs)  # contiguous: every pass below reads it
+    np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
     z_lo, z_hi = float(z.min()), float(z.max())
     exact = _exact_phase_points(kz, max(-z_lo, z_hi))
 
@@ -470,20 +473,13 @@ def monte_carlo_spectrum(
     g_sq, neg_g = [x * x for x in g], [-x for x in g]
 
     np.multiply(amplitudes, ensemble.weights, out=amps)
-    # with -k_perp . r_j formed once, the phase at an exact point takes two
-    # contiguous passes, bit for bit -(k_perp . r_j + kz z_j)
-    np.multiply(xs, kx, out=neg_lateral)
-    neg_lateral += np.multiply(ys, ky, out=u)
-    np.negative(neg_lateral, out=neg_lateral)
     np.subtract(params.Z, z, out=height)
     sums = np.empty(kz.size, dtype=complex)
     step_dkz = None
     for i, kzi in enumerate(kz_list):
         if exact[i]:
-            # the whole phase -k . r_j in one cis, its angle in u until u's own pass
-            theta = np.multiply(z, kzi, out=u)
-            np.subtract(neg_lateral, theta, out=theta)
-            cis(theta, out=phased, work=theta)
+            # the whole phase -kz z_j in one cis, its angle in u until u's own pass
+            cis(np.multiply(z, -kzi, out=u), out=phased, work=u)
             phased *= amps
             # a uniform stretch keeps its step across the periodic reseeds
             if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
@@ -540,8 +536,8 @@ def replicated_mc_spectrum(
     :func:`gravdicke.emission.sample_ensemble`), and no more than one batch is
     held at a time.  Each batch of m atoms gets its own timed Dicke state and
     atom sum, weighted by sqrt(m / n_atoms) and added in batch order.  That is
-    the whole ensemble's sum: its state e^{i k0 . r_j} / sqrt(N), restricted to
-    the batch, is sqrt(m / N) times the batch's own state e^{i k0 . r_j} / sqrt(m).
+    the whole ensemble's sum: its state e^{i k0z z_j} / sqrt(N), restricted to
+    the batch, is sqrt(m / N) times the batch's own state e^{i k0z z_j} / sqrt(m).
     The two differ only in rounding, since each state is normalized by its
     computed norm, and |cis| is 1 to about 3e-16.  Every batch a thread runs,
     in all of its replicas, is drawn, phased and summed in that thread's one
@@ -569,7 +565,7 @@ def replicated_mc_spectrum(
             ens = sample_ensemble(m, box, rng, metric=params.metric,
                                   out=(positions[:m], weights[:m]))
             # the state is built in the sum's first rows, which the sum weights in place
-            amps = curved_timed_dicke(ens, params.k0, out=sum_work[1][0, :m],
+            amps = curved_timed_dicke(ens, params.k0z, out=sum_work[1][0, :m],
                                       work=sum_work[0][0, :m])
             total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params,
                                                                    work=sum_work)

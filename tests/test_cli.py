@@ -739,11 +739,15 @@ class TestConfigFuzz:
     @pytest.mark.parametrize("scenario, key, value, code", [
         ("curved-spectrum", ("metric", "a"), 1e308, 2),
         ("curved-spectrum", ("ensemble", "box_heights"), 1e308, 3),
+        ("curved-spectrum", ("ensemble", "box_heights"), 1e-320, 2),
+        ("curved-spectrum", ("ensemble", "box_heights"), 5e-324, 2),
         ("delta-limit", ("metric", "a"), 5e-324, 2),
-    ], ids=["overflowing-a", "overflowing-height", "subnormal-a"])
+    ], ids=["overflowing-a", "overflowing-height", "subnormal-height", "least-height",
+            "subnormal-a"])
     def test_float_extremes(self, tmp_path, capsys, scenario, key, value, code):
-        # each once printed numpy warnings before its exit.  The last once ended in 3,
-        # with a warning: a kernel too narrow for the k_z grid
+        # each once printed numpy warnings before its exit.  A subnormal box's quadrature
+        # peak overflowed the gate's scaling before the spread check rejected the box;
+        # the subnormal a once ended in 3, with a warning: a kernel too narrow for the grid
         assert self.run_leaf(tmp_path, capsys, scenario, key, value) == code
 
     @staticmethod

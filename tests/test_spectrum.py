@@ -310,7 +310,7 @@ class TestMonteCarlo:
     def test_flat_coherent_peak(self):
         p = make_params(a=1e-12)  # effectively flat but kernel-safe
         ens = sample_ensemble(400, self.box, 21)
-        state = curved_timed_dicke(ens, p.k0)
+        state = curved_timed_dicke(ens, p.k0z)
         amps = monte_carlo_spectrum(ens, state, np.array([p.k0z]), p)
         # all phasors align at k = k0: |amp| = sqrt(N) / |i G / 2|
         expected = math.sqrt(ens.n) / (0.5 * p.gamma)
@@ -319,23 +319,38 @@ class TestMonteCarlo:
     def test_translation_invariance_in_xy(self):
         p = self.params
         ens = sample_ensemble(500, self.box, 23, metric=p.metric)
-        state = curved_timed_dicke(ens, p.k0)
+        state = curved_timed_dicke(ens, p.k0z)
         amps = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
         big = Box(center=(0.0, 0.0, 0.0), size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
         ens2 = type(ens)(shifted_pos, big, ens.weights)
-        state2 = curved_timed_dicke(ens2, p.k0)
+        state2 = curved_timed_dicke(ens2, p.k0z)
         amps2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
-        np.testing.assert_allclose(np.abs(amps2) ** 2, np.abs(amps) ** 2, rtol=1e-12)
+        # the lateral phases cancel atom by atom, so the route never forms them
+        np.testing.assert_array_equal(amps2, amps)
+
+    def test_transverse_edge_moves_no_bit(self):
+        # the box's x and y edges move the drawn x and y, which no phase reads
+        p = self.params
+        height = self.box.size[2]
+
+        def run(aspect):
+            box = Box(center=(0.0, 0.0, 0.0), size=(aspect * height, aspect * height, height))
+            return replicated_mc_spectrum(p, self.kz, 2000, box, 3, 41)
+
+        want = run(0.1)
+        for aspect in (1.0, 10.0):
+            for got, ref in zip(run(aspect), want):  # mean, stderr and probability
+                np.testing.assert_array_equal(got, ref)
 
     def test_mismatch_rejected(self):
         p = self.params
         ens = sample_ensemble(50, self.box, 25)
         other = sample_ensemble(60, self.box, 26)
-        state = curved_timed_dicke(other, p.k0)
+        state = curved_timed_dicke(other, p.k0z)
         with pytest.raises(PhysicsDomainError):
             monte_carlo_spectrum(ens, state, self.kz, p)
-        state_ok = curved_timed_dicke(ens, p.k0)
+        state_ok = curved_timed_dicke(ens, p.k0z)
         with pytest.raises(PhysicsDomainError):
             monte_carlo_spectrum(ens, state_ok, np.array([]), p)
 
@@ -374,10 +389,16 @@ class TestMeanStderr:
             mean_stderr(np.ones((1, 3)))
 
 
-def brute_force_atom_sum(ens, state, kz_grid, p):
-    """Reference atom sum: one full-phase exp and one complex division per atom and k_z."""
+def brute_force_atom_sum(ens, kz_grid, p):
+    """Reference atom sum: one full-phase exp and one complex division per atom and k_z.
+
+    It keeps the full 3-D timed Dicke state e^{i k0 . r} / sqrt(N) and the 3-D
+    phase e^{-i k . r}, so that the heights-only route is checked against the
+    lateral phases' cancellation rather than assuming it.
+    """
     x, y, z = ens.positions.T
     kx, ky = p.k0[0], p.k0[1]
+    state = np.exp(1j * (ens.positions @ p.k0)) / math.sqrt(ens.n)
     amps = []
     for kz in kz_grid:
         omega = p.constants.c * math.sqrt(kx**2 + ky**2 + kz**2)
@@ -418,9 +439,8 @@ class TestPhaseRecurrence(RecurrenceCase):
         p = self.params
         kz = self.grid(grid)
         ens = sample_ensemble(n_atoms, self.box, 61, metric=p.metric)
-        state = curved_timed_dicke(ens, p.k0)
-        got = monte_carlo_spectrum(ens, state, kz, p)
-        amps = brute_force_atom_sum(ens, state, kz, p)
+        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        amps = brute_force_atom_sum(ens, kz, p)
         peak = np.max(np.abs(amps))
         assert np.max(np.abs(got - amps)) <= 1e-12 * peak
 
@@ -464,8 +484,7 @@ class TestBatchComposition(RecurrenceCase):
         sums = []
         for r in range(3):
             ens = sample_ensemble(n_atoms, self.box, (61, r), metric=p.metric)
-            state = curved_timed_dicke(ens, p.k0)
-            sums.append(brute_force_atom_sum(ens, state, kz, p))
+            sums.append(brute_force_atom_sum(ens, kz, p))
         mean = np.mean(sums, axis=0)
         peak = np.max(np.abs(mean))
         assert np.max(np.abs(got - mean)) <= 1e-12 * peak
@@ -499,7 +518,7 @@ class TestReplicaWorkspace(RecurrenceCase):
         p = self.params
         kz = self.grid("two-spacing")
         ens = sample_ensemble(300, self.box, 43, metric=p.metric)
-        state = curved_timed_dicke(ens, p.k0)
+        state = curved_timed_dicke(ens, p.k0z)
         real, cplx = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, monte_carlo_spectrum(ens, state, kz, p))
@@ -510,7 +529,7 @@ class TestReplicaWorkspace(RecurrenceCase):
         kz = self.grid("two-spacing")
         ens = sample_ensemble(300, self.box, 43, metric=p.metric)
         real, cplx = spectrum._sum_work(400)
-        state = curved_timed_dicke(ens, p.k0, out=cplx[0, :300], work=real[0, :300])
+        state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
         want = monte_carlo_spectrum(ens, state.copy(), kz, p)
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, want)
@@ -528,8 +547,8 @@ class TestReplicaWorkspace(RecurrenceCase):
         fresh = sample_ensemble(300, self.box, 43, metric=p.metric)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
         np.testing.assert_array_equal(ens.weights, fresh.weights)
-        want = monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0), kz, p)
-        state = curved_timed_dicke(ens, p.k0, out=cplx[0, :300], work=real[0, :300])
+        want = monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0z), kz, p)
+        state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, want)
 
