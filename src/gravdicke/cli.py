@@ -30,12 +30,13 @@ from pathlib import Path
 
 # Two settings for a process that starts here, before numpy loads; a process that
 # loaded numpy first keeps its own set-up.  numpy's OpenBLAS starts a worker thread
-# per core at import, but a run's only BLAS products over atoms are two (N, 3) @ 3
-# matvecs and --threads is its only parallelism, so OpenBLAS runs single-threaded
-# unless the user's own value says otherwise.  And numpy.random imports secrets,
-# hmac and hashlib, whose _hashlib maps OpenSSL's libcrypto, some 3 MB resident, for
-# hashes no run takes: a None entry blocks that import, hashlib falls back to
-# CPython's built-in md5, sha and blake2, and an _hashlib already loaded stays.
+# per core at import, but a run's only BLAS product over atoms is one (N, 3) @ 3
+# matvec, pos @ dk in structure_factor, and --threads is its only parallelism, so
+# OpenBLAS runs single-threaded unless the user's own value says otherwise.  And
+# numpy.random imports secrets, hmac and hashlib, whose _hashlib maps OpenSSL's
+# libcrypto, some 3 MB resident, for hashes no run takes: a None entry blocks that
+# import, hashlib falls back to CPython's built-in md5, sha and blake2, and an
+# _hashlib already loaded stays.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.modules.setdefault("_hashlib", None)
@@ -281,12 +282,14 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
     constants = _constants(cfg)
     m, s = cfg.metric, cfg.spectrum
     a = m.a if m.g is None else surface_param_a(m.g, constants)
+    # the metric depends on z - z0 alone, so it is taken at z0 = 0 and every height,
+    # the mode reference height Z and the ensemble box's, is a height above z0
     params = SpectrumParams(
-        nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a=a, z0=m.z0), Z=s.Z,
+        nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a), Z=s.Z - m.z0,
         theta0=s.theta0, constants=constants,
     )
     # the mode reference height enters every denominator through a (Z - z0)
-    check_linearization(a, s.Z - m.z0)
+    check_linearization(a, params.Z)
     return params
 
 
@@ -313,20 +316,23 @@ def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
     ])
 
 
-def _kz_grid(params: SpectrumParams, offsets: np.ndarray, where: str) -> np.ndarray:
-    """k0z + offsets x the kernel decay constant; rejects a grid whose c|k| overflows,
-    or one so narrow that neighbouring k_z values round to the same float."""
+def _kz_grid(params: SpectrumParams, offsets: np.ndarray,
+             where: str) -> tuple[np.ndarray, np.ndarray]:
+    """(k0z + dk, q = -dk), dk = offsets x the kernel decay constant: the k_z grid and its
+    offsets below the cutoff.  Rejects a grid whose c|k| overflows, or one so narrow that
+    neighbouring k_z values, which the CSV's k_z column prints, round to the same float."""
     # an infinite decay constant gives NaN at offset zero; both fail the check below
     with np.errstate(over="ignore", invalid="ignore"):
-        kz = params.k0z + offsets * kernel_decay_constant(params)
+        dk = offsets * kernel_decay_constant(params)
+        kz = params.k0z + dk
         omega = params.constants.c * np.sqrt(np.sum(params.k0[:2] ** 2) + kz * kz)
     if not (np.all(np.isfinite(kz)) and np.all(np.isfinite(omega))):
         raise ConfigError(f"{where} reaches k_z values whose c|k| is not finite")
     if not np.all(np.diff(kz) > 0.0):
-        raise ConfigError(f"{where} collapses: the kernel width a nu / gamma = "
-                          f"{kernel_decay_constant(params):.3g} is too small to resolve "
-                          f"around k0z = {params.k0z:.6g}")
-    return kz
+        raise ConfigError(f"{where} collapses in the CSV's k_z column: the kernel width "
+                          f"a nu / gamma = {kernel_decay_constant(params):.3g} is too small "
+                          f"to resolve around k0z = {params.k0z:.6g}")
+    return kz, -dk
 
 
 @contextlib.contextmanager
@@ -531,10 +537,10 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
 def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
     # the grid spans the widest kernel, the one at the starting a
-    kz = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
-                  "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
+    kz, q = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
+                     "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
     with _stage(stages, "delta_sweep") as work:
-        sweep = flat_delta_limit(kz, params, cfg.delta.halvings)
+        sweep = flat_delta_limit(q, params, cfg.delta.halvings)
         work["kernel_area_calls"] = len(sweep)
         work["integrand_evals"] = sum(entry["area_integrand_evals"] for _, entry in sweep)
     rows = []
@@ -582,22 +588,22 @@ def _noise_only_false_alarm(replicas: int, sigma: float) -> float:
 
 def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
-    metric = params.metric
-    if metric.a <= 0.0:
+    a = params.metric.a
+    if a <= 0.0:
         raise ConfigError("curved-spectrum needs a > 0; use delta-limit for the flat case")
     e = cfg.ensemble
     tol = cfg.tolerances
 
-    ell = params.gamma / (metric.a * params.nu)
+    ell = params.gamma / (a * params.nu)
     height = e.box_heights * ell
     # a cube: the Monte Carlo reads only heights, so the transverse edge moves no bit
-    box = Box(center=(0.0, 0.0, metric.z0), size=(height, height, height))
+    box = Box(center=(0.0, 0.0, 0.0), size=(height, height, height))
 
     g = cfg.spectrum.grid
-    kz = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
+    kz, q = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
     # before any replica runs: the height guard that the Monte Carlo sum applies to
     # each atom, here on the box's z faces, so that a too tall box exits 3 ...
-    check_linearization(metric.a, [box.low[2] - metric.z0, box.high[2] - metric.z0])
+    check_linearization(a, [box.low[2], box.high[2]])
     # ... and then the rounding of the atom phases over the box
     reach = max(abs(box.low[2]), abs(box.high[2]))  # max |z| in the box
     phase_ulp = math.ulp(max(abs(params.k0z), float(np.max(np.abs(kz)))) * reach)
@@ -617,11 +623,11 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         work["integrand_evals"] = quad_evals
 
     rows = []
-    for method, amps in (("analytic", analytic_spectrum(kz, params)), ("quadrature", quad)):
+    for method, amps in (("analytic", analytic_spectrum(q, params)), ("quadrature", quad)):
         for k, amp in zip(kz, amps):
-            rows.append([method, metric.a, k, amp.real, amp.imag, abs(amp) ** 2, ""])
+            rows.append([method, a, k, amp.real, amp.imag, abs(amp) ** 2, ""])
     for k, amp, prob_k, err in zip(kz, mc, prob, mc_stderr):
-        rows.append(["montecarlo", metric.a, k, amp.real, amp.imag, prob_k, err])
+        rows.append(["montecarlo", a, k, amp.real, amp.imag, prob_k, err])
     _write_csv(outdir / "spectrum.csv",
                ["method", "a", "k_z", "re_amp", "im_amp", "prob", "stderr"], rows, stages)
 
@@ -642,7 +648,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     pulls = dev / sigma
     within = dev <= tol.mc_sigma * sigma
     frac = float(within.mean())
-    up = float(prob[kz > params.k0z].sum() / prob.sum())
+    up = float(prob[q < 0.0].sum() / prob.sum())
     # a bias shows as a signed mean pull that grows with the replica count
     thirds = [signed_dev[part] / sigma[part] for part in np.array_split(np.arange(kz.size), 3)]
     summary = {

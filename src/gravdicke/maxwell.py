@@ -66,24 +66,22 @@ class TransversalityReport(NamedTuple):
 
 
 _EPS = np.finfo(float).eps
-_OFFSETS = {2: (1, -1), 4: (1, -1, 2, -2)}
+# the fourth-order central-difference stencil: its offsets in steps, and the first-
+# and second-derivative weights in the same order
+_OFFSETS = (1, -1, 2, -2)
+_D1_WEIGHTS = (2.0 / 3.0, -2.0 / 3.0, -1.0 / 12.0, 1.0 / 12.0)
+_D2_WEIGHTS = (4.0 / 3.0, 4.0 / 3.0, -1.0 / 12.0, -1.0 / 12.0)
+_D2_CENTER = -5.0 / 2.0
+_D1_ABS_SUM = sum(map(abs, _D1_WEIGHTS))
+_D2_ABS_SUM = sum(map(abs, _D2_WEIGHTS)) + abs(_D2_CENTER)
 
-# central-difference weights, indexed in the same order as _OFFSETS
-_D1_WEIGHTS = {2: (0.5, -0.5), 4: (2.0 / 3.0, -2.0 / 3.0, -1.0 / 12.0, 1.0 / 12.0)}
-_D2_WEIGHTS = {2: (1.0, 1.0), 4: (4.0 / 3.0, 4.0 / 3.0, -1.0 / 12.0, -1.0 / 12.0)}
-_D2_CENTER = {2: -2.0, 4: -5.0 / 2.0}
-_D1_ABS_SUM = {order: sum(map(abs, w)) for order, w in _D1_WEIGHTS.items()}
-_D2_ABS_SUM = {order: sum(map(abs, w)) + abs(_D2_CENTER[order]) for order, w in _D2_WEIGHTS.items()}
 
-
-def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple, order: int):
+def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple):
     """First and second derivatives of the vector field along t, x, y, z, and its value."""
-    offs = _OFFSETS[order]
-
     ts = [t]
     rs = [r]
     for axis in range(4):
-        for o in offs:
+        for o in _OFFSETS:
             if axis == 0:
                 ts.append(t + o * steps[0])
                 rs.append(r)
@@ -97,24 +95,21 @@ def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple, order: 
     center = values[0]
     d1 = np.empty((4, 3), dtype=complex)
     d2 = np.empty((4, 3), dtype=complex)
-    w1 = _D1_WEIGHTS[order]
-    w2 = _D2_WEIGHTS[order]
-    block = len(offs)
+    block = len(_OFFSETS)
     for axis in range(4):
         vals = values[1 + axis * block : 1 + (axis + 1) * block]
         h = steps[axis]
-        d1[axis] = sum(w * v for w, v in zip(w1, vals)) / h
-        d2[axis] = (sum(w * v for w, v in zip(w2, vals)) + _D2_CENTER[order] * center) / h**2
+        d1[axis] = sum(w * v for w, v in zip(_D1_WEIGHTS, vals)) / h
+        d2[axis] = (sum(w * v for w, v in zip(_D2_WEIGHTS, vals)) + _D2_CENTER * center) / h**2
     return d1, d2, center
 
 
-def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray,
-                   h: float, order: int):
+def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray, h: float):
     a = mode.metric.a
     dz = r[2] - mode.metric.z0
     c = mode.constants.c
     # time step h / c: the same fraction of a period as h is of a wavelength
-    d1, d2, center = _derivatives(field, t, r, (h / c, h, h, h), order)
+    d1, d2, center = _derivatives(field, t, r, (h / c, h, h, h))
     dtt, dxx, dyy, dzz = d2
     dx1, dy1, dz1 = d1[1], d1[2], d1[3]
 
@@ -135,12 +130,11 @@ def wave_residual(
     r,
     *,
     rel_step: float = 0.01,
-    order: int = 4,
     field: Callable | None = None,
 ) -> ResidualReport:
     """Residual of the three linearized wave equations at one point.
 
-    Central differences of ``order`` 2 or 4 take the spatial step
+    Fourth-order central differences take the spatial step
     h = rel_step / |k|, a fixed fraction of the mode's wavelength scale, and
     the time step h / c.  The field (by default the first-order form with the
     Gauss-law constant; ``field`` substitutes another) is differenced at h and
@@ -150,15 +144,13 @@ def wave_residual(
     that estimate exceeds the wave residual, or when a rounding floor exceeds
     the wave or Gauss residual.  The floor is the phase's rounding error
     eps (1 + |phase|) |f| as the extrapolated residual carries it: through the
-    h/2 stencil, sum|w| / (h/2)^n, at the Richardson weight
-    2^order / (2^order - 1), once for each differenced axis (four second
-    derivatives in a wave equation, three first derivatives in Gauss's law).
+    h/2 stencil, sum|w| / (h/2)^n, at the Richardson weight 16 / 15, once
+    for each differenced axis (four second derivatives in a wave equation,
+    three first derivatives in Gauss's law).
     Far from the origin that floor swamps the differences.  A residual of
     exactly zero is inconclusive too: it means the field underflowed, as at a
     huge mode volume.
     """
-    if order not in (2, 4):
-        raise PhysicsDomainError("stencil order must be 2 or 4")
     if not rel_step > 0.0:
         raise PhysicsDomainError("stencil step rel_step must be positive")
     r = np.asarray(r, dtype=float).reshape(3)
@@ -166,10 +158,10 @@ def wave_residual(
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
     h = rel_step / mode.index.knorm
 
-    res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, h, order)
-    res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, h / 2, order)
+    res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, h)
+    res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, h / 2)
 
-    factor = 2**order
+    factor = 16  # the stencil's error at h/2 is 2^-4 of its error at h
     res = (factor * res_h2 - res_h) / (factor - 1)
     gauss = (factor * gauss_h2 - gauss_h) / (factor - 1)
     disc = float(np.linalg.norm(res_h2 - res_h)) / (factor - 1)
@@ -178,8 +170,8 @@ def wave_residual(
     # the carrier phase c|k| t - k . r is rounded to eps times the size of its terms
     noise = _EPS * (1.0 + abs(mode.omega * t) + float(np.abs(mode.k) @ np.abs(r))) * field_norm
     noise *= factor / (factor - 1)
-    drowned = (4 * noise * _D2_ABS_SUM[order] / (h / 2) ** 2 > res_norm
-               or 3 * noise * _D1_ABS_SUM[order] / (h / 2) > abs(gauss))
+    drowned = (4 * noise * _D2_ABS_SUM / (h / 2) ** 2 > res_norm
+               or 3 * noise * _D1_ABS_SUM / (h / 2) > abs(gauss))
     return ResidualReport(
         residual_vector=res,
         gauss_residual=complex(gauss),

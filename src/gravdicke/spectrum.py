@@ -4,17 +4,19 @@ The directional structure lives entirely in k_z: the transverse components are
 pinned to the absorbed photon's, and their phases cancel atom by atom.  This
 module computes the k_z distribution
 
-* analytically: a one-sided exponential kernel with a hard cutoff at the
-  incoming k0z and decay constant Gamma/(a nu),
+* analytically: a one-sided exponential kernel in the offset q = k0z - k_z,
+  with a hard cutoff at q = 0 and decay constant Gamma/(a nu),
 * by direct numerical quadrature of the height integral the kernel came from,
 * by Monte Carlo over explicit random atom ensembles,
 
 plus the closed-form spread measures and the flat-space structure factor.
-Each route is an oracle for the others; nothing here reuses another route's
-algebra.  The atom sums work from the tan half-angle t = tan(theta / 2): the
-Monte Carlo sum takes its phasors from :func:`gravdicke.emission.cis`, and the
-structure factor sums cos and sin from t without forming phasors.  The
-quadrature and the closed forms keep np.exp.
+The closed forms take q itself, so that no kernel value carries the rounding
+of k0z; the quadrature and the Monte Carlo take k_z, which their mode
+frequency c|k| needs.  Each route is an oracle for the others; nothing here
+reuses another route's algebra.  The atom sums work from the tan half-angle
+t = tan(theta / 2): the Monte Carlo sum takes its phasors from
+:func:`gravdicke.emission.cis`, and the structure factor sums cos and sin from
+t without forming phasors.  The quadrature and the closed forms keep np.exp.
 """
 
 from __future__ import annotations
@@ -128,42 +130,39 @@ class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 cons
 # closed-form kernel and spread measures
 # ---------------------------------------------------------------------------
 
-def g_kernel(k_z, params: SpectrumParams):
-    """One-sided emission kernel (-i/(a nu)) exp(-(k0z - kz) Gamma/(a nu)) theta(k0z - kz).
+def g_kernel(q, params: SpectrumParams):
+    """One-sided emission kernel (-i/(a nu)) exp(-q Gamma/(a nu)) theta(q), q = k0z - k_z.
 
-    The step function takes the value 1 at the cutoff itself, so the kernel
-    attains its peak on-grid.  Raises in flat space, where the distribution
-    collapses to a delta spike: use :func:`flat_delta_limit` for that regime.
+    The step function takes the value 1 at q = 0 itself, so the kernel attains
+    its peak on-grid.  Raises in flat space, where the distribution collapses
+    to a delta spike: use :func:`flat_delta_limit` for that regime.
     """
     params.require_directional()
     a = params.metric.a
     if a <= 0.0:
         raise PhysicsDomainError("kernel undefined at a = 0; use flat_delta_limit")
-    q = params.k0z - np.asarray(k_z, dtype=float)
+    q = np.asarray(q, dtype=float)
     scale = a * params.nu
     out = np.where(q >= 0.0, (-1j / scale) * np.exp(-np.clip(q, 0.0, None) * params.gamma / scale), 0.0j)
     return complex(out) if out.ndim == 0 else out
 
 
 def kernel_area(params: SpectrumParams, *, tol: float = 1e-12) -> tuple[complex, float, int]:
-    """Integral of the kernel over kz <= k0z (expected: -i/Gamma, any a).
+    """Integral of the kernel over q >= 0, i.e. k_z <= k0z (expected: -i/Gamma, any a).
 
     The composite Gauss-Legendre rule of :mod:`gravdicke.quadrature` integrates
-    :func:`g_kernel` over the 300 decay lengths a nu / Gamma below k0z, on
-    panels no wider than two decay lengths.  Raises QuadratureError unless the
-    rule's error estimate is below 100 tol / Gamma.  Returns (area, error
-    estimate over 100 tol / Gamma, integrand evaluations).
+    :func:`g_kernel` over q in [0, 300 a nu / Gamma], on panels no wider than
+    two decay lengths.  Raises QuadratureError unless the rule's error estimate
+    is below 100 tol / Gamma.  Returns (area, error estimate over 100 tol /
+    Gamma, integrand evaluations).
     """
     a = params.metric.a
     if a <= 0.0:
         raise PhysicsDomainError("kernel undefined at a = 0")
-    decay = a * params.nu / params.gamma  # e-folding scale in kz
+    decay = a * params.nu / params.gamma  # e-folding scale in q
     length = 300.0 * decay                # truncation error ~ e^-300
-    # integrated from k0z down, so that the nodes near the peak are placed
-    # relative to k0z and not to the far end, which rounds them by ~300 eps
-    downward, err, evals = gauss_legendre(lambda kz: g_kernel(kz, params), params.k0z,
-                                          params.k0z - length, panel_count(length, 2.0 * decay))
-    area = 0.0 - downward  # not -downward, whose zero real part would print as -0
+    area, err, evals = gauss_legendre(lambda q: g_kernel(q, params), 0.0, length,
+                                      panel_count(length, 2.0 * decay))
     bound = 100.0 * tol / params.gamma
     if not err < bound:  # a zero tolerance is never met; also catches NaN
         raise QuadratureError(f"kernel area quadrature error {err!r} above tolerance {bound!r}")
@@ -334,9 +333,9 @@ def quadrature_spectrum(
             sum(n for _, _, n in points))
 
 
-def analytic_spectrum(kz_grid, params: SpectrumParams) -> np.ndarray:
-    """Closed-form kernel amplitudes over a grid."""
-    return g_kernel(np.asarray(kz_grid, dtype=float), params)
+def analytic_spectrum(q_grid, params: SpectrumParams) -> np.ndarray:
+    """Closed-form kernel amplitudes over a grid of offsets q = k0z - k_z."""
+    return g_kernel(np.asarray(q_grid, dtype=float), params)
 
 
 # ---------------------------------------------------------------------------
@@ -624,14 +623,15 @@ def structure_factor_expectation(n: int, box_size, delta_k) -> float:
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
-def flat_delta_limit(kz_grid, params: SpectrumParams,
+def flat_delta_limit(q_grid, params: SpectrumParams,
                      halvings: int) -> list[tuple[np.ndarray, dict]]:
-    """Kernel sampled at a * 0.5**i for i < halvings, starting from a = params.metric.a.
+    """Kernel sampled on offsets q = k0z - k_z at a * 0.5**i for i < halvings,
+    starting from a = params.metric.a.
 
     Demonstrates the flat limit: the measured decay scale halves with a, the
     peak doubles, and the quadrature area stays -i/Gamma throughout, i.e. the
     distribution contracts to a delta spike at k0z of fixed weight.  The decay
-    scale is a log-linear fit over the samples below k0z where |kernel| is a
+    scale is a log-linear fit over the samples at q > 0 where |kernel| is a
     normal float: past that it underflows to subnormals, whose few significant
     bits skew the fit, and then to zero.  An a with fewer than two such samples
     is rejected.  Returns one (amplitudes, entry) pair per a.  The entry holds
@@ -642,23 +642,23 @@ def flat_delta_limit(kz_grid, params: SpectrumParams,
     base = params.metric.a
     if base <= 0.0 or halvings < 1:
         raise PhysicsDomainError("the delta-limit sweep needs a starting a > 0 and halvings >= 1")
-    kz = np.asarray(kz_grid, dtype=float)
+    q = np.asarray(q_grid, dtype=float)
     out = []
     for i in range(halvings):
         a = base * 0.5**i
         # built anew, so that the constructor's checks run on the new record
         p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a, z0=params.metric.z0),
                            params.Z, params.theta0, params.constants)
-        amps = analytic_spectrum(kz, p)
+        amps = analytic_spectrum(q, p)
         mag = np.abs(amps)
-        mask = ((params.k0z - kz) > 0.0) & (mag >= _TINY)
+        mask = (q > 0.0) & (mag >= _TINY)
         if np.count_nonzero(mask) < 2:
             raise PhysicsDomainError(
                 f"at a={a!r} fewer than two grid points below k0z have a kernel above "
                 "underflow, so its decay scale cannot be fitted: use fewer halvings"
             )
         # the fit's abscissa is scaled to at most 1, so that its sum of squares cannot overflow
-        depth = params.k0z - kz[mask]
+        depth = q[mask]
         reach = float(np.max(depth))
         slope = np.polyfit(depth / reach, np.log(mag[mask]), 1)[0]  # = -reach Gamma/(a nu)
         area, area_error_ratio, area_evals = kernel_area(p)

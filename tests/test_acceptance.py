@@ -128,10 +128,11 @@ def test_criterion_04_kernel_matches_height_integral():
     ell = p.gamma / (p.metric.a * p.nu)
     z_range = (p.Z - 50.0 * ell, p.Z + 50.0 * ell)
     q_folds = np.arange(0.1, 6.95, 0.2)
-    kz = p.k0z - q_folds * kernel_decay_constant(p)
+    dec = kernel_decay_constant(p)
+    kz = p.k0z - q_folds * dec
 
     oracle = np.array([abs(z_integral_oracle(k, p, z_range, 1e-9)[0]) for k in kz])
-    kernel = np.abs(g_kernel(kz, p))
+    kernel = np.abs(g_kernel(q_folds * dec, p))
     kn = kernel / kernel.max()
     assert np.all(kn >= 1e-3)  # every compared point is above the floor
     devs = np.abs(oracle / oracle.max() - kn) / kn

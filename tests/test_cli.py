@@ -280,6 +280,21 @@ class TestDeterminism:
         assert csv_body(paths[0]) == csv_body(paths[1])
         assert csv_body(paths[0]) == csv_body(paths[2])
 
+    def test_csv_does_not_depend_on_reference_height(self, tmp_path):
+        # the metric depends on z - z0 alone, so every height is taken above z0 and a run
+        # at z0 = Z is the run at z0 = Z = 0.  On absolute heights, 1e9 and 6e13 defeated
+        # the height quadrature (exit 4)
+        bodies = []
+        for z0 in (0.0, 1e9, 6e13):
+            cfg = write_config(tmp_path, {**self.CFG, "metric": {"z0": z0},
+                                          "spectrum": {**self.CFG["spectrum"], "Z": z0}},
+                               name=f"z0-{z0}.json")
+            out = tmp_path / f"z0-{z0}"
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+            bodies.append((out / "spectrum.csv").read_bytes())
+        assert bodies[1] == bodies[0]
+        assert bodies[2] == bodies[0]
+
     def test_metadata_differs_only_in_timestamp(self, tmp_path):
         outs = []
         for name in ("m1", "m2"):
@@ -624,22 +639,23 @@ class TestBadInputExitCodes:
         assert "verify.min_kz_fraction" in json.loads(err)["message"]
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("ensemble, code, error", [
-        ({}, 2, "ConfigError"),
-        ({"box_heights": 300.0}, 3, "LinearizationError"),
+    @pytest.mark.parametrize("sections, code, error", [
+        ({"metric": {"a": 1e-15}}, 2, "ConfigError"),
+        ({"metric": {"z0": 1e14}, "spectrum": {"Z": 1e14}, "ensemble": {"box_heights": 300.0}},
+         3, "LinearizationError"),
     ], ids=["rounded-phases", "too-tall"])
-    def test_far_box_exits_before_any_replica(self, tmp_path, capsys, monkeypatch, ensemble,
+    def test_far_box_exits_before_any_replica(self, tmp_path, capsys, monkeypatch, sections,
                                               code, error):
-        # at z0 = Z = 1e14 the atom phases round to 1/64 rad, and the Monte Carlo and
-        # the quadrature would run for seconds before the quadrature's rounding exits 4;
-        # a box too tall for the linearization guard still exits 3
+        # at a = 1e-15 the box is 8e14 tall and its atom phases round to 1/16 rad, and
+        # the Monte Carlo and the quadrature would run for seconds before the gate read
+        # rounding; a box too tall for the linearization guard exits 3 at any z0, since
+        # the box is centred on z0
         def never(*args, **kwargs):
             raise AssertionError("a stage ran past the box guards")
 
         monkeypatch.setattr(gravdicke.cli, "replicated_mc_spectrum", never)
         monkeypatch.setattr(gravdicke.cli, "quadrature_spectrum", never)
-        cfg = write_config(tmp_path, {"scenario": "curved-spectrum", "metric": {"z0": 1e14},
-                                      "spectrum": {"Z": 1e14}, "ensemble": ensemble})
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum", **sections})
         out = tmp_path / "o"
         assert main(["--config", cfg, "--output", str(out)]) == code
         assert json.loads((out / "error.json").read_text())["error"] == error
@@ -1014,6 +1030,20 @@ class TestDeltaLimitScenario:
             assert scales[i - 1] / scales[i] == pytest.approx(2.0, rel=1e-9)
         areas = [complex(row["area"]["re"], row["area"]["im"]) for row in sweep]
         assert all(abs(a - areas[0]) < 1e-9 * abs(areas[0]) for a in areas)
+
+    @pytest.mark.parametrize("a", [1e-10, 1e-12])
+    def test_small_a_areas_are_exact(self, tmp_path, capsys, a):
+        # the kernel and its area take q = k0z - k_z, so no node carries the rounding of
+        # k0z, which at a = 1e-10 is 1e-8 of a decay length a nu / gamma
+        cfg = write_config(tmp_path, {"scenario": "delta-limit", "metric": {"a": a}})
+        out = tmp_path / "dl"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        sweep = json.loads((out / "metadata.json").read_text())["summary"]["sweep"]
+        assert len(sweep) == 4
+        for row in sweep:
+            area = complex(row["area"]["re"], row["area"]["im"])
+            assert abs(area - (-1j / 1e-2)) <= 1e-13 * 100.0
 
     def test_metadata_records_area_error_and_work(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 2}})

@@ -36,8 +36,6 @@ class TestStencil:
     def test_validation(self):
         mode = make_mode()
         with pytest.raises(PhysicsDomainError):
-            wave_residual(mode, POINT_T, POINT_R, order=3)
-        with pytest.raises(PhysicsDomainError):
             wave_residual(mode, POINT_T, POINT_R, rel_step=0.0)
 
 
@@ -70,7 +68,7 @@ class TestWaveResidual:
     def test_coarse_stencil_flagged_inconclusive(self):
         mode = make_mode(a=1e-4)
         # h = 0.9, as rel_step is a fraction of 1 / |k|
-        rep = wave_residual(mode, POINT_T, POINT_R, rel_step=0.9 * mode.index.knorm, order=2)
+        rep = wave_residual(mode, POINT_T, POINT_R, rel_step=0.9 * mode.index.knorm)
         assert rep.inconclusive
 
     def test_far_point_drowned_in_rounding_is_inconclusive(self):

@@ -97,18 +97,19 @@ class TestParams:
 class TestKernel:
     def test_one_sided(self):
         p = make_params()
-        kz_above = p.k0z + np.array([1e-9, 0.1, 2.0])
-        np.testing.assert_array_equal(g_kernel(kz_above, p), np.zeros(3, dtype=complex))
+        q_above = -np.array([1e-9, 0.1, 2.0])  # k_z above k0z
+        np.testing.assert_array_equal(g_kernel(q_above, p), np.zeros(3, dtype=complex))
 
     def test_peak_value_and_step_convention(self):
         p = make_params()
-        assert g_kernel(p.k0z, p) == pytest.approx(-1j / (p.metric.a * p.nu))
+        assert g_kernel(0.0, p) == -1j / (p.metric.a * p.nu)
+        assert g_kernel(-0.0, p) == g_kernel(0.0, p)
 
     def test_decay_profile(self):
         p = make_params()
         q = 0.7
         expected = (-1j / (p.metric.a * p.nu)) * math.exp(-q * p.gamma / (p.metric.a * p.nu))
-        assert g_kernel(p.k0z - q, p) == pytest.approx(expected)
+        assert g_kernel(q, p) == pytest.approx(expected)
 
     def test_flat_space_raises(self):
         with pytest.raises(PhysicsDomainError):
@@ -173,9 +174,9 @@ class TestHeightIntegralOracle:
         ell = decay_length(p)
         zr = (-50.0 * ell, 50.0 * ell)
         q_folds = np.arange(0.1, 7.0, 0.34)
-        kz = p.k0z - q_folds * kernel_decay_constant(p)
-        oracle = np.abs([z_integral_oracle(k, p, zr)[0] for k in kz])
-        kernel = np.abs(g_kernel(kz, p))
+        q = q_folds * kernel_decay_constant(p)
+        oracle = np.abs([z_integral_oracle(p.k0z - dq, p, zr)[0] for dq in q])
+        kernel = np.abs(g_kernel(q, p))
         ratio = (oracle / oracle.max()) / (kernel / kernel.max())
         np.testing.assert_allclose(ratio, 1.0, rtol=1e-6)
 
@@ -712,9 +713,9 @@ class TestDeltaLimit:
     def test_width_area_peak_progression(self):
         p = make_params(a=2e-3)
         width = kernel_decay_constant(p)
-        kz = p.k0z + np.concatenate([np.linspace(-8 * width, 0, 120, endpoint=False),
-                                     [0.0], np.linspace(0, width, 10)[1:]])
-        entries = [entry for _, entry in flat_delta_limit(kz, p, 4)]
+        q = -np.concatenate([np.linspace(-8 * width, 0, 120, endpoint=False),
+                             [0.0], np.linspace(0, width, 10)[1:]])
+        entries = [entry for _, entry in flat_delta_limit(q, p, 4)]
         assert [e["a"] for e in entries] == [2e-3, 1e-3, 5e-4, 2.5e-4]
         widths = [e["decay_scale"] for e in entries]
         peaks = [e["peak"] for e in entries]
@@ -725,9 +726,18 @@ class TestDeltaLimit:
             assert areas[i] == pytest.approx(areas[0], rel=1e-9)
         assert areas[0] == pytest.approx(-1j / p.gamma, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [1e-3, 1e-10])
+    def test_area_bit_identical_across_halvings(self, a):
+        # on q, halving a halves every node and the kernel's scale exactly, so the rule's
+        # sum does not move by a bit
+        p = make_params(a=a)
+        q = np.linspace(8.0, -1.0, 10) * kernel_decay_constant(p)
+        areas = [entry["area"] for _, entry in flat_delta_limit(q, p, 4)]
+        assert areas == [areas[0]] * 4
+
     def test_needs_positive_start(self):
-        kz = np.array([-1.0, 0.0, 1.0])
+        q = np.array([1.0, 0.0, -1.0])
         with pytest.raises(PhysicsDomainError):
-            flat_delta_limit(kz, make_params(a=0.0), 4)
+            flat_delta_limit(q, make_params(a=0.0), 4)
         with pytest.raises(PhysicsDomainError):
-            flat_delta_limit(kz, make_params(), 0)
+            flat_delta_limit(q, make_params(), 0)
