@@ -282,14 +282,27 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
     constants = _constants(cfg)
     m, s = cfg.metric, cfg.spectrum
     a = m.a if m.g is None else surface_param_a(m.g, constants)
-    # the metric depends on z - z0 alone, so it is taken at z0 = 0 and every height,
-    # the mode reference height Z and the ensemble box's, is a height above z0
+    # the library has no reference height: its metric is Minkowskian at height 0.  This
+    # is the one place metric.z0 is read: Z goes in as its height above z0, so the
+    # library's origin, on which every ensemble box is centred, is z0
     params = SpectrumParams(
         nu=s.nu, gamma=s.gamma, metric=WeakFieldMetric(a), Z=s.Z - m.z0,
         theta0=s.theta0, constants=constants,
     )
     # the mode reference height enters every denominator through a (Z - z0)
     check_linearization(a, params.Z)
+    return params
+
+
+def _kernel_params(cfg: Config) -> SpectrumParams:
+    """_spectrum_params for a scenario that samples the kernel: its grid is spaced in
+    the kernel width a nu / gamma, which a = 0 makes zero."""
+    params = _spectrum_params(cfg)
+    if params.metric.a == 0.0:
+        m = cfg.metric
+        key, value = ("metric.a", m.a) if m.g is None else ("metric.g", m.g)
+        raise ConfigError(f"{cfg.scenario} needs a gravity gradient a > 0, which sets the "
+                          f"kernel width a nu / gamma of its grid: {key} = {value!r} gives a = 0")
     return params
 
 
@@ -472,7 +485,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     if not math.isfinite(side):
         raise ConfigError(f"dicke.box_wavelengths {d.box_wavelengths!r} gives a box side "
                           f"{side!r} that is not finite")
-    box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
+    box = Box(size=(side, side, side))
     rng = ensemble_stream((cfg.seed, 977))
 
     # the zero probe comes first unconditionally: its value must be exactly 1
@@ -535,7 +548,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
 
 
 def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
-    params = _spectrum_params(cfg)
+    params = _kernel_params(cfg)
     # the grid spans the widest kernel, the one at the starting a
     kz, q = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
                      "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
@@ -587,17 +600,15 @@ def _noise_only_false_alarm(replicas: int, sigma: float) -> float:
 
 
 def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
-    params = _spectrum_params(cfg)
+    params = _kernel_params(cfg)
     a = params.metric.a
-    if a <= 0.0:
-        raise ConfigError("curved-spectrum needs a > 0; use delta-limit for the flat case")
     e = cfg.ensemble
     tol = cfg.tolerances
 
     ell = params.gamma / (a * params.nu)
     height = e.box_heights * ell
     # a cube: the Monte Carlo reads only heights, so the transverse edge moves no bit
-    box = Box(center=(0.0, 0.0, 0.0), size=(height, height, height))
+    box = Box(size=(height, height, height))
 
     g = cfg.spectrum.grid
     kz, q = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
@@ -697,9 +708,9 @@ _MAX_MODE_DRAWS = 10_000
 # every residual scales as 1 / sqrt(volume), and its slope in a does not
 _MODE_VOLUME = 1.0
 # (t, x, y, z) of every check.  A mode is the carrier e^{i(omega t - k . r)} times an
-# envelope in z, and the metric depends on z - z0 alone, so a residual's size depends
-# on the height alone: other t, x and y only add rounding to the phase.  So the metric
-# is taken at z0 = 0, and every z is a height above z0
+# envelope in z, so a residual's size depends on the height alone: other t, x and y
+# only add rounding to the phase.  z is a height above the origin, where the library's
+# metric is Minkowskian; metric.z0 does not enter
 _CARRIER_POINT = (0.3, 0.2, -0.15, 0.35)
 
 
@@ -756,7 +767,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
         # phase: 1 and 2 read as inconclusive, but 5 and 10 alias the wave and fit a
         # slope of about 0
         with _stage(stages, "fd_residuals") as work:
-            study = residual_slope_study(k, 2, constants, 0.0, _MODE_VOLUME, v.a_values, t, r)
+            study = residual_slope_study(k, 2, constants, t, r, v.a_values, volume=_MODE_VOLUME)
             work["mode_a"] = work.get("mode_a", 0) + len(v.a_values)
         studies.append(study)
         for a, rep in zip(v.a_values, study.reports):

@@ -29,32 +29,31 @@ __all__ = [
 ]
 
 
-class Box(namedtuple("Box", "center size")):
-    """Axis-aligned sampling volume."""
+class Box(namedtuple("Box", "size")):
+    """Axis-aligned sampling volume centred on the origin, where the metric is Minkowskian."""
 
     __slots__ = ()
 
-    def __new__(cls, center, size) -> "Box":
-        center = np.array(center, dtype=float).reshape(3)
+    def __new__(cls, size) -> "Box":
         size = np.array(size, dtype=float).reshape(3)
         if not np.all((size > 0.0) & np.isfinite(size)):
             raise PhysicsDomainError(f"box edge lengths must be positive and finite, got "
                                      f"{size.tolist()!r}")
-        return super().__new__(cls, center, size)
+        return super().__new__(cls, size)
 
     @property
     def low(self) -> np.ndarray:
-        return self.center - 0.5 * self.size
+        return -0.5 * self.size
 
     @property
     def high(self) -> np.ndarray:
-        return self.center + 0.5 * self.size
+        return 0.5 * self.size
 
 
 class Ensemble(namedtuple("Ensemble", "positions weights")):
     """Identical two-level atoms at positions inside a box, which is checked and not kept.
 
-    ``weights`` carries the curved-volume importance weight sqrt(1 - a dz) per
+    ``weights`` carries the curved-volume importance weight sqrt(1 - a z) per
     atom (all ones in flat space).  The record may alias the arrays it is given:
     float64 positions and weights are taken with np.asarray, not copied, so a
     caller that writes to them afterwards writes to the record.
@@ -87,10 +86,9 @@ def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None, out: np.ndarr
     if metric is None or metric.a == 0.0:
         out.fill(1.0)
         return out
-    dz = np.subtract(z, metric.z0, out=out)
-    check_linearization(metric.a, dz)
-    dz *= metric.a
-    return np.sqrt(np.subtract(1.0, dz, out=dz), out=dz)
+    check_linearization(metric.a, z)
+    a_z = np.multiply(z, metric.a, out=out)
+    return np.sqrt(np.subtract(1.0, a_z, out=a_z), out=a_z)
 
 
 def ensemble_stream(seed: int | tuple[int, ...]) -> np.random.Generator:

@@ -106,7 +106,7 @@ def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple):
 
 def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray, h: float):
     a = mode.metric.a
-    dz = r[2] - mode.metric.z0
+    z = r[2]
     c = mode.constants.c
     # time step h / c: the same fraction of a period as h is of a wavelength
     d1, d2, center = _derivatives(field, t, r, (h / c, h, h, h))
@@ -114,13 +114,13 @@ def _raw_residuals(mode: PerturbedMode, field: Callable, t: float, r: np.ndarray
     dx1, dy1, dz1 = d1[1], d1[2], d1[3]
 
     res = np.empty(3, dtype=complex)
-    res[0] = ((1.0 - a * dz) * dtt[0] / c**2 - dxx[0] - dyy[0]
-              - (1.0 + a * dz) * dzz[0] - a * dz1[0] + a * dx1[2])
-    res[1] = ((1.0 - a * dz) * dtt[1] / c**2 - dxx[1] - dyy[1]
-              - (1.0 + a * dz) * dzz[1] - a * dz1[1] + a * dy1[2])
-    res[2] = (dtt[2] / c**2 - (1.0 + a * dz) * (dxx[2] + dyy[2])
-              - (1.0 + 2.0 * a * dz) * dzz[2] - a * dz1[2])
-    gauss = dx1[0] + dy1[1] + (1.0 + a * dz) * dz1[2]
+    res[0] = ((1.0 - a * z) * dtt[0] / c**2 - dxx[0] - dyy[0]
+              - (1.0 + a * z) * dzz[0] - a * dz1[0] + a * dx1[2])
+    res[1] = ((1.0 - a * z) * dtt[1] / c**2 - dxx[1] - dyy[1]
+              - (1.0 + a * z) * dzz[1] - a * dz1[1] + a * dy1[2])
+    res[2] = (dtt[2] / c**2 - (1.0 + a * z) * (dxx[2] + dyy[2])
+              - (1.0 + 2.0 * a * z) * dzz[2] - a * dz1[2])
+    gauss = dx1[0] + dy1[1] + (1.0 + a * z) * dz1[2]
     return res, gauss, float(np.linalg.norm(center))
 
 
@@ -191,8 +191,7 @@ def transversality_check(mode: PerturbedMode, z: float) -> TransversalityReport:
     f = polarization_E(mode, z)
     p = polarization_H(mode, z)
     kt = local_wavevector(mode, z)[1:]
-    a_dz = mode.metric.a * (z - mode.metric.z0)
-    gzz_inv = 1.0 / (1.0 - a_dz)
+    gzz_inv = 1.0 / (1.0 - mode.metric.a * z)
     p_dot_f = abs(np.dot(p, f))
     k_dot_f = abs(kt[0] * f[0] + kt[1] * f[1] + gzz_inv * kt[2] * f[2])
     p_dot_k = abs(np.dot(p, kt))
@@ -228,15 +227,15 @@ def residual_slope_study(
     k,
     s: int,
     constants: PhysicalConstants,
-    z0: float,
-    volume: float,
-    a_values: Sequence[float],
     t: float,
     r,
+    a_values: Sequence[float],
     *,
+    volume: float,
     include_gauss_constant: bool = True,
 ) -> ScalingStudy:
-    """Sweep the gravity gradient and fit the wave/Gauss residual scaling slopes.
+    """Sweep the gravity gradient over ``a_values`` and fit the wave/Gauss residual
+    scaling slopes of mode (k, s), of quantization volume ``volume``, at (t, r).
 
     With all first-order terms in place both slopes sit at 2; ablating the
     Gauss-law constant pulls the Gauss slope down to ~1.  Every report takes
@@ -245,9 +244,7 @@ def residual_slope_study(
     r = np.asarray(r, dtype=float).reshape(3)
     reports = []
     for a in a_values:
-        mode = PerturbedMode.build(
-            ModeIndex(k, s), WeakFieldMetric(a=a, z0=z0), constants, volume
-        )
+        mode = PerturbedMode.build(ModeIndex(k, s), WeakFieldMetric(a=a), constants, volume)
         field = lambda ts, rs, m=mode: mode_field_first_order(  # noqa: E731
             m, ts, rs, include_gauss_constant=include_gauss_constant,
         )

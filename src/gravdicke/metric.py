@@ -2,7 +2,9 @@
 
 The background is a static gravity gradient along z, written with a single
 parameter ``a = 2 g / c^2`` so that clock rates and mode frequencies scale as
-``x -> x * (1 + a * dz / 2)`` between heights.  All operations are pure
+``x -> x * (1 + a * dz / 2)`` between heights.  Only height differences
+enter, so the package has no reference height: the metric is Minkowskian at
+z = 0 and every height is taken above that point.  All operations are pure
 functions of value inputs and are safe for concurrent use.
 
 Two unit regimes run through the same code paths: CODATA SI values (the
@@ -57,23 +59,22 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar eps0")):
         return cls(c=1.0, hbar=1.0, eps0=1.0)
 
 
-class WeakFieldMetric(namedtuple("WeakFieldMetric", "a z0")):
-    """Linearized static metric g_00 = 1 + a (z - z0), g_zz = -(1 - a (z - z0)).
+class WeakFieldMetric(namedtuple("WeakFieldMetric", "a")):
+    """Linearized static metric g_00 = 1 + a z, g_zz = -(1 - a z).
 
-    ``a`` is the gravity-gradient parameter (1/m) and ``z0`` the reference
-    height where the metric is exactly Minkowskian.
+    ``a`` is the gravity-gradient parameter (1/m).  The metric is exactly
+    Minkowskian at z = 0: it depends on height only through the height above
+    that point, so every z the package takes is measured from there.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: float = 0.0, z0: float = 0.0) -> "WeakFieldMetric":
+    def __new__(cls, a: float = 0.0) -> "WeakFieldMetric":
         if not (math.isfinite(a) and a >= 0.0):
             raise PhysicsDomainError(
                 f"gravity-gradient parameter a must be finite and >= 0, got {a!r}"
             )
-        if not math.isfinite(z0):
-            raise PhysicsDomainError(f"reference height z0 must be finite, got {z0!r}")
-        return super().__new__(cls, a, z0)
+        return super().__new__(cls, a)
 
 
 def check_linearization(a: float, dz) -> None:

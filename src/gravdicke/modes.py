@@ -143,10 +143,10 @@ class PerturbedMode(NamedTuple):
         return math.sqrt(cst.hbar * self.omega / (2.0 * cst.eps0 * self.volume))
 
 
-def _delta_z(mode: PerturbedMode, z):
-    dz = np.asarray(z, dtype=float) - mode.metric.z0
-    check_linearization(mode.metric.a, dz)
-    return dz
+def _height(mode: PerturbedMode, z) -> float:
+    z = float(z)
+    check_linearization(mode.metric.a, z)
+    return z
 
 
 def gauss_law_constant(mode: PerturbedMode) -> complex:
@@ -159,8 +159,8 @@ def gauss_law_constant(mode: PerturbedMode) -> complex:
     return -1j * (kx * kx + ky * ky) / (4.0 * kz**3)
 
 
-def _first_order_terms(mode: PerturbedMode, dz):
-    """Per-unit-a corrections at height offsets dz: (common, (mix_x, mix_y), gauss).
+def _first_order_terms(mode: PerturbedMode, z):
+    """Per-unit-a corrections at heights z: (common, (mix_x, mix_y), gauss).
 
     ``common`` is shared by all three components: its real part is the
     amplitude correction, its imaginary part the quadratic phase.  The mixing
@@ -169,58 +169,47 @@ def _first_order_terms(mode: PerturbedMode, dz):
     """
     kx, ky, kz = mode.k
     ksq_t = kx * kx + ky * ky
-    common = dz * ksq_t / (4.0 * kz * kz) + 1j * dz * dz * (ksq_t + 2.0 * kz * kz) / (4.0 * kz)
-    tilt = dz * mode.f0[2] / (2.0 * kz)
+    common = z * ksq_t / (4.0 * kz * kz) + 1j * z * z * (ksq_t + 2.0 * kz * kz) / (4.0 * kz)
+    tilt = z * mode.f0[2] / (2.0 * kz)
     return common, (tilt * kx, tilt * ky), gauss_law_constant(mode)
 
 
-def mode_amplitude(mode: PerturbedMode, z):
-    """Height-dependent amplitude: flat value times (1 + a dz (kx^2+ky^2)/(4 kz^2))."""
-    common, _, _ = _first_order_terms(mode, _delta_z(mode, z))
-    out = mode.flat_amplitude * (1.0 + mode.metric.a * common.real)
-    return float(out) if np.ndim(out) == 0 else out
+def mode_amplitude(mode: PerturbedMode, z: float) -> float:
+    """Amplitude at height z: flat value times (1 + a z (kx^2+ky^2)/(4 kz^2))."""
+    common, _, _ = _first_order_terms(mode, _height(mode, z))
+    return float(mode.flat_amplitude * (1.0 + mode.metric.a * common.real))
 
 
-def mode_phase(mode: PerturbedMode, t, r):
-    """Eigenmode phase: plane wave plus a (kx^2+ky^2+2kz^2)/(4 kz) (z - z0)^2."""
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+def mode_phase(mode: PerturbedMode, t: float, r) -> float:
+    """Eigenmode phase at one point: plane wave plus a (kx^2+ky^2+2kz^2)/(4 kz) z^2."""
+    x, y, z = np.asarray(r, dtype=float).reshape(3)
     kx, ky, kz = mode.k
-    common, _, _ = _first_order_terms(mode, _delta_z(mode, z))
-    out = mode.omega * np.asarray(t, dtype=float) - kx * x - ky * y - kz * z
-    out = out + mode.metric.a * common.imag
-    return float(out) if np.ndim(out) == 0 else out
+    common, _, _ = _first_order_terms(mode, _height(mode, z))
+    return float(mode.omega * float(t) - kx * x - ky * y - kz * z + mode.metric.a * common.imag)
 
 
-def local_wavevector(mode: PerturbedMode, z):
-    """Local wave 4-vector (c|k|, -kx, -ky, -kz + a (kx^2+ky^2+2kz^2) dz / (2 kz)).
+def local_wavevector(mode: PerturbedMode, z: float) -> np.ndarray:
+    """Local wave 4-vector (c|k|, -kx, -ky, -kz + a (kx^2+ky^2+2kz^2) z / (2 kz)).
 
     The spatial entries are the covariant components, i.e. the gradient of the
     eigenmode phase.
     """
     kx, ky, kz = mode.k
-    dz = _delta_z(mode, z)
-    kz_local = -kz + mode.metric.a * (kx * kx + ky * ky + 2.0 * kz * kz) * dz / (2.0 * kz)
-    parts = np.broadcast_arrays(
-        np.asarray(mode.omega, dtype=float), -kx, -ky, kz_local
-    )
-    out = np.stack(parts, axis=-1)
-    return out if np.ndim(dz) else out.reshape(4)
+    z = _height(mode, z)
+    kz_local = -kz + mode.metric.a * (kx * kx + ky * ky + 2.0 * kz * kz) * z / (2.0 * kz)
+    return np.array([mode.omega, -kx, -ky, kz_local])
 
 
-def polarization_E(mode: PerturbedMode, z):
+def polarization_E(mode: PerturbedMode, z: float) -> np.ndarray:
     """Covariant E polarization: transverse components tilt toward the vertical one.
 
     Reduces to the flat basis vector exactly whenever its vertical component
-    vanishes, and at the reference height for any mode.
+    vanishes, and at height 0 for any mode.
     """
-    dz = _delta_z(mode, z)
-    _, (mix_x, mix_y), _ = _first_order_terms(mode, dz)
+    _, (mix_x, mix_y), _ = _first_order_terms(mode, _height(mode, z))
     a = mode.metric.a
     f0 = mode.f0
-    parts = np.broadcast_arrays(f0[0] + a * mix_x, f0[1] + a * mix_y, f0[2] + 0.0 * dz)
-    out = np.stack(parts, axis=-1).astype(complex)
-    return out if np.ndim(dz) else out.reshape(3)
+    return np.array([f0[0] + a * mix_x, f0[1] + a * mix_y, f0[2]], dtype=complex)
 
 
 def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
@@ -231,7 +220,7 @@ def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
     wavelength-proportional (post-geometrical-optics) terms dropped.  Flat
     limit: khat x f0 exactly.
     """
-    dz = float(_delta_z(mode, z))
+    z = _height(mode, z)
     a = mode.metric.a
     kvec = mode.k
     kx, ky, kz = kvec
@@ -239,10 +228,10 @@ def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
     f0 = mode.f0
     p0 = _cross(kvec, f0) / knorm
     # polarization tilt and wavevector tilt, each per unit a
-    _, (mix_x, mix_y), _ = _first_order_terms(mode, dz)
+    _, (mix_x, mix_y), _ = _first_order_terms(mode, z)
     df = np.array([mix_x, mix_y, 0.0])
-    kappa = dz * (kx * kx + ky * ky + 2.0 * kz * kz) / (2.0 * kz)
-    corr = dz * _cross(kvec, f0) + _cross(kvec, df) - kappa * _cross(_ZHAT, f0)
+    kappa = z * (kx * kx + ky * ky + 2.0 * kz * kz) / (2.0 * kz)
+    corr = z * _cross(kvec, f0) + _cross(kvec, df) - kappa * _cross(_ZHAT, f0)
     return (p0 + (a / knorm) * corr).astype(complex)
 
 
@@ -269,7 +258,8 @@ def mode_field_first_order(
     kx, ky, kz = mode.k
     f0 = mode.f0
 
-    common, (mix1, mix2), gauss = _first_order_terms(mode, _delta_z(mode, z))
+    check_linearization(a, z)
+    common, (mix1, mix2), gauss = _first_order_terms(mode, z)
     c3 = gauss if include_gauss_constant else 0.0
 
     comp = np.empty((len(z), 3), dtype=complex)

@@ -233,7 +233,7 @@ def z_integral_oracle(
     pole lies inside the window strip), so the value is window independent.
     "slab", what the Monte Carlo sums, fills [z_lo, z_hi] alone, with w = c |k|
     (k's transverse components pinned to k0's) and the curved volume element
-    rho = 1 - (a/2) (z - z0).  Their shapes part once
+    rho = 1 - (a/2) z.  Their shapes part once
     :func:`frequency_spread_over_gamma` is not small.
 
     Each path is integrated by the composite Gauss-Legendre rule of
@@ -265,7 +265,7 @@ def z_integral_oracle(
 
     if slab:
         def f(z):
-            return (1.0 - 0.5 * a * (z - params.metric.z0)) / (c0 - b * z)
+            return (1.0 - 0.5 * a * z) / (c0 - b * z)
     else:
         def f(z):
             return 1.0 / (c0 - b * z)
@@ -647,8 +647,8 @@ def flat_delta_limit(q_grid, params: SpectrumParams,
     for i in range(halvings):
         a = base * 0.5**i
         # built anew, so that the constructor's checks run on the new record
-        p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a, z0=params.metric.z0),
-                           params.Z, params.theta0, params.constants)
+        p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a), params.Z,
+                           params.theta0, params.constants)
         amps = analytic_spectrum(q, p)
         mag = np.abs(amps)
         mask = (q > 0.0) & (mag >= _TINY)

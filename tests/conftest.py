@@ -15,7 +15,7 @@ def scaled_constants():
 
 @pytest.fixture()
 def metric_small_a():
-    return WeakFieldMetric(a=1e-3, z0=0.0)
+    return WeakFieldMetric(a=1e-3)
 
 
 @pytest.fixture()

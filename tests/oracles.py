@@ -53,10 +53,9 @@ def component_polarization_H(mode, z: float, k_local, f) -> np.ndarray:
     cross-check the vector-form construction.
     """
     a = mode.metric.a
-    dz = z - mode.metric.z0
     kt = np.asarray(k_local)[1:]
     knorm = mode.index.knorm
-    scale = (1.0 + a * dz) / knorm
+    scale = (1.0 + a * z) / knorm
     p1 = -(kt[1] * f[2] - kt[2] * f[1]) * scale
     p2 = -(-kt[0] * f[2] + kt[2] * f[0]) * scale
     p3 = -(-kt[1] * f[0] + kt[0] * f[1]) * scale
@@ -74,13 +73,12 @@ def component_perturbations(mode, z: float):
     """
     kx, ky, kz = mode.k
     f0 = mode.f0
-    dz = z - mode.metric.z0
     ktsq = kx * kx + ky * ky
-    shared = dz * ktsq / (4.0 * kz**2) + 1j * dz**2 * (ktsq + 2.0 * kz**2) / (4.0 * kz)
+    shared = z * ktsq / (4.0 * kz**2) + 1j * z**2 * (ktsq + 2.0 * kz**2) / (4.0 * kz)
     c3 = -1j * ktsq / (4.0 * kz**3)
     m3 = shared + c3
-    m1 = shared + (kx / (2.0 * kz)) * dz * f0[2] / f0[0] if f0[0] != 0.0 else None
-    m2 = shared + (ky / (2.0 * kz)) * dz * f0[2] / f0[1] if f0[1] != 0.0 else None
+    m1 = shared + (kx / (2.0 * kz)) * z * f0[2] / f0[0] if f0[0] != 0.0 else None
+    m2 = shared + (ky / (2.0 * kz)) * z * f0[2] / f0[1] if f0[1] != 0.0 else None
     return m1, m2, m3
 
 
@@ -95,7 +93,7 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
 
         int dz e^{i q z} w(z) / [(omega - nu + i Gamma/2) + (a/2) omega (Z - z)],
 
-    q = k0z - k_z, w = 1 - a (z - z0) / 2 with the volume weight and 1 without.
+    q = k0z - k_z, w = 1 - a z / 2 with the volume weight and 1 without.
     The window is integrated with the oscillatory (QAWO) weights cos and sin.
     With tails="rotated" the path beyond each end of the window turns into the
     half-plane where e^{i q z} decays and runs to infinity along a vertical
@@ -104,14 +102,14 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
     """
     from scipy import integrate
 
-    nu, gamma, a, Z, z0 = params.nu, params.gamma, params.metric.a, params.Z, params.metric.z0
+    nu, gamma, a, Z = params.nu, params.gamma, params.metric.a, params.Z
     kx, ky, k0z = params.k0
     omega = nu if dispersion == "resonant" else params.constants.c * math.sqrt(
         kx * kx + ky * ky + k_z * k_z)
     q = k0z - k_z
 
     def f(z):
-        weight = 1.0 - 0.5 * a * (z - z0) if include_volume_weight else 1.0
+        weight = 1.0 - 0.5 * a * z if include_volume_weight else 1.0
         return weight / ((omega - nu + 0.5j * gamma) + 0.5 * a * omega * (Z - z))
 
     # absolute tolerance: 1e-13 of the integral's natural scale 2 pi / ((a/2) omega)

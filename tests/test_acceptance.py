@@ -43,7 +43,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def scaled_params(a: float, theta0: float = math.pi / 6) -> SpectrumParams:
     return SpectrumParams(
-        nu=1.0, gamma=1e-2, metric=WeakFieldMetric(a=a, z0=0.0), Z=0.0,
+        nu=1.0, gamma=1e-2, metric=WeakFieldMetric(a=a), Z=0.0,
         theta0=theta0, constants=CST,
     )
 
@@ -63,7 +63,7 @@ def test_criterion_02_flat_directionality():
     """Structure factor: exact peak, 1/N background, sinc^2 expectation at 5 sigma."""
     n = 10**4
     side = 100.0 * 2.0 * math.pi  # 100 wavelengths at |k0| = 1
-    box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
+    box = Box(size=(side, side, side))
     rng = np.random.default_rng(811)
 
     ens = sample_ensemble(n, box, 811)
@@ -146,7 +146,7 @@ def test_criterion_05_monte_carlo_consistency():
     p = scaled_params(1e-3)
     ell = p.gamma / (p.metric.a * p.nu)
     height = 80.0 * ell
-    box = Box(center=(0.0, 0.0, 0.0), size=(height / 10.0, height / 10.0, height))
+    box = Box(size=(height / 10.0, height / 10.0, height))
     kz = p.k0z + kernel_decay_constant(p) * np.arange(-8.0, 3.01, 0.25)
 
     mc, mc_stderr, prob = replicated_mc_spectrum(p, kz, n_atoms=10**5, box=box, n_replicas=20,
@@ -179,10 +179,10 @@ def test_criterion_06_maxwell_residual_scaling():
             k = rng.normal(size=3)
         # vertical polarization component present (s=2): the divergence
         # constraint is trivially exact for the horizontal polarization
-        study = residual_slope_study(k, 2, CST, 0.0, 1.0, a_values, t, r)
+        study = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0)
         assert study.conclusive
         worst = max(worst, abs(study.wave_slope - 2.0), abs(study.gauss_slope - 2.0))
-        ablated = residual_slope_study(k, 2, CST, 0.0, 1.0, a_values, t, r,
+        ablated = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0,
                                        include_gauss_constant=False)
         ablated_worst = max(ablated_worst, ablated.gauss_slope)
     ok = worst <= 0.1 and ablated_worst <= 1.2
@@ -201,7 +201,7 @@ def test_criterion_07_phase_wavevector_consistency():
             k = rng.normal(size=3)
         a = 10 ** rng.uniform(-4.0, -2.0)
         mode = PerturbedMode.build(ModeIndex(k, int(rng.integers(1, 3))),
-                                   WeakFieldMetric(a=a, z0=0.0), CST, 1.0)
+                                   WeakFieldMetric(a=a), CST, 1.0)
         z = rng.uniform(-0.05, 0.05) / a
         r0 = np.array([0.1, -0.2, z])
         up = mode_phase(mode, 0.0, r0 + [0.0, 0.0, h])
@@ -224,7 +224,7 @@ def test_criterion_08_transversality():
             k = rng.normal(size=3)
         z = rng.uniform(-0.5, 0.5)
         make = lambda a: PerturbedMode.build(  # noqa: E731
-            ModeIndex(k, 2), WeakFieldMetric(a=a, z0=0.0), CST, 1.0)
+            ModeIndex(k, 2), WeakFieldMetric(a=a), CST, 1.0)
         hi = transversality_check(make(1e-2), z)
         lo = transversality_check(make(5e-3), z)
         fitted_c = max(max(hi) / 1e-4, floor / 1e-4)

@@ -560,6 +560,22 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1
         assert f"config key {key} is repeated" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("key", ["a", "g"])
+    @pytest.mark.parametrize("scenario", ["curved-spectrum", "delta-limit"])
+    def test_kernel_scenarios_reject_a_flat_metric(self, tmp_path, capsys, monkeypatch, scenario,
+                                                   key):
+        # both grids are spaced in the kernel width a nu / gamma, which a = 0 makes zero;
+        # the run names the key that set a, before any grid is built
+        def never(*args, **kwargs):
+            raise AssertionError("a grid was built at a = 0")
+
+        monkeypatch.setattr(gravdicke.cli, "_kz_grid", never)
+        cfg = write_config(tmp_path, {"scenario": scenario, "metric": {key: 0.0}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"metric.{key} = 0.0 gives a = 0" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("payload, key", [
         ({"scenario": "curved-spectrum", "spectrum": {"grid": {"points": 10**30}}}, "points"),
         ({"scenario": "delta-limit", "delta": {"grid_points": 10**30}}, "grid_points"),
@@ -1008,8 +1024,8 @@ class TestVerifyModesScenario:
         {"metric": {"z0": float("nan")}},                  # echoed as null
     ], ids=["strong-coupling", "tall-reference-height", "far-metric-z0", "nan-metric-z0"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
-        # verify-modes reads unit_regime, verify and tolerances, nothing else: the metric
-        # depends on z - z0 alone, so its checks take the metric at z0 = 0
+        # verify-modes reads unit_regime, verify and tolerances, nothing else: the library's
+        # metric has no reference height, so metric.z0 does not enter its checks
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1},
                                       **sections})
         out = tmp_path / "vm"

@@ -21,7 +21,7 @@ NU, GAMMA = 1.0, 1e-2
 
 
 def small_box(side=10.0):
-    return Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
+    return Box(size=(side, side, side))
 
 
 class TestTypes:
@@ -31,15 +31,15 @@ class TestTypes:
             sample_ensemble(0, small_box(), 1)
 
     def test_box(self):
-        box = Box(center=(1.0, 2.0, 3.0), size=(2.0, 2.0, 4.0))
-        np.testing.assert_array_equal(box.low, [0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(box.high, [2.0, 3.0, 5.0])
-        Ensemble(np.array([[1.0, 2.0, 4.9]]), box)
+        box = Box(size=(2.0, 2.0, 4.0))
+        np.testing.assert_array_equal(box.low, [-1.0, -1.0, -2.0])
+        np.testing.assert_array_equal(box.high, [1.0, 1.0, 2.0])
+        Ensemble(np.array([[0.5, -0.5, 1.9]]), box)
         with pytest.raises(PhysicsDomainError, match="inside the box"):
-            Ensemble(np.array([[1.0, 2.0, 5.1]]), box)
+            Ensemble(np.array([[0.5, -0.5, 2.1]]), box)
 
     def test_ensemble_containment_faces(self):
-        box = Box(center=(1.0, 2.0, 3.0), size=(2.0, 2.0, 4.0))
+        box = Box(size=(2.0, 2.0, 4.0))
         middle = (box.low + box.high) / 2.0
         for axis in range(3):
             for face, outward in ((box.low, -np.inf), (box.high, np.inf)):
@@ -65,7 +65,7 @@ class TestTypes:
     def test_box_rejects_bad_edges(self, size):
         # an infinite edge once reached sampling, where inf - inf filled a column with NaN
         with pytest.raises(PhysicsDomainError, match="positive and finite"):
-            Box(center=(0.0, 0.0, 0.0), size=size)
+            Box(size=size)
 
     def test_ensemble_rejects_outside_atoms(self):
         with pytest.raises(PhysicsDomainError):
@@ -81,7 +81,7 @@ class TestTypes:
     def test_generator_continues_the_seeded_stream(self):
         # batches of 333 atoms and a ragged last one of 1, from one Generator: 999
         # doubles per batch, so batches do not start on Philox's 4-word blocks
-        metric = WeakFieldMetric(a=1e-2, z0=0.0)
+        metric = WeakFieldMetric(a=1e-2)
         whole = sample_ensemble(1000, small_box(), (41, 3), metric=metric)
         rng = ensemble_stream((41, 3))
         parts = [sample_ensemble(m, small_box(), rng, metric=metric)
@@ -91,7 +91,7 @@ class TestTypes:
         np.testing.assert_array_equal(np.concatenate([e.weights for e in parts]), whole.weights)
         assert not np.all(whole.weights == 1.0)
 
-    @pytest.mark.parametrize("metric", [None, WeakFieldMetric(a=1e-2, z0=0.0)])
+    @pytest.mark.parametrize("metric", [None, WeakFieldMetric(a=1e-2)])
     def test_sampling_into_buffers(self, metric):
         # the first 300 rows of larger arrays, as a short last batch gets them
         pos, weights = np.full((400, 3), np.nan), np.full(400, np.nan)
@@ -103,7 +103,7 @@ class TestTypes:
         assert np.isnan(pos[300:]).all() and np.isnan(weights[300:]).all()
 
     def test_volume_weights(self):
-        metric = WeakFieldMetric(a=1e-2, z0=0.0)
+        metric = WeakFieldMetric(a=1e-2)
         ens = sample_ensemble(500, small_box(), 7, metric=metric)
         np.testing.assert_allclose(
             ens.weights, np.sqrt(1.0 - 1e-2 * ens.positions[:, 2]), rtol=1e-14

@@ -19,8 +19,8 @@ POINT_R = np.array([0.2, -0.15, 0.35])
 A_SWEEP = [1e-4, 1e-3, 1e-2]
 
 
-def make_mode(k=K_GENERIC, s=2, a=1e-3, z0=0.0):
-    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a, z0=z0), CST, 1.0)
+def make_mode(k=K_GENERIC, s=2, a=1e-3):
+    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST, 1.0)
 
 
 class TestStencil:
@@ -56,9 +56,9 @@ class TestWaveResidual:
         assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.1)
 
     def test_residual_at_reference_height_still_second_order(self):
-        # corrections vanish at z0 but their derivatives do not
+        # corrections vanish at height 0 but their derivatives do not
         study = residual_slope_study(
-            K_GENERIC, 2, CST, 0.0, 1.0, A_SWEEP, POINT_T, np.array([0.2, -0.15, 0.0])
+            K_GENERIC, 2, CST, POINT_T, np.array([0.2, -0.15, 0.0]), A_SWEEP, volume=1.0
         )
         assert study.wave_slope == pytest.approx(2.0, abs=0.1)
         norms = [rep.residual_norm for rep in study.reports]
@@ -95,10 +95,10 @@ class TestGaussResidual:
     def test_divergence_constant_ablation_degrades_to_first_order(self):
         # with the constant: O(a^2); without: O(a).  Regression proving it matters.
         with_c = residual_slope_study(
-            K_GENERIC, 2, CST, 0.0, 1.0, A_SWEEP, POINT_T, POINT_R
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0
         )
         without = residual_slope_study(
-            K_GENERIC, 2, CST, 0.0, 1.0, A_SWEEP, POINT_T, POINT_R,
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0,
             include_gauss_constant=False,
         )
         assert with_c.gauss_slope == pytest.approx(2.0, abs=0.1)
@@ -163,7 +163,7 @@ class TestTransversality:
 class TestSlopeStudy:
     def test_generic_mode_slopes(self):
         study = residual_slope_study(
-            K_GENERIC, 2, CST, 0.0, 1.0, A_SWEEP, POINT_T, POINT_R
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0
         )
         assert isinstance(study, ScalingStudy)
         assert study.conclusive
@@ -174,7 +174,7 @@ class TestSlopeStudy:
         # at a mode volume of 1e308 the field is so small that every residual is zero:
         # the study flags the reports instead of handing log(0) to the slope fit
         study = residual_slope_study(
-            K_GENERIC, 2, CST, 0.0, 1e308, A_SWEEP, POINT_T, POINT_R
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1e308
         )
         assert [rep.residual_norm for rep in study.reports] == [0.0, 0.0, 0.0]
         assert all(rep.inconclusive for rep in study.reports)

@@ -106,5 +106,3 @@ def test_metric_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(PhysicsDomainError):
             WeakFieldMetric(a=bad)
-        with pytest.raises(PhysicsDomainError):
-            WeakFieldMetric(a=0.0, z0=bad)

@@ -23,8 +23,8 @@ from gravdicke.modes import (
 CST = PhysicalConstants.scaled()
 
 
-def make_mode(k, s=2, a=1e-3, z0=0.0, volume=1.0):
-    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a, z0=z0), CST, volume)
+def make_mode(k, s=2, a=1e-3, volume=1.0):
+    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST, volume)
 
 
 def first_order_products(mode, z):

@@ -19,11 +19,11 @@ def records() -> dict:
     cfg = cli.load_config(None, {"scenario": "curved-spectrum"})
     constants = PhysicalConstants.scaled()
     curved = WeakFieldMetric(a=1e-3)
-    box = Box(center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0))
+    box = Box(size=(1.0, 1.0, 1.0))
     index = ModeIndex((0.3, 0.2, 1.0), 2)
     mode = PerturbedMode.build(index, curved, constants, 1.0)
-    study = residual_slope_study(index.k, 2, constants, 0.0, 1.0, (1e-3, 1e-2), 0.3,
-                                 (0.2, -0.15, 0.35))
+    study = residual_slope_study(index.k, 2, constants, 0.3, (0.2, -0.15, 0.35), (1e-3, 1e-2),
+                                 volume=1.0)
     found = [cfg, cfg.metric, cfg.spectrum, cfg.spectrum.grid, cfg.ensemble, cfg.dicke,
              cfg.delta, cfg.verify, cfg.tolerances,
              constants, curved, box, Ensemble(np.zeros((2, 3)), box),
@@ -32,11 +32,32 @@ def records() -> dict:
     return {type(record).__name__: record for record in found}
 
 
-RECORDS = ("Config", "MetricConfig", "SpectrumConfig", "GridConfig", "EnsembleConfig",
-           "DickeConfig", "DeltaConfig", "VerifyConfig", "Tolerances",
-           "PhysicalConstants", "WeakFieldMetric", "Box", "Ensemble", "SpectrumParams",
-           "ModeIndex", "PerturbedMode", "ScalingStudy", "ResidualReport",
-           "TransversalityReport")
+# each record's fields, in order: a field added to a record shows here, as a config
+# leaf shows in test_cli's SETTABLE_KEYS
+FIELDS = {
+    "Config": ("scenario", "seed", "output_dir", "unit_regime", "threads", "metric",
+               "spectrum", "ensemble", "dicke", "delta", "verify", "tolerances"),
+    "MetricConfig": ("a", "g", "z0"),
+    "SpectrumConfig": ("nu", "gamma", "theta0", "Z", "grid"),
+    "GridConfig": ("lo", "hi", "points"),
+    "EnsembleConfig": ("n_atoms", "replicas", "box_heights"),
+    "DickeConfig": ("n_atoms", "box_wavelengths", "n_offpeak", "replicas"),
+    "DeltaConfig": ("halvings", "grid_points"),
+    "VerifyConfig": ("n_modes", "a_values", "min_kz_fraction"),
+    "Tolerances": ("slope", "mc_sigma", "mc_fraction", "quadrature"),
+    "PhysicalConstants": ("c", "hbar", "eps0"),
+    "WeakFieldMetric": ("a",),
+    "Box": ("size",),
+    "Ensemble": ("positions", "weights"),
+    "SpectrumParams": ("nu", "gamma", "metric", "Z", "theta0", "constants"),
+    "ModeIndex": ("k", "s"),
+    "PerturbedMode": ("index", "metric", "constants", "volume", "basis"),
+    "ScalingStudy": ("wave_slope", "gauss_slope", "reports"),
+    "ResidualReport": ("residual_vector", "gauss_residual", "discretization_estimate",
+                       "gauss_discretization", "inconclusive"),
+    "TransversalityReport": ("p_dot_f", "k_dot_f", "p_dot_k"),
+}
+RECORDS = tuple(FIELDS)
 
 
 def test_every_package_record_is_listed():
@@ -44,6 +65,11 @@ def test_every_package_record_is_listed():
                if isinstance(obj, type) and obj.__module__ == module.__name__
                and hasattr(obj, "_fields")}
     assert defined == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_fields_are_pinned(records, name):
+    assert records[name]._fields == FIELDS[name]
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -44,7 +44,7 @@ CST = PhysicalConstants.scaled()
 
 def make_params(a=1e-3, nu=1.0, gamma=1e-2, theta0=math.pi / 6, Z=0.0):
     return SpectrumParams(
-        nu=nu, gamma=gamma, metric=WeakFieldMetric(a=a, z0=0.0), Z=Z, theta0=theta0,
+        nu=nu, gamma=gamma, metric=WeakFieldMetric(a=a), Z=Z, theta0=theta0,
         constants=CST,
     )
 
@@ -305,7 +305,7 @@ class TestMonteCarlo:
         self.params = make_params()
         ell = decay_length(self.params)
         height = 60.0 * ell
-        self.box = Box(center=(0.0, 0.0, 0.0), size=(height / 10, height / 10, height))
+        self.box = Box(size=(height / 10, height / 10, height))
         self.kz = self.params.k0z + kernel_decay_constant(self.params) * np.arange(-6.0, 2.01, 0.4)
 
     def test_flat_coherent_peak(self):
@@ -323,7 +323,7 @@ class TestMonteCarlo:
         state = curved_timed_dicke(ens, p.k0z)
         amps = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
-        big = Box(center=(0.0, 0.0, 0.0), size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
+        big = Box(size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
         ens2 = type(ens)(shifted_pos, big, ens.weights)
         state2 = curved_timed_dicke(ens2, p.k0z)
         amps2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
@@ -336,7 +336,7 @@ class TestMonteCarlo:
         height = self.box.size[2]
 
         def run(aspect):
-            box = Box(center=(0.0, 0.0, 0.0), size=(aspect * height, aspect * height, height))
+            box = Box(size=(aspect * height, aspect * height, height))
             return replicated_mc_spectrum(p, self.kz, 2000, box, 3, 41)
 
         want = run(0.1)
@@ -415,7 +415,7 @@ class RecurrenceCase:
     def setup_method(self):
         self.params = make_params()
         height = 60.0 * decay_length(self.params)
-        self.box = Box(center=(0.0, 0.0, 0.0), size=(height / 10, height / 10, height))
+        self.box = Box(size=(height / 10, height / 10, height))
         self.dk = kernel_decay_constant(self.params)
 
     def grid(self, name):
@@ -662,7 +662,7 @@ class TestStructureFactor:
 
     def test_expectation_formula_against_replicas(self):
         n, side = 600, 12.0
-        box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
+        box = Box(size=(side, side, side))
         probes = [
             np.array([2.0 / side, 0.0, 0.0]),       # u = 1.0
             np.array([5.0 / side, 3.0 / side, 0.0]),
@@ -690,7 +690,7 @@ class TestStructureFactor:
         # peak-to-background >= N/2 for |dk| L >= 20 pi, background taken as the
         # mean over random far offsets, in at least 95% of seeds
         n, side = 2000, 40.0 * math.pi
-        box = Box(center=(0.0, 0.0, 0.0), size=(side, side, side))
+        box = Box(size=(side, side, side))
         passing = 0
         n_seeds = 40
         rng = np.random.default_rng(62)
