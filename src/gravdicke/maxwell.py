@@ -74,6 +74,12 @@ _D2_WEIGHTS = (4.0 / 3.0, 4.0 / 3.0, -1.0 / 12.0, -1.0 / 12.0)
 _D2_CENTER = -5.0 / 2.0
 _D1_ABS_SUM = sum(map(abs, _D1_WEIGHTS))
 _D2_ABS_SUM = sum(map(abs, _D2_WEIGHTS)) + abs(_D2_CENTER)
+# the spatial step in units of 1 / |k|.  At 1e-7 the h/2 stencil's rounding floor, eps x
+# its weight sum (16/3) over (step / 2)^2, is half the whole second derivative |k|^2 |f|,
+# and the O(a^2) residual the slope gate needs far less.  At 1 the step spans a radian
+# of the carrier phase: 1 and 2 read as inconclusive, but 5 and 10 alias the wave and
+# fit a slope of about 0
+_REL_STEP = 0.01
 
 
 def _derivatives(field: Callable, t: float, r: np.ndarray, steps: tuple):
@@ -129,13 +135,12 @@ def wave_residual(
     t: float,
     r,
     *,
-    rel_step: float = 0.01,
     field: Callable | None = None,
 ) -> ResidualReport:
     """Residual of the three linearized wave equations at one point.
 
-    Fourth-order central differences take the spatial step
-    h = rel_step / |k|, a fixed fraction of the mode's wavelength scale, and
+    Fourth-order central differences take the spatial step h = 0.01 / |k|
+    (``_REL_STEP``), a fixed fraction of the mode's wavelength scale, and
     the time step h / c.  The field (by default the first-order form with the
     Gauss-law constant; ``field`` substitutes another) is differenced at h and
     at h/2 and Richardson-extrapolated, so the returned residual is the physics
@@ -151,12 +156,10 @@ def wave_residual(
     exactly zero is inconclusive too: it means the field underflowed, as at a
     huge mode volume.
     """
-    if not rel_step > 0.0:
-        raise PhysicsDomainError("stencil step rel_step must be positive")
     r = np.asarray(r, dtype=float).reshape(3)
     if field is None:
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
-    h = rel_step / mode.index.knorm
+    h = _REL_STEP / mode.index.knorm
 
     res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, h)
     res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, h / 2)
@@ -239,7 +242,7 @@ def residual_slope_study(
 
     With all first-order terms in place both slopes sit at 2; ablating the
     Gauss-law constant pulls the Gauss slope down to ~1.  Every report takes
-    :func:`wave_residual`'s default stencil.
+    :func:`wave_residual`'s one stencil.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     reports = []

@@ -188,7 +188,7 @@ class TestFlatDickeScenario:
 
     @pytest.mark.parametrize("sections", [
         {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
-        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
+        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a Z| >= 1
         {"metric": {"a": float("nan")}},                   # echoed as null
     ], ids=["strong-coupling", "tall-reference-height", "nan-metric-a"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
@@ -279,21 +279,6 @@ class TestDeterminism:
             paths.append(out / "spectrum.csv")
         assert csv_body(paths[0]) == csv_body(paths[1])
         assert csv_body(paths[0]) == csv_body(paths[2])
-
-    def test_csv_does_not_depend_on_reference_height(self, tmp_path):
-        # the metric depends on z - z0 alone, so every height is taken above z0 and a run
-        # at z0 = Z is the run at z0 = Z = 0.  On absolute heights, 1e9 and 6e13 defeated
-        # the height quadrature (exit 4)
-        bodies = []
-        for z0 in (0.0, 1e9, 6e13):
-            cfg = write_config(tmp_path, {**self.CFG, "metric": {"z0": z0},
-                                          "spectrum": {**self.CFG["spectrum"], "Z": z0}},
-                               name=f"z0-{z0}.json")
-            out = tmp_path / f"z0-{z0}"
-            assert main(["--config", cfg, "--output", str(out)]) == 0
-            bodies.append((out / "spectrum.csv").read_bytes())
-        assert bodies[1] == bodies[0]
-        assert bodies[2] == bodies[0]
 
     def test_metadata_differs_only_in_timestamp(self, tmp_path):
         outs = []
@@ -525,6 +510,9 @@ class TestBadInputExitCodes:
         ({"scenario": "flat-dicke", "spectrum": {"nu": 0.0}}, 3),
         ({"scenario": "flat-dicke", "spectrum": {"nu": -1.0}}, 3),
         ({"scenario": "flat-dicke", "unit_regime": "si", "spectrum": {"nu": 5e-324}}, 3),
+        ({"scenario": "spreads", "metric": {"z0": 6.371e6}}, 2),
+        ({"scenario": "curved-spectrum", "tolerances": {"quadrature": 1e-9}}, 2),
+        ({"scenario": "verify-modes", "verify": {"min_kz_fraction": 0.1}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "removed-key-probes-u", "string-a", "float-n-atoms",
@@ -541,7 +529,8 @@ class TestBadInputExitCodes:
             "infinite-a-value", "zero-a-value", "negative-a-value", "unbounded-Z",
             "underflowing-k0-norm",
             "flat-dicke-infinite-nu", "flat-dicke-zero-nu", "flat-dicke-negative-nu",
-            "flat-dicke-underflowing-k0-norm"])
+            "flat-dicke-underflowing-k0-norm", "removed-key-z0", "removed-key-quadrature",
+            "removed-key-min-kz-fraction"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -643,29 +632,24 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1
         assert "panels" in json.loads(err)["message"]
 
-    @pytest.mark.parametrize("fraction", [1.5, 1.0 - 1e-12], ids=["above-one", "just-below-one"])
-    def test_unreachable_min_kz_fraction(self, tmp_path, capsys, fraction):
-        # 1.5 fails the config check; 1 - 1e-12 passes it but no draw meets it
-        cfg = write_config(tmp_path, {"scenario": "verify-modes",
-                                      "verify": {"min_kz_fraction": fraction}})
-        with time_limit(10):
-            code = main(["--config", cfg, "--output", str(tmp_path / "o")])
-        assert code == 2
+    def test_overflowing_g_names_its_key(self, tmp_path, capsys):
+        # in the scaled regime a = 2 g / c^2 = 2e308 overflows
+        cfg = write_config(tmp_path, {"scenario": "spreads", "metric": {"g": 1e308}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert "verify.min_kz_fraction" in json.loads(err)["message"]
         assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert message.startswith("metric.g = 1e+308: ") and "must be finite" in message
 
     @pytest.mark.parametrize("sections, code, error", [
         ({"metric": {"a": 1e-15}}, 2, "ConfigError"),
-        ({"metric": {"z0": 1e14}, "spectrum": {"Z": 1e14}, "ensemble": {"box_heights": 300.0}},
-         3, "LinearizationError"),
+        ({"ensemble": {"box_heights": 300.0}}, 3, "LinearizationError"),
     ], ids=["rounded-phases", "too-tall"])
     def test_far_box_exits_before_any_replica(self, tmp_path, capsys, monkeypatch, sections,
                                               code, error):
         # at a = 1e-15 the box is 8e14 tall and its atom phases round to 1/16 rad, and
         # the Monte Carlo and the quadrature would run for seconds before the gate read
-        # rounding; a box too tall for the linearization guard exits 3 at any z0, since
-        # the box is centred on z0
+        # rounding; a box whose z faces reach |a z| >= 1 exits 3
         def never(*args, **kwargs):
             raise AssertionError("a stage ran past the box guards")
 
@@ -704,16 +688,15 @@ def _leaf_keys(table: dict, prefix: tuple = ()):
 
 SETTABLE_KEYS = (
     ("scenario",), ("seed",), ("output_dir",), ("unit_regime",), ("threads",),
-    ("metric", "a"), ("metric", "g"), ("metric", "z0"),
+    ("metric", "a"), ("metric", "g"),
     ("spectrum", "nu"), ("spectrum", "gamma"), ("spectrum", "theta0"), ("spectrum", "Z"),
     ("spectrum", "grid", "lo"), ("spectrum", "grid", "hi"), ("spectrum", "grid", "points"),
     ("ensemble", "n_atoms"), ("ensemble", "replicas"), ("ensemble", "box_heights"),
     ("dicke", "n_atoms"), ("dicke", "box_wavelengths"), ("dicke", "n_offpeak"),
     ("dicke", "replicas"),
     ("delta", "halvings"), ("delta", "grid_points"),
-    ("verify", "n_modes"), ("verify", "a_values"), ("verify", "min_kz_fraction"),
+    ("verify", "n_modes"), ("verify", "a_values"),
     ("tolerances", "slope"), ("tolerances", "mc_sigma"), ("tolerances", "mc_fraction"),
-    ("tolerances", "quadrature"),
 )
 FUZZ_KEYS = [path for path in SETTABLE_KEYS if path not in (("scenario",), ("output_dir",))]
 SMALL_INTS = st.integers(-3, 5)
@@ -774,12 +757,14 @@ class TestConfigFuzz:
         ("curved-spectrum", ("ensemble", "box_heights"), 1e-320, 2),
         ("curved-spectrum", ("ensemble", "box_heights"), 5e-324, 2),
         ("delta-limit", ("metric", "a"), 5e-324, 2),
+        ("curved-spectrum", ("metric", "a"), 5e-324, 2),
     ], ids=["overflowing-a", "overflowing-height", "subnormal-height", "least-height",
-            "subnormal-a"])
+            "subnormal-a", "curved-subnormal-a"])
     def test_float_extremes(self, tmp_path, capsys, scenario, key, value, code):
         # each once printed numpy warnings before its exit.  A subnormal box's quadrature
         # peak overflowed the gate's scaling before the spread check rejected the box;
-        # the subnormal a once ended in 3, with a warning: a kernel too narrow for the grid
+        # the subnormal a once ended in 3, with a warning: a kernel too narrow for the grid.
+        # In curved-spectrum it overflowed the box height first, which named no key
         assert self.run_leaf(tmp_path, capsys, scenario, key, value) == code
 
     @staticmethod
@@ -998,16 +983,30 @@ class TestVerifyModesScenario:
         assert {row.split(",")[column] for row in rows} == {"0.35"}
 
     def test_outputs_do_not_depend_on_reference_height(self, tmp_path):
-        # the metric depends on z - z0 alone, so heights are taken above z0 and z0 is
-        # not read
+        # every check runs at one height above the origin, where the metric is
+        # Minkowskian: the spectrum's reference height spectrum.Z is not read
         bodies = []
-        for z0 in (0.0, 5.0):
+        for height in (0.0, 5.0):
             cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 2},
-                                          "metric": {"z0": z0}}, f"z0-{z0}.json")
-            out = tmp_path / f"z0-{z0}"
+                                          "spectrum": {"Z": height}}, f"Z-{height}.json")
+            out = tmp_path / f"Z-{height}"
             assert main(["--config", cfg, "--output", str(out)]) == 0
             bodies.append([csv_body(out / name) for name in ("residuals.csv", "mode_vectors.csv")])
         assert bodies[0] == bodies[1]
+
+    def test_contractions_at_the_largest_a_in_any_order(self, tmp_path):
+        # the transversality check and mode_vectors.csv take the largest a, not the last
+        runs = []
+        for name, a_values in (("up", [1e-4, 1e-3, 1e-2]), ("down", [1e-2, 1e-3, 1e-4])):
+            cfg = write_config(tmp_path, {"scenario": "verify-modes",
+                                          "verify": {"n_modes": 2, "a_values": a_values}},
+                               f"{name}.json")
+            out = tmp_path / name
+            assert main(["--config", cfg, "--output", str(out)]) == 0
+            summary = json.loads((out / "metadata.json").read_text())["summary"]
+            runs.append(((out / "mode_vectors.csv").read_bytes(),
+                         [summary[key] for key in ("max_p_dot_f", "max_k_dot_f", "max_p_dot_k")]))
+        assert runs[0] == runs[1]
 
     def test_residual_csv_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1}})
@@ -1019,13 +1018,11 @@ class TestVerifyModesScenario:
 
     @pytest.mark.parametrize("sections", [
         {"spectrum": {"gamma": 0.5}},                      # fails the weak-coupling guard
-        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a (Z - z0)| >= 1
-        {"metric": {"z0": 1e3}},                           # heights are taken above z0
-        {"metric": {"z0": float("nan")}},                  # echoed as null
-    ], ids=["strong-coupling", "tall-reference-height", "far-metric-z0", "nan-metric-z0"])
+        {"metric": {"a": 10.0}, "spectrum": {"Z": 1.0}},   # |a Z| >= 1
+        {"metric": {"a": float("nan")}},                   # echoed as null
+    ], ids=["strong-coupling", "tall-reference-height", "nan-metric-a"])
     def test_unread_sections_are_not_checked(self, tmp_path, sections):
-        # verify-modes reads unit_regime, verify and tolerances, nothing else: the library's
-        # metric has no reference height, so metric.z0 does not enter its checks
+        # verify-modes reads unit_regime, seed, verify and tolerances.slope, nothing else
         cfg = write_config(tmp_path, {"scenario": "verify-modes", "verify": {"n_modes": 1},
                                       **sections})
         out = tmp_path / "vm"

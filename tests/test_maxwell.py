@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gravdicke import maxwell
 from gravdicke.errors import PhysicsDomainError
 from gravdicke.maxwell import (
     ScalingStudy,
@@ -33,11 +34,6 @@ class TestStencil:
         rep = wave_residual(mode, 1e-16, 1e-8 * np.array([2.0, -1.5, 3.5]))
         assert rep.residual_norm < 1e-9 * mode.index.knorm**2 * mode.flat_amplitude
 
-    def test_validation(self):
-        mode = make_mode()
-        with pytest.raises(PhysicsDomainError):
-            wave_residual(mode, POINT_T, POINT_R, rel_step=0.0)
-
 
 class TestWaveResidual:
     def test_flat_space_exact_solution(self):
@@ -65,10 +61,11 @@ class TestWaveResidual:
         fitted_c = max(n / a**2 for n, a in zip(norms, A_SWEEP))
         assert all(n <= 1.01 * fitted_c * a**2 for n, a in zip(norms, A_SWEEP))
 
-    def test_coarse_stencil_flagged_inconclusive(self):
+    def test_coarse_stencil_flagged_inconclusive(self, monkeypatch):
         mode = make_mode(a=1e-4)
-        # h = 0.9, as rel_step is a fraction of 1 / |k|
-        rep = wave_residual(mode, POINT_T, POINT_R, rel_step=0.9 * mode.index.knorm)
+        # h = 0.9, as the step is a fraction of 1 / |k|
+        monkeypatch.setattr(maxwell, "_REL_STEP", 0.9 * mode.index.knorm)
+        rep = wave_residual(mode, POINT_T, POINT_R)
         assert rep.inconclusive
 
     def test_far_point_drowned_in_rounding_is_inconclusive(self):

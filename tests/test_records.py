@@ -37,14 +37,14 @@ def records() -> dict:
 FIELDS = {
     "Config": ("scenario", "seed", "output_dir", "unit_regime", "threads", "metric",
                "spectrum", "ensemble", "dicke", "delta", "verify", "tolerances"),
-    "MetricConfig": ("a", "g", "z0"),
+    "MetricConfig": ("a", "g"),
     "SpectrumConfig": ("nu", "gamma", "theta0", "Z", "grid"),
     "GridConfig": ("lo", "hi", "points"),
     "EnsembleConfig": ("n_atoms", "replicas", "box_heights"),
     "DickeConfig": ("n_atoms", "box_wavelengths", "n_offpeak", "replicas"),
     "DeltaConfig": ("halvings", "grid_points"),
-    "VerifyConfig": ("n_modes", "a_values", "min_kz_fraction"),
-    "Tolerances": ("slope", "mc_sigma", "mc_fraction", "quadrature"),
+    "VerifyConfig": ("n_modes", "a_values"),
+    "Tolerances": ("slope", "mc_sigma", "mc_fraction"),
     "PhysicalConstants": ("c", "hbar", "eps0"),
     "WeakFieldMetric": ("a",),
     "Box": ("size",),
