@@ -571,12 +571,13 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 # eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
 # the gate; the spread shrinks in proportion to ensemble.box_heights
 _MIN_RELATIVE_SIGMA = 1e-15
-# the atom phases k0z z_j and k_z z_j round to ulp(max(|k0z|, max|k_z|) max|z|).  The bound
-# was set when the sum still formed the lateral phases k . r_j and cancelled them in
-# floating point: a sweep of their size (200 atoms x 2 replicas and 2e4 x 10) left
-# every pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the
-# gate at 8 rad.  It is kept for the height phases, a hundredfold below the first
-# visible effect
+# the phases the Monte Carlo forms, the state's k0z z_j, the sum's k_c z_j at the grid's
+# middle wavenumber and its cells' (k_c - k_z) c_m, each round to at most
+# ulp(max(|k0z|, max|k_z|) max|z|).  The bound was set when the sum still formed the
+# lateral phases k . r_j and cancelled them in floating point: a sweep of their size
+# (200 atoms x 2 replicas and 2e4 x 10) left every pull unmoved up to an ulp of
+# 0.12 rad, moved them at 1 rad and failed the gate at 8 rad.  It is kept for the
+# height phases, a hundredfold below the first visible effect
 _MAX_PHASE_ULP = 1e-2
 
 
@@ -622,7 +623,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         )
     with _stage(stages, "replicas") as work:
         mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
-                                                     cfg.seed, threads=cfg.threads)
+                                                     cfg.seed, threads=cfg.threads, stats=work)
         work["atom_kz"] = e.n_atoms * e.replicas * kz.size
     with _stage(stages, "quadrature") as work:
         quad, quad_error_ratio, quad_evals = quadrature_spectrum(

@@ -95,8 +95,12 @@ def check_linearization(a: float, dz) -> None:
 
 
 def surface_param_a(g: float, constants: PhysicalConstants) -> float:
-    """Gravity-gradient parameter 2 g / c^2 for free-fall acceleration g."""
+    """Gravity-gradient parameter 2 g / c^2 for free-fall acceleration g.
+
+    g / c^2 is formed first, so that 2 g cannot overflow where a is finite; where
+    2 g does not overflow, the bits are those of 2 g / c^2.
+    """
     if g < 0.0:
         raise PhysicsDomainError("free-fall acceleration g must be >= 0")
-    return 2.0 * g / constants.c**2
+    return 2.0 * (g / constants.c**2)
 

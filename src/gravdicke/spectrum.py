@@ -7,7 +7,9 @@ module computes the k_z distribution
 * analytically: a one-sided exponential kernel in the offset q = k0z - k_z,
   with a hard cutoff at q = 0 and decay constant Gamma/(a nu),
 * by direct numerical quadrature of the height integral the kernel came from,
-* by Monte Carlo over explicit random atom ensembles,
+* by Monte Carlo over explicit random atom ensembles, whose atom sum is taken
+  from each height cell's moments by local Taylor expansions about the cell
+  centres, with an a-priori bound on the truncation of each term,
 
 plus the closed-form spread measures and the flat-space structure factor.
 The closed forms take q itself, so that no kernel value carries the rounding
@@ -342,69 +344,72 @@ def analytic_spectrum(q_grid, params: SpectrumParams) -> np.ndarray:
 # Monte Carlo over explicit ensembles
 # ---------------------------------------------------------------------------
 
-# The atom sum advances e^{-i kz z} along the grid by the trigonometric
-# recurrence (Numerical Recipes sec. 5.4).  It restarts from an exact phasor every
-# _RESEED_EVERY steps, and wherever the grid leaves the current uniform spacing
-# by more than _PHASE_TOL radians at the farthest atom.
-_RESEED_EVERY = 16
-_PHASE_TOL = 1e-12
+# The atom sum expands each atom's term about the centre c of its cell of heights,
+# the one-level form of the fast multipole method (Greengard & Rokhlin, J. Comput.
+# Phys. 73, 325, 1987).  With z = c + h tau, |tau| <= 1 in a cell of half-width h,
+# a middle wavenumber k_c, q = k_c - k_z and D(z) = D(c) - slope (z - c),
+#     e^{-i k_z z} / D(z) = e^{-i k_c z} (e^{i q c} / D(c)) e^{i q h tau} / (1 - rho tau),
+# with rho = slope h / D(c).  |D| >= Gamma / 2, so r = |rho| <= a omega h / Gamma.  The
+# product of the geometric and the exponential series, cut at total order P, leaves
+# of each term at most the fraction
+#     sum_{n + l >= P} r^n b^l / l!  <=  (r^P e^{b/r} + e^b b^P / P!) / (1 - r),
+# b = |q| h.  Cells with r <= 0.1 and b <= 0.5 and P = 15 make that 1.65e-13: the
+# geometric tail, weighted by e^{b/r} = e^5, is all of it.
+_CELL_RHO = 0.1
+_CELL_Q = 0.5
+_TERMS = 15
+TRUNCATION_BOUND = (
+    _CELL_RHO**_TERMS * math.exp(_CELL_Q / _CELL_RHO)
+    + math.exp(_CELL_Q) * _CELL_Q**_TERMS / math.factorial(_TERMS)
+) / (1.0 - _CELL_RHO)
 
 # Atoms per batch of a replica (see replicated_mc_spectrum): the atom sum's
-# arrays for a batch take about 2 MB, one core's L2 cache, and each numpy call
+# arrays for a batch take under 2 MB, one core's L2 cache, and each numpy call
 # on them runs long enough between GIL handoffs for replicas on two threads to
-# overlap.  Each thread reuses one workspace of batch-sized arrays, 2.4 MB at
+# overlap.  Each thread reuses one workspace of batch-sized arrays, 1.8 MB at
 # this size, whatever the replicas' atom count: glibc would hand arrays this
 # large back to the kernel after each batch and fault them in again.
 _BATCH_ATOMS = 25_000
 
 
-def _exact_phase_points(kz: np.ndarray, z_max: float) -> np.ndarray:
-    """Mask of the grid points whose phase is computed afresh, not carried by the recurrence."""
-    exact = np.ones(kz.size, dtype=bool)
-    seed = 0
-    for i in range(1, kz.size):
-        m = i - seed
-        drift = z_max * abs(kz[i] - (kz[seed] + m * (kz[seed + 1] - kz[seed])))
-        if m < _RESEED_EVERY and drift <= _PHASE_TOL:
-            exact[i] = False
-        else:
-            seed = i
-    return exact
-
-
-def _reciprocal(u: np.ndarray, g_sq: float, neg_g: float, w: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """out = 1 / (u + i g) = (u - i g) / w, w = u^2 + g^2, in real arithmetic into buffers.
-
-    Takes g^2 and -g, which the caller forms once per grid point.  Real u needs
-    neither a promotion to complex nor a complex division.  Each part is one
-    division by w, a pass and a rounding fewer than a product with 1 / w.
-    np.square rounds u^2 as u * u does, in a loop that reads one array.
-    """
-    np.square(u, out=w)
-    w += g_sq
-    np.divide(u, w, out=out.real)
-    np.divide(neg_g, w, out=out.imag)
-    return out
-
-
 def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: four real rows (no x or y
-    enters the sum), four complex."""
-    return np.empty((4, n)), np.empty((4, n), dtype=complex)
+    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: three real rows (no x or y
+    enters the sum), three complex."""
+    return np.empty((3, n)), np.empty((3, n), dtype=complex)
 
 
 def _batch_work(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One thread's workspace for batches of up to n atoms: (positions, weights, sum work).
 
     The (n, 3) positions and n weights are the float view of the atom sum's last
-    two complex rows, step and 1/D, which its grid loop writes only after it
-    has read them (see :func:`monte_carlo_spectrum`).  Of the positions, the state
-    and the sum read only the heights.
+    two complex rows, which it writes only after it has read them (see
+    :func:`monte_carlo_spectrum`).  Of the positions, the state and the sum read
+    only the heights.
     """
     work = _sum_work(n)
-    spare = work[1][2:].view(float).reshape(-1)  # 4 n floats
+    spare = work[1][1:].view(float).reshape(-1)  # 4 n floats
     return spare[:3 * n].reshape(n, 3), spare[3 * n:], work
+
+
+def _cell_half_width(kz: np.ndarray, omega: np.ndarray, params: SpectrumParams,
+                     span: float) -> tuple[float, float]:
+    """(k_c, h): the grid's middle wavenumber and the widest cell half-width with
+    |rho| h <= _CELL_RHO and |k_c - k_z| h <= _CELL_Q at every grid point.
+
+    h is at most the heights' span (1 for a single height, where any h serves).
+    """
+    lo, hi = float(kz.min()), float(kz.max())
+    k_c = 0.5 * lo + 0.5 * hi
+    rho_max = params.metric.a * float(omega.max()) / params.gamma
+    q_max = max(k_c - lo, hi - k_c)
+    h = min(_CELL_RHO / rho_max if rho_max > 0.0 else math.inf,
+            _CELL_Q / q_max if q_max > 0.0 else math.inf,
+            span if span > 0.0 else 1.0)
+    if not (h > 0.0 and math.isfinite(span / h)):
+        raise PhysicsDomainError(
+            f"atom-sum cells of half-width {h!r} cannot resolve heights spanning {span!r}"
+        )
+    return k_c, h
 
 
 def monte_carlo_spectrum(
@@ -414,6 +419,7 @@ def monte_carlo_spectrum(
     params: SpectrumParams,
     *,
     work: tuple[np.ndarray, np.ndarray] | None = None,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
 
@@ -422,21 +428,31 @@ def monte_carlo_spectrum(
     detuning denominator with the mode frequency shifted to the atom's height.
     k keeps k0's transverse components, so its x and y phases cancel the
     state's atom by atom: they are never formed, and k_x and k_y enter only
-    c|k|.  The whole ensemble is summed in one pass per grid point, in atom
-    order, with working arrays of its size: fresh ones, or the first ensemble.n
-    columns of ``work``, a pair of C-contiguous arrays as _sum_work makes them
-    for at least that many atoms.  ``amplitudes`` may be the first ensemble.n
-    entries of the first complex row of ``work``: the weights then multiply
-    them in place.  The ensemble's positions and weights may live in the float
-    view of the last two complex rows of ``work``: they are read into the real
-    rows and the weighted amplitudes before the grid loop first writes those
-    two rows.
+    c|k|.
+
+    The sum is taken cell by cell (see TRUNCATION_BOUND).  One :func:`cis` per
+    atom at the grid's middle k_c gives B_j = c_j w_j e^{-i k_c z_j}.  The
+    heights are sorted and cut into cells of half-width h, and each occupied
+    cell m, of centre c_m, keeps the moments mu_p = sum_j B_j tau_j^p, p < P,
+    of its atoms' offsets tau_j = (z_j - c_m) / h.  Each grid point then
+    contracts every occupied cell's moments with the Taylor coefficients of
+    e^{i q h tau} / (1 - rho tau), nested as in Horner's rule, and the cell's
+    leading factor e^{i q c_m} / D(c_m): O(n P + K M P) work for n atoms, K
+    grid points and M <= n occupied cells, against O(n K) atom by atom.  Each
+    term is cut off within TRUNCATION_BOUND of its size.
+
+    The atoms use working arrays of the ensemble's size: fresh ones, or the
+    first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
+    _sum_work makes them for at least that many atoms.  The grid's arrays, of
+    at most ensemble.n entries per row at a time, reuse them.  ``amplitudes``
+    may be the first ensemble.n entries of the first complex row of ``work``:
+    the weights then multiply them in place.  The ensemble's positions and
+    weights may live in the float view of the last two complex rows of
+    ``work``: they are read before those rows are first written.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
-    The phase e^{-i kz z_j} is computed whole by :func:`cis` at a few grid
-    points and carried between them by a complex multiply per step (see
-    _exact_phase_points), and 1/D_j is built in real arithmetic (see
-    _reciprocal).  It carries no error estimate: the spread over independent
-    ensembles gives that, see :func:`replicated_mc_spectrum`.
+    A ``stats`` dict gains the occupied cells in its "occupied_cells" entry.
+    The sum carries no error estimate: the spread over independent ensembles
+    gives that, see :func:`replicated_mc_spectrum`.
     """
     params.require_directional()
     amplitudes = np.asarray(amplitudes, dtype=complex)
@@ -445,21 +461,61 @@ def monte_carlo_spectrum(
     kz = np.asarray(kz_grid, dtype=float)
     if kz.ndim != 1 or kz.size == 0:
         raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
-    real, cplx = _sum_work(ensemble.n) if work is None else work
-    z, height, u, w = real[:, :ensemble.n]
-    amps, phased, step, inv = cplx[:, :ensemble.n]
+    n = ensemble.n
+    real, cplx = _sum_work(n) if work is None else work
+    z, u, zs = real[:, :n]
+    amps, phased, moment_work = cplx[:, :n]
     kx, ky = params.k0[0], params.k0[1]
     c = params.constants.c
     a = params.metric.a
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
     z_lo, z_hi = float(z.min()), float(z.max())
-    exact = _exact_phase_points(kz, max(-z_lo, z_hi))
-
-    # D_j(kz) = x_j + i Gamma/2 with x_j = (omega - nu) + slope (Z - z_j).  Each grid
-    # point divides D by a scale s >= Gamma/2 and >= |x_j| / 2 for every atom, so
-    # u_j = x_j / s and g = Gamma / (2 s) are at most 2 and 1: u^2 + g^2 cannot
-    # overflow, and it underflows only for a grid some 1e154 linewidths wide
+    np.multiply(amplitudes, ensemble.weights, out=amps)
+    # the positions and weights are read: the last two complex rows are free
     omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
+    k_c, h = _cell_half_width(kz, omega, params, z_hi - z_lo)
+
+    # B_j in height order, its real and imaginary parts as two contiguous rows.
+    # take's default mode would copy through a temporary of the batch's size
+    order = np.argsort(z)
+    cis(np.multiply(z, -k_c, out=u), out=phased, work=u)
+    phased *= amps
+    np.take(z, order, out=zs, mode="clip")
+    b = moment_work.view(float).reshape(2, n)
+    np.take(phased.real, order, out=b[0], mode="clip")
+    np.take(phased.imag, order, out=b[1], mode="clip")
+
+    # cells: runs of equal floor((z - z_lo) / 2h), each centred between its end atoms
+    cell = np.subtract(zs, z_lo, out=z)
+    cell /= 2.0 * h
+    np.floor(cell, out=cell)
+    starts = amps.view(np.bool_)[:n]
+    starts[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+    atom_cell = np.cumsum(starts, out=u.view(np.intp))  # counted from 1
+    starts = np.flatnonzero(starts)
+    centres = np.empty(starts.size + 1)
+    centres[0] = 0.0  # no atom's
+    centres[1:] = zs[starts]
+    centres[1:-1] += zs[starts[1:] - 1]
+    centres[-1] += zs[-1]
+    centres *= 0.5
+    tau = np.subtract(zs, np.take(centres, atom_cell, out=z, mode="clip"), out=zs)
+    tau /= h
+    centres = centres[1:]
+
+    # mu[p, m] = sum over cell m of B_j tau_j^p
+    mu = np.empty((_TERMS, centres.size), dtype=complex)
+    for p, row in enumerate(mu.view(float).reshape(_TERMS, -1, 2)):
+        np.add.reduceat(b, starts, axis=1, out=row.T)
+        if p + 1 < _TERMS:
+            b *= tau
+
+    # D(c_m) = x + i Gamma/2 with x = (omega - nu) + slope (Z - c_m).  Each grid point
+    # divides D by a scale s >= Gamma/2 and >= |x| / 2 for every atom, so u = x / s
+    # and g = Gamma / (2 s) are at most 2 and 1 (a centre lies between two atoms):
+    # u^2 + g^2 cannot overflow, and it underflows only for a grid some 1e154
+    # linewidths wide
     detuning = omega - params.nu
     slope = 0.5 * a * omega
     height_max = max(abs(params.Z - z_lo), abs(params.Z - z_hi))
@@ -467,31 +523,50 @@ def monte_carlo_spectrum(
     detuning /= scale
     slope /= scale
     g = 0.5 * params.gamma / scale
-    # Python floats: a numpy scalar operand costs more per call than the call's work
-    kz_list, detuning, slope, g = kz.tolist(), detuning.tolist(), slope.tolist(), g.tolist()
-    g_sq, neg_g = [x * x for x in g], [-x for x in g]
+    g_sq, neg_g = g * g, -g
+    rho_scale = slope * h                       # rho = slope h / D
+    q = k_c - kz
+    # the nested exponential series' factors i q h / (l + 1), l < P - 1
+    nest = (1j * h / np.arange(1.0, _TERMS))[:, None] * q
+    heights = params.Z - centres
 
-    np.multiply(amplitudes, ensemble.weights, out=amps)
-    np.subtract(params.Z, z, out=height)
+    # grid points in blocks of at most n cells' worth, in the workspace: three
+    # complex rows, a fourth from the first two real rows, 1/D's denominator in
+    # that fourth's place until it is needed, and the third real row
+    n_cells = centres.size
+    block = max(1, n // n_cells)
+    pair = real[:2].reshape(-1)
     sums = np.empty(kz.size, dtype=complex)
-    step_dkz = None
-    for i, kzi in enumerate(kz_list):
-        if exact[i]:
-            # the whole phase -kz z_j in one cis, its angle in u until u's own pass
-            cis(np.multiply(z, -kzi, out=u), out=phased, work=u)
-            phased *= amps
-            # a uniform stretch keeps its step across the periodic reseeds
-            if i + 1 < kz.size and not exact[i + 1] and kz_list[i + 1] - kzi != step_dkz:
-                step_dkz = kz_list[i + 1] - kzi
-                cis(np.multiply(z, -step_dkz, out=u), out=step, work=u)
-        else:
-            phased *= step
-        np.multiply(height, slope[i], out=u)
-        u += detuning[i]
-        _reciprocal(u, g_sq[i], neg_g[i], w, inv)
-        inv *= phased
-        sums[i] = np.add.reduce(inv)  # np.sum's reduction, without its wrapper
+    for k0 in range(0, kz.size, block):
+        ks = slice(k0, min(k0 + block, kz.size))
+        size = (ks.stop - k0) * n_cells
+        inv, rho, acc = (row[:size].reshape(-1, n_cells) for row in cplx)
+        nested = pair.view(complex)[:size].reshape(-1, n_cells)
+        w = pair[:size].reshape(-1, n_cells)
+        x = real[2, :size].reshape(-1, n_cells)
+        np.multiply.outer(slope[ks], heights, out=x)
+        x += detuning[ks, None]
+        # 1 / (u + i g) = (u - i g) / (u^2 + g^2), each part one division
+        np.square(x, out=w)
+        w += g_sq[ks, None]
+        np.divide(x, w, out=inv.real)
+        np.divide(neg_g[ks, None], w, out=inv.imag)
+        np.multiply(inv, rho_scale[ks, None], out=rho)
+        # S_l = mu_l + rho S_{l+1} and R_l = S_l + (i q h / (l + 1)) R_{l+1}, down to R_0
+        np.copyto(acc, mu[-1])
+        np.copyto(nested, acc)
+        for p in range(_TERMS - 2, -1, -1):
+            acc *= rho
+            acc += mu[p]
+            nested *= nest[p, ks, None]
+            nested += acc
+        nested *= inv
+        cis(np.multiply.outer(q[ks], centres, out=x), out=rho, work=x)
+        nested *= rho
+        np.add.reduce(nested, axis=1, out=sums[ks])
 
+    if stats is not None:
+        stats["occupied_cells"] = stats.get("occupied_cells", 0) + n_cells
     return sums / scale
 
 
@@ -526,6 +601,7 @@ def replicated_mc_spectrum(
     base_seed: int,
     *,
     threads: int = 1,
+    stats: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
@@ -544,12 +620,16 @@ def replicated_mc_spectrum(
     and work= buffers; the values are those the allocating calls give, bit
     for bit.  Returns (mean, stderr, probability): the replicas' mean
     amplitude, its replica-to-replica standard error, and the replicas' mean
-    |amplitude|^2.
+    |amplitude|^2.  A ``stats`` dict receives the atom sums' occupied cells,
+    summed over batches and replicas ("occupied_cells"), their Taylor order
+    ("order") and the bound on each term's truncation relative to the term
+    ("truncation_bound"; see TRUNCATION_BOUND).
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
     kz = np.asarray(kz_grid, dtype=float)
     local = threading.local()  # each thread's workspace, made for its first replica
+    cells = []  # each replica's occupied cells
 
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
@@ -557,6 +637,7 @@ def replicated_mc_spectrum(
         positions, weights, sum_work = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
+        counts = {}
         for start in range(0, n_atoms, _BATCH_ATOMS):
             m = min(_BATCH_ATOMS, n_atoms - start)
             # module globals, and n, ensemble and grid passed by position, so that
@@ -567,10 +648,13 @@ def replicated_mc_spectrum(
             amps = curved_timed_dicke(ens, params.k0z, out=sum_work[1][0, :m],
                                       work=sum_work[0][0, :m])
             total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params,
-                                                                   work=sum_work)
+                                                                   work=sum_work, stats=counts)
+        cells.append(counts["occupied_cells"])
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
+    if stats is not None:
+        stats.update(occupied_cells=sum(cells), order=_TERMS, truncation_bound=TRUNCATION_BOUND)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mean_amp, amp_stderr = mean_stderr(reps)
         probability = (np.abs(reps) ** 2).mean(axis=0)

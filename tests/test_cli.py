@@ -355,6 +355,16 @@ class TestDeterminism:
             "quadrature_integrand_evals"]
         assert stages["write_csv"]["bytes"] == (out / "spectrum.csv").stat().st_size
 
+    def test_replicas_stage_records_the_cell_sum(self, tmp_path):
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "cells"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        replicas = json.loads((out / "metadata.json").read_text())["stages"]["replicas"]
+        # at least one occupied cell per batch, at most one per atom
+        assert 4 <= replicas["occupied_cells"] <= 2000 * 4
+        assert replicas["order"] == gravdicke.spectrum._TERMS
+        assert replicas["truncation_bound"] == gravdicke.spectrum.TRUNCATION_BOUND < 2e-13
+
     @staticmethod
     def tiny_run_metadata(tmp_path: Path, name: str) -> dict:
         cfg = write_config(tmp_path, LAZY_CONFIGS[name], name=f"{name}.json")
@@ -631,6 +641,19 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "panels" in json.loads(err)["message"]
+
+    def test_si_g_past_half_the_float_range_reaches_the_spread(self, tmp_path, capsys):
+        # 2 g overflows at g = 1e308, but a = 2 (g / c^2) = 2.2e291 is finite: the run
+        # gets as far as the frequency spread a c nu cos(theta0) / gamma, which overflows
+        cfg = write_config(tmp_path, {"scenario": "spreads", "unit_regime": "si",
+                                      "metric": {"g": 1e308},
+                                      "spectrum": {"nu": 1e15, "gamma": 1e8, "theta0": 0.0}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        assert '"frequency_spread": Infinity' in message
+        assert "metric.g" not in message and "gravity-gradient parameter" not in message
 
     def test_overflowing_g_names_its_key(self, tmp_path, capsys):
         # in the scaled regime a = 2 g / c^2 = 2e308 overflows

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -48,6 +49,20 @@ class TestSurfaceParam:
     def test_negative_g_rejected(self):
         with pytest.raises(PhysicsDomainError):
             surface_param_a(-1.0, PhysicalConstants.scaled())
+
+    def test_finite_where_two_g_overflows(self):
+        # 2 g overflows above about 9e307; in SI, 2 (g / c^2) is about 2.2e291
+        cst = PhysicalConstants()
+        a = surface_param_a(1e308, cst)
+        assert math.isfinite(a)
+        assert a / 1e308 == pytest.approx(2.0 / cst.c**2, rel=1e-15)
+
+    @pytest.mark.parametrize("cst", [PhysicalConstants(), PhysicalConstants.scaled()],
+                             ids=["si", "scaled"])
+    def test_same_bits_as_two_g_over_c_squared(self, cst):
+        # scaling by 2 is exact for normal results, so the order of the operations moves no bit
+        for g in (9.81, 1e-290, 8e307):
+            assert surface_param_a(g, cst) == 2.0 * g / cst.c**2
 
 
 class TestVolumeAndMeasure:

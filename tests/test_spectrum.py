@@ -1,7 +1,6 @@
 import math
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -429,7 +428,7 @@ class RecurrenceCase:
 
 
 class TestPhaseRecurrence(RecurrenceCase):
-    """The recurrence-based atom sum against a brute-force sum, to 1e-12 of the peak."""
+    """The atom sum against a brute-force sum on three kinds of grid, to 1e-12 of the peak."""
 
     # monte_carlo_spectrum sums what it is given in one pass; a replica's
     # batches are tested in TestBatchComposition
@@ -445,11 +444,80 @@ class TestPhaseRecurrence(RecurrenceCase):
         peak = np.max(np.abs(amps))
         assert np.max(np.abs(got - amps)) <= 1e-12 * peak
 
-    def test_uniform_grid_takes_few_exact_phases(self):
-        # guards the test above against passing only because every point reseeds
+
+class TestCellExpansion(RecurrenceCase):
+    """The cell expansion's edges against the brute-force sum, to 1e-12 of the peak."""
+
+    def assert_matches(self, p, kz, n_atoms, height):
+        box = Box(size=(height / 10, height / 10, height))
+        ens = sample_ensemble(n_atoms, box, 61, metric=p.metric)
+        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        amps = brute_force_atom_sum(ens, kz, p)
+        assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
+
+    def test_one_point_at_k0z(self):
+        # k_c = k0z and q = 0: the denominator alone sets the cells, and the phase
+        # series stops at its first term
+        self.assert_matches(self.params, np.array([self.params.k0z]), 1600, self.box.size[2])
+
+    def test_grid_100_decay_constants_wide(self):
+        # |q| up to 50 decay constants: cells a fiftieth of a decay length wide, most
+        # of them holding one atom or none
+        kz = self.params.k0z + self.dk * np.linspace(-50.0, 50.0, 41)
+        self.assert_matches(self.params, kz, 1600, self.box.size[2])
+
+    def test_ten_atoms_in_80_decay_lengths(self):
+        # hundreds of cells across the box, ten of them occupied
+        self.assert_matches(self.params, self.grid("two-spacing"), 10,
+                            80.0 * decay_length(self.params))
+
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-2, 1e8])
+    def test_linewidth_scales(self, gamma):
+        # the spectrum tests' regime with every rate, a and wavenumber times gamma / 1e-2:
+        # the same phases, with D from 1e-9 to 1e8, across the resonance and at it
+        s = gamma / 1e-2
+        p = make_params(a=1e-3 * s, nu=s, gamma=gamma)
+        kz = p.k0z + kernel_decay_constant(p) * np.linspace(-6.0, 2.0, 41)
+        self.assert_matches(p, kz, 1600, 60.0 * decay_length(p))
+
+    def test_far_off_resonance(self):
+        # gamma = 1e-9 at nu = 1: the grid, 1e6 wide, puts D up to 1e15 linewidths
+        # off resonance, and the cells, 3e-14 wide, hold one atom each
+        p = make_params(gamma=1e-9)
+        kz = p.k0z + kernel_decay_constant(p) * np.linspace(-6.0, 2.0, 41)
+        self.assert_matches(p, kz, 1600, 60.0 * decay_length(p))
+
+    def test_stats_count_occupied_cells(self):
+        # a replica of one batch is summed as its whole ensemble is
+        p = self.params
         kz = self.grid("uniform")
-        exact = spectrum._exact_phase_points(kz, 0.5 * self.box.size[2])
-        assert exact[0] and exact.sum() <= 3
+        stats = {}
+        replicated_mc_spectrum(p, kz, 1000, self.box, 2, 61, stats=stats)
+        cells = 0
+        for r in range(2):
+            ens = sample_ensemble(1000, self.box, (61, r), metric=p.metric)
+            counts = {}
+            monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p, stats=counts)
+            cells += counts["occupied_cells"]
+        assert 2 <= cells <= 2000
+        assert stats == {"occupied_cells": cells, "order": spectrum._TERMS,
+                         "truncation_bound": spectrum.TRUNCATION_BOUND}
+
+    def test_truncation_bound(self):
+        # the closed form of the comment against the double sum it bounds, at the cell rule's
+        # largest r = |rho| h and b = |q| h
+        r, b, order = spectrum._CELL_RHO, spectrum._CELL_Q, spectrum._TERMS
+        tail = sum(r**n * b**l / math.factorial(l)
+                   for n in range(80) for l in range(40) if n + l >= order)
+        assert tail <= spectrum.TRUNCATION_BOUND <= 1.01 * tail
+        assert spectrum.TRUNCATION_BOUND < 2e-13
+
+    def test_cells_finer_than_float_range_are_a_domain_error(self):
+        # a omega / gamma overflows: no cell is narrow enough for the expansion
+        p = make_params(a=1e300, gamma=1e-10)
+        ens = sample_ensemble(10, Box(size=(1.0, 1.0, 1.0)), 3)
+        with pytest.raises(PhysicsDomainError, match="cannot resolve"):
+            monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), np.array([p.k0z]), p)
 
 
 class TestBatchComposition(RecurrenceCase):
@@ -538,11 +606,11 @@ class TestReplicaWorkspace(RecurrenceCase):
     @pytest.mark.parametrize("grid", ["uniform", "two-spacing", "irregular"])
     def test_positions_and_weights_in_the_last_complex_rows(self, grid):
         # as replicated_mc_spectrum draws a short last batch: the draw fills the
-        # float view of the step and 1/D rows, which the grid loop overwrites
+        # float view of the last two complex rows, which the sum overwrites
         p = self.params
         kz = self.grid(grid)
         positions, weights, (real, cplx) = spectrum._batch_work(400)
-        assert np.shares_memory(positions, cplx[2:]) and np.shares_memory(weights, cplx[3])
+        assert np.shares_memory(positions, cplx[1:]) and np.shares_memory(weights, cplx[2])
         ens = sample_ensemble(300, self.box, 43, metric=p.metric,
                               out=(positions[:300], weights[:300]))
         fresh = sample_ensemble(300, self.box, 43, metric=p.metric)
@@ -585,23 +653,6 @@ class TestReplicaWorkspace(RecurrenceCase):
 
         faults(2)  # a first call's one-off allocations
         assert (faults(6) - faults(2)) / 4 < 250
-
-
-class TestReciprocal:
-    """The real-arithmetic 1/D of the atom sum against complex division."""
-
-    @pytest.mark.parametrize("gamma", [1e-2, 1e8, 1e-9])
-    def test_matches_complex_division(self, gamma):
-        # detunings across the resonance, far off it, and at it exactly
-        x = gamma * np.concatenate([np.linspace(-80.0, 80.0, 2001), [0.0, 1e-9, -3e5]])
-        scale = max(0.5 * gamma, float(np.max(np.abs(x))))  # as monte_carlo_spectrum scales
-        w, out = np.empty(x.size), np.empty(x.size, dtype=complex)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            g = 0.5 * gamma / scale
-            got = spectrum._reciprocal(x / scale, g * g, -g, w, out) / scale
-        exact = 1.0 / (x + 0.5j * gamma)
-        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 4 * np.finfo(float).eps
 
 
 class TestStructureFactor:
