@@ -447,9 +447,14 @@ def _json_default(obj):
 
 def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
-    dw = frequency_spread(params)
-    wv = wavevector_spread(params)
-    dec = kernel_decay_constant(params)
+    summary = {"frequency_spread": frequency_spread(params),
+               "wavevector_spread": wavevector_spread(params),
+               "kernel_decay_constant": kernel_decay_constant(params)}
+    # before the CSV, which would otherwise hold an inf that the run then rejects
+    bad = next((key for key, value in summary.items() if not math.isfinite(value)), None)
+    if bad is not None:
+        raise PhysicsDomainError(f"spreads gave a non-finite {bad}: {json.dumps(summary)}")
+    dw, wv, dec = summary.values()
     _write_csv(
         outdir / "spreads.csv",
         ["a", "nu", "gamma", "theta0", "wavevector_spread", "kernel_decay_constant",
@@ -460,7 +465,7 @@ def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
     print(f"frequency spread: {dw:.4g} 1/s")
     print(f"wavevector spread (quoted, with cos theta0): {wv:.4g} 1/m")
     print(f"kernel decay constant (no angle factor):     {dec:.4g} 1/m")
-    return {"frequency_spread": dw, "wavevector_spread": wv, "kernel_decay_constant": dec}
+    return summary
 
 
 # the named flat-dicke probes in units of 2 / box side, so that each component is

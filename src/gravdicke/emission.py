@@ -2,9 +2,10 @@
 
 Only the single-excitation amplitude sector is represented: states are complex
 amplitude arrays over atoms, never operator matrices.  Ensembles are sampled
-uniformly in coordinate volume from a seeded Philox stream, and the
-curved-space volume element enters as a per-atom importance weight rather than
-by rejection, so every atom takes exactly three doubles of the stream.  Runs
+uniformly in coordinate volume from a seeded Philox stream and carry no
+physics: the curved-space volume element is the Monte Carlo atom sum's
+importance weight (see :func:`gravdicke.spectrum.monte_carlo_spectrum`), not a
+rejection step, so every atom takes exactly three doubles of the stream.  Runs
 are byte-identical across reruns and thread counts on one machine; another
 machine can differ in the last bit of a phasor (see :func:`cis`).
 """
@@ -16,7 +17,8 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .metric import WeakFieldMetric, check_linearization
+# unread here: bench/tracer.py rebinds the name, so it stays until the tracer goes
+from .metric import check_linearization
 
 __all__ = [
     "Box",
@@ -50,18 +52,17 @@ class Box(namedtuple("Box", "size")):
         return 0.5 * self.size
 
 
-class Ensemble(namedtuple("Ensemble", "positions weights")):
+class Ensemble(namedtuple("Ensemble", "positions")):
     """Identical two-level atoms at positions inside a box, which is checked and not kept.
 
-    ``weights`` carries the curved-volume importance weight sqrt(1 - a z) per
-    atom (all ones in flat space).  The record may alias the arrays it is given:
-    float64 positions and weights are taken with np.asarray, not copied, so a
-    caller that writes to them afterwards writes to the record.
+    The record may alias the array it is given: float64 positions are taken
+    with np.asarray, not copied, so a caller that writes to them afterwards
+    writes to the record.
     """
 
     __slots__ = ()
 
-    def __new__(cls, positions, box: Box, weights=None) -> "Ensemble":
+    def __new__(cls, positions, box: Box) -> "Ensemble":
         pos = np.asarray(positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
@@ -69,26 +70,11 @@ class Ensemble(namedtuple("Ensemble", "positions weights")):
         for col, low, high in zip(pos.T, box.low, box.high):
             if not (col.min() >= low and col.max() <= high):
                 raise PhysicsDomainError("all atoms must lie inside the box")
-        if weights is None:
-            w = np.ones(len(pos))
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (len(pos),):
-                raise PhysicsDomainError("weights must have one entry per atom")
-        return super().__new__(cls, pos, w)
+        return super().__new__(cls, pos)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-
-def _volume_weights(z: np.ndarray, metric: WeakFieldMetric | None, out: np.ndarray) -> np.ndarray:
-    if metric is None or metric.a == 0.0:
-        out.fill(1.0)
-        return out
-    check_linearization(metric.a, z)
-    a_z = np.multiply(z, metric.a, out=out)
-    return np.sqrt(np.subtract(1.0, a_z, out=a_z), out=a_z)
 
 
 def ensemble_stream(seed: int | tuple[int, ...]) -> np.random.Generator:
@@ -103,9 +89,8 @@ def sample_ensemble(
     n: int,
     box: Box,
     seed: int | tuple[int, ...] | np.random.Generator,
-    metric: WeakFieldMetric | None = None,
     *,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> Ensemble:
     """Draw N atom positions uniformly in the box with a Philox stream.
 
@@ -113,23 +98,21 @@ def sample_ensemble(
     Generator is drawn from where its stream stands, and advanced.  Each atom
     takes three consecutive doubles of the stream, so ensembles of n_1, n_2, ...
     atoms drawn in turn from one Generator are, concatenated, bit for bit the
-    ensemble of n_1 + n_2 + ... atoms drawn at once from its seed, weights
-    included.  With a ``metric``, the heights must pass its linearization
-    guard (see :func:`gravdicke.metric.check_linearization`).  ``out``, a
-    (positions, weights) pair of C-contiguous float arrays of shapes (n, 3)
-    and (n,), receives the draw in place of fresh arrays, with the same bits,
-    and the Ensemble returned aliases it.
+    ensemble of n_1 + n_2 + ... atoms drawn at once from its seed.  The draw is
+    the same in flat and curved space.  ``out``, a C-contiguous (n, 3) float
+    array, receives the positions in place of a fresh array, with the same
+    bits, and the Ensemble returned aliases it.
     """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
     rng = seed if isinstance(seed, np.random.Generator) else ensemble_stream(seed)
-    pos, weights = (np.empty((n, 3)), np.empty(n)) if out is None else out
+    pos = np.empty((n, 3)) if out is None else out
     rng.random((n, 3), out=pos)
     for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
         col = pos[:, k]
         col *= size
         col += low
-    return Ensemble(pos, box, _volume_weights(pos[:, 2], metric, weights))
+    return Ensemble(pos, box)
 
 
 def cis(theta, out: np.ndarray | None = None, *, work: np.ndarray | None = None) -> np.ndarray:
@@ -179,8 +162,9 @@ def curved_timed_dicke(ensemble: Ensemble, k0z: float, *, out: np.ndarray | None
     ``out`` when that is given (a C-contiguous complex array of ensemble.n
     entries); the phases and |c_j|^2 pass through ``work`` (a C-contiguous
     float array of as many).  Each left out is allocated.  The phases are flat
-    at any a: the metric enters through the volume weights, whose linearization
-    guard :func:`sample_ensemble` applies.  The phasors come from :func:`cis`.
+    at any a: the metric enters through the atom sum's volume weights and its
+    linearization guard (see :func:`gravdicke.spectrum.monte_carlo_spectrum`).
+    The phasors come from :func:`cis`.
     """
     theta = np.multiply(ensemble.positions[:, 2], k0z, out=work)
     raw = cis(theta, out=out, work=theta)

@@ -221,10 +221,6 @@ class ScalingStudy(NamedTuple):
     gauss_slope: float
     reports: tuple[ResidualReport, ...]
 
-    @property
-    def conclusive(self) -> bool:
-        return not any(rep.inconclusive for rep in self.reports)
-
 
 def residual_slope_study(
     k,

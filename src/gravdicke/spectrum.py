@@ -38,7 +38,7 @@ from .emission import (
     sample_ensemble,
 )
 from .errors import PhysicsDomainError, QuadratureError
-from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric
+from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric, check_linearization
 from .quadrature import gauss_legendre, panel_count
 
 # Weak-coupling guard on Gamma/nu.  The order-unity test regime runs at
@@ -378,17 +378,17 @@ def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((3, n)), np.empty((3, n), dtype=complex)
 
 
-def _batch_work(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One thread's workspace for batches of up to n atoms: (positions, weights, sum work).
+def _batch_work(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One thread's workspace for batches of up to n atoms: (positions, sum work).
 
-    The (n, 3) positions and n weights are the float view of the atom sum's last
-    two complex rows, which it writes only after it has read them (see
+    The (n, 3) positions are the float view of the atom sum's last two complex
+    rows, which it writes only after it has read them (see
     :func:`monte_carlo_spectrum`).  Of the positions, the state and the sum read
     only the heights.
     """
     work = _sum_work(n)
-    spare = work[1][1:].view(float).reshape(-1)  # 4 n floats
-    return spare[:3 * n].reshape(n, 3), spare[3 * n:], work
+    spare = work[1][1:].view(float).reshape(-1)  # 4 n floats, n of them unused
+    return spare[:3 * n].reshape(n, 3), work
 
 
 def _cell_half_width(kz: np.ndarray, omega: np.ndarray, params: SpectrumParams,
@@ -424,8 +424,12 @@ def monte_carlo_spectrum(
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
 
     c_j are the state's ``amplitudes``, one per atom in the ensemble's order,
-    as :func:`gravdicke.emission.curved_timed_dicke` returns them.  D_j is the
-    detuning denominator with the mode frequency shifted to the atom's height.
+    as :func:`gravdicke.emission.curved_timed_dicke` returns them.  The model
+    is the first-order one, both of its parts stated here: D_j is the detuning
+    denominator with the mode frequency shifted to the atom's height, and w_j =
+    sqrt(1 - a z_j) is the curved volume element, an importance weight on the
+    uniformly drawn heights.  Heights with |a z_j| >= 1 raise
+    LinearizationError (see :func:`gravdicke.metric.check_linearization`).
     k keeps k0's transverse components, so its x and y phases cancel the
     state's atom by atom: they are never formed, and k_x and k_y enter only
     c|k|.
@@ -446,9 +450,9 @@ def monte_carlo_spectrum(
     _sum_work makes them for at least that many atoms.  The grid's arrays, of
     at most ensemble.n entries per row at a time, reuse them.  ``amplitudes``
     may be the first ensemble.n entries of the first complex row of ``work``:
-    the weights then multiply them in place.  The ensemble's positions and
-    weights may live in the float view of the last two complex rows of
-    ``work``: they are read before those rows are first written.
+    the weights then multiply them in place.  The ensemble's positions may live
+    in the float view of the last two complex rows of ``work``: they are read
+    before those rows are first written.
     :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
     A ``stats`` dict gains the occupied cells in its "occupied_cells" entry.
     The sum carries no error estimate: the spread over independent ensembles
@@ -469,9 +473,13 @@ def monte_carlo_spectrum(
     c = params.constants.c
     a = params.metric.a
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
+    # the positions are read: the last two complex rows are free
     z_lo, z_hi = float(z.min()), float(z.max())
-    np.multiply(amplitudes, ensemble.weights, out=amps)
-    # the positions and weights are read: the last two complex rows are free
+    check_linearization(a, (z_lo, z_hi))
+    # the volume weight w = sqrt(1 - a z), in the real row cis fills next
+    weight = np.multiply(z, a, out=u)
+    np.subtract(1.0, weight, out=weight)
+    np.multiply(amplitudes, np.sqrt(weight, out=weight), out=amps)
     omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
     k_c, h = _cell_half_width(kz, omega, params, z_hi - z_lo)
 
@@ -615,10 +623,10 @@ def replicated_mc_spectrum(
     the batch, is sqrt(m / N) times the batch's own state e^{i k0z z_j} / sqrt(m).
     The two differ only in rounding, since each state is normalized by its
     computed norm, and |cis| is 1 to about 3e-16.  Every batch a thread runs,
-    in all of its replicas, is drawn, phased and summed in that thread's one
-    workspace of batch-sized arrays (see _batch_work), passed down as out=
-    and work= buffers; the values are those the allocating calls give, bit
-    for bit.  Returns (mean, stderr, probability): the replicas' mean
+    in all of its replicas, is drawn, phased, weighted and summed in that
+    thread's one workspace of batch-sized arrays (see _batch_work), passed
+    down as out= and work= buffers; the values are those the allocating calls
+    give, bit for bit.  Returns (mean, stderr, probability): the replicas' mean
     amplitude, its replica-to-replica standard error, and the replicas' mean
     |amplitude|^2.  A ``stats`` dict receives the atom sums' occupied cells,
     summed over batches and replicas ("occupied_cells"), their Taylor order
@@ -634,7 +642,7 @@ def replicated_mc_spectrum(
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
             local.work = _batch_work(min(_BATCH_ATOMS, n_atoms))
-        positions, weights, sum_work = local.work
+        positions, sum_work = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
         counts = {}
@@ -642,8 +650,7 @@ def replicated_mc_spectrum(
             m = min(_BATCH_ATOMS, n_atoms - start)
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
-            ens = sample_ensemble(m, box, rng, metric=params.metric,
-                                  out=(positions[:m], weights[:m]))
+            ens = sample_ensemble(m, box, rng, out=positions[:m])
             # the state is built in the sum's first rows, which the sum weights in place
             amps = curved_timed_dicke(ens, params.k0z, out=sum_work[1][0, :m],
                                       work=sum_work[0][0, :m])

@@ -180,7 +180,7 @@ def test_criterion_06_maxwell_residual_scaling():
         # vertical polarization component present (s=2): the divergence
         # constraint is trivially exact for the horizontal polarization
         study = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0)
-        assert study.conclusive
+        assert not any(rep.inconclusive for rep in study.reports)
         worst = max(worst, abs(study.wave_slope - 2.0), abs(study.gauss_slope - 2.0))
         ablated = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0,
                                        include_gauss_constant=False)

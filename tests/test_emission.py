@@ -13,8 +13,8 @@ from gravdicke.emission import (
     sample_ensemble,
     single_atom_survival,
 )
-from gravdicke.errors import LinearizationError, PhysicsDomainError
-from gravdicke.metric import PhysicalConstants, WeakFieldMetric
+from gravdicke.errors import PhysicsDomainError
+from gravdicke.metric import PhysicalConstants
 
 CST = PhysicalConstants.scaled()
 NU, GAMMA = 1.0, 1e-2
@@ -81,33 +81,20 @@ class TestTypes:
     def test_generator_continues_the_seeded_stream(self):
         # batches of 333 atoms and a ragged last one of 1, from one Generator: 999
         # doubles per batch, so batches do not start on Philox's 4-word blocks
-        metric = WeakFieldMetric(a=1e-2)
-        whole = sample_ensemble(1000, small_box(), (41, 3), metric=metric)
+        whole = sample_ensemble(1000, small_box(), (41, 3))
         rng = ensemble_stream((41, 3))
-        parts = [sample_ensemble(m, small_box(), rng, metric=metric)
-                 for m in (333, 333, 333, 1)]
+        parts = [sample_ensemble(m, small_box(), rng) for m in (333, 333, 333, 1)]
         np.testing.assert_array_equal(np.concatenate([e.positions for e in parts]),
                                       whole.positions)
-        np.testing.assert_array_equal(np.concatenate([e.weights for e in parts]), whole.weights)
-        assert not np.all(whole.weights == 1.0)
 
-    @pytest.mark.parametrize("metric", [None, WeakFieldMetric(a=1e-2)])
-    def test_sampling_into_buffers(self, metric):
-        # the first 300 rows of larger arrays, as a short last batch gets them
-        pos, weights = np.full((400, 3), np.nan), np.full(400, np.nan)
-        ens = sample_ensemble(300, small_box(), 5, metric=metric, out=(pos[:300], weights[:300]))
-        fresh = sample_ensemble(300, small_box(), 5, metric=metric)
-        assert np.shares_memory(ens.positions, pos) and np.shares_memory(ens.weights, weights)
+    def test_sampling_into_buffers(self):
+        # the first 300 rows of a larger array, as a short last batch gets them
+        pos = np.full((400, 3), np.nan)
+        ens = sample_ensemble(300, small_box(), 5, out=pos[:300])
+        fresh = sample_ensemble(300, small_box(), 5)
+        assert np.shares_memory(ens.positions, pos)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
-        np.testing.assert_array_equal(ens.weights, fresh.weights)
-        assert np.isnan(pos[300:]).all() and np.isnan(weights[300:]).all()
-
-    def test_volume_weights(self):
-        metric = WeakFieldMetric(a=1e-2)
-        ens = sample_ensemble(500, small_box(), 7, metric=metric)
-        np.testing.assert_allclose(
-            ens.weights, np.sqrt(1.0 - 1e-2 * ens.positions[:, 2]), rtol=1e-14
-        )
+        assert np.isnan(pos[300:]).all()
 
 
 class TestCis:
@@ -163,7 +150,7 @@ class TestCis:
 
 class TestTimedDicke:
     def test_into_buffers(self):
-        ens = sample_ensemble(500, small_box(), 29, metric=WeakFieldMetric(a=1e-2))
+        ens = sample_ensemble(500, small_box(), 29)
         out, work = np.empty(500, dtype=complex), np.empty(500)
         assert curved_timed_dicke(ens, 0.8, out=out, work=work) is out
         np.testing.assert_array_equal(out, curved_timed_dicke(ens, 0.8))
@@ -185,8 +172,8 @@ class TestTimedDicke:
         assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_curved_reduces_to_flat(self):
-        # a curved ensemble differs from a flat one only in its volume weights
-        ens = sample_ensemble(200, small_box(), 13, metric=WeakFieldMetric(a=1e-3))
+        # the state takes no metric: the atom sum weights the atoms (see test_spectrum.py)
+        ens = sample_ensemble(200, small_box(), 13)
         flat = np.exp(1j * ens.positions[:, 2]) / math.sqrt(ens.n)
         np.testing.assert_allclose(curved_timed_dicke(ens, 1.0), flat, atol=1e-15)
 
@@ -200,13 +187,6 @@ class TestTimedDicke:
         np.testing.assert_allclose(
             state, raw / math.sqrt(sum(abs(c) ** 2 for c in raw)), atol=1e-14
         )
-
-    def test_curved_rejects_outside_linear_domain(self):
-        # a curved ensemble's heights are guarded where it is sampled, with the metric
-        heights = np.abs(sample_ensemble(100, small_box(), 19).positions[:, 2])
-        with pytest.raises(LinearizationError):
-            sample_ensemble(100, small_box(), 19, metric=WeakFieldMetric(a=1.01 / heights.max()))
-        sample_ensemble(100, small_box(), 19, metric=WeakFieldMetric(a=0.99 / heights.max()))
 
 
 class TestSurvival:

@@ -48,7 +48,7 @@ FIELDS = {
     "PhysicalConstants": ("c", "hbar", "eps0"),
     "WeakFieldMetric": ("a",),
     "Box": ("size",),
-    "Ensemble": ("positions", "weights"),
+    "Ensemble": ("positions",),
     "SpectrumParams": ("nu", "gamma", "metric", "Z", "theta0", "constants"),
     "ModeIndex": ("k", "s"),
     "PerturbedMode": ("index", "metric", "constants", "volume", "basis"),

@@ -11,8 +11,8 @@ from numpy.polynomial.legendre import leggauss
 import oracles
 from gravdicke import spectrum
 from gravdicke.cli import _offset_grid
-from gravdicke.emission import Box, curved_timed_dicke, sample_ensemble
-from gravdicke.errors import PhysicsDomainError, QuadratureError
+from gravdicke.emission import Box, Ensemble, curved_timed_dicke, sample_ensemble
+from gravdicke.errors import LinearizationError, PhysicsDomainError, QuadratureError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 from gravdicke.quadrature import MAX_PANELS, _nodes_weights, gauss_legendre, panel_count
 from gravdicke.spectrum import (
@@ -318,12 +318,12 @@ class TestMonteCarlo:
 
     def test_translation_invariance_in_xy(self):
         p = self.params
-        ens = sample_ensemble(500, self.box, 23, metric=p.metric)
+        ens = sample_ensemble(500, self.box, 23)
         state = curved_timed_dicke(ens, p.k0z)
         amps = monte_carlo_spectrum(ens, state, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
         big = Box(size=(50 * self.box.size[0], 50 * self.box.size[1], self.box.size[2]))
-        ens2 = type(ens)(shifted_pos, big, ens.weights)
+        ens2 = Ensemble(shifted_pos, big)
         state2 = curved_timed_dicke(ens2, p.k0z)
         amps2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
         # the lateral phases cancel atom by atom, so the route never forms them
@@ -342,6 +342,37 @@ class TestMonteCarlo:
         for aspect in (1.0, 10.0):
             for got, ref in zip(run(aspect), want):  # mean, stderr and probability
                 np.testing.assert_array_equal(got, ref)
+
+    def test_volume_weights(self):
+        # one atom per sum, of unit amplitude: over e^{-i k_z z} / D(z), its sum is its
+        # weight sqrt(1 - a z), the curved volume element
+        p = self.params
+        for z in (-0.25 / p.metric.a, -1.0, 0.0, 2.5, 0.25 / p.metric.a):
+            ens = Ensemble([[0.0, 0.0, z]], self.box)
+            got = monte_carlo_spectrum(ens, np.ones(1, dtype=complex), self.kz, p)
+            omega = p.constants.c * np.sqrt(p.k0[0] ** 2 + p.k0[1] ** 2 + self.kz**2)
+            den = omega - p.nu + 0.5j * p.gamma + 0.5 * p.metric.a * omega * (p.Z - z)
+            unweighted = np.exp(-1j * self.kz * z) / den
+            np.testing.assert_allclose(got / unweighted, math.sqrt(1.0 - p.metric.a * z),
+                                       rtol=1e-12)
+
+    def test_rejects_heights_outside_linear_domain(self):
+        # the sum guards the heights it weights: |a z| < 1 at its extremes
+        ens = sample_ensemble(100, Box(size=(10.0, 10.0, 10.0)), 19)
+        state = curved_timed_dicke(ens, self.params.k0z)
+        reach = np.max(np.abs(ens.positions[:, 2]))
+        with pytest.raises(LinearizationError):
+            monte_carlo_spectrum(ens, state, self.kz, make_params(a=1.01 / reach))
+        monte_carlo_spectrum(ens, state, self.kz, make_params(a=0.99 / reach))
+
+    def test_flat_space_sum_is_unweighted(self):
+        # at a = 0 the sum forms weights of exactly 1, and matches the brute force, whose
+        # weights are then 1 too
+        p = make_params(a=0.0)
+        ens = sample_ensemble(1600, self.box, 27)
+        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), self.kz, p)
+        amps = brute_force_atom_sum(ens, self.kz, p)
+        assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
     def test_mismatch_rejected(self):
         p = self.params
@@ -399,11 +430,12 @@ def brute_force_atom_sum(ens, kz_grid, p):
     x, y, z = ens.positions.T
     kx, ky = p.k0[0], p.k0[1]
     state = np.exp(1j * (ens.positions @ p.k0)) / math.sqrt(ens.n)
+    weight = np.sqrt(1.0 - p.metric.a * z)  # the curved volume element
     amps = []
     for kz in kz_grid:
         omega = p.constants.c * math.sqrt(kx**2 + ky**2 + kz**2)
         den = omega - p.nu + 0.5j * p.gamma + 0.5 * p.metric.a * omega * (p.Z - z)
-        terms = state * ens.weights * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
+        terms = state * weight * np.exp(-1j * (kx * x + ky * y + kz * z)) / den
         amps.append(terms.sum())
     return np.array(amps)
 
@@ -438,7 +470,7 @@ class TestPhaseRecurrence(RecurrenceCase):
     def test_matches_brute_force(self, grid, n_atoms):
         p = self.params
         kz = self.grid(grid)
-        ens = sample_ensemble(n_atoms, self.box, 61, metric=p.metric)
+        ens = sample_ensemble(n_atoms, self.box, 61)
         got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
         amps = brute_force_atom_sum(ens, kz, p)
         peak = np.max(np.abs(amps))
@@ -450,7 +482,7 @@ class TestCellExpansion(RecurrenceCase):
 
     def assert_matches(self, p, kz, n_atoms, height):
         box = Box(size=(height / 10, height / 10, height))
-        ens = sample_ensemble(n_atoms, box, 61, metric=p.metric)
+        ens = sample_ensemble(n_atoms, box, 61)
         got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
         amps = brute_force_atom_sum(ens, kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
@@ -495,7 +527,7 @@ class TestCellExpansion(RecurrenceCase):
         replicated_mc_spectrum(p, kz, 1000, self.box, 2, 61, stats=stats)
         cells = 0
         for r in range(2):
-            ens = sample_ensemble(1000, self.box, (61, r), metric=p.metric)
+            ens = sample_ensemble(1000, self.box, (61, r))
             counts = {}
             monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p, stats=counts)
             cells += counts["occupied_cells"]
@@ -513,9 +545,10 @@ class TestCellExpansion(RecurrenceCase):
         assert spectrum.TRUNCATION_BOUND < 2e-13
 
     def test_cells_finer_than_float_range_are_a_domain_error(self):
-        # a omega / gamma overflows: no cell is narrow enough for the expansion
+        # a omega / gamma overflows: no cell is narrow enough for the expansion.  The
+        # heights, within 5e-302 of 0, keep |a z| under 1
         p = make_params(a=1e300, gamma=1e-10)
-        ens = sample_ensemble(10, Box(size=(1.0, 1.0, 1.0)), 3)
+        ens = sample_ensemble(10, Box(size=(1.0, 1.0, 1e-301)), 3)
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
             monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), np.array([p.k0z]), p)
 
@@ -552,7 +585,7 @@ class TestBatchComposition(RecurrenceCase):
         # each replica's whole ensemble, from the same seed, summed atom by atom
         sums = []
         for r in range(3):
-            ens = sample_ensemble(n_atoms, self.box, (61, r), metric=p.metric)
+            ens = sample_ensemble(n_atoms, self.box, (61, r))
             sums.append(brute_force_atom_sum(ens, kz, p))
         mean = np.mean(sums, axis=0)
         peak = np.max(np.abs(mean))
@@ -586,17 +619,17 @@ class TestReplicaWorkspace(RecurrenceCase):
     def test_sum_into_larger_work(self):
         p = self.params
         kz = self.grid("two-spacing")
-        ens = sample_ensemble(300, self.box, 43, metric=p.metric)
+        ens = sample_ensemble(300, self.box, 43)
         state = curved_timed_dicke(ens, p.k0z)
         real, cplx = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, monte_carlo_spectrum(ens, state, kz, p))
 
     def test_amplitudes_in_the_first_complex_row(self):
-        # as replicated_mc_spectrum builds each batch's state: the weights multiply it in place
+        # as replicated_mc_spectrum builds each batch's state: the sum weights it in place
         p = self.params
         kz = self.grid("two-spacing")
-        ens = sample_ensemble(300, self.box, 43, metric=p.metric)
+        ens = sample_ensemble(300, self.box, 43)
         real, cplx = spectrum._sum_work(400)
         state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
         want = monte_carlo_spectrum(ens, state.copy(), kz, p)
@@ -606,16 +639,15 @@ class TestReplicaWorkspace(RecurrenceCase):
     @pytest.mark.parametrize("grid", ["uniform", "two-spacing", "irregular"])
     def test_positions_and_weights_in_the_last_complex_rows(self, grid):
         # as replicated_mc_spectrum draws a short last batch: the draw fills the
-        # float view of the last two complex rows, which the sum overwrites
+        # float view of the last two complex rows, whose heights the sum copies and
+        # weights before it overwrites them
         p = self.params
         kz = self.grid(grid)
-        positions, weights, (real, cplx) = spectrum._batch_work(400)
-        assert np.shares_memory(positions, cplx[1:]) and np.shares_memory(weights, cplx[2])
-        ens = sample_ensemble(300, self.box, 43, metric=p.metric,
-                              out=(positions[:300], weights[:300]))
-        fresh = sample_ensemble(300, self.box, 43, metric=p.metric)
+        positions, (real, cplx) = spectrum._batch_work(400)
+        assert np.shares_memory(positions, cplx[1:])
+        ens = sample_ensemble(300, self.box, 43, out=positions[:300])
+        fresh = sample_ensemble(300, self.box, 43)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
-        np.testing.assert_array_equal(ens.weights, fresh.weights)
         want = monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0z), kz, p)
         state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
         got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
