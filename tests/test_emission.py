@@ -14,7 +14,8 @@ from gravdicke.emission import (
     single_atom_survival,
 )
 from gravdicke.errors import PhysicsDomainError
-from gravdicke.metric import PhysicalConstants
+from gravdicke.metric import PhysicalConstants, WeakFieldMetric
+from gravdicke.spectrum import SpectrumParams, monte_carlo_spectrum
 
 CST = PhysicalConstants.scaled()
 NU, GAMMA = 1.0, 1e-2
@@ -87,7 +88,8 @@ class TestTypes:
         np.testing.assert_array_equal(np.concatenate([e.positions for e in parts]),
                                       whole.positions)
 
-    def test_sampling_into_buffers(self):
+    @pytest.mark.parametrize("metric", [None, WeakFieldMetric(a=1e-2)])
+    def test_sampling_into_buffers(self, metric):
         # the first 300 rows of a larger array, as a short last batch gets them
         pos = np.full((400, 3), np.nan)
         ens = sample_ensemble(300, small_box(), 5, out=pos[:300])
@@ -95,6 +97,14 @@ class TestTypes:
         assert np.shares_memory(ens.positions, pos)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
         assert np.isnan(pos[300:]).all()
+        if metric is not None:
+            # the curved volume weights are formed in the atom sum, from the buffered heights
+            p = SpectrumParams(NU, GAMMA, metric, 0.0, math.pi / 6, CST)
+            kz = p.k0z + np.linspace(-0.05, 0.05, 7)
+            np.testing.assert_array_equal(
+                monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p),
+                monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0z), kz, p),
+            )
 
 
 class TestCis:
