@@ -76,7 +76,8 @@ if typing.TYPE_CHECKING:  # bound on first use, by _import_verify_modes
 SCENARIOS = ("verify-modes", "flat-dicke", "curved-spectrum", "spreads", "delta-limit")
 
 MAX_ATOMS = 10**7  # per ensemble; the positions alone take 24 bytes per atom
-# replicas, grid points, off-peak probes and modes: every count of work a run loops over
+# replicas, grid points, off-peak probes, modes and a values: every count of work a run
+# loops over
 MAX_COUNT = 10**5
 # each replica worker is an OS thread with its own stack and malloc arena; far past any core count
 MAX_THREADS = 256
@@ -154,8 +155,9 @@ class DeltaConfig(typing.NamedTuple):
     def check(self) -> None:
         if self.halvings < 1:
             raise ConfigError("delta-limit needs at least one a value: delta.halvings >= 1")
-        if not 3 <= self.grid_points <= MAX_COUNT:
-            raise ConfigError(f"delta.grid_points must be in [3, {MAX_COUNT}], "
+        # the decay fit needs two offsets below k0z: 3 points put one there
+        if not 4 <= self.grid_points <= MAX_COUNT:
+            raise ConfigError(f"delta.grid_points must be in [4, {MAX_COUNT}], "
                               f"got {self.grid_points!r}")
 
 
@@ -164,6 +166,9 @@ class VerifyConfig(typing.NamedTuple):
     a_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2)
 
     def check(self) -> None:
+        if len(self.a_values) > MAX_COUNT:
+            raise ConfigError(f"verify.a_values must hold at most {MAX_COUNT} values, "
+                              f"got {len(self.a_values)}")
         if len(set(self.a_values)) < 2 or self.n_modes < 1:
             raise ConfigError("verify-modes needs verify.n_modes >= 1 and at least 2 distinct "
                               "verify.a_values to fit a slope")
@@ -310,15 +315,15 @@ def _fmt(value) -> str:
 
 
 def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """Strictly increasing offset grid over [lo, hi] containing an exact 0.0.
+    """Strictly increasing grid of ``points`` offsets over [lo, hi], with an exact 0.0.
 
     The kernel's step convention puts its peak at offset zero, so grids must
     hit that point exactly rather than to within float rounding.  The caller
     guarantees finite lo < 0 < hi and points >= 3 (see GridConfig, DeltaConfig).
     """
     # the fraction comes first, so that no product overflows for lo near -max float
-    n_neg = max(1, round((points - 1) * (-lo / (hi - lo))))
-    n_pos = max(1, points - 1 - n_neg)
+    n_neg = min(points - 2, max(1, round((points - 1) * (-lo / (hi - lo)))))
+    n_pos = points - 1 - n_neg  # >= 1, as n_neg <= points - 2
     return np.concatenate([
         np.linspace(lo, 0.0, n_neg, endpoint=False),
         [0.0],
@@ -707,8 +712,6 @@ def _ratio(num: float, den: float) -> float:
 # a mode's least |k_z| / |k|, so that its vertical polarization component, and with it
 # the divergence test, is nontrivial.  An isotropic k meets it with probability 0.9
 _MIN_KZ_FRACTION = 0.1
-# every residual scales as 1 / sqrt(volume), and its slope in a does not
-_MODE_VOLUME = 1.0
 # (t, x, y, z) of every check.  A mode is the carrier e^{i(omega t - k . r)} times an
 # envelope in z, so a residual's size depends on the height alone: other t, x and y
 # only add rounding to the phase.  z is a height above the origin, where the library's
@@ -759,7 +762,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
         while abs(k[2]) < _MIN_KZ_FRACTION * np.linalg.norm(k):
             k = rng.normal(size=3)
         with _stage(stages, "fd_residuals") as work:
-            study = residual_slope_study(k, 2, constants, t, r, v.a_values, volume=_MODE_VOLUME)
+            study = residual_slope_study(k, 2, constants, t, r, v.a_values)
             work["mode_a"] = work.get("mode_a", 0) + len(v.a_values)
         studies.append(study)
         for a, rep in zip(v.a_values, study.reports):
@@ -772,9 +775,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
                 rep.discretization_estimate, rep.gauss_discretization,
                 study.wave_slope, study.gauss_slope,
             ])
-        mode = PerturbedMode.build(
-            ModeIndex(k, 2), WeakFieldMetric(a=a_max), constants, _MODE_VOLUME,
-        )
+        mode = PerturbedMode(ModeIndex(k, 2), WeakFieldMetric(a=a_max), constants)
         modes_for_dump.append(mode)
         tr = transversality_check(mode, z)
         contractions.append(tr)

@@ -153,8 +153,8 @@ def wave_residual(
     for each differenced axis (four second derivatives in a wave equation,
     three first derivatives in Gauss's law).
     Far from the origin that floor swamps the differences.  A residual of
-    exactly zero is inconclusive too: it means the field underflowed, as at a
-    huge mode volume.
+    exactly zero is inconclusive too: it means the field underflowed, as for
+    constants whose amplitude sqrt(hbar w / 2 eps0) is subnormal.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if field is None:
@@ -230,11 +230,10 @@ def residual_slope_study(
     r,
     a_values: Sequence[float],
     *,
-    volume: float,
     include_gauss_constant: bool = True,
 ) -> ScalingStudy:
     """Sweep the gravity gradient over ``a_values`` and fit the wave/Gauss residual
-    scaling slopes of mode (k, s), of quantization volume ``volume``, at (t, r).
+    scaling slopes of mode (k, s) at (t, r).
 
     With all first-order terms in place both slopes sit at 2; ablating the
     Gauss-law constant pulls the Gauss slope down to ~1.  Every report takes
@@ -243,7 +242,7 @@ def residual_slope_study(
     r = np.asarray(r, dtype=float).reshape(3)
     reports = []
     for a in a_values:
-        mode = PerturbedMode.build(ModeIndex(k, s), WeakFieldMetric(a=a), constants, volume)
+        mode = PerturbedMode(ModeIndex(k, s), WeakFieldMetric(a=a), constants)
         field = lambda ts, rs, m=mode: mode_field_first_order(  # noqa: E731
             m, ts, rs, include_gauss_constant=include_gauss_constant,
         )

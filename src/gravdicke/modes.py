@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +59,11 @@ class ModeIndex(namedtuple("ModeIndex", "k s")):
         k = np.array(k, dtype=float).reshape(3)
         if s not in (1, 2):
             raise PhysicsDomainError("polarization label s must be 1 or 2")
-        norm = float(np.linalg.norm(k))
-        if norm == 0.0:
-            raise PhysicsDomainError("zero wavevector")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(k))
+        if not 0.0 < norm < math.inf:  # also rejects NaN, and a norm that under- or overflows
+            raise PhysicsDomainError(f"wavevector k = {k.tolist()!r} needs a positive, finite "
+                                     f"norm, got |k| = {norm!r}")
         if abs(k[2]) <= KZ_GUARD * norm:
             raise PhysicsDomainError(f"grazing mode rejected: |k_z| <= {KZ_GUARD:g} |k|")
         return super().__new__(cls, k, s)
@@ -93,34 +94,22 @@ def flat_polarization_basis(k) -> tuple[np.ndarray, np.ndarray]:
     return f1, f2
 
 
-class PerturbedMode(NamedTuple):
-    """A field eigenmode bound to a metric, a quantization volume and constants."""
+class PerturbedMode(namedtuple("PerturbedMode", "index metric constants basis")):
+    """A field eigenmode bound to a metric and constants, at unit quantization volume.
 
-    index: ModeIndex
-    metric: WeakFieldMetric
-    constants: PhysicalConstants
-    volume: float
-    basis: tuple[np.ndarray, np.ndarray]
+    The flat polarization basis is derived from ``index.k``.  The volume is
+    fixed at 1: every residual scales as 1/sqrt(V), and its slope in a does not.
+    """
 
-    @classmethod
-    def build(
-        cls,
-        index: ModeIndex,
-        metric: WeakFieldMetric,
-        constants: PhysicalConstants,
-        volume: float,
-    ) -> "PerturbedMode":
-        if volume <= 0.0:
-            raise PhysicsDomainError("quantization volume must be positive")
-        mode = cls(index, metric, constants, float(volume), flat_polarization_basis(index.k))
-        try:
-            finite = math.isfinite(mode.flat_amplitude)
-        except ZeroDivisionError:  # 2 eps0 V underflows to zero
-            finite = False
-        if not finite:
-            raise PhysicsDomainError(f"quantization volume {volume!r} gives a field amplitude "
-                                     "that is not finite")
-        return mode
+    __slots__ = ()
+
+    def __new__(cls, index: ModeIndex, metric: WeakFieldMetric,
+                constants: PhysicalConstants) -> "PerturbedMode":
+        self = super().__new__(cls, index, metric, constants, flat_polarization_basis(index.k))
+        if not math.isfinite(self.flat_amplitude):
+            raise PhysicsDomainError(f"field amplitude sqrt(hbar w / 2 eps0) of |k| = "
+                                     f"{index.knorm!r} is not finite")
+        return self
 
     @property
     def k(self) -> np.ndarray:
@@ -138,9 +127,9 @@ class PerturbedMode(NamedTuple):
 
     @property
     def flat_amplitude(self) -> float:
-        """Single-photon field normalization sqrt(hbar w / 2 eps0 V0)."""
+        """Single-photon field normalization sqrt(hbar w / 2 eps0) at unit volume."""
         cst = self.constants
-        return math.sqrt(cst.hbar * self.omega / (2.0 * cst.eps0 * self.volume))
+        return math.sqrt(cst.hbar * self.omega / (2.0 * cst.eps0))
 
 
 def _height(mode: PerturbedMode, z) -> float:

@@ -74,8 +74,7 @@ class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 cons
     """Emission geometry: atomic line, metric, mode reference height, absorbed photon's angle.
 
     The absorbed wavevector is k0 = (nu / c) (sin theta0, 0, cos theta0): no
-    route depends on its azimuth.  ``constants`` left out is the scaled regime,
-    PhysicalConstants.scaled().
+    route depends on its azimuth.
     """
 
     __slots__ = ()
@@ -87,10 +86,8 @@ class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 cons
         metric: WeakFieldMetric,
         Z: float,
         theta0: float,
-        constants: PhysicalConstants | None = None,
+        constants: PhysicalConstants,
     ) -> "SpectrumParams":
-        if constants is None:
-            constants = PhysicalConstants.scaled()
         if not all(map(math.isfinite, (nu, gamma, Z, theta0))):
             raise PhysicsDomainError("nu, gamma, Z and theta0 must be finite")
         self = super().__new__(cls, nu, gamma, metric, Z, theta0, constants)

@@ -179,10 +179,10 @@ def test_criterion_06_maxwell_residual_scaling():
             k = rng.normal(size=3)
         # vertical polarization component present (s=2): the divergence
         # constraint is trivially exact for the horizontal polarization
-        study = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0)
+        study = residual_slope_study(k, 2, CST, t, r, a_values)
         assert not any(rep.inconclusive for rep in study.reports)
         worst = max(worst, abs(study.wave_slope - 2.0), abs(study.gauss_slope - 2.0))
-        ablated = residual_slope_study(k, 2, CST, t, r, a_values, volume=1.0,
+        ablated = residual_slope_study(k, 2, CST, t, r, a_values,
                                        include_gauss_constant=False)
         ablated_worst = max(ablated_worst, ablated.gauss_slope)
     ok = worst <= 0.1 and ablated_worst <= 1.2
@@ -200,8 +200,8 @@ def test_criterion_07_phase_wavevector_consistency():
         while abs(k[2]) < 0.1 * np.linalg.norm(k):
             k = rng.normal(size=3)
         a = 10 ** rng.uniform(-4.0, -2.0)
-        mode = PerturbedMode.build(ModeIndex(k, int(rng.integers(1, 3))),
-                                   WeakFieldMetric(a=a), CST, 1.0)
+        mode = PerturbedMode(ModeIndex(k, int(rng.integers(1, 3))),
+                             WeakFieldMetric(a=a), CST)
         z = rng.uniform(-0.05, 0.05) / a
         r0 = np.array([0.1, -0.2, z])
         up = mode_phase(mode, 0.0, r0 + [0.0, 0.0, h])
@@ -223,8 +223,8 @@ def test_criterion_08_transversality():
         while abs(k[2]) < 0.1 * np.linalg.norm(k):
             k = rng.normal(size=3)
         z = rng.uniform(-0.5, 0.5)
-        make = lambda a: PerturbedMode.build(  # noqa: E731
-            ModeIndex(k, 2), WeakFieldMetric(a=a), CST, 1.0)
+        make = lambda a: PerturbedMode(  # noqa: E731
+            ModeIndex(k, 2), WeakFieldMetric(a=a), CST)
         hi = transversality_check(make(1e-2), z)
         lo = transversality_check(make(5e-3), z)
         fitted_c = max(max(hi) / 1e-4, floor / 1e-4)

@@ -523,6 +523,7 @@ class TestBadInputExitCodes:
         ({"scenario": "spreads", "metric": {"z0": 6.371e6}}, 2),
         ({"scenario": "curved-spectrum", "tolerances": {"quadrature": 1e-9}}, 2),
         ({"scenario": "verify-modes", "verify": {"min_kz_fraction": 0.1}}, 2),
+        ({"scenario": "delta-limit", "delta": {"grid_points": 3}}, 2),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "removed-key-probes-u", "string-a", "float-n-atoms",
@@ -540,7 +541,7 @@ class TestBadInputExitCodes:
             "underflowing-k0-norm",
             "flat-dicke-infinite-nu", "flat-dicke-zero-nu", "flat-dicke-negative-nu",
             "flat-dicke-underflowing-k0-norm", "removed-key-z0", "removed-key-quadrature",
-            "removed-key-min-kz-fraction"])
+            "removed-key-min-kz-fraction", "one-delta-offset-below-k0z"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -582,8 +583,11 @@ class TestBadInputExitCodes:
         ({"scenario": "flat-dicke", "dicke": {"replicas": 10**30}}, "replicas"),
         ({"scenario": "flat-dicke", "dicke": {"n_offpeak": 10**30}}, "n_offpeak"),
         ({"scenario": "verify-modes", "verify": {"n_modes": 10**30}}, "n_modes"),
+        ({"scenario": "verify-modes",
+          "verify": {"a_values": [1e-3 * (1 + i / MAX_COUNT) for i in range(MAX_COUNT + 1)]}},
+         "a_values"),
     ], ids=["grid-points", "delta-grid-points", "ensemble-replicas", "dicke-replicas",
-            "offpeak-probes", "modes"])
+            "offpeak-probes", "modes", "a-values"])
     def test_astronomical_count_rejected_at_parse(self, tmp_path, capsys, payload, key):
         cfg = write_config(tmp_path, payload)
         # rejected while parsing, so no run starts a thread or a loop
@@ -1080,6 +1084,20 @@ class TestVerifyModesScenario:
         assert_strict_json(out)
 
 
+class TestOffsetGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(depth=st.floats(1e-300, 1e300), hi=st.floats(1e-300, 1e300),
+           points=st.integers(3, 10**5))
+    def test_points_zero_and_ends(self, depth, hi, points):
+        # below 1e-300 a grid's spacing falls to subnormals, whose neighbours can round
+        # together; _kz_grid rejects such a grid by its k_z column
+        grid = gravdicke.cli._offset_grid(-depth, hi, points)
+        assert len(grid) == points
+        assert np.count_nonzero(grid == 0.0) == 1
+        assert np.all(np.diff(grid) > 0.0)
+        assert grid[0] == -depth and grid[-1] == hi
+
+
 class TestDeltaLimitScenario:
     def test_peak_doubles_and_area_fixed(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 3}})
@@ -1107,6 +1125,16 @@ class TestDeltaLimitScenario:
         for row in sweep:
             area = complex(row["area"]["re"], row["area"]["im"])
             assert abs(area - (-1j / 1e-2)) <= 1e-13 * 100.0
+
+    @pytest.mark.parametrize("points", [4, 5])
+    def test_one_row_per_grid_point_and_a(self, tmp_path, points):
+        # a negative share that rounds to points - 1 once forced a second positive offset
+        cfg = write_config(tmp_path, {"scenario": "delta-limit",
+                                      "delta": {"halvings": 2, "grid_points": points}})
+        out = tmp_path / "dl"
+        assert main(["--config", cfg, "--output", str(out)]) == 0
+        lines = (out / "delta_limit.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * points
 
     def test_metadata_records_area_error_and_work(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "delta-limit", "delta": {"halvings": 2}})

@@ -21,7 +21,7 @@ A_SWEEP = [1e-4, 1e-3, 1e-2]
 
 
 def make_mode(k=K_GENERIC, s=2, a=1e-3):
-    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST, 1.0)
+    return PerturbedMode(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST)
 
 
 class TestStencil:
@@ -29,8 +29,7 @@ class TestStencil:
         # in SI units c is 3e8, so a time step of h in place of h / c shows; at c = 1
         # (every other test here) the two are the same
         k = 1e7 * np.array([0.8, -0.5, 0.9])
-        mode = PerturbedMode.build(ModeIndex(k, 2), WeakFieldMetric(a=0.0),
-                                   PhysicalConstants(), 1.0)
+        mode = PerturbedMode(ModeIndex(k, 2), WeakFieldMetric(a=0.0), PhysicalConstants())
         rep = wave_residual(mode, 1e-16, 1e-8 * np.array([2.0, -1.5, 3.5]))
         assert rep.residual_norm < 1e-9 * mode.index.knorm**2 * mode.flat_amplitude
 
@@ -54,7 +53,7 @@ class TestWaveResidual:
     def test_residual_at_reference_height_still_second_order(self):
         # corrections vanish at height 0 but their derivatives do not
         study = residual_slope_study(
-            K_GENERIC, 2, CST, POINT_T, np.array([0.2, -0.15, 0.0]), A_SWEEP, volume=1.0
+            K_GENERIC, 2, CST, POINT_T, np.array([0.2, -0.15, 0.0]), A_SWEEP
         )
         assert study.wave_slope == pytest.approx(2.0, abs=0.1)
         norms = [rep.residual_norm for rep in study.reports]
@@ -92,10 +91,10 @@ class TestGaussResidual:
     def test_divergence_constant_ablation_degrades_to_first_order(self):
         # with the constant: O(a^2); without: O(a).  Regression proving it matters.
         with_c = residual_slope_study(
-            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP
         )
         without = residual_slope_study(
-            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0,
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP,
             include_gauss_constant=False,
         )
         assert with_c.gauss_slope == pytest.approx(2.0, abs=0.1)
@@ -160,7 +159,7 @@ class TestTransversality:
 class TestSlopeStudy:
     def test_generic_mode_slopes(self):
         study = residual_slope_study(
-            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1.0
+            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP
         )
         assert isinstance(study, ScalingStudy)
         assert not any(rep.inconclusive for rep in study.reports)
@@ -168,11 +167,10 @@ class TestSlopeStudy:
         assert study.gauss_slope == pytest.approx(2.0, abs=0.05)
 
     def test_underflowed_residuals_are_inconclusive(self):
-        # at a mode volume of 1e308 the field is so small that every residual is zero:
-        # the study flags the reports instead of handing log(0) to the slope fit
-        study = residual_slope_study(
-            K_GENERIC, 2, CST, POINT_T, POINT_R, A_SWEEP, volume=1e308
-        )
+        # at hbar = 5e-324 and eps0 = 1e300 the field is so small that every residual is
+        # zero: the study flags the reports instead of handing log(0) to the slope fit
+        tiny = PhysicalConstants(c=1.0, hbar=5e-324, eps0=1e300)
+        study = residual_slope_study(K_GENERIC, 2, tiny, POINT_T, POINT_R, A_SWEEP)
         assert [rep.residual_norm for rep in study.reports] == [0.0, 0.0, 0.0]
         assert all(rep.inconclusive for rep in study.reports)
         assert np.isnan(study.wave_slope) and np.isnan(study.gauss_slope)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -23,8 +25,8 @@ from gravdicke.modes import (
 CST = PhysicalConstants.scaled()
 
 
-def make_mode(k, s=2, a=1e-3, volume=1.0):
-    return PerturbedMode.build(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST, volume)
+def make_mode(k, s=2, a=1e-3):
+    return PerturbedMode(ModeIndex(np.asarray(k, float), s), WeakFieldMetric(a=a), CST)
 
 
 def first_order_products(mode, z):
@@ -87,6 +89,17 @@ class TestModeIndex:
         with pytest.raises(PhysicsDomainError):
             ModeIndex(np.array([0.0, 0.0, 1.0]), 3)
 
+    @pytest.mark.parametrize("k", [
+        [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0], [1e200, 0.0, 1e200], [1e-200, 0.0, 1e-200],
+        [0.0, 0.0, 0.0],
+    ], ids=["nan", "inf", "norm-overflows", "norm-underflows", "zero"])
+    def test_norm_must_be_positive_and_finite(self, k):
+        # one check, named after k; |k|^2 overflowing raises no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicsDomainError, match=r"wavevector k = .*positive, finite"):
+                ModeIndex(k, 2)
+
 
 class TestAmplitude:
     def test_vertical_mode_uncorrected(self):
@@ -114,12 +127,12 @@ class TestAmplitude:
         with pytest.raises(LinearizationError):
             mode_amplitude(mode, 3.0)
 
-    @pytest.mark.parametrize("constants", [CST, PhysicalConstants()], ids=["scaled", "si"])
-    def test_overflowing_amplitude_rejected(self, constants):
-        # sqrt(hbar w / 2 eps0 V) overflows for a subnormal volume; in SI 2 eps0 V is 0
+    @pytest.mark.parametrize("regime", [CST, PhysicalConstants()], ids=["scaled", "si"])
+    def test_overflowing_amplitude_rejected(self, regime):
+        # at c = 1e300 and hbar = 1e10, hbar w = hbar c |k| overflows, whatever the eps0
+        constants = PhysicalConstants(c=1e300, hbar=1e10, eps0=regime.eps0)
         with pytest.raises(PhysicsDomainError, match="not finite"):
-            PerturbedMode.build(ModeIndex(np.ones(3), 2), WeakFieldMetric(a=1e-3), constants,
-                                5e-324)
+            PerturbedMode(ModeIndex(np.ones(3), 2), WeakFieldMetric(a=1e-3), constants)
 
 
 class TestPhaseAndWavevector:

@@ -7,7 +7,7 @@ from gravdicke import cli, emission, maxwell, metric, modes, spectrum
 from gravdicke.emission import Box, Ensemble
 from gravdicke.maxwell import residual_slope_study, transversality_check
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
-from gravdicke.modes import ModeIndex, PerturbedMode
+from gravdicke.modes import ModeIndex, PerturbedMode, flat_polarization_basis
 from gravdicke.spectrum import SpectrumParams
 
 MODULES = (cli, emission, maxwell, metric, modes, spectrum)
@@ -21,13 +21,13 @@ def records() -> dict:
     curved = WeakFieldMetric(a=1e-3)
     box = Box(size=(1.0, 1.0, 1.0))
     index = ModeIndex((0.3, 0.2, 1.0), 2)
-    mode = PerturbedMode.build(index, curved, constants, 1.0)
-    study = residual_slope_study(index.k, 2, constants, 0.3, (0.2, -0.15, 0.35), (1e-3, 1e-2),
-                                 volume=1.0)
+    mode = PerturbedMode(index, curved, constants)
+    study = residual_slope_study(index.k, 2, constants, 0.3, (0.2, -0.15, 0.35), (1e-3, 1e-2))
     found = [cfg, cfg.metric, cfg.spectrum, cfg.spectrum.grid, cfg.ensemble, cfg.dicke,
              cfg.delta, cfg.verify, cfg.tolerances,
              constants, curved, box, Ensemble(np.zeros((2, 3)), box),
-             SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5),
+             SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5,
+                            constants=constants),
              index, mode, study, study.reports[0], transversality_check(mode, 0.1)]
     return {type(record).__name__: record for record in found}
 
@@ -51,7 +51,7 @@ FIELDS = {
     "Ensemble": ("positions",),
     "SpectrumParams": ("nu", "gamma", "metric", "Z", "theta0", "constants"),
     "ModeIndex": ("k", "s"),
-    "PerturbedMode": ("index", "metric", "constants", "volume", "basis"),
+    "PerturbedMode": ("index", "metric", "constants", "basis"),
     "ScalingStudy": ("wave_slope", "gauss_slope", "reports"),
     "ResidualReport": ("residual_vector", "gauss_residual", "discretization_estimate",
                        "gauss_discretization", "inconclusive"),
@@ -60,11 +60,28 @@ FIELDS = {
 RECORDS = tuple(FIELDS)
 
 
+def record_classes() -> list[type]:
+    return [obj for module in MODULES for obj in vars(module).values()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+            and hasattr(obj, "_fields")]
+
+
 def test_every_package_record_is_listed():
-    defined = {name for module in MODULES for name, obj in vars(module).items()
-               if isinstance(obj, type) and obj.__module__ == module.__name__
-               and hasattr(obj, "_fields")}
-    assert defined == set(RECORDS)
+    assert {cls.__name__ for cls in record_classes()} == set(RECORDS)
+
+
+def test_one_constructor_per_record():
+    # a record is built by its __new__, which checks it; a public factory beside it would
+    # be a second way in.  The one preset is PhysicalConstants.scaled, which calls __new__
+    factories = {f"{cls.__name__}.{name}" for cls in record_classes()
+                 for name, attr in vars(cls).items()
+                 if isinstance(attr, classmethod) and not name.startswith("_")}
+    assert factories == {"PhysicalConstants.scaled"}
+    # the polarization basis is derived from k, never passed in
+    index = ModeIndex((0.3, 0.2, 1.0), 2)
+    with pytest.raises(TypeError):
+        PerturbedMode(index, WeakFieldMetric(a=1e-3), PhysicalConstants.scaled(),
+                      flat_polarization_basis(index.k))
 
 
 @pytest.mark.parametrize("name", RECORDS)

@@ -65,8 +65,11 @@ class TestParams:
             with pytest.raises(PhysicsDomainError):
                 make_params(nu=nu, gamma=gamma)
 
-    def test_constants_default_to_scaled(self):
-        p = SpectrumParams(1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, 0.0)
+    def test_constants_are_required(self):
+        # no unit regime is implied: left out, the constants are a TypeError
+        with pytest.raises(TypeError):
+            SpectrumParams(1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, 0.0)
+        p = SpectrumParams(1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.0, 0.0, CST)
         assert p.constants == PhysicalConstants.scaled()
 
     def test_from_angles_geometry(self):
