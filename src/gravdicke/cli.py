@@ -114,7 +114,6 @@ class SpectrumConfig(typing.NamedTuple):
     nu: float = 1.0
     gamma: float = 1e-2
     theta0: float = 0.5235987755982988   # pi/6
-    Z: float = 0.0
     grid: GridConfig = GridConfig()
 
 
@@ -289,12 +288,8 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
         metric = WeakFieldMetric(m.a if m.g is None else surface_param_a(m.g, constants))
     except PhysicsDomainError as exc:
         raise PhysicsDomainError(f"{_a_key(m)}: {exc}") from None
-    params = SpectrumParams(
-        nu=s.nu, gamma=s.gamma, metric=metric, Z=s.Z, theta0=s.theta0, constants=constants,
-    )
-    # the modes' reference height enters every denominator through a Z
-    check_linearization(metric.a, params.Z)
-    return params
+    return SpectrumParams(nu=s.nu, gamma=s.gamma, metric=metric, theta0=s.theta0,
+                          constants=constants)
 
 
 def _kernel_params(cfg: Config) -> SpectrumParams:
@@ -492,7 +487,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     if not math.isfinite(side):
         raise ConfigError(f"dicke.box_wavelengths {d.box_wavelengths!r} gives a box side "
                           f"{side!r} that is not finite")
-    box = Box(size=(side, side, side))
+    box = Box(side)
     rng = ensemble_stream((cfg.seed, 977))
 
     # the zero probe comes first unconditionally: its value must be exactly 1
@@ -521,7 +516,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
         samples = run_replicas(one, d.replicas, cfg.seed, cfg.threads)
         work["atom_probe"] = n * len(probes) * d.replicas
     mean, stderr = mean_stderr(samples)
-    expected = np.array([structure_factor_expectation(n, box.size, dk) for dk in probes])
+    expected = np.array([structure_factor_expectation(n, box.edge, dk) for dk in probes])
 
     rows = [
         [dk[0], dk[1], dk[2], mean[i], stderr[i], expected[i]]
@@ -617,13 +612,12 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     g = cfg.spectrum.grid
     kz, q = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
     height = e.box_heights * (params.gamma / (a * params.nu))  # decay lengths Gamma/(a nu)
-    # a cube: the Monte Carlo reads only heights, so the transverse edge moves no bit
-    box = Box(size=(height, height, height))
+    box = Box(height)  # a cube: the Monte Carlo reads only heights
     # before any replica runs: the height guard that the Monte Carlo sum applies to
     # each atom, here on the box's z faces, so that a too tall box exits 3 ...
-    check_linearization(a, [box.low[2], box.high[2]])
+    check_linearization(a, [box.low, box.high])
     # ... and then the rounding of the atom phases over the box
-    reach = max(abs(box.low[2]), abs(box.high[2]))  # max |z| in the box
+    reach = box.high  # max |z| in the box
     phase_ulp = math.ulp(max(abs(params.k0z), float(np.max(np.abs(kz)))) * reach)
     if not phase_ulp <= _MAX_PHASE_ULP:
         raise ConfigError(
@@ -637,7 +631,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         work["atom_kz"] = e.n_atoms * e.replicas * kz.size
     with _stage(stages, "quadrature") as work:
         quad, quad_error_ratio, quad_evals = quadrature_spectrum(
-            kz, params, (box.low[2], box.high[2]))
+            kz, params, (box.low, box.high))
         work["integrand_evals"] = quad_evals
 
     rows = []

@@ -31,29 +31,30 @@ __all__ = [
 ]
 
 
-class Box(namedtuple("Box", "size")):
-    """Axis-aligned sampling volume centred on the origin, where the metric is Minkowskian."""
+class Box(namedtuple("Box", "edge")):
+    """Cube of a positive finite edge centred on the origin, where the metric is Minkowskian:
+    every coordinate in it lies in [low, high] = [-edge / 2, edge / 2]."""
 
     __slots__ = ()
 
-    def __new__(cls, size) -> "Box":
-        size = np.array(size, dtype=float).reshape(3)
-        if not np.all((size > 0.0) & np.isfinite(size)):
-            raise PhysicsDomainError(f"box edge lengths must be positive and finite, got "
-                                     f"{size.tolist()!r}")
-        return super().__new__(cls, size)
+    def __new__(cls, edge: float) -> "Box":
+        edge = float(edge)
+        if not 0.0 < edge < np.inf:  # also rejects NaN
+            raise PhysicsDomainError(f"box edge must be positive and finite, got {edge!r}")
+        return super().__new__(cls, edge)
 
     @property
-    def low(self) -> np.ndarray:
-        return -0.5 * self.size
+    def low(self) -> float:
+        return -0.5 * self.edge
 
     @property
-    def high(self) -> np.ndarray:
-        return 0.5 * self.size
+    def high(self) -> float:
+        return 0.5 * self.edge
 
 
 class Ensemble(namedtuple("Ensemble", "positions")):
-    """Identical two-level atoms at positions inside a box, which is checked and not kept.
+    """Identical two-level atoms, every coordinate in a box's [low, high]; the box is
+    checked and not kept.
 
     The record may alias the array it is given: float64 positions are taken
     with np.asarray, not copied, so a caller that writes to them afterwards
@@ -66,10 +67,9 @@ class Ensemble(namedtuple("Ensemble", "positions")):
         pos = np.asarray(positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
             raise PhysicsDomainError("positions must be a (N, 3) array with N >= 1")
-        # a column's min and max decide (a NaN is both, and fails both tests)
-        for col, low, high in zip(pos.T, box.low, box.high):
-            if not (col.min() >= low and col.max() <= high):
-                raise PhysicsDomainError("all atoms must lie inside the box")
+        # the min and max over all coordinates decide (a NaN is both, and fails both tests)
+        if not (pos.min() >= box.low and pos.max() <= box.high):
+            raise PhysicsDomainError("all atoms must lie inside the box")
         return super().__new__(cls, pos)
 
     @property
@@ -92,26 +92,25 @@ def sample_ensemble(
     *,
     out: np.ndarray | None = None,
 ) -> Ensemble:
-    """Draw N atom positions uniformly in the box with a Philox stream.
+    """Draw N atom positions uniformly in the cube with a Philox stream.
 
     An int or tuple ``seed`` starts the stream ensemble_stream(seed); a
     Generator is drawn from where its stream stands, and advanced.  Each atom
     takes three consecutive doubles of the stream, so ensembles of n_1, n_2, ...
     atoms drawn in turn from one Generator are, concatenated, bit for bit the
     ensemble of n_1 + n_2 + ... atoms drawn at once from its seed.  The draw is
-    the same in flat and curved space.  ``out``, a C-contiguous (n, 3) float
-    array, receives the positions in place of a fresh array, with the same
-    bits, and the Ensemble returned aliases it.
+    the same in flat and curved space: each double u becomes u edge + low.
+    ``out``, a C-contiguous (n, 3) float array, receives the positions in
+    place of a fresh array, with the same bits, and the Ensemble returned
+    aliases it.
     """
     if n < 1:
         raise PhysicsDomainError("need at least one atom")
     rng = seed if isinstance(seed, np.random.Generator) else ensemble_stream(seed)
     pos = np.empty((n, 3)) if out is None else out
     rng.random((n, 3), out=pos)
-    for k, (low, size) in enumerate(zip(box.low, box.size)):  # in place, column by column
-        col = pos[:, k]
-        col *= size
-        col += low
+    pos *= box.edge
+    pos += box.low
     return Ensemble(pos, box)
 
 

@@ -149,23 +149,27 @@ def gauss_law_constant(mode: PerturbedMode) -> complex:
 
 
 def _first_order_terms(mode: PerturbedMode, z):
-    """Per-unit-a corrections at heights z: (common, (mix_x, mix_y), gauss).
+    """Per-unit-a corrections at heights z: (common, (mix_x, mix_y), kappa, gauss).
 
     ``common`` is shared by all three components: its real part is the
     amplitude correction, its imaginary part the quadratic phase.  The mixing
-    terms tilt the transverse components toward the vertical one, and
-    ``gauss`` is the constant on the vertical component.
+    terms tilt the transverse components toward the vertical one, ``kappa``
+    = (kx^2+ky^2+2kz^2) z / (2 kz) tilts the wavevector's vertical component
+    (the z-derivative of the quadratic phase), and ``gauss`` is the constant on
+    the vertical component.
     """
     kx, ky, kz = mode.k
     ksq_t = kx * kx + ky * ky
-    common = z * ksq_t / (4.0 * kz * kz) + 1j * z * z * (ksq_t + 2.0 * kz * kz) / (4.0 * kz)
+    ksq_phase = ksq_t + 2.0 * kz * kz
+    common = z * ksq_t / (4.0 * kz * kz) + 1j * z * z * ksq_phase / (4.0 * kz)
     tilt = z * mode.f0[2] / (2.0 * kz)
-    return common, (tilt * kx, tilt * ky), gauss_law_constant(mode)
+    kappa = z * ksq_phase / (2.0 * kz)
+    return common, (tilt * kx, tilt * ky), kappa, gauss_law_constant(mode)
 
 
 def mode_amplitude(mode: PerturbedMode, z: float) -> float:
     """Amplitude at height z: flat value times (1 + a z (kx^2+ky^2)/(4 kz^2))."""
-    common, _, _ = _first_order_terms(mode, _height(mode, z))
+    common, _, _, _ = _first_order_terms(mode, _height(mode, z))
     return float(mode.flat_amplitude * (1.0 + mode.metric.a * common.real))
 
 
@@ -173,7 +177,7 @@ def mode_phase(mode: PerturbedMode, t: float, r) -> float:
     """Eigenmode phase at one point: plane wave plus a (kx^2+ky^2+2kz^2)/(4 kz) z^2."""
     x, y, z = np.asarray(r, dtype=float).reshape(3)
     kx, ky, kz = mode.k
-    common, _, _ = _first_order_terms(mode, _height(mode, z))
+    common, _, _, _ = _first_order_terms(mode, _height(mode, z))
     return float(mode.omega * float(t) - kx * x - ky * y - kz * z + mode.metric.a * common.imag)
 
 
@@ -184,9 +188,8 @@ def local_wavevector(mode: PerturbedMode, z: float) -> np.ndarray:
     eigenmode phase.
     """
     kx, ky, kz = mode.k
-    z = _height(mode, z)
-    kz_local = -kz + mode.metric.a * (kx * kx + ky * ky + 2.0 * kz * kz) * z / (2.0 * kz)
-    return np.array([mode.omega, -kx, -ky, kz_local])
+    _, _, kappa, _ = _first_order_terms(mode, _height(mode, z))
+    return np.array([mode.omega, -kx, -ky, -kz + mode.metric.a * kappa])
 
 
 def polarization_E(mode: PerturbedMode, z: float) -> np.ndarray:
@@ -195,7 +198,7 @@ def polarization_E(mode: PerturbedMode, z: float) -> np.ndarray:
     Reduces to the flat basis vector exactly whenever its vertical component
     vanishes, and at height 0 for any mode.
     """
-    _, (mix_x, mix_y), _ = _first_order_terms(mode, _height(mode, z))
+    _, (mix_x, mix_y), _, _ = _first_order_terms(mode, _height(mode, z))
     a = mode.metric.a
     f0 = mode.f0
     return np.array([f0[0] + a * mix_x, f0[1] + a * mix_y, f0[2]], dtype=complex)
@@ -212,14 +215,12 @@ def polarization_H(mode: PerturbedMode, z: float) -> np.ndarray:
     z = _height(mode, z)
     a = mode.metric.a
     kvec = mode.k
-    kx, ky, kz = kvec
     knorm = mode.index.knorm
     f0 = mode.f0
     p0 = _cross(kvec, f0) / knorm
     # polarization tilt and wavevector tilt, each per unit a
-    _, (mix_x, mix_y), _ = _first_order_terms(mode, z)
+    _, (mix_x, mix_y), kappa, _ = _first_order_terms(mode, z)
     df = np.array([mix_x, mix_y, 0.0])
-    kappa = z * (kx * kx + ky * ky + 2.0 * kz * kz) / (2.0 * kz)
     corr = z * _cross(kvec, f0) + _cross(kvec, df) - kappa * _cross(_ZHAT, f0)
     return (p0 + (a / knorm) * corr).astype(complex)
 
@@ -248,7 +249,7 @@ def mode_field_first_order(
     f0 = mode.f0
 
     check_linearization(a, z)
-    common, (mix1, mix2), gauss = _first_order_terms(mode, z)
+    common, (mix1, mix2), _, gauss = _first_order_terms(mode, z)
     c3 = gauss if include_gauss_constant else 0.0
 
     comp = np.empty((len(z), 3), dtype=complex)

@@ -70,8 +70,8 @@ __all__ = [
 ]
 
 
-class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 constants")):
-    """Emission geometry: atomic line, metric, mode reference height, absorbed photon's angle.
+class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric theta0 constants")):
+    """Emission geometry: atomic line, metric, absorbed photon's angle, unit regime.
 
     The absorbed wavevector is k0 = (nu / c) (sin theta0, 0, cos theta0): no
     route depends on its azimuth.
@@ -84,13 +84,12 @@ class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric Z theta0 cons
         nu: float,
         gamma: float,
         metric: WeakFieldMetric,
-        Z: float,
         theta0: float,
         constants: PhysicalConstants,
     ) -> "SpectrumParams":
-        if not all(map(math.isfinite, (nu, gamma, Z, theta0))):
-            raise PhysicsDomainError("nu, gamma, Z and theta0 must be finite")
-        self = super().__new__(cls, nu, gamma, metric, Z, theta0, constants)
+        if not all(map(math.isfinite, (nu, gamma, theta0))):
+            raise PhysicsDomainError("nu, gamma and theta0 must be finite")
+        self = super().__new__(cls, nu, gamma, metric, theta0, constants)
         knorm = math.hypot(*self.k0)  # scaled, so it cannot overflow where |k0|^2 does
         if not math.isfinite(knorm * knorm):  # every k_z route squares k
             raise PhysicsDomainError(f"|k0|^2 overflows (|k0|={knorm!r})")
@@ -221,11 +220,13 @@ def z_integral_oracle(
     *,
     model: str = "kernel",
 ) -> tuple[complex, float, int]:
-    """Numerically integrate dz rho(z) e^{i (k0z - kz) z} / [(w - nu + i G/2) + (a/2) w (Z - z)].
+    """Numerically integrate dz rho(z) e^{i (k0z - kz) z} / [(w - nu + i G/2) - (a/2) w z].
 
     This is the height integral the emission kernel was extracted from, and it
     is evaluated without using that extraction: the denominator is never
-    factored, only integration paths are chosen.  ``model`` picks the physics.
+    factored, only integration paths are chosen.  Heights z are measured from
+    the box centre, where the metric is flat and the mode frequency w is
+    unshifted.  ``model`` picks the physics.
     "kernel", the closed form's regime, locks the mode frequency w to nu, takes
     rho = 1 and fills all heights: outside [z_lo, z_hi] the path turns into the
     half-plane where e^{i q z} decays (legitimate because the integrand's only
@@ -260,7 +261,7 @@ def z_integral_oracle(
     q = params.k0z - float(k_z)
     omega = params.constants.c * math.hypot(*params.k0[:2], k_z) if slab else params.nu
     b = 0.5 * a * omega
-    c0 = (omega - params.nu) + 0.5j * params.gamma + b * params.Z  # denominator = c0 - b z
+    c0 = (omega - params.nu) + 0.5j * params.gamma  # denominator = c0 - b z
 
     if slab:
         def f(z):
@@ -516,14 +517,14 @@ def monte_carlo_spectrum(
         if p + 1 < _TERMS:
             b *= tau
 
-    # D(c_m) = x + i Gamma/2 with x = (omega - nu) + slope (Z - c_m).  Each grid point
+    # D(c_m) = x + i Gamma/2 with x = (omega - nu) - slope c_m.  Each grid point
     # divides D by a scale s >= Gamma/2 and >= |x| / 2 for every atom, so u = x / s
     # and g = Gamma / (2 s) are at most 2 and 1 (a centre lies between two atoms):
     # u^2 + g^2 cannot overflow, and it underflows only for a grid some 1e154
     # linewidths wide
     detuning = omega - params.nu
     slope = 0.5 * a * omega
-    height_max = max(abs(params.Z - z_lo), abs(params.Z - z_hi))
+    height_max = max(abs(z_lo), abs(z_hi))
     scale = np.maximum(np.maximum(np.abs(detuning), slope * height_max), 0.5 * params.gamma)
     detuning /= scale
     slope /= scale
@@ -533,7 +534,6 @@ def monte_carlo_spectrum(
     q = k_c - kz
     # the nested exponential series' factors i q h / (l + 1), l < P - 1
     nest = (1j * h / np.arange(1.0, _TERMS))[:, None] * q
-    heights = params.Z - centres
 
     # grid points in blocks of at most n cells' worth, in the workspace: three
     # complex rows, a fourth from the first two real rows, 1/D's denominator in
@@ -549,8 +549,8 @@ def monte_carlo_spectrum(
         nested = pair.view(complex)[:size].reshape(-1, n_cells)
         w = pair[:size].reshape(-1, n_cells)
         x = real[2, :size].reshape(-1, n_cells)
-        np.multiply.outer(slope[ks], heights, out=x)
-        x += detuning[ks, None]
+        np.multiply.outer(slope[ks], centres, out=x)
+        np.subtract(detuning[ks, None], x, out=x)
         # 1 / (u + i g) = (u - i g) / (u^2 + g^2), each part one division
         np.square(x, out=w)
         w += g_sq[ks, None]
@@ -698,11 +698,11 @@ def structure_factor(positions, delta_k) -> float:
     return float((cos_sum * cos_sum + sin_sum * sin_sum) / (n * n))
 
 
-def structure_factor_expectation(n: int, box_size, delta_k) -> float:
-    """Ensemble expectation 1/N + (1 - 1/N) prod_i sinc^2(dk_i L_i / 2) for a uniform box."""
-    size = np.asarray(box_size, dtype=float).reshape(3)
+def structure_factor_expectation(n: int, edge: float, delta_k) -> float:
+    """Ensemble expectation 1/N + (1 - 1/N) prod_i sinc^2(dk_i L / 2) for N atoms uniform
+    in a cube of edge L."""
     dk = np.asarray(delta_k, dtype=float).reshape(3)
-    arg = 0.5 * dk * size
+    arg = 0.5 * dk * edge
     sinc = np.sinc(arg / np.pi)  # sin(x)/x; numpy's sinc is the normalized one
     coherent = float(np.prod(sinc) ** 2)
     return 1.0 / n + (1.0 - 1.0 / n) * coherent
@@ -735,8 +735,8 @@ def flat_delta_limit(q_grid, params: SpectrumParams,
     for i in range(halvings):
         a = base * 0.5**i
         # built anew, so that the constructor's checks run on the new record
-        p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a), params.Z,
-                           params.theta0, params.constants)
+        p = SpectrumParams(params.nu, params.gamma, WeakFieldMetric(a=a), params.theta0,
+                           params.constants)
         amps = analytic_spectrum(q, p)
         mag = np.abs(amps)
         mask = (q > 0.0) & (mag >= _TINY)

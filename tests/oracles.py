@@ -91,9 +91,10 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
                              include_volume_weight: bool) -> complex:
     """The emission height integral by QUADPACK, written from the integral itself.
 
-        int dz e^{i q z} w(z) / [(omega - nu + i Gamma/2) + (a/2) omega (Z - z)],
+        int dz e^{i q z} w(z) / [(omega - nu + i Gamma/2) - (a/2) omega z],
 
-    q = k0z - k_z, w = 1 - a z / 2 with the volume weight and 1 without.
+    q = k0z - k_z, z the height above the box centre, where the metric is flat,
+    and w = 1 - a z / 2 with the volume weight and 1 without.
     The window is integrated with the oscillatory (QAWO) weights cos and sin.
     With tails="rotated" the path beyond each end of the window turns into the
     half-plane where e^{i q z} decays and runs to infinity along a vertical
@@ -102,7 +103,7 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
     """
     from scipy import integrate
 
-    nu, gamma, a, Z = params.nu, params.gamma, params.metric.a, params.Z
+    nu, gamma, a = params.nu, params.gamma, params.metric.a
     kx, ky, k0z = params.k0
     omega = nu if dispersion == "resonant" else params.constants.c * math.sqrt(
         kx * kx + ky * ky + k_z * k_z)
@@ -110,7 +111,7 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
 
     def f(z):
         weight = 1.0 - 0.5 * a * z if include_volume_weight else 1.0
-        return weight / ((omega - nu + 0.5j * gamma) + 0.5 * a * omega * (Z - z))
+        return weight / ((omega - nu + 0.5j * gamma) - 0.5 * a * omega * z)
 
     # absolute tolerance: 1e-13 of the integral's natural scale 2 pi / ((a/2) omega)
     epsabs = 1e-13 * 4.0 * math.pi / (a * omega)
@@ -132,7 +133,7 @@ def quadpack_height_integral(params, k_z: float, z_range, *, dispersion: str, ta
         return total
     if q == 0.0:
         # int_{-inf}^{z_lo} + int_{z_hi}^{inf} of 1 / (c - b z), principal logs
-        c, b = (omega - nu + 0.5j * gamma) + 0.5 * a * omega * Z, 0.5 * a * omega
+        c, b = omega - nu + 0.5j * gamma, 0.5 * a * omega
         return total - (1j * math.pi + np.log(c - b * z_lo) - np.log(c - b * z_hi)) / b
     up = 1j if q > 0.0 else -1j
 

@@ -22,7 +22,7 @@ NU, GAMMA = 1.0, 1e-2
 
 
 def small_box(side=10.0):
-    return Box(size=(side, side, side))
+    return Box(side)
 
 
 class TestTypes:
@@ -32,24 +32,26 @@ class TestTypes:
             sample_ensemble(0, small_box(), 1)
 
     def test_box(self):
-        box = Box(size=(2.0, 2.0, 4.0))
-        np.testing.assert_array_equal(box.low, [-1.0, -1.0, -2.0])
-        np.testing.assert_array_equal(box.high, [1.0, 1.0, 2.0])
+        box = Box(4.0)
+        assert (box.edge, box.low, box.high) == (4.0, -2.0, 2.0)
+        assert type(box.edge) is type(box.low) is type(box.high) is float
         Ensemble(np.array([[0.5, -0.5, 1.9]]), box)
         with pytest.raises(PhysicsDomainError, match="inside the box"):
             Ensemble(np.array([[0.5, -0.5, 2.1]]), box)
+        with pytest.raises(PhysicsDomainError, match="inside the box"):
+            Ensemble(np.array([[-2.1, -0.5, 1.9]]), box)
 
     def test_ensemble_containment_faces(self):
-        box = Box(size=(2.0, 2.0, 4.0))
-        middle = (box.low + box.high) / 2.0
+        box = Box(4.0)
+        middle = np.zeros(3)
         for axis in range(3):
             for face, outward in ((box.low, -np.inf), (box.high, np.inf)):
                 on_face = middle.copy()
-                on_face[axis] = face[axis]
+                on_face[axis] = face
                 # the other atoms sit inside, so that each face is tested on its own
                 Ensemble(np.array([middle, on_face, middle]), box)
                 outside = on_face.copy()
-                outside[axis] = np.nextafter(face[axis], outward)  # one ulp out
+                outside[axis] = np.nextafter(face, outward)  # one ulp out
                 with pytest.raises(PhysicsDomainError, match="inside the box"):
                     Ensemble(np.array([middle, outside, middle]), box)
             with_nan = middle.copy()
@@ -57,16 +59,16 @@ class TestTypes:
             with pytest.raises(PhysicsDomainError, match="inside the box"):
                 Ensemble(np.array([middle, with_nan]), box)
         # all eight corners at once
-        corners = np.array([[x, y, z] for x in (box.low[0], box.high[0])
-                            for y in (box.low[1], box.high[1]) for z in (box.low[2], box.high[2])])
+        faces = (box.low, box.high)
+        corners = np.array([[x, y, z] for x in faces for y in faces for z in faces])
         assert Ensemble(corners, box).n == 8
 
-    @pytest.mark.parametrize("size", [(1.0, 1.0, 0.0), (1.0, -1.0, 1.0),
-                                      (1.0, 1.0, float("inf")), (float("nan"), 1.0, 1.0)])
+    @pytest.mark.parametrize("size", [0.0, -1.0, float("inf"), float("nan")],
+                             ids=[f"size{i}" for i in range(4)])
     def test_box_rejects_bad_edges(self, size):
         # an infinite edge once reached sampling, where inf - inf filled a column with NaN
         with pytest.raises(PhysicsDomainError, match="positive and finite"):
-            Box(size=size)
+            Box(size)
 
     def test_ensemble_rejects_outside_atoms(self):
         with pytest.raises(PhysicsDomainError):
@@ -99,7 +101,7 @@ class TestTypes:
         assert np.isnan(pos[300:]).all()
         if metric is not None:
             # the curved volume weights are formed in the atom sum, from the buffered heights
-            p = SpectrumParams(NU, GAMMA, metric, 0.0, math.pi / 6, CST)
+            p = SpectrumParams(NU, GAMMA, metric, math.pi / 6, CST)
             kz = p.k0z + np.linspace(-0.05, 0.05, 7)
             np.testing.assert_array_equal(
                 monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p),

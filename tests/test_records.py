@@ -19,15 +19,14 @@ def records() -> dict:
     cfg = cli.load_config(None, {"scenario": "curved-spectrum"})
     constants = PhysicalConstants.scaled()
     curved = WeakFieldMetric(a=1e-3)
-    box = Box(size=(1.0, 1.0, 1.0))
+    box = Box(1.0)
     index = ModeIndex((0.3, 0.2, 1.0), 2)
     mode = PerturbedMode(index, curved, constants)
     study = residual_slope_study(index.k, 2, constants, 0.3, (0.2, -0.15, 0.35), (1e-3, 1e-2))
     found = [cfg, cfg.metric, cfg.spectrum, cfg.spectrum.grid, cfg.ensemble, cfg.dicke,
              cfg.delta, cfg.verify, cfg.tolerances,
              constants, curved, box, Ensemble(np.zeros((2, 3)), box),
-             SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, Z=0.0, theta0=0.5,
-                            constants=constants),
+             SpectrumParams(nu=1.0, gamma=1e-2, metric=curved, theta0=0.5, constants=constants),
              index, mode, study, study.reports[0], transversality_check(mode, 0.1)]
     return {type(record).__name__: record for record in found}
 
@@ -38,7 +37,7 @@ FIELDS = {
     "Config": ("scenario", "seed", "output_dir", "unit_regime", "threads", "metric",
                "spectrum", "ensemble", "dicke", "delta", "verify", "tolerances"),
     "MetricConfig": ("a", "g"),
-    "SpectrumConfig": ("nu", "gamma", "theta0", "Z", "grid"),
+    "SpectrumConfig": ("nu", "gamma", "theta0", "grid"),
     "GridConfig": ("lo", "hi", "points"),
     "EnsembleConfig": ("n_atoms", "replicas", "box_heights"),
     "DickeConfig": ("n_atoms", "box_wavelengths", "n_offpeak", "replicas"),
@@ -47,9 +46,9 @@ FIELDS = {
     "Tolerances": ("slope", "mc_sigma", "mc_fraction"),
     "PhysicalConstants": ("c", "hbar", "eps0"),
     "WeakFieldMetric": ("a",),
-    "Box": ("size",),
+    "Box": ("edge",),
     "Ensemble": ("positions",),
-    "SpectrumParams": ("nu", "gamma", "metric", "Z", "theta0", "constants"),
+    "SpectrumParams": ("nu", "gamma", "metric", "theta0", "constants"),
     "ModeIndex": ("k", "s"),
     "PerturbedMode": ("index", "metric", "constants", "basis"),
     "ScalingStudy": ("wave_slope", "gauss_slope", "reports"),
