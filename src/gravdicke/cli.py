@@ -611,7 +611,15 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     # before the box, whose height a kernel too narrow for the grid can overflow
     g = cfg.spectrum.grid
     kz, q = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
-    height = e.box_heights * (params.gamma / (a * params.nu))  # decay lengths Gamma/(a nu)
+    decay_length = params.gamma / (a * params.nu)
+    height = e.box_heights * decay_length
+    if not math.isfinite(height):
+        raise PhysicsDomainError(
+            f"ensemble.box_heights = {e.box_heights!r} decay lengths gamma / (a nu) = "
+            f"{decay_length!r} ({_a_key(cfg.metric)}, spectrum.nu = {cfg.spectrum.nu!r}, "
+            f"spectrum.gamma = {cfg.spectrum.gamma!r}) overflow the box height: lower "
+            "ensemble.box_heights"
+        )
     box = Box(height)  # a cube: the Monte Carlo reads only heights
     # before any replica runs: the height guard that the Monte Carlo sum applies to
     # each atom, here on the box's z faces, so that a too tall box exits 3 ...

@@ -17,8 +17,9 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import PhysicsDomainError
-# unread here: bench/tracer.py rebinds the name, so it stays until the tracer goes
-from .metric import check_linearization
+# check_linearization is unread here: bench/tracer.py rebinds the name, so it stays
+# until the tracer goes
+from .metric import CheckedRecord, check_linearization
 
 __all__ = [
     "Box",
@@ -31,7 +32,7 @@ __all__ = [
 ]
 
 
-class Box(namedtuple("Box", "edge")):
+class Box(CheckedRecord, namedtuple("Box", "edge")):
     """Cube of a positive finite edge centred on the origin, where the metric is Minkowskian:
     every coordinate in it lies in [low, high] = [-edge / 2, edge / 2]."""
 

@@ -24,6 +24,7 @@ from .errors import LinearizationError, PhysicsDomainError
 
 __all__ = [
     "KZ_GUARD",
+    "CheckedRecord",
     "PhysicalConstants",
     "WeakFieldMetric",
     "surface_param_a",
@@ -36,7 +37,18 @@ __all__ = [
 KZ_GUARD = 1e-6
 
 
-class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar eps0")):
+class CheckedRecord:
+    """Base of a named-tuple record whose fields are exactly its constructor's arguments:
+    ``_make``, and so ``_replace``, build the record through the constructor's checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PhysicalConstants(CheckedRecord, namedtuple("PhysicalConstants", "c hbar eps0")):
     """Fundamental constants; fully overridable for scaled/natural-unit work."""
 
     __slots__ = ()
@@ -59,7 +71,7 @@ class PhysicalConstants(namedtuple("PhysicalConstants", "c hbar eps0")):
         return cls(c=1.0, hbar=1.0, eps0=1.0)
 
 
-class WeakFieldMetric(namedtuple("WeakFieldMetric", "a")):
+class WeakFieldMetric(CheckedRecord, namedtuple("WeakFieldMetric", "a")):
     """Linearized static metric g_00 = 1 + a z, g_zz = -(1 - a z).
 
     ``a`` is the gravity-gradient parameter (1/m).  The metric is exactly

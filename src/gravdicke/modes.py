@@ -23,7 +23,13 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import PhysicsDomainError
-from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric, check_linearization
+from .metric import (
+    KZ_GUARD,
+    CheckedRecord,
+    PhysicalConstants,
+    WeakFieldMetric,
+    check_linearization,
+)
 
 __all__ = [
     "ModeIndex",
@@ -50,7 +56,7 @@ def _cross(u, v) -> np.ndarray:
                      u[0] * v[1] - u[1] * v[0]])
 
 
-class ModeIndex(namedtuple("ModeIndex", "k s")):
+class ModeIndex(CheckedRecord, namedtuple("ModeIndex", "k s")):
     """Wavevector plus polarization label, with the grazing-mode guard baked in."""
 
     __slots__ = ()

@@ -8,8 +8,10 @@ module computes the k_z distribution
   with a hard cutoff at q = 0 and decay constant Gamma/(a nu),
 * by direct numerical quadrature of the height integral the kernel came from,
 * by Monte Carlo over explicit random atom ensembles, whose atom sum is taken
-  from each height cell's moments by local Taylor expansions about the cell
-  centres, with an a-priori bound on the truncation of each term,
+  by local Taylor expansions about the centres of height cells on a lattice
+  anchored at the origin, with an a-priori bound on the truncation of each
+  term: every batch of a replica adds its atoms' moments into the same cells,
+  and the cells are contracted against the grid once per replica,
 
 plus the closed-form spread measures and the flat-space structure factor.
 The closed forms take q itself, so that no kernel value carries the rounding
@@ -38,7 +40,13 @@ from .emission import (
     sample_ensemble,
 )
 from .errors import PhysicsDomainError, QuadratureError
-from .metric import KZ_GUARD, PhysicalConstants, WeakFieldMetric, check_linearization
+from .metric import (
+    KZ_GUARD,
+    CheckedRecord,
+    PhysicalConstants,
+    WeakFieldMetric,
+    check_linearization,
+)
 from .quadrature import gauss_legendre, panel_count
 
 # Weak-coupling guard on Gamma/nu.  The order-unity test regime runs at
@@ -70,7 +78,8 @@ __all__ = [
 ]
 
 
-class SpectrumParams(namedtuple("SpectrumParams", "nu gamma metric theta0 constants")):
+class SpectrumParams(CheckedRecord,
+                     namedtuple("SpectrumParams", "nu gamma metric theta0 constants")):
     """Emission geometry: atomic line, metric, absorbed photon's angle, unit regime.
 
     The absorbed wavevector is k0 = (nu / c) (sin theta0, 0, cos theta0): no
@@ -389,25 +398,79 @@ def _batch_work(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return spare[:3 * n].reshape(n, 3), work
 
 
-def _cell_half_width(kz: np.ndarray, omega: np.ndarray, params: SpectrumParams,
-                     span: float) -> tuple[float, float]:
+def _mode_frequency(kz: np.ndarray, params: SpectrumParams) -> np.ndarray:
+    """c |k| with k's transverse components pinned to k0's."""
+    kx, ky = params.k0[0], params.k0[1]
+    return params.constants.c * np.sqrt(kx * kx + ky * ky + kz * kz)
+
+
+def _cell_half_width(kz: np.ndarray, params: SpectrumParams, reach: float) -> tuple[float, float]:
     """(k_c, h): the grid's middle wavenumber and the widest cell half-width with
     |rho| h <= _CELL_RHO and |k_c - k_z| h <= _CELL_Q at every grid point.
 
-    h is at most the heights' span (1 for a single height, where any h serves).
+    h is at most the heights' reach max |z| (1 if every height is 0, where any h
+    serves).  Heights up to the reach must have a lattice index |z| / 2h under
+    2^52: past it a double keeps no fraction of a cell, and the offsets tau
+    within a cell would be lost.
     """
     lo, hi = float(kz.min()), float(kz.max())
     k_c = 0.5 * lo + 0.5 * hi
-    rho_max = params.metric.a * float(omega.max()) / params.gamma
+    rho_max = params.metric.a * float(_mode_frequency(kz, params).max()) / params.gamma
     q_max = max(k_c - lo, hi - k_c)
     h = min(_CELL_RHO / rho_max if rho_max > 0.0 else math.inf,
             _CELL_Q / q_max if q_max > 0.0 else math.inf,
-            span if span > 0.0 else 1.0)
-    if not (h > 0.0 and math.isfinite(span / h)):
+            reach if reach > 0.0 else 1.0)
+    if not (h > 0.0 and reach < 2.0**53 * h):
         raise PhysicsDomainError(
-            f"atom-sum cells of half-width {h!r} cannot resolve heights spanning {span!r}"
+            f"atom-sum cells of half-width {h!r} cannot resolve heights reaching {reach!r}"
         )
     return k_c, h
+
+
+class _Cells:
+    """Cell moments on the height lattice of centres 2 h m, keyed by the integer m.
+
+    ``keys`` holds the occupied cells' m in ascending order, as doubles, and
+    ``moments[p]`` their moments mu_p, in the first ``size`` of ``capacity``
+    columns.  The moments are sums over B_j = c_j w_j e^{-i k_c z_j} with the
+    c_j of a whole ensemble of ``n_atoms`` atoms: a batch of m of them adds the
+    moments of its own state weighted by sqrt(m / n_atoms) (see
+    :func:`replicated_mc_spectrum`).
+    """
+
+    def __init__(self, k_c: float, h: float, capacity: int, n_atoms: int) -> None:
+        self.k_c, self.h, self.n_atoms = k_c, h, n_atoms
+        self.keys = np.empty(capacity)
+        self.moments = np.empty((_TERMS, capacity), dtype=complex)
+        self.size = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.keys.size
+
+    def add(self, keys: np.ndarray, b: np.ndarray, tau: np.ndarray, starts: np.ndarray) -> None:
+        """Add the cells of a batch of m atoms in height order: its ascending keys, the
+        (2, m) real and imaginary parts b of its B_j (weighted and then overwritten in
+        place), their offsets tau and each cell's first atom.  A cell already held
+        sums the moments it held and the batch's, in that order."""
+        old, new = self.size, self.size + keys.size
+        self.keys[old:new] = keys
+        share = math.sqrt(b.shape[1] / self.n_atoms)
+        if share != 1.0:
+            b *= share
+        for p, row in enumerate(self.moments[:, old:new]):  # mu_p = sum of B_j tau_j^p
+            np.add.reduceat(b, starts, axis=1, out=row.view(float).reshape(-1, 2).T)
+            if p + 1 < _TERMS:
+                b *= tau
+        self.size = new
+        if old:
+            order = np.argsort(self.keys[:new], kind="stable")
+            merged = self.keys[:new][order]
+            runs = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+            for row in self.moments:
+                np.add.reduceat(row[:new][order], runs, out=row[:runs.size])
+            self.size = runs.size
+            self.keys[:runs.size] = merged[runs]
 
 
 def monte_carlo_spectrum(
@@ -418,7 +481,8 @@ def monte_carlo_spectrum(
     *,
     work: tuple[np.ndarray, np.ndarray] | None = None,
     stats: dict | None = None,
-) -> np.ndarray:
+    cells: _Cells | None = None,
+) -> np.ndarray | None:
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
 
     c_j are the state's ``amplitudes``, one per atom in the ensemble's order,
@@ -433,28 +497,39 @@ def monte_carlo_spectrum(
     c|k|.
 
     The sum is taken cell by cell (see TRUNCATION_BOUND).  One :func:`cis` per
-    atom at the grid's middle k_c gives B_j = c_j w_j e^{-i k_c z_j}.  The
-    heights are sorted and cut into cells of half-width h, and each occupied
-    cell m, of centre c_m, keeps the moments mu_p = sum_j B_j tau_j^p, p < P,
-    of its atoms' offsets tau_j = (z_j - c_m) / h.  Each grid point then
-    contracts every occupied cell's moments with the Taylor coefficients of
-    e^{i q h tau} / (1 - rho tau), nested as in Horner's rule, and the cell's
-    leading factor e^{i q c_m} / D(c_m): O(n P + K M P) work for n atoms, K
-    grid points and M <= n occupied cells, against O(n K) atom by atom.  Each
-    term is cut off within TRUNCATION_BOUND of its size.
+    atom at the grid's middle k_c gives B_j = c_j w_j e^{-i k_c z_j}.  The cells
+    have half-width h and lie on a lattice anchored at the origin, where the
+    metric is flat: cell m is centred at c_m = 2 h m and holds the heights with
+    m = rint(z / 2h).  The heights are sorted, and each occupied cell keeps the
+    moments mu_p = sum_j B_j tau_j^p, p < P, of its atoms' offsets tau_j =
+    (z_j - c_m) / h, taken as 2 (z_j / 2h - m): |tau_j| <= 1 exactly, for
+    heights moved by at most one rounding of z_j / 2h.
+    The contraction then takes every grid point against every occupied cell's
+    moments, with the Taylor coefficients of e^{i q h tau} / (1 - rho tau),
+    nested as in Horner's rule, and the cell's leading factor e^{i q c_m} /
+    D(c_m): O(n P + K M P) work for n atoms, K grid points and M <= n occupied
+    cells, against O(n K) atom by atom.  Each term is cut off within
+    TRUNCATION_BOUND of its size.
+
+    Without ``cells`` the call sums its own ensemble: k_c and h come from the
+    grid and the heights, and the contraction runs before it returns the sums.
+    With ``cells``, as :func:`replicated_mc_spectrum` hands it one batch of a
+    replica at a time, it takes their k_c and h, adds the batch's moments into
+    them and returns None: the caller contracts the cells once they hold every
+    batch it wants summed together.
 
     The atoms use working arrays of the ensemble's size: fresh ones, or the
     first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
-    _sum_work makes them for at least that many atoms.  The grid's arrays, of
-    at most ensemble.n entries per row at a time, reuse them.  ``amplitudes``
-    may be the first ensemble.n entries of the first complex row of ``work``:
-    the weights then multiply them in place.  The ensemble's positions may live
-    in the float view of the last two complex rows of ``work``: they are read
-    before those rows are first written.
-    :func:`replicated_mc_spectrum` hands it one batch of a replica at a time.
-    A ``stats`` dict gains the occupied cells in its "occupied_cells" entry.
-    The sum carries no error estimate: the spread over independent ensembles
-    gives that, see :func:`replicated_mc_spectrum`.
+    _sum_work makes them for at least that many atoms.  The contraction's
+    arrays, in blocks of at most one row's worth, reuse all of them.
+    ``amplitudes`` may be the first ensemble.n entries of the first complex row
+    of ``work``: the weights then multiply them in place.  The ensemble's
+    positions may live in the float view of the last two complex rows of
+    ``work``: they are read before those rows are first written.  A ``stats``
+    dict of a call without ``cells`` gains the occupied cells, one contraction
+    and its cells x grid points in its "occupied_cells", "contractions" and
+    "cell_kz" entries.  The sum carries no error estimate: the spread over
+    independent ensembles gives that, see :func:`replicated_mc_spectrum`.
     """
     params.require_directional()
     amplitudes = np.asarray(amplitudes, dtype=complex)
@@ -464,11 +539,10 @@ def monte_carlo_spectrum(
     if kz.ndim != 1 or kz.size == 0:
         raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
     n = ensemble.n
-    real, cplx = _sum_work(n) if work is None else work
+    work = _sum_work(n) if work is None else work
+    real, cplx = work
     z, u, zs = real[:, :n]
     amps, phased, moment_work = cplx[:, :n]
-    kx, ky = params.k0[0], params.k0[1]
-    c = params.constants.c
     a = params.metric.a
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
     # the positions are read: the last two complex rows are free
@@ -478,8 +552,10 @@ def monte_carlo_spectrum(
     weight = np.multiply(z, a, out=u)
     np.subtract(1.0, weight, out=weight)
     np.multiply(amplitudes, np.sqrt(weight, out=weight), out=amps)
-    omega = c * np.sqrt(kx * kx + ky * ky + kz * kz)
-    k_c, h = _cell_half_width(kz, omega, params, z_hi - z_lo)
+    if cells is None:
+        k_c, h = _cell_half_width(kz, params, max(-z_lo, z_hi))
+    else:
+        k_c, h = cells.k_c, cells.h
 
     # B_j in height order, its real and imaginary parts as two contiguous rows.
     # take's default mode would copy through a temporary of the batch's size
@@ -491,55 +567,59 @@ def monte_carlo_spectrum(
     np.take(phased.real, order, out=b[0], mode="clip")
     np.take(phased.imag, order, out=b[1], mode="clip")
 
-    # cells: runs of equal floor((z - z_lo) / 2h), each centred between its end atoms
-    cell = np.subtract(zs, z_lo, out=z)
-    cell /= 2.0 * h
-    np.floor(cell, out=cell)
+    # cells: runs of equal m = rint(z / 2h), exact below 2^52 (see _cell_half_width)
+    scaled = np.divide(zs, 2.0 * h, out=zs)
+    index = np.rint(scaled, out=z)
     starts = amps.view(np.bool_)[:n]
     starts[0] = True
-    np.not_equal(cell[1:], cell[:-1], out=starts[1:])
-    atom_cell = np.cumsum(starts, out=u.view(np.intp))  # counted from 1
+    np.not_equal(index[1:], index[:-1], out=starts[1:])
     starts = np.flatnonzero(starts)
-    centres = np.empty(starts.size + 1)
-    centres[0] = 0.0  # no atom's
-    centres[1:] = zs[starts]
-    centres[1:-1] += zs[starts[1:] - 1]
-    centres[-1] += zs[-1]
-    centres *= 0.5
-    tau = np.subtract(zs, np.take(centres, atom_cell, out=z, mode="clip"), out=zs)
-    tau /= h
-    centres = centres[1:]
+    tau = np.subtract(scaled, index, out=scaled)  # exact: |z / 2h - m| <= 1/2
+    tau *= 2.0
+    if cells is not None:
+        cells.add(index[starts], b, tau, starts)
+        return None
+    own = _Cells(k_c, h, starts.size, n)  # room for exactly its own cells
+    own.add(index[starts], b, tau, starts)
+    return _contract(own, kz, params, work, stats)
 
-    # mu[p, m] = sum over cell m of B_j tau_j^p
-    mu = np.empty((_TERMS, centres.size), dtype=complex)
-    for p, row in enumerate(mu.view(float).reshape(_TERMS, -1, 2)):
-        np.add.reduceat(b, starts, axis=1, out=row.T)
-        if p + 1 < _TERMS:
-            b *= tau
+
+def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
+              work: tuple[np.ndarray, np.ndarray], stats: dict | None) -> np.ndarray:
+    """Every grid point's sum over the occupied cells' expansions; the cells are left empty.
+
+    Blocks of grid points take at most one row of ``work`` per array.  A
+    ``stats`` dict adds the cells to "occupied_cells", one to "contractions" and
+    the cells x grid points to "cell_kz".
+    """
+    n_cells, h = cells.size, cells.h
+    mu = cells.moments[:, :n_cells]
+    centres = cells.keys[:n_cells] * (2.0 * h)
+    a = params.metric.a
+    omega = _mode_frequency(kz, params)
 
     # D(c_m) = x + i Gamma/2 with x = (omega - nu) - slope c_m.  Each grid point
-    # divides D by a scale s >= Gamma/2 and >= |x| / 2 for every atom, so u = x / s
-    # and g = Gamma / (2 s) are at most 2 and 1 (a centre lies between two atoms):
-    # u^2 + g^2 cannot overflow, and it underflows only for a grid some 1e154
-    # linewidths wide
+    # divides D by a scale s >= Gamma/2, >= |omega - nu| and >= slope |c_m| for every
+    # centre, so u = x / s and g = Gamma / (2 s) are at most 2 and 1: u^2 + g^2 cannot
+    # overflow, and it underflows only for a grid some 1e154 linewidths wide
     detuning = omega - params.nu
     slope = 0.5 * a * omega
-    height_max = max(abs(z_lo), abs(z_hi))
-    scale = np.maximum(np.maximum(np.abs(detuning), slope * height_max), 0.5 * params.gamma)
+    scale = np.maximum(np.maximum(np.abs(detuning), slope * float(np.max(np.abs(centres)))),
+                       0.5 * params.gamma)
     detuning /= scale
     slope /= scale
     g = 0.5 * params.gamma / scale
     g_sq, neg_g = g * g, -g
     rho_scale = slope * h                       # rho = slope h / D
-    q = k_c - kz
+    q = cells.k_c - kz
     # the nested exponential series' factors i q h / (l + 1), l < P - 1
     nest = (1j * h / np.arange(1.0, _TERMS))[:, None] * q
 
-    # grid points in blocks of at most n cells' worth, in the workspace: three
+    # grid points in blocks of at most a row's worth of cells, in the workspace: three
     # complex rows, a fourth from the first two real rows, 1/D's denominator in
     # that fourth's place until it is needed, and the third real row
-    n_cells = centres.size
-    block = max(1, n // n_cells)
+    real, cplx = work
+    block = max(1, real.shape[1] // n_cells)
     pair = real[:2].reshape(-1)
     sums = np.empty(kz.size, dtype=complex)
     for k0 in range(0, kz.size, block):
@@ -570,8 +650,11 @@ def monte_carlo_spectrum(
         nested *= rho
         np.add.reduce(nested, axis=1, out=sums[ks])
 
+    cells.size = 0
     if stats is not None:
-        stats["occupied_cells"] = stats.get("occupied_cells", 0) + n_cells
+        for key, count in (("occupied_cells", n_cells), ("contractions", 1),
+                           ("cell_kz", n_cells * kz.size)):
+            stats[key] = stats.get(key, 0) + count
     return sums / scale
 
 
@@ -614,51 +697,76 @@ def replicated_mc_spectrum(
     ensemble_stream((base_seed, r)), in consecutive batches of at most
     _BATCH_ATOMS: the batches are the atoms one draw of n_atoms would give (see
     :func:`gravdicke.emission.sample_ensemble`), and no more than one batch is
-    held at a time.  Each batch of m atoms gets its own timed Dicke state and
-    atom sum, weighted by sqrt(m / n_atoms) and added in batch order.  That is
-    the whole ensemble's sum: its state e^{i k0z z_j} / sqrt(N), restricted to
-    the batch, is sqrt(m / N) times the batch's own state e^{i k0z z_j} / sqrt(m).
-    The two differ only in rounding, since each state is normalized by its
-    computed norm, and |cis| is 1 to about 3e-16.  Every batch a thread runs,
-    in all of its replicas, is drawn, phased, weighted and summed in that
-    thread's one workspace of batch-sized arrays (see _batch_work), passed
-    down as out= and work= buffers; the values are those the allocating calls
-    give, bit for bit.  Returns (mean, stderr, probability): the replicas' mean
+    held at a time.  Each batch of m atoms gets its own timed Dicke state, and
+    its cell moments, weighted by sqrt(m / n_atoms), are added into the
+    replica's cells.  That is the whole ensemble's sum: its state e^{i k0z z_j}
+    / sqrt(N), restricted to the batch, is sqrt(m / N) times the batch's own
+    state e^{i k0z z_j} / sqrt(m).  The two differ only in rounding, since each
+    state is normalized by its computed norm, and |cis| is 1 to about 3e-16.
+
+    Every batch has the same cells, on the lattice of :func:`monte_carlo_spectrum`
+    with k_c and h from the grid and the box, so the batches' moments add
+    before any grid point is touched, and the contraction against the grid
+    runs once per replica, after its last batch.  A thread has room for twice
+    the box's lattice points, or for one cell per atom of a batch if that is
+    fewer.  The contraction runs early, before a batch, when the cells held
+    plus those the batch may add (no more than its atoms, nor than the box's
+    lattice points) could outgrow that room: on a grid wide enough, or a line
+    narrow enough, for the box to hold more lattice points than a batch has
+    atoms, that is before every batch but the first.
+
+    Every batch a thread runs, in all of its replicas, is drawn, phased,
+    weighted and summed in that thread's one workspace of batch-sized arrays
+    (see _batch_work), passed down as out= and work= buffers, and its cells
+    live there too; the values are those the allocating calls give, bit for
+    bit.  Returns (mean, stderr, probability): the replicas' mean
     amplitude, its replica-to-replica standard error, and the replicas' mean
-    |amplitude|^2.  A ``stats`` dict receives the atom sums' occupied cells,
-    summed over batches and replicas ("occupied_cells"), their Taylor order
-    ("order") and the bound on each term's truncation relative to the term
-    ("truncation_bound"; see TRUNCATION_BOUND).
+    |amplitude|^2.  A ``stats`` dict receives, summed over replicas, the
+    contractions ("contractions"), the occupied cells they took
+    ("occupied_cells") and their cells x grid points ("cell_kz"), with the
+    Taylor order ("order") and the bound on each term's truncation relative to
+    the term ("truncation_bound"; see TRUNCATION_BOUND).
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
     kz = np.asarray(kz_grid, dtype=float)
+    k_c, h = _cell_half_width(kz, params, box.high)
+    # no batch occupies more cells than it has atoms, nor than the box has lattice
+    # points |m| <= rint(box.high / 2h): room for twice the latter holds a replica's
+    # cells and the next batch's
+    lattice = 2 * round(box.high / (2.0 * h)) + 1
     local = threading.local()  # each thread's workspace, made for its first replica
-    cells = []  # each replica's occupied cells
+    counts = []  # each replica's contraction counts
 
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
-            local.work = _batch_work(min(_BATCH_ATOMS, n_atoms))
-        positions, sum_work = local.work
+            width = min(_BATCH_ATOMS, n_atoms)
+            local.work = (_batch_work(width),
+                          _Cells(k_c, h, min(width, 2 * lattice), n_atoms))
+        (positions, sum_work), cells = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
-        counts = {}
+        tally = {}
         for start in range(0, n_atoms, _BATCH_ATOMS):
             m = min(_BATCH_ATOMS, n_atoms - start)
+            if cells.size + min(m, lattice) > cells.capacity:
+                total += _contract(cells, kz, params, sum_work, tally)
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
             ens = sample_ensemble(m, box, rng, out=positions[:m])
             # the state is built in the sum's first rows, which the sum weights in place
             amps = curved_timed_dicke(ens, params.k0z, out=sum_work[1][0, :m],
                                       work=sum_work[0][0, :m])
-            total += math.sqrt(m / n_atoms) * monte_carlo_spectrum(ens, amps, kz, params,
-                                                                   work=sum_work, stats=counts)
-        cells.append(counts["occupied_cells"])
+            monte_carlo_spectrum(ens, amps, kz, params, work=sum_work, cells=cells)
+        total += _contract(cells, kz, params, sum_work, tally)
+        counts.append(tally)
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
     if stats is not None:
-        stats.update(occupied_cells=sum(cells), order=_TERMS, truncation_bound=TRUNCATION_BOUND)
+        stats.update({key: sum(tally[key] for tally in counts)
+                      for key in ("occupied_cells", "contractions", "cell_kz")},
+                     order=_TERMS, truncation_bound=TRUNCATION_BOUND)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mean_amp, amp_stderr = mean_stderr(reps)
         probability = (np.abs(reps) ** 2).mean(axis=0)

@@ -366,8 +366,11 @@ class TestDeterminism:
         out = tmp_path / "cells"
         assert main(["--config", cfg, "--output", str(out)]) == 0
         replicas = json.loads((out / "metadata.json").read_text())["stages"]["replicas"]
-        # at least one occupied cell per batch, at most one per atom
+        # one batch per replica and one contraction per replica, of at least one occupied
+        # cell and at most one per atom, taken against each of the 21 grid points
+        assert replicas["contractions"] == 4
         assert 4 <= replicas["occupied_cells"] <= 2000 * 4
+        assert replicas["cell_kz"] == replicas["occupied_cells"] * 21
         assert replicas["order"] == gravdicke.spectrum._TERMS
         assert replicas["truncation_bound"] == gravdicke.spectrum.TRUNCATION_BOUND < 2e-13
 
@@ -529,6 +532,7 @@ class TestBadInputExitCodes:
         ({"scenario": "curved-spectrum", "tolerances": {"quadrature": 1e-9}}, 2),
         ({"scenario": "verify-modes", "verify": {"min_kz_fraction": 0.1}}, 2),
         ({"scenario": "delta-limit", "delta": {"grid_points": 3}}, 2),
+        ({"scenario": "curved-spectrum", "ensemble": {"box_heights": 1e308}}, 3),
     ], ids=["no-offpeak-probes", "no-halvings", "one-replica", "one-a-value",
             "repeated-a-value", "threads-not-int", "nan-a", "infinite-nu",
             "negative-seed", "null-nu", "removed-key-probes-u", "string-a", "float-n-atoms",
@@ -546,11 +550,23 @@ class TestBadInputExitCodes:
             "underflowing-k0-norm",
             "flat-dicke-infinite-nu", "flat-dicke-zero-nu", "flat-dicke-negative-nu",
             "flat-dicke-underflowing-k0-norm", "removed-key-z0", "removed-key-quadrature",
-            "removed-key-min-kz-fraction", "one-delta-offset-below-k0z"])
+            "removed-key-min-kz-fraction", "one-delta-offset-below-k0z",
+            "overflowing-box-heights"])
     def test_exit_code_and_one_line_message(self, tmp_path, capsys, payload, code):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
         self.assert_one_line(capsys)
+
+    @pytest.mark.parametrize("metric, key", [({"a": 1e-3}, "metric.a"), ({"g": 0.5e-3}, "metric.g")])
+    def test_box_height_overflow_names_its_keys(self, tmp_path, capsys, metric, key):
+        # the box height is box_heights decay lengths gamma / (a nu): every key that
+        # feeds the product is named, a's by whichever key set it
+        cfg = write_config(tmp_path, {"scenario": "curved-spectrum", "metric": metric,
+                                      "ensemble": {"box_heights": 1e308}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        for name in ("ensemble.box_heights", key, "spectrum.nu", "spectrum.gamma"):
+            assert name in message, name
 
     @pytest.mark.parametrize("text, key", [
         ('{"scenario": "spreads", "metric": {"a": 1e-3, "a": 2e-3}}', "'a'"),
@@ -978,6 +994,8 @@ class TestRouteIndependence:
         "errors.LinearizationError": (GUARDED, "raised by the linearization guard"),
         "errors.QuadratureError": (AREA, "raised by the Gauss-Legendre rule's panel cap"),
         "metric.PhysicalConstants": (ALL, "a record of input constants"),
+        "metric.CheckedRecord": (ALL, "the records' base, whose _make and _replace go through "
+                                 "each record's own constructor"),
         "metric.WeakFieldMetric": (ALL, "a record of the input metric parameters"),
         "metric.KZ_GUARD": (ALL, "the grazing-angle guard of SpectrumParams and of the modes"),
         "metric.check_linearization": (GUARDED, "an input guard on |a dz| < 1, no route's algebra"),

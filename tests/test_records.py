@@ -5,6 +5,7 @@ import pytest
 
 from gravdicke import cli, emission, maxwell, metric, modes, spectrum
 from gravdicke.emission import Box, Ensemble
+from gravdicke.errors import PhysicsDomainError
 from gravdicke.maxwell import residual_slope_study, transversality_check
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
 from gravdicke.modes import ModeIndex, PerturbedMode, flat_polarization_basis
@@ -97,3 +98,32 @@ def test_fields_cannot_be_assigned(records, name):
             setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):  # nor can a new attribute be added
         record.extra = None
+
+
+# the records whose fields are exactly their constructor's arguments; PerturbedMode derives
+# its basis, and Ensemble checks against a box it does not keep
+CHECKED = ("PhysicalConstants", "WeakFieldMetric", "Box", "SpectrumParams", "ModeIndex")
+
+
+@pytest.mark.parametrize("record, change", [
+    (PhysicalConstants.scaled(), {"c": 0.0}),
+    (WeakFieldMetric(a=1e-3), {"a": -1.0}),
+    (Box(1.0), {"edge": float("nan")}),
+    (SpectrumParams(1.0, 1e-2, WeakFieldMetric(a=1e-3), 0.5, PhysicalConstants.scaled()),
+     {"gamma": -1.0}),
+    (ModeIndex((0.3, 0.2, 1.0), 2), {"s": 3}),
+], ids=CHECKED)
+def test_replace_runs_the_constructor_checks(record, change):
+    with pytest.raises(PhysicsDomainError):
+        record._replace(**change)
+    with pytest.raises(PhysicsDomainError):
+        type(record)._make({**record._asdict(), **change}.values())
+    # an unchanged record comes back equal, through the same checks
+    same = record._replace()
+    assert type(same) is type(record)
+    assert all(np.array_equal(x, y) for x, y in zip(same, record))
+
+
+def test_checked_records_are_listed():
+    assert {cls.__name__ for cls in record_classes()
+            if issubclass(cls, metric.CheckedRecord)} == set(CHECKED)

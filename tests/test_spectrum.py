@@ -522,7 +522,8 @@ class TestCellExpansion(RecurrenceCase):
         self.assert_matches(p, kz, 1600, 60.0 * decay_length(p))
 
     def test_stats_count_occupied_cells(self):
-        # a replica of one batch is summed as its whole ensemble is
+        # a replica of one batch is summed as its whole ensemble is: one contraction
+        # each, over the same cells.  The counts sum over contractions and replicas
         p = self.params
         kz = self.grid("uniform")
         stats = {}
@@ -532,9 +533,12 @@ class TestCellExpansion(RecurrenceCase):
             ens = sample_ensemble(1000, self.box, (61, r))
             counts = {}
             monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p, stats=counts)
+            assert counts == {"occupied_cells": counts["occupied_cells"], "contractions": 1,
+                              "cell_kz": counts["occupied_cells"] * kz.size}
             cells += counts["occupied_cells"]
         assert 2 <= cells <= 2000
-        assert stats == {"occupied_cells": cells, "order": spectrum._TERMS,
+        assert stats == {"occupied_cells": cells, "contractions": 2, "cell_kz": cells * kz.size,
+                         "order": spectrum._TERMS,
                          "truncation_bound": spectrum.TRUNCATION_BOUND}
 
     def test_truncation_bound(self):
@@ -613,6 +617,73 @@ class TestBatchComposition(RecurrenceCase):
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 8 * self.B
+
+
+class TestReplicaContraction(RecurrenceCase):
+    """A replica's batches add into one set of cells on the origin lattice, contracted once
+    per replica unless the cells would outgrow the thread's room for them."""
+
+    B = 400  # stands in for _BATCH_ATOMS
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_BATCH_ATOMS", self.B)
+
+    def assert_matches_whole_ensembles(self, kz, n_atoms, box, contractions):
+        p = self.params
+        stats = {}
+        got, _, _ = replicated_mc_spectrum(p, kz, n_atoms, box, 2, 61, stats=stats)
+        assert stats["contractions"] == contractions
+        assert stats["cell_kz"] == stats["occupied_cells"] * kz.size
+        sums = [brute_force_atom_sum(sample_ensemble(n_atoms, box, (61, r)), kz, p)
+                for r in range(2)]
+        mean = np.mean(sums, axis=0)
+        assert np.max(np.abs(got - mean)) <= 1e-12 * np.max(np.abs(mean))
+
+    @pytest.mark.parametrize("heights", [10.0, 25.0])
+    def test_one_contraction_per_replica(self, heights):
+        # about 60 and 150 cells across the box: every batch of the first fills every
+        # cell, while in the second each batch leaves some empty and a later one fills them
+        box = Box(heights * decay_length(self.params))
+        self.assert_matches_whole_ensembles(self.grid("uniform"), 5 * self.B // 2, box, 2)
+
+    def test_wide_grid_contracts_every_batch(self):
+        # |q| up to 50 decay constants: some 3 000 lattice points across the box, more
+        # than a batch has atoms, so the cells are contracted before each further batch
+        kz = self.params.k0z + self.dk * np.linspace(-50.0, 50.0, 41)
+        self.assert_matches_whole_ensembles(kz, 5 * self.B // 2, self.box, 2 * 3)
+
+    def test_wide_grid_memory_does_not_grow_with_atoms(self):
+        # as TestBatchComposition's memory test, with a contraction before every batch
+        p = self.params
+        kz = self.params.k0z + self.dk * np.linspace(-50.0, 50.0, 41)
+        replicated_mc_spectrum(p, kz, self.B, self.box, 2, 7)  # a first call's one-off allocations
+        peaks = []
+        for n_batches in (4, 8):
+            stats = {}
+            tracemalloc.start()
+            try:
+                replicated_mc_spectrum(p, kz, n_batches * self.B, self.box, 2, 7, stats=stats)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stats["contractions"] == 2 * n_batches
+        assert peaks[1] <= peaks[0] + 8 * self.B
+
+    def test_lattice_index_beyond_2_52_is_a_domain_error(self):
+        # gamma = 1e-17 makes cells about 1e-15 wide: heights near 10 would take a lattice
+        # index above 2^52, where doubles no longer hold every half-integer
+        p = make_params(gamma=1e-17)
+        box = Box(20.0)
+        ens = Ensemble([[0.0, 0.0, 9.9]], box)
+        kz = np.array([p.k0z])
+        with pytest.raises(PhysicsDomainError, match="cannot resolve"):
+            monte_carlo_spectrum(ens, np.ones(1, dtype=complex), kz, p)
+        with pytest.raises(PhysicsDomainError, match="cannot resolve"):
+            replicated_mc_spectrum(p, kz, 10, box, 2, 3)
+        # heights within 2^52 cells of the origin are resolved
+        near = Ensemble([[0.0, 0.0, 1.0]], box)
+        assert np.isfinite(monte_carlo_spectrum(near, np.ones(1, dtype=complex), kz, p)).all()
 
 
 class TestReplicaWorkspace(RecurrenceCase):
