@@ -73,6 +73,12 @@ class Ensemble(namedtuple("Ensemble", "positions")):
             raise PhysicsDomainError("all atoms must lie inside the box")
         return super().__new__(cls, pos)
 
+    @classmethod
+    def _make(cls, iterable):
+        # and so _replace: a record built from fields would skip the box check
+        raise PhysicsDomainError("an Ensemble is checked against a box it does not keep: "
+                                 "build a changed one with Ensemble(positions, box)")
+
     @property
     def n(self) -> int:
         return self.positions.shape[0]
@@ -164,7 +170,9 @@ def curved_timed_dicke(ensemble: Ensemble, k0z: float, *, out: np.ndarray | None
     float array of as many).  Each left out is allocated.  The phases are flat
     at any a: the metric enters through the atom sum's volume weights and its
     linearization guard (see :func:`gravdicke.spectrum.monte_carlo_spectrum`).
-    The phasors come from :func:`cis`.
+    The phasors come from :func:`cis`.  Given k0z - k_c in place of k0z, it
+    returns the state in the frame of a wavenumber k_c, c_j e^{-i k_c z_j} up
+    to rounding, as the Monte Carlo replicas build it.
     """
     theta = np.multiply(ensemble.positions[:, 2], k0z, out=work)
     raw = cis(theta, out=out, work=theta)

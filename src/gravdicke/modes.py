@@ -117,6 +117,12 @@ class PerturbedMode(namedtuple("PerturbedMode", "index metric constants basis"))
                                      f"{index.knorm!r} is not finite")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # and so _replace: a record built from fields would take a basis of its own
+        raise PhysicsDomainError("a PerturbedMode derives its basis from index.k: build a "
+                                 "changed one with PerturbedMode(index, metric, constants)")
+
     @property
     def k(self) -> np.ndarray:
         return self.index.k

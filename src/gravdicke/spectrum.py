@@ -10,8 +10,9 @@ module computes the k_z distribution
 * by Monte Carlo over explicit random atom ensembles, whose atom sum is taken
   by local Taylor expansions about the centres of height cells on a lattice
   anchored at the origin, with an a-priori bound on the truncation of each
-  term: every batch of a replica adds its atoms' moments into the same cells,
-  and the cells are contracted against the grid once per replica,
+  term: every batch of a replica builds its state in the cells' frame, groups
+  its atoms by their integer cell keys, and adds their moments into the same
+  cells, and the cells are contracted against the grid once per replica,
 
 plus the closed-form spread measures and the flat-space structure factor.
 The closed forms take q itself, so that no kernel value carries the rounding
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from collections import namedtuple
 
 import numpy as np
@@ -449,12 +451,12 @@ class _Cells:
         return self.keys.size
 
     def add(self, keys: np.ndarray, b: np.ndarray, tau: np.ndarray, starts: np.ndarray) -> None:
-        """Add the cells of a batch of m atoms in height order: its ascending keys, the
-        (2, m) real and imaginary parts b of its B_j (weighted and then overwritten in
-        place), their offsets tau and each cell's first atom.  A cell already held
-        sums the moments it held and the batch's, in that order."""
+        """Add the cells of a batch of m atoms grouped cell by cell: its ascending keys,
+        the (2, m) real and imaginary parts b of its B_j (weighted and then overwritten
+        in place), their offsets tau and each cell's first atom.  A cell already held
+        sums the moments it held and the batch's, in that order; a new cell takes its
+        place among the held ones, which move up past it."""
         old, new = self.size, self.size + keys.size
-        self.keys[old:new] = keys
         share = math.sqrt(b.shape[1] / self.n_atoms)
         if share != 1.0:
             b *= share
@@ -462,15 +464,29 @@ class _Cells:
             np.add.reduceat(b, starts, axis=1, out=row.view(float).reshape(-1, 2).T)
             if p + 1 < _TERMS:
                 b *= tau
-        self.size = new
-        if old:
-            order = np.argsort(self.keys[:new], kind="stable")
-            merged = self.keys[:new][order]
-            runs = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-            for row in self.moments:
-                np.add.reduceat(row[:new][order], runs, out=row[:runs.size])
-            self.size = runs.size
-            self.keys[:runs.size] = merged[runs]
+        if not old:  # nothing held: the batch's cells, in key order, are the cells
+            self.keys[:new] = keys
+            self.size = new
+            return
+        # each batch cell's place among the held ones, at most old < capacity (no batch
+        # is added unless old + keys.size <= capacity), so it indexes the arrays
+        at = np.searchsorted(self.keys[:old], keys)
+        fresh = (at == old) | (self.keys[at] != keys)
+        held, added = np.flatnonzero(~fresh), np.flatnonzero(fresh)
+        into = at[held]
+        # a held cell moves up past the new cells below it: none below the first new one
+        first = int(at[added].min(initial=old))
+        moved = np.arange(first, old) + np.searchsorted(keys[added], self.keys[first:old])
+        place = at[added] + np.arange(added.size)
+        for row in self.moments:  # a row at a time: each copy below takes one row's cells
+            batch = row[old:new]
+            row[into] += batch[held]
+            cells = batch[added]  # before the moves overwrite the batch's columns
+            row[moved] = row[first:old]
+            row[place] = cells
+        self.keys[moved] = self.keys[first:old]
+        self.keys[place] = keys[added]
+        self.size = old + added.size
 
 
 def monte_carlo_spectrum(
@@ -486,7 +502,8 @@ def monte_carlo_spectrum(
     """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
 
     c_j are the state's ``amplitudes``, one per atom in the ensemble's order,
-    as :func:`gravdicke.emission.curved_timed_dicke` returns them.  The model
+    as :func:`gravdicke.emission.curved_timed_dicke` returns them (in the
+    cells' frame when ``cells`` is given: see below).  The model
     is the first-order one, both of its parts stated here: D_j is the detuning
     denominator with the mode frequency shifted to the atom's height, and w_j =
     sqrt(1 - a z_j) is the curved volume element, an importance weight on the
@@ -496,12 +513,15 @@ def monte_carlo_spectrum(
     state's atom by atom: they are never formed, and k_x and k_y enter only
     c|k|.
 
-    The sum is taken cell by cell (see TRUNCATION_BOUND).  One :func:`cis` per
-    atom at the grid's middle k_c gives B_j = c_j w_j e^{-i k_c z_j}.  The cells
-    have half-width h and lie on a lattice anchored at the origin, where the
-    metric is flat: cell m is centred at c_m = 2 h m and holds the heights with
-    m = rint(z / 2h).  The heights are sorted, and each occupied cell keeps the
-    moments mu_p = sum_j B_j tau_j^p, p < P, of its atoms' offsets tau_j =
+    The sum is taken cell by cell (see TRUNCATION_BOUND), in the frame of the
+    cells' wavenumber k_c, the grid's middle: it sums B_j = c_j w_j e^{-i k_c
+    z_j}.  The cells have half-width h and lie on a lattice anchored at the
+    origin, where the metric is flat: cell m is centred at c_m = 2 h m and
+    holds the heights with m = rint(z / 2h).  The atoms are grouped by the
+    integer key m - min m, in the narrowest unsigned type that holds the span,
+    with one stable argsort (a radix sort for a span under 65 536 lattice
+    steps), so the atoms of a cell keep their order.  Each occupied cell keeps
+    the moments mu_p = sum_j B_j tau_j^p, p < P, of its atoms' offsets tau_j =
     (z_j - c_m) / h, taken as 2 (z_j / 2h - m): |tau_j| <= 1 exactly, for
     heights moved by at most one rounding of z_j / 2h.
     The contraction then takes every grid point against every occupied cell's
@@ -512,11 +532,15 @@ def monte_carlo_spectrum(
     TRUNCATION_BOUND of its size.
 
     Without ``cells`` the call sums its own ensemble: k_c and h come from the
-    grid and the heights, and the contraction runs before it returns the sums.
-    With ``cells``, as :func:`replicated_mc_spectrum` hands it one batch of a
-    replica at a time, it takes their k_c and h, adds the batch's moments into
-    them and returns None: the caller contracts the cells once they hold every
-    batch it wants summed together.
+    grid and the heights, the ``amplitudes`` are the lab-frame c_j, and one
+    :func:`cis` per atom takes them into the cells' frame.  The contraction runs
+    before it returns the sums.  With ``cells``, as :func:`replicated_mc_spectrum`
+    hands it one batch of a replica at a time, it takes their k_c and h, and the
+    ``amplitudes`` must already be in their frame, c_j e^{-i k_c z_j}, as
+    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them: B_j is then
+    amplitude_j w_j, and the call forms no phasor.  It adds the batch's moments
+    into the cells and returns None: the caller contracts the cells once they
+    hold every batch it wants summed together.
 
     The atoms use working arrays of the ensemble's size: fresh ones, or the
     first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
@@ -541,46 +565,56 @@ def monte_carlo_spectrum(
     n = ensemble.n
     work = _sum_work(n) if work is None else work
     real, cplx = work
-    z, u, zs = real[:, :n]
-    amps, phased, moment_work = cplx[:, :n]
+    z, u, tau = real[:, :n]
+    b, spare, moment_work = cplx[:, :n]
     a = params.metric.a
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
     # the positions are read: the last two complex rows are free
     z_lo, z_hi = float(z.min()), float(z.max())
     check_linearization(a, (z_lo, z_hi))
-    # the volume weight w = sqrt(1 - a z), in the real row cis fills next
+    # B_j = c_j w_j, with the volume weight w = sqrt(1 - a z) ...
     weight = np.multiply(z, a, out=u)
     np.subtract(1.0, weight, out=weight)
-    np.multiply(amplitudes, np.sqrt(weight, out=weight), out=amps)
+    np.multiply(amplitudes, np.sqrt(weight, out=weight), out=b)
     if cells is None:
         k_c, h = _cell_half_width(kz, params, max(-z_lo, z_hi))
+        b *= cis(np.multiply(z, -k_c, out=u), out=spare, work=u)  # ... in the cells' frame
     else:
         k_c, h = cells.k_c, cells.h
 
-    # B_j in height order, its real and imaginary parts as two contiguous rows.
-    # take's default mode would copy through a temporary of the batch's size
-    order = np.argsort(z)
-    cis(np.multiply(z, -k_c, out=u), out=phased, work=u)
-    phased *= amps
-    np.take(z, order, out=zs, mode="clip")
-    b = moment_work.view(float).reshape(2, n)
-    np.take(phased.real, order, out=b[0], mode="clip")
-    np.take(phased.imag, order, out=b[1], mode="clip")
-
-    # cells: runs of equal m = rint(z / 2h), exact below 2^52 (see _cell_half_width)
-    scaled = np.divide(zs, 2.0 * h, out=zs)
-    index = np.rint(scaled, out=z)
-    starts = amps.view(np.bool_)[:n]
-    starts[0] = True
-    np.not_equal(index[1:], index[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    tau = np.subtract(scaled, index, out=scaled)  # exact: |z / 2h - m| <= 1/2
+    # each atom's cell m = rint(z / 2h), exact below 2^52 (see _cell_half_width), and
+    # its offset tau = 2 (z / 2h - m), exact since |z / 2h - m| <= 1/2
+    scaled = np.divide(z, 2.0 * h, out=tau)
+    index = np.rint(scaled, out=u)
+    np.subtract(scaled, index, out=tau)
     tau *= 2.0
+    # the atoms grouped by the key m - min m, stored in the narrowest unsigned type
+    # that holds the batch's span, in the first half of the free complex row: numpy's
+    # stable argsort of 8- and 16-bit keys is a radix sort, and a cell's atoms keep
+    # their order.  The keys in that order go to the row's second half, the run
+    # flags to the real row of m, tau to the real row of z, and B's real and
+    # imaginary parts to two contiguous rows; take's default mode would copy
+    # through a temporary of the batch's size
+    low = float(index.min())
+    key_type = np.min_scalar_type(int(float(index.max()) - low))
+    keys, grouped = spare.view(key_type).reshape(2, -1)[:, :n]
+    np.subtract(index, low, out=keys, casting="unsafe")
+    order = np.argsort(keys, kind="stable")
+    np.take(keys, order, out=grouped, mode="clip")
+    flags = u.view(np.bool_)[:n]
+    flags[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=flags[1:])
+    starts = np.flatnonzero(flags)
+    np.take(tau, order, out=z, mode="clip")
+    moments = moment_work.view(float).reshape(2, n)
+    np.take(b.real, order, out=moments[0], mode="clip")
+    np.take(b.imag, order, out=moments[1], mode="clip")
+    cell_keys = grouped[starts] + low  # each cell's m, as a double
     if cells is not None:
-        cells.add(index[starts], b, tau, starts)
+        cells.add(cell_keys, moments, z, starts)
         return None
     own = _Cells(k_c, h, starts.size, n)  # room for exactly its own cells
-    own.add(index[starts], b, tau, starts)
+    own.add(cell_keys, moments, z, starts)
     return _contract(own, kz, params, work, stats)
 
 
@@ -680,6 +714,18 @@ def mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / n)
 
 
+# the wall time of each part of a replica, in seconds summed over batches and replicas
+_STAGE_TIMES = ("sampling_s", "timed_dicke_s", "mc_sum_s", "contraction_s")
+
+
+def _timed(tally: dict, key: str, call, *args, **kwargs):
+    """call(*args, **kwargs), its wall time added to tally[key]."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    tally[key] += time.perf_counter() - start
+    return result
+
+
 def replicated_mc_spectrum(
     params: SpectrumParams,
     kz_grid,
@@ -703,6 +749,12 @@ def replicated_mc_spectrum(
     / sqrt(N), restricted to the batch, is sqrt(m / N) times the batch's own
     state e^{i k0z z_j} / sqrt(m).  The two differ only in rounding, since each
     state is normalized by its computed norm, and |cis| is 1 to about 3e-16.
+    The state is built in the cells' frame, curved_timed_dicke(batch, k0z -
+    k_c) = e^{i (k0z - k_c) z_j} / sqrt(m), which is what
+    :func:`monte_carlo_spectrum` takes with ``cells``: each atom gets one
+    phasor, whose phase is the small difference left once the sum's own e^{-i
+    k_c z_j} cancels most of k0z, the cancellation that makes a timed Dicke
+    state emit along k0.
 
     Every batch has the same cells, on the lattice of :func:`monte_carlo_spectrum`
     with k_c and h from the grid and the box, so the batches' moments add
@@ -725,7 +777,10 @@ def replicated_mc_spectrum(
     contractions ("contractions"), the occupied cells they took
     ("occupied_cells") and their cells x grid points ("cell_kz"), with the
     Taylor order ("order") and the bound on each term's truncation relative to
-    the term ("truncation_bound"; see TRUNCATION_BOUND).
+    the term ("truncation_bound"; see TRUNCATION_BOUND), and the wall time in
+    seconds, summed over batches, replicas and threads, of the draws
+    ("sampling_s"), the states ("timed_dicke_s"), the batches' moments
+    ("mc_sum_s") and the contractions ("contraction_s").
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
@@ -736,7 +791,7 @@ def replicated_mc_spectrum(
     # cells and the next batch's
     lattice = 2 * round(box.high / (2.0 * h)) + 1
     local = threading.local()  # each thread's workspace, made for its first replica
-    counts = []  # each replica's contraction counts
+    counts = []  # each replica's contraction counts and times
 
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
@@ -746,26 +801,29 @@ def replicated_mc_spectrum(
         (positions, sum_work), cells = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
-        tally = {}
+        tally = dict.fromkeys(_STAGE_TIMES, 0.0)
         for start in range(0, n_atoms, _BATCH_ATOMS):
             m = min(_BATCH_ATOMS, n_atoms - start)
             if cells.size + min(m, lattice) > cells.capacity:
-                total += _contract(cells, kz, params, sum_work, tally)
+                total += _timed(tally, "contraction_s", _contract, cells, kz, params, sum_work,
+                                tally)
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
-            ens = sample_ensemble(m, box, rng, out=positions[:m])
-            # the state is built in the sum's first rows, which the sum weights in place
-            amps = curved_timed_dicke(ens, params.k0z, out=sum_work[1][0, :m],
-                                      work=sum_work[0][0, :m])
-            monte_carlo_spectrum(ens, amps, kz, params, work=sum_work, cells=cells)
-        total += _contract(cells, kz, params, sum_work, tally)
+            ens = _timed(tally, "sampling_s", sample_ensemble, m, box, rng, out=positions[:m])
+            # the state, in the cells' frame, is built in the sum's first rows, which the
+            # sum weights in place
+            amps = _timed(tally, "timed_dicke_s", curved_timed_dicke, ens, params.k0z - k_c,
+                          out=sum_work[1][0, :m], work=sum_work[0][0, :m])
+            _timed(tally, "mc_sum_s", monte_carlo_spectrum, ens, amps, kz, params,
+                   work=sum_work, cells=cells)
+        total += _timed(tally, "contraction_s", _contract, cells, kz, params, sum_work, tally)
         counts.append(tally)
         return total
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
     if stats is not None:
         stats.update({key: sum(tally[key] for tally in counts)
-                      for key in ("occupied_cells", "contractions", "cell_kz")},
+                      for key in ("occupied_cells", "contractions", "cell_kz", *_STAGE_TIMES)},
                      order=_TERMS, truncation_bound=TRUNCATION_BOUND)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mean_amp, amp_stderr = mean_stderr(reps)

@@ -241,6 +241,29 @@ class TestNoiseOnlyChi2:
         assert abs(rate - expected) < 5.0 * math.sqrt(expected / points)
 
 
+class TestPullQuantiles:
+    """The summary's pull quantiles: np.quantile's default rule, bit for bit, without
+    np.unique (TestLazyIntegrate checks that no run loads numpy.ma)."""
+
+    def test_matches_np_quantile_bit_for_bit(self):
+        rng = np.random.default_rng(678)
+        draws = (lambda n: rng.normal(size=n),
+                 lambda n: rng.integers(0, 4, size=n).astype(float),  # ties
+                 lambda n: np.abs(rng.standard_cauchy(size=n)),      # heavy tails
+                 lambda n: rng.exponential(size=n) * 10.0 ** rng.integers(-5, 5))
+        for case in range(1000):
+            values = draws[case % 4](int(rng.integers(1, 60)))
+            for q in (0.5, 0.9, float(rng.random()), 0.0, 1.0):
+                got = gravdicke.cli._quantile(values, q)
+                want = float(np.quantile(values, q))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (values, q)
+
+    def test_nan_gives_nan(self):
+        values = np.array([1.0, np.nan, 2.0])
+        assert math.isnan(gravdicke.cli._quantile(values, 0.5))
+        assert math.isnan(float(np.quantile(values, 0.5)))
+
+
 class TestResonanceRatio:
     """frequency_spread / gamma, small where the kernel's resonant derivation holds."""
 
@@ -298,7 +321,8 @@ class TestDeterminism:
             meta["environment"].pop("peak_rss_mb")  # this test process's peak memory so far
             meta["environment"].pop("minor_faults")  # and its page faults so far
             for stage in meta["stages"].values():
-                assert stage.pop("s") >= 0.0   # and the stage wall times
+                for key in [key for key in stage if key == "s" or key.endswith("_s")]:
+                    assert stage.pop(key) >= 0.0  # and the wall times of stages and parts
             meta["config"].pop("output_dir")   # varied by the test itself
         assert set(outs[0]["stages"]) == {"replicas", "quadrature", "write_csv"}
         assert outs[0] == outs[1]              # work counts included
@@ -373,6 +397,20 @@ class TestDeterminism:
         assert replicas["cell_kz"] == replicas["occupied_cells"] * 21
         assert replicas["order"] == gravdicke.spectrum._TERMS
         assert replicas["truncation_bound"] == gravdicke.spectrum.TRUNCATION_BOUND < 2e-13
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replicas_stage_times_its_parts(self, tmp_path, threads):
+        # each part's time is summed over the threads, so it is at most threads x the
+        # stage's wall time
+        cfg = write_config(tmp_path, self.CFG)
+        out = tmp_path / "parts"
+        assert main(["--config", cfg, "--output", str(out), "--threads", str(threads)]) == 0
+        replicas = json.loads((out / "metadata.json").read_text())["stages"]["replicas"]
+        parts = ("sampling_s", "timed_dicke_s", "mc_sum_s", "contraction_s")
+        assert all(0.0 < replicas[key] <= threads * replicas["s"] for key in parts), replicas
+        assert sum(replicas[key] for key in parts) <= threads * replicas["s"]
+        assert replicas["atoms"] == 2000 * 4
+        assert replicas["atom_kz"] == 2000 * 4 * 21
 
     @staticmethod
     def tiny_run_metadata(tmp_path: Path, name: str) -> dict:
@@ -1205,7 +1243,7 @@ if sys.argv[1] == "block":
     sys.modules["scipy"] = None
 import gravdicke.cli as cli
 WATCHED = ("scipy", "gravdicke.maxwell", "gravdicke.modes", "concurrent.futures", "dataclasses",
-           "numpy.polynomial")
+           "numpy.polynomial", "numpy.ma")
 loaded = [[name for name in WATCHED if name in sys.modules]]
 for path in sys.argv[2:]:
     assert cli.main(["--config", path, "--output", path + ".out"]) == 0
@@ -1249,8 +1287,8 @@ def run_lazy_probe(directory: Path, mode: str) -> list[list[str]]:
 
 
 class TestLazyIntegrate:
-    """A run loads only what it uses: no scenario loads scipy, no scenario but
-    verify-modes loads maxwell and modes, and one thread loads no thread pool."""
+    """A run loads only what it uses: no scenario loads scipy or numpy.ma, no scenario
+    but verify-modes loads maxwell and modes, and one thread loads no thread pool."""
 
     def test_no_scenario_loads_it(self, tmp_path):
         loaded = run_lazy_probe(tmp_path / "probe", "run")

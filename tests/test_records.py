@@ -124,6 +124,22 @@ def test_replace_runs_the_constructor_checks(record, change):
     assert all(np.array_equal(x, y) for x, y in zip(same, record))
 
 
+@pytest.mark.parametrize("record, change, constructor", [
+    (PerturbedMode(ModeIndex((0.3, 0.2, 1.0), 2), WeakFieldMetric(a=1e-3),
+                   PhysicalConstants.scaled()),
+     {"basis": (np.zeros(3), np.zeros(3))}, r"PerturbedMode\(index, metric, constants\)"),
+    (Ensemble(np.zeros((2, 3)), Box(1.0)), {"positions": np.full((2, 3), np.nan)},
+     r"Ensemble\(positions, box\)"),
+], ids=("PerturbedMode", "Ensemble"))
+def test_replace_of_a_derived_record_names_its_constructor(record, change, constructor):
+    # their fields are not their constructor's arguments: a derived basis, and a box that
+    # is checked and not kept.  No record is built from fields, changed or not
+    for replace in (lambda: record._replace(**change), lambda: record._replace(),
+                    lambda: type(record)._make(record)):
+        with pytest.raises(PhysicsDomainError, match=constructor):
+            replace()
+
+
 def test_checked_records_are_listed():
     assert {cls.__name__ for cls in record_classes()
             if issubclass(cls, metric.CheckedRecord)} == set(CHECKED)

@@ -537,6 +537,9 @@ class TestCellExpansion(RecurrenceCase):
                               "cell_kz": counts["occupied_cells"] * kz.size}
             cells += counts["occupied_cells"]
         assert 2 <= cells <= 2000
+        # and the wall time of each part of the replicas (see test_cli's TestDeterminism)
+        times = {key: stats.pop(key) for key in spectrum._STAGE_TIMES}
+        assert all(isinstance(s, float) and s > 0.0 for s in times.values()), times
         assert stats == {"occupied_cells": cells, "contractions": 2, "cell_kz": cells * kz.size,
                          "order": spectrum._TERMS,
                          "truncation_bound": spectrum.TRUNCATION_BOUND}
@@ -557,6 +560,86 @@ class TestCellExpansion(RecurrenceCase):
         ens = sample_ensemble(10, Box(1e-301), 3)
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
             monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), np.array([p.k0z]), p)
+
+
+def lattice_ensemble(h, cells, per_cell, seed):
+    """per_cell atoms in each lattice cell m of ``cells`` (centres 2 h m), at most 0.8 h
+    from the centre, x and y random, and the box that holds them."""
+    rng = np.random.default_rng(seed)
+    m = np.repeat(np.asarray(cells, dtype=float), per_cell)
+    pos = rng.uniform(-1.0, 1.0, (m.size, 3))
+    pos[:, 2] = 2.0 * h * (m + 0.4 * pos[:, 2])
+    return Ensemble(pos, Box(2.02 * np.max(np.abs(pos))))
+
+
+class TestCellGrouping(RecurrenceCase):
+    """Atoms grouped into cells by their lattice keys m - min m, whose type is the
+    narrowest unsigned one that holds the span, against the brute-force sum to 1e-12
+    of the peak."""
+
+    def assert_matches(self, p, kz, ens):
+        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        amps = brute_force_atom_sum(ens, kz, p)
+        assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
+
+    @pytest.mark.parametrize("span", [255, 256, 65_535, 65_536])
+    def test_key_spans_across_type_boundaries(self, span):
+        # uint8 keys up to 255 lattice steps, uint16 up to 65 535, uint32 past it.  At
+        # gamma = 1e-4 the cells are narrow enough for 65 536 steps to keep |a z| < 1
+        p = make_params(gamma=1e-4)
+        kz = p.k0z + kernel_decay_constant(p) * np.linspace(-6.0, 2.0, 41)
+        _, h = spectrum._cell_half_width(kz, p, 1.0)
+        low = -(span // 2)
+        cells = np.concatenate(([low, low + span],
+                                np.random.default_rng(span).integers(low, low + span, 400)))
+        ens = lattice_ensemble(h, cells, 1, 71)
+        assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2])))[1] == h
+        index = np.rint(ens.positions[:, 2] / (2.0 * h))
+        assert index.max() - index.min() == span
+        self.assert_matches(p, kz, ens)
+
+    @pytest.mark.parametrize("m", [0, 3, -7])
+    def test_every_height_in_one_cell(self, m):
+        p = self.params
+        kz = self.grid("two-spacing")
+        _, h = spectrum._cell_half_width(kz, p, 1e6)
+        ens = lattice_ensemble(h, [m], 300, 73)
+        # off the origin the heights reach past one half-width, so the sum's own cells
+        # are these; at m = 0 their reach is the half-width, and cell 0 still holds them
+        if m:
+            assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2])))[1] == h
+        self.assert_matches(p, kz, ens)
+
+
+class TestCellMerge(RecurrenceCase):
+    """A second batch's cells merged into the held ones by position, with and without new
+    cells, against the brute-force sum over both batches to 1e-12 of the peak."""
+
+    FIRST = [-6, -4, -2, 0, 2, 4, 6]
+
+    @pytest.mark.parametrize("second", [
+        [-4, 0, 2, 6],          # every cell held
+        [-9, -8],               # new cells below every held one
+        [7, 12],                # and above
+        [-5, -3, 1, 3, 5],      # between held ones
+        [-9, -5, -4, 1, 4, 8],  # new below, between and above, and held ones
+    ])
+    def test_second_batch_matches_brute_force(self, second):
+        p = self.params
+        kz = self.grid("uniform")
+        k_c, h = spectrum._cell_half_width(kz, p, 1e6)
+        batches = [lattice_ensemble(h, self.FIRST, 3, 81), lattice_ensemble(h, second, 2, 82)]
+        both = Ensemble(np.concatenate([ens.positions for ens in batches]), Box(1e3 * h))
+        cells = spectrum._Cells(k_c, h, both.n, both.n)
+        for ens in batches:
+            # as replicated_mc_spectrum adds a batch: its state in the cells' frame
+            state = curved_timed_dicke(ens, p.k0z - k_c)
+            assert monte_carlo_spectrum(ens, state, kz, p, cells=cells) is None
+        held = cells.keys[:cells.size].copy()
+        np.testing.assert_array_equal(held, np.union1d(self.FIRST, second))
+        got = spectrum._contract(cells, kz, p, spectrum._sum_work(both.n), None)
+        amps = brute_force_atom_sum(both, kz, p)
+        assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
 
 class TestBatchComposition(RecurrenceCase):
