@@ -281,6 +281,12 @@ def _a_key(m: MetricConfig) -> str:
     return f"metric.a = {m.a!r}" if m.g is None else f"metric.g = {m.g!r}"
 
 
+def _kernel_keys(cfg: Config) -> str:
+    """The config keys that set the kernel width a nu / gamma, with their values."""
+    s = cfg.spectrum
+    return f"{_a_key(cfg.metric)}, spectrum.nu = {s.nu!r}, spectrum.gamma = {s.gamma!r}"
+
+
 def _spectrum_params(cfg: Config) -> SpectrumParams:
     constants = _constants(cfg)
     m, s = cfg.metric, cfg.spectrum
@@ -288,18 +294,24 @@ def _spectrum_params(cfg: Config) -> SpectrumParams:
         metric = WeakFieldMetric(m.a if m.g is None else surface_param_a(m.g, constants))
     except PhysicsDomainError as exc:
         raise PhysicsDomainError(f"{_a_key(m)}: {exc}") from None
-    return SpectrumParams(nu=s.nu, gamma=s.gamma, metric=metric, theta0=s.theta0,
-                          constants=constants)
+    try:
+        return SpectrumParams(nu=s.nu, gamma=s.gamma, metric=metric, theta0=s.theta0,
+                              constants=constants)
+    except PhysicsDomainError as exc:
+        raise PhysicsDomainError(f"spectrum.nu = {s.nu!r}, spectrum.gamma = {s.gamma!r}, "
+                                 f"spectrum.theta0 = {s.theta0!r}: {exc}") from None
 
 
 def _kernel_params(cfg: Config) -> SpectrumParams:
     """_spectrum_params for a scenario that samples the kernel: its grid is spaced in
-    the kernel width a nu / gamma, which a = 0 makes zero."""
+    the kernel width a nu / gamma, which a = 0 makes zero and which must be finite."""
     params = _spectrum_params(cfg)
     if params.metric.a == 0.0:
         raise ConfigError(f"{cfg.scenario} needs a gravity gradient a > 0, which sets the "
                           f"kernel width a nu / gamma of its grid: {_a_key(cfg.metric)} gives "
                           "a = 0")
+    if not math.isfinite(kernel_decay_constant(params)):
+        raise ConfigError(f"the kernel width a nu / gamma overflows: {_kernel_keys(cfg)}")
     return params
 
 
@@ -331,8 +343,8 @@ def _kz_grid(params: SpectrumParams, offsets: np.ndarray,
     """(k0z + dk, q = -dk), dk = offsets x the kernel decay constant: the k_z grid and its
     offsets below the cutoff.  Rejects a grid whose c|k| overflows, or one so narrow that
     neighbouring k_z values, which the CSV's k_z column prints, round to the same float."""
-    # an infinite decay constant gives NaN at offset zero; both fail the check below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the decay constant is finite (_kernel_params), but an offset times it may not be
+    with np.errstate(over="ignore"):
         dk = offsets * kernel_decay_constant(params)
         kz = params.k0z + dk
         omega = params.constants.c * np.sqrt(np.sum(params.k0[:2] ** 2) + kz * kz)
@@ -447,9 +459,12 @@ def _json_default(obj):
 
 def _run_spreads(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _spectrum_params(cfg)
+    decay = kernel_decay_constant(params)
+    if not math.isfinite(decay):
+        raise PhysicsDomainError(f"the kernel width a nu / gamma overflows: {_kernel_keys(cfg)}")
     summary = {"frequency_spread": frequency_spread(params),
                "wavevector_spread": wavevector_spread(params),
-               "kernel_decay_constant": kernel_decay_constant(params)}
+               "kernel_decay_constant": decay}
     # before the CSV, which would otherwise hold an inf that the run then rejects
     bad = next((key for key, value in summary.items() if not math.isfinite(value)), None)
     if bad is not None:
@@ -576,12 +591,13 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 # eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
 # the gate; the spread shrinks in proportion to ensemble.box_heights
 _MIN_RELATIVE_SIGMA = 1e-15
-# the phases the Monte Carlo forms, the state's k0z z_j, the sum's k_c z_j at the grid's
-# middle wavenumber and its cells' (k_c - k_z) c_m, each round to at most
-# ulp(max(|k0z|, max|k_z|) max|z|).  The bound was set when the sum still formed the
-# lateral phases k . r_j and cancelled them in floating point: a sweep of their size
-# (200 atoms x 2 replicas and 2e4 x 10) left every pull unmoved up to an ulp of
-# 0.12 rad, moved them at 1 rad and failed the gate at 8 rad.  It is kept for the
+# the phases a replica forms, its state's (k0z - k_c) z_j and its cells' (k_c - k_z) c_m,
+# with k_c the grid's middle wavenumber and k0z on the grid, are about max|k_z| max|z|
+# at most, and round to at most ulp(max(|k0z|, max|k_z|) max|z|); only a standalone
+# sum, which no scenario runs, forms k_c z_j.  The bound was set when the sum still
+# formed the lateral phases k . r_j and cancelled them in floating point: a sweep of
+# their size (200 atoms x 2 replicas and 2e4 x 10) left every pull unmoved up to an ulp
+# of 0.12 rad, moved them at 1 rad and failed the gate at 8 rad.  It is kept for the
 # height phases, a hundredfold below the first visible effect
 _MAX_PHASE_ULP = 1e-2
 
@@ -630,8 +646,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     if not math.isfinite(height):
         raise PhysicsDomainError(
             f"ensemble.box_heights = {e.box_heights!r} decay lengths gamma / (a nu) = "
-            f"{decay_length!r} ({_a_key(cfg.metric)}, spectrum.nu = {cfg.spectrum.nu!r}, "
-            f"spectrum.gamma = {cfg.spectrum.gamma!r}) overflow the box height: lower "
+            f"{decay_length!r} ({_kernel_keys(cfg)}) overflow the box height: lower "
             "ensemble.box_heights"
         )
     box = Box(height)  # a cube: the Monte Carlo reads only heights
@@ -818,8 +833,7 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
     if inconclusive:
         raise ConfigError(f"{inconclusive} of {len(rows)} residual reports are inconclusive "
                           "(finite-difference or rounding error above the residual, or a "
-                          "residual that underflowed to zero), so the slope gate cannot be "
-                          "decided")
+                          "residual of exactly zero), so the slope gate cannot be decided")
     worst_wave = max(abs(s.wave_slope - 2.0) for s in studies)
     worst_gauss = max(abs(s.gauss_slope - 2.0) for s in studies)
     summary = {"worst_wave_slope_dev": worst_wave, "worst_gauss_slope_dev": worst_gauss,

@@ -153,8 +153,9 @@ def wave_residual(
     for each differenced axis (four second derivatives in a wave equation,
     three first derivatives in Gauss's law).
     Far from the origin that floor swamps the differences.  A residual of
-    exactly zero is inconclusive too: it means the field underflowed, as for
-    constants whose amplitude sqrt(hbar w / 2 eps0) is subnormal.
+    exactly zero is inconclusive too, as the Gauss residual of an axial mode
+    k = (0, 0, k_z) is (its field is transverse and varies along z alone), and
+    that of a field that vanishes, as sqrt(c|k| / 2) does at a subnormal c.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if field is None:
@@ -249,7 +250,8 @@ def residual_slope_study(
         reports.append(wave_residual(mode, t, r, field=field))
 
     def slope(norms: list[float]) -> float:
-        # a zero norm has no logarithm; its report is inconclusive, so the slope is NaN
+        # a zero norm (an axial mode's Gauss residual) has no logarithm; its report is
+        # inconclusive, so the slope is NaN
         return fit_loglog_slope(a_values, norms) if all(norms) else np.nan
 
     return ScalingStudy(

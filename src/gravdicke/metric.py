@@ -7,10 +7,11 @@ enter, so the package has no reference height: the metric is Minkowskian at
 z = 0 and every height is taken above that point.  All operations are pure
 functions of value inputs and are safe for concurrent use.
 
-Two unit regimes run through the same code paths: CODATA SI values (the
-default) and an order-unity "scaled" regime in which the Earth-like
-``a ~ 2e-16 1/m`` is replaced by something whose square is resolvable in
-double precision.
+Two unit regimes run through the same code paths: the SI speed of light (the
+default) and an order-unity "scaled" regime with c = 1, in which the
+Earth-like ``a ~ 2e-16 1/m`` is replaced by something whose square is
+resolvable in double precision.  c is the only constant: the field's
+normalisation takes ħ = ε0 = 1 in either regime.
 """
 
 from __future__ import annotations
@@ -48,27 +49,24 @@ class CheckedRecord:
         return cls(*iterable)
 
 
-class PhysicalConstants(CheckedRecord, namedtuple("PhysicalConstants", "c hbar eps0")):
-    """Fundamental constants; fully overridable for scaled/natural-unit work."""
+class PhysicalConstants(CheckedRecord, namedtuple("PhysicalConstants", "c")):
+    """The speed of light, the one constant the physics reads: SI by default.
+
+    The field's overall scale is a unit choice (ħ = ε0 = 1 at unit volume,
+    see ``PerturbedMode.flat_amplitude``), since no check depends on it.
+    """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        c: float = 299_792_458.0,          # speed of light, m/s
-        hbar: float = 1.054_571_817e-34,   # reduced Planck constant, J s
-        eps0: float = 8.854_187_8128e-12,  # vacuum permittivity, F/m
-    ) -> "PhysicalConstants":
-        self = super().__new__(cls, c, hbar, eps0)
-        for name, value in zip(self._fields, self):
-            if not (math.isfinite(value) and value > 0.0):
-                raise PhysicsDomainError(f"constant {name!r} must be finite and strictly positive")
-        return self
+    def __new__(cls, c: float = 299_792_458.0) -> "PhysicalConstants":  # m/s
+        if not (math.isfinite(c) and c > 0.0):
+            raise PhysicsDomainError(f"the speed of light c must be finite and > 0, got {c!r}")
+        return super().__new__(cls, c)
 
     @classmethod
     def scaled(cls) -> "PhysicalConstants":
-        """Order-unity regime (c = hbar = eps0 = 1) used by numerical checks."""
-        return cls(c=1.0, hbar=1.0, eps0=1.0)
+        """Order-unity regime (c = 1) used by numerical checks."""
+        return cls(c=1.0)
 
 
 class WeakFieldMetric(CheckedRecord, namedtuple("WeakFieldMetric", "a")):

@@ -112,8 +112,8 @@ class PerturbedMode(namedtuple("PerturbedMode", "index metric constants basis"))
     def __new__(cls, index: ModeIndex, metric: WeakFieldMetric,
                 constants: PhysicalConstants) -> "PerturbedMode":
         self = super().__new__(cls, index, metric, constants, flat_polarization_basis(index.k))
-        if not math.isfinite(self.flat_amplitude):
-            raise PhysicsDomainError(f"field amplitude sqrt(hbar w / 2 eps0) of |k| = "
+        if not math.isfinite(self.omega):  # and so the amplitude sqrt(w / 2)
+            raise PhysicsDomainError(f"mode frequency c|k| of c = {constants.c!r} and |k| = "
                                      f"{index.knorm!r} is not finite")
         return self
 
@@ -139,9 +139,9 @@ class PerturbedMode(namedtuple("PerturbedMode", "index metric constants basis"))
 
     @property
     def flat_amplitude(self) -> float:
-        """Single-photon field normalization sqrt(hbar w / 2 eps0) at unit volume."""
-        cst = self.constants
-        return math.sqrt(cst.hbar * self.omega / (2.0 * cst.eps0))
+        """Single-photon field normalization sqrt(w / 2): sqrt(ħ w / 2 ε0 V) in units
+        with ħ = ε0 = 1, at unit volume V."""
+        return math.sqrt(self.omega / 2.0)
 
 
 def _height(mode: PerturbedMode, z) -> float:

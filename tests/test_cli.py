@@ -606,6 +606,23 @@ class TestBadInputExitCodes:
         for name in ("ensemble.box_heights", key, "spectrum.nu", "spectrum.gamma"):
             assert name in message, name
 
+    @pytest.mark.parametrize("scenario", ["curved-spectrum", "spreads"])
+    @pytest.mark.parametrize("section, leaf, value, codes", [
+        ("spectrum", "gamma", 0.0, {"curved-spectrum": 3, "spreads": 3}),
+        ("spectrum", "nu", 1e200, {"curved-spectrum": 3, "spreads": 3}),
+        ("metric", "a", 1e308, {"curved-spectrum": 2, "spreads": 3}),
+        ("spectrum", "gamma", 5e-324, {"curved-spectrum": 2, "spreads": 3}),
+    ], ids=["zero-gamma", "overflowing-k0", "overflowing-kernel-a", "overflowing-kernel-gamma"])
+    def test_spectrum_rejection_names_its_key(self, tmp_path, capsys, scenario, section, leaf,
+                                              value, codes):
+        # a rejected SpectrumParams, and a kernel width a nu / gamma that overflows, name
+        # the keys that set them, the mutated one with its value
+        cfg = write_config(tmp_path, {"scenario": scenario, section: {leaf: value}})
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == codes[scenario]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{section}.{leaf} = {value!r}" in json.loads(err)["message"]
+
     @pytest.mark.parametrize("text, key", [
         ('{"scenario": "spreads", "metric": {"a": 1e-3, "a": 2e-3}}', "'a'"),
         ('{"scenario": "spreads", "seed": 1, "scenario": "flat-dicke"}', "'scenario'"),

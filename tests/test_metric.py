@@ -17,16 +17,12 @@ from gravdicke.metric import (
 
 class TestConstants:
     def test_si_defaults(self):
-        c = PhysicalConstants()
-        assert c.c == 299_792_458.0
-        assert c.hbar == pytest.approx(1.054571817e-34)
-        assert c.eps0 == pytest.approx(8.8541878128e-12)
+        assert PhysicalConstants() == (299_792_458.0,)
 
     def test_scaled_regime(self):
-        c = PhysicalConstants.scaled()
-        assert (c.c, c.hbar, c.eps0) == (1.0, 1.0, 1.0)
+        assert PhysicalConstants.scaled() == (1.0,)
 
-    @pytest.mark.parametrize("field", ["c", "hbar", "eps0"])
+    @pytest.mark.parametrize("field", PhysicalConstants._fields)
     def test_positivity_enforced(self, field):
         with pytest.raises(PhysicsDomainError):
             PhysicalConstants(**{field: 0.0})

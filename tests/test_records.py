@@ -45,7 +45,7 @@ FIELDS = {
     "DeltaConfig": ("halvings", "grid_points"),
     "VerifyConfig": ("n_modes", "a_values"),
     "Tolerances": ("slope", "mc_sigma", "mc_fraction"),
-    "PhysicalConstants": ("c", "hbar", "eps0"),
+    "PhysicalConstants": ("c",),
     "WeakFieldMetric": ("a",),
     "Box": ("edge",),
     "Ensemble": ("positions",),
