@@ -494,28 +494,29 @@ def monte_carlo_spectrum(
     amplitudes: np.ndarray,
     kz_grid,
     params: SpectrumParams,
+    cells: _Cells,
     *,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
-    stats: dict | None = None,
-    cells: _Cells | None = None,
-) -> np.ndarray | None:
-    """Coherent atom sum amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), over the grid.
+    work: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Add one batch's atom sum, amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), into
+    a replica's ``cells``, as :func:`replicated_mc_spectrum` hands it each batch.
 
-    c_j are the state's ``amplitudes``, one per atom in the ensemble's order,
-    as :func:`gravdicke.emission.curved_timed_dicke` returns them (in the
-    cells' frame when ``cells`` is given: see below).  The model
+    c_j are the batch's state, one per atom in the ensemble's order, given in
+    the cells' frame: ``amplitudes`` are c_j e^{-i k_c z_j}, as
+    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them.  The model
     is the first-order one, both of its parts stated here: D_j is the detuning
     denominator with the mode frequency shifted to the atom's height, and w_j =
     sqrt(1 - a z_j) is the curved volume element, an importance weight on the
-    uniformly drawn heights.  Heights with |a z_j| >= 1 raise
-    LinearizationError (see :func:`gravdicke.metric.check_linearization`).
+    uniformly drawn heights; the caller has checked |a z| < 1 on the box the
+    heights are drawn in (see :func:`gravdicke.metric.check_linearization`).
     k keeps k0's transverse components, so its x and y phases cancel the
     state's atom by atom: they are never formed, and k_x and k_y enter only
     c|k|.
 
     The sum is taken cell by cell (see TRUNCATION_BOUND), in the frame of the
     cells' wavenumber k_c, the grid's middle: it sums B_j = c_j w_j e^{-i k_c
-    z_j}.  The cells have half-width h and lie on a lattice anchored at the
+    z_j}, which is amplitude_j w_j, so the call forms no phasor.  The cells have
+    half-width h and lie on a lattice anchored at the
     origin, where the metric is flat: cell m is centred at c_m = 2 h m and
     holds the heights with m = rint(z / 2h).  The atoms are grouped by the
     integer key m - min m, in the narrowest unsigned type that holds the span,
@@ -524,67 +525,43 @@ def monte_carlo_spectrum(
     the moments mu_p = sum_j B_j tau_j^p, p < P, of its atoms' offsets tau_j =
     (z_j - c_m) / h, taken as 2 (z_j / 2h - m): |tau_j| <= 1 exactly, for
     heights moved by at most one rounding of z_j / 2h.
-    The contraction then takes every grid point against every occupied cell's
-    moments, with the Taylor coefficients of e^{i q h tau} / (1 - rho tau),
-    nested as in Horner's rule, and the cell's leading factor e^{i q c_m} /
-    D(c_m): O(n P + K M P) work for n atoms, K grid points and M <= n occupied
-    cells, against O(n K) atom by atom.  Each term is cut off within
-    TRUNCATION_BOUND of its size.
+    The contraction (_contract) then takes every grid point against every
+    occupied cell's moments, with the Taylor coefficients of e^{i q h tau} / (1 -
+    rho tau), nested as in Horner's rule, and the cell's leading factor e^{i q
+    c_m} / D(c_m): O(n P + K M P) work for n atoms, K grid points and M <= n
+    occupied cells, against O(n K) atom by atom.  Each term is cut off within
+    TRUNCATION_BOUND of its size.  The call adds the batch's moments into the
+    cells and returns None: the caller contracts the cells once they hold every
+    batch it wants summed together.
 
-    Without ``cells`` the call sums its own ensemble: k_c and h come from the
-    grid and the heights, the ``amplitudes`` are the lab-frame c_j, and one
-    :func:`cis` per atom takes them into the cells' frame.  The contraction runs
-    before it returns the sums.  With ``cells``, as :func:`replicated_mc_spectrum`
-    hands it one batch of a replica at a time, it takes their k_c and h, and the
-    ``amplitudes`` must already be in their frame, c_j e^{-i k_c z_j}, as
-    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them: B_j is then
-    amplitude_j w_j, and the call forms no phasor.  It adds the batch's moments
-    into the cells and returns None: the caller contracts the cells once they
-    hold every batch it wants summed together.
-
-    The atoms use working arrays of the ensemble's size: fresh ones, or the
-    first ensemble.n columns of ``work``, a pair of C-contiguous arrays as
-    _sum_work makes them for at least that many atoms.  The contraction's
-    arrays, in blocks of at most one row's worth, reuse all of them.
+    The atoms use the first ensemble.n columns of ``work``, a pair of
+    C-contiguous arrays as _sum_work makes them for at least that many atoms.
     ``amplitudes`` may be the first ensemble.n entries of the first complex row
     of ``work``: the weights then multiply them in place.  The ensemble's
     positions may live in the float view of the last two complex rows of
-    ``work``: they are read before those rows are first written.  A ``stats``
-    dict of a call without ``cells`` gains the occupied cells, one contraction
-    and its cells x grid points in its "occupied_cells", "contractions" and
-    "cell_kz" entries.  The sum carries no error estimate: the spread over
-    independent ensembles gives that, see :func:`replicated_mc_spectrum`.
+    ``work``: they are read before those rows are first written.  ``kz_grid``
+    is the grid the cells will be contracted against: the call does not read
+    it, since the cells carry its k_c and h, but bench/tracer.py counts the
+    atoms x points of each call from it.  The sum carries no error estimate: the spread over independent ensembles gives
+    that, see :func:`replicated_mc_spectrum`.
     """
-    params.require_directional()
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (ensemble.n,):
         raise PhysicsDomainError("amplitudes must have one entry per atom of the ensemble")
-    kz = np.asarray(kz_grid, dtype=float)
-    if kz.ndim != 1 or kz.size == 0:
-        raise PhysicsDomainError("kz grid must be a nonempty 1-D array")
     n = ensemble.n
-    work = _sum_work(n) if work is None else work
     real, cplx = work
     z, u, tau = real[:, :n]
     b, spare, moment_work = cplx[:, :n]
-    a = params.metric.a
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
-    # the positions are read: the last two complex rows are free
-    z_lo, z_hi = float(z.min()), float(z.max())
-    check_linearization(a, (z_lo, z_hi))
-    # B_j = c_j w_j, with the volume weight w = sqrt(1 - a z) ...
-    weight = np.multiply(z, a, out=u)
+    # the positions are read: the last two complex rows are free.
+    # B_j = c_j w_j, with the volume weight w = sqrt(1 - a z)
+    weight = np.multiply(z, params.metric.a, out=u)
     np.subtract(1.0, weight, out=weight)
     np.multiply(amplitudes, np.sqrt(weight, out=weight), out=b)
-    if cells is None:
-        k_c, h = _cell_half_width(kz, params, max(-z_lo, z_hi))
-        b *= cis(np.multiply(z, -k_c, out=u), out=spare, work=u)  # ... in the cells' frame
-    else:
-        k_c, h = cells.k_c, cells.h
 
     # each atom's cell m = rint(z / 2h), exact below 2^52 (see _cell_half_width), and
     # its offset tau = 2 (z / 2h - m), exact since |z / 2h - m| <= 1/2
-    scaled = np.divide(z, 2.0 * h, out=tau)
+    scaled = np.divide(z, 2.0 * cells.h, out=tau)
     index = np.rint(scaled, out=u)
     np.subtract(scaled, index, out=tau)
     tau *= 2.0
@@ -609,22 +586,16 @@ def monte_carlo_spectrum(
     moments = moment_work.view(float).reshape(2, n)
     np.take(b.real, order, out=moments[0], mode="clip")
     np.take(b.imag, order, out=moments[1], mode="clip")
-    cell_keys = grouped[starts] + low  # each cell's m, as a double
-    if cells is not None:
-        cells.add(cell_keys, moments, z, starts)
-        return None
-    own = _Cells(k_c, h, starts.size, n)  # room for exactly its own cells
-    own.add(cell_keys, moments, z, starts)
-    return _contract(own, kz, params, work, stats)
+    cells.add(grouped[starts] + low, moments, z, starts)  # each cell's m, as a double
 
 
 def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
-              work: tuple[np.ndarray, np.ndarray], stats: dict | None) -> np.ndarray:
+              work: tuple[np.ndarray, np.ndarray], stats: dict) -> np.ndarray:
     """Every grid point's sum over the occupied cells' expansions; the cells are left empty.
 
-    Blocks of grid points take at most one row of ``work`` per array.  A
-    ``stats`` dict adds the cells to "occupied_cells", one to "contractions" and
-    the cells x grid points to "cell_kz".
+    Blocks of grid points take at most one row of ``work`` per array.  ``stats``
+    adds the cells to "occupied_cells", one to "contractions" and the cells x
+    grid points to "cell_kz".
     """
     n_cells, h = cells.size, cells.h
     mu = cells.moments[:, :n_cells]
@@ -685,10 +656,9 @@ def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
         np.add.reduce(nested, axis=1, out=sums[ks])
 
     cells.size = 0
-    if stats is not None:
-        for key, count in (("occupied_cells", n_cells), ("contractions", 1),
-                           ("cell_kz", n_cells * kz.size)):
-            stats[key] = stats.get(key, 0) + count
+    for key, count in (("occupied_cells", n_cells), ("contractions", 1),
+                       ("cell_kz", n_cells * kz.size)):
+        stats[key] = stats.get(key, 0) + count
     return sums / scale
 
 
@@ -739,6 +709,12 @@ def replicated_mc_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
+    The grid must be a nonempty 1-D array of finite k_z values, k0 must not
+    graze (SpectrumParams.require_directional), and the box's z faces must keep
+    |a z| < 1 (LinearizationError otherwise): every atom is drawn inside the
+    box, so the faces bound every height a batch weights.  Each check runs once
+    per call, before any replica.
+
     Replica r draws its n_atoms atoms from the one stream
     ensemble_stream((base_seed, r)), in consecutive batches of at most
     _BATCH_ATOMS: the batches are the atoms one draw of n_atoms would give (see
@@ -751,7 +727,7 @@ def replicated_mc_spectrum(
     state is normalized by its computed norm, and |cis| is 1 to about 3e-16.
     The state is built in the cells' frame, curved_timed_dicke(batch, k0z -
     k_c) = e^{i (k0z - k_c) z_j} / sqrt(m), which is what
-    :func:`monte_carlo_spectrum` takes with ``cells``: each atom gets one
+    :func:`monte_carlo_spectrum` takes: each atom gets one
     phasor, whose phase is the small difference left once the sum's own e^{-i
     k_c z_j} cancels most of k0z, the cancellation that makes a timed Dicke
     state emit along k0.
@@ -784,7 +760,13 @@ def replicated_mc_spectrum(
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
+    params.require_directional()
     kz = np.asarray(kz_grid, dtype=float)
+    if kz.ndim != 1 or kz.size == 0 or not np.all(np.isfinite(kz)):
+        raise PhysicsDomainError(f"kz grid must be a nonempty 1-D array of finite values, "
+                                 f"got shape {kz.shape}")
+    # every batch is drawn in the box, so its faces bound every height the sum weights
+    check_linearization(params.metric.a, (box.low, box.high))
     k_c, h = _cell_half_width(kz, params, box.high)
     # no batch occupies more cells than it has atoms, nor than the box has lattice
     # points |m| <= rint(box.high / 2h): room for twice the latter holds a replica's
@@ -814,8 +796,8 @@ def replicated_mc_spectrum(
             # sum weights in place
             amps = _timed(tally, "timed_dicke_s", curved_timed_dicke, ens, params.k0z - k_c,
                           out=sum_work[1][0, :m], work=sum_work[0][0, :m])
-            _timed(tally, "mc_sum_s", monte_carlo_spectrum, ens, amps, kz, params,
-                   work=sum_work, cells=cells)
+            _timed(tally, "mc_sum_s", monte_carlo_spectrum, ens, amps, kz, params, cells,
+                   work=sum_work)
         total += _timed(tally, "contraction_s", _contract, cells, kz, params, sum_work, tally)
         counts.append(tally)
         return total

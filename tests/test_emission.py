@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from batch_sums import one_batch_sum
 from gravdicke.emission import (
     Box,
     Ensemble,
@@ -15,7 +16,7 @@ from gravdicke.emission import (
 )
 from gravdicke.errors import PhysicsDomainError
 from gravdicke.metric import PhysicalConstants, WeakFieldMetric
-from gravdicke.spectrum import SpectrumParams, monte_carlo_spectrum
+from gravdicke.spectrum import SpectrumParams
 
 CST = PhysicalConstants.scaled()
 NU, GAMMA = 1.0, 1e-2
@@ -104,8 +105,8 @@ class TestTypes:
             p = SpectrumParams(NU, GAMMA, metric, math.pi / 6, CST)
             kz = p.k0z + np.linspace(-0.05, 0.05, 7)
             np.testing.assert_array_equal(
-                monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p),
-                monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0z), kz, p),
+                one_batch_sum(ens, kz, p),
+                one_batch_sum(fresh, kz, p),
             )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 import oracles
+from batch_sums import one_batch_sum
 from gravdicke import spectrum
 from gravdicke.cli import _offset_grid
 from gravdicke.emission import Box, Ensemble, curved_timed_dicke, sample_ensemble
@@ -327,8 +328,7 @@ class TestMonteCarlo:
     def test_flat_coherent_peak(self):
         p = make_params(a=1e-12)  # effectively flat but kernel-safe
         ens = sample_ensemble(400, self.box, 21)
-        state = curved_timed_dicke(ens, p.k0z)
-        amps = monte_carlo_spectrum(ens, state, np.array([p.k0z]), p)
+        amps = one_batch_sum(ens, np.array([p.k0z]), p)
         # all phasors align at k = k0: |amp| = sqrt(N) / |i G / 2|
         expected = math.sqrt(ens.n) / (0.5 * p.gamma)
         assert abs(amps[0]) == pytest.approx(expected, rel=1e-9)
@@ -336,13 +336,11 @@ class TestMonteCarlo:
     def test_translation_invariance_in_xy(self):
         p = self.params
         ens = sample_ensemble(500, self.box, 23)
-        state = curved_timed_dicke(ens, p.k0z)
-        amps = monte_carlo_spectrum(ens, state, self.kz, p)
+        amps = one_batch_sum(ens, self.kz, p)
         shifted_pos = ens.positions + np.array([3.7, -1.2, 0.0])
         big = Box(50 * self.box.edge)
         ens2 = Ensemble(shifted_pos, big)
-        state2 = curved_timed_dicke(ens2, p.k0z)
-        amps2 = monte_carlo_spectrum(ens2, state2, self.kz, p)
+        amps2 = one_batch_sum(ens2, self.kz, p)
         # the lateral phases cancel atom by atom, so the route never forms them
         np.testing.assert_array_equal(amps2, amps)
 
@@ -352,7 +350,7 @@ class TestMonteCarlo:
         p = self.params
         for z in (-0.25 / p.metric.a, -1.0, 0.0, 2.5, 0.25 / p.metric.a):
             ens = Ensemble([[0.0, 0.0, z]], self.box)
-            got = monte_carlo_spectrum(ens, np.ones(1, dtype=complex), self.kz, p)
+            got = one_batch_sum(ens, self.kz, p, np.ones(1, dtype=complex))
             omega = p.constants.c * np.sqrt(p.k0[0] ** 2 + p.k0[1] ** 2 + self.kz**2)
             den = omega - p.nu + 0.5j * p.gamma - 0.5 * p.metric.a * omega * z
             unweighted = np.exp(-1j * self.kz * z) / den
@@ -360,33 +358,42 @@ class TestMonteCarlo:
                                        rtol=1e-12)
 
     def test_rejects_heights_outside_linear_domain(self):
-        # the sum guards the heights it weights: |a z| < 1 at its extremes
-        ens = sample_ensemble(100, Box(10.0), 19)
-        state = curved_timed_dicke(ens, self.params.k0z)
-        reach = np.max(np.abs(ens.positions[:, 2]))
+        # the replicas guard the heights their sums weight: |a z| < 1 on the faces of
+        # the box every atom is drawn in
+        box = Box(10.0)
         with pytest.raises(LinearizationError):
-            monte_carlo_spectrum(ens, state, self.kz, make_params(a=1.01 / reach))
-        monte_carlo_spectrum(ens, state, self.kz, make_params(a=0.99 / reach))
+            replicated_mc_spectrum(make_params(a=1.01 / box.high), self.kz, 100, box, 2, 19)
+        replicated_mc_spectrum(make_params(a=0.99 / box.high), self.kz, 100, box, 2, 19)
 
     def test_flat_space_sum_is_unweighted(self):
         # at a = 0 the sum forms weights of exactly 1, and matches the brute force, whose
         # weights are then 1 too
         p = make_params(a=0.0)
         ens = sample_ensemble(1600, self.box, 27)
-        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), self.kz, p)
+        got = one_batch_sum(ens, self.kz, p)
         amps = brute_force_atom_sum(ens, self.kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
     def test_mismatch_rejected(self):
+        # a batch's state has one amplitude per atom of the batch ...
         p = self.params
         ens = sample_ensemble(50, self.box, 25)
         other = sample_ensemble(60, self.box, 26)
-        state = curved_timed_dicke(other, p.k0z)
+        k_c, h = spectrum._cell_half_width(self.kz, p, self.box.high)
+        cells = spectrum._Cells(k_c, h, 60, 60)
+        state = curved_timed_dicke(other, p.k0z - k_c)
         with pytest.raises(PhysicsDomainError):
-            monte_carlo_spectrum(ens, state, self.kz, p)
-        state_ok = curved_timed_dicke(ens, p.k0z)
+            monte_carlo_spectrum(ens, state, self.kz, p, cells, work=spectrum._sum_work(60))
+        # ... and the replicas need a grid
         with pytest.raises(PhysicsDomainError):
-            monte_carlo_spectrum(ens, state_ok, np.array([]), p)
+            replicated_mc_spectrum(p, np.array([]), 50, self.box, 2, 25)
+
+    @pytest.mark.parametrize("grid", [[], [float("nan")], [1.0, float("inf")]])
+    def test_bad_grid_rejected_by_name(self, grid):
+        # an empty grid, or one holding a NaN or an inf, is rejected at the replicas'
+        # entry, before any cell is sized from it
+        with pytest.raises(PhysicsDomainError, match="kz grid must be a nonempty 1-D array"):
+            replicated_mc_spectrum(self.params, np.array(grid), 50, self.box, 2, 25)
 
     def test_replicated_matches_quadrature_pointwise(self):
         p = self.params
@@ -465,8 +472,8 @@ class RecurrenceCase:
 class TestPhaseRecurrence(RecurrenceCase):
     """The atom sum against a brute-force sum on three kinds of grid, to 1e-12 of the peak."""
 
-    # monte_carlo_spectrum sums what it is given in one pass; a replica's
-    # batches are tested in TestBatchComposition
+    # one_batch_sum sums its ensemble as one batch; a replica's batches are
+    # tested in TestBatchComposition
     @pytest.mark.parametrize("grid, n_atoms", [
         ("uniform", 1600), ("two-spacing", 1600), ("irregular", 1600), ("uniform", 10),
     ])
@@ -474,7 +481,7 @@ class TestPhaseRecurrence(RecurrenceCase):
         p = self.params
         kz = self.grid(grid)
         ens = sample_ensemble(n_atoms, self.box, 61)
-        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        got = one_batch_sum(ens, kz, p)
         amps = brute_force_atom_sum(ens, kz, p)
         peak = np.max(np.abs(amps))
         assert np.max(np.abs(got - amps)) <= 1e-12 * peak
@@ -485,7 +492,7 @@ class TestCellExpansion(RecurrenceCase):
 
     def assert_matches(self, p, kz, n_atoms, height):
         ens = sample_ensemble(n_atoms, Box(height), 61)
-        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        got = one_batch_sum(ens, kz, p)
         amps = brute_force_atom_sum(ens, kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
@@ -532,7 +539,7 @@ class TestCellExpansion(RecurrenceCase):
         for r in range(2):
             ens = sample_ensemble(1000, self.box, (61, r))
             counts = {}
-            monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p, stats=counts)
+            one_batch_sum(ens, kz, p, stats=counts)
             assert counts == {"occupied_cells": counts["occupied_cells"], "contractions": 1,
                               "cell_kz": counts["occupied_cells"] * kz.size}
             cells += counts["occupied_cells"]
@@ -559,7 +566,7 @@ class TestCellExpansion(RecurrenceCase):
         p = make_params(a=1e300, gamma=1e-10)
         ens = sample_ensemble(10, Box(1e-301), 3)
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
-            monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), np.array([p.k0z]), p)
+            one_batch_sum(ens, np.array([p.k0z]), p)
 
 
 def lattice_ensemble(h, cells, per_cell, seed):
@@ -578,7 +585,7 @@ class TestCellGrouping(RecurrenceCase):
     of the peak."""
 
     def assert_matches(self, p, kz, ens):
-        got = monte_carlo_spectrum(ens, curved_timed_dicke(ens, p.k0z), kz, p)
+        got = one_batch_sum(ens, kz, p)
         amps = brute_force_atom_sum(ens, kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
@@ -631,13 +638,14 @@ class TestCellMerge(RecurrenceCase):
         batches = [lattice_ensemble(h, self.FIRST, 3, 81), lattice_ensemble(h, second, 2, 82)]
         both = Ensemble(np.concatenate([ens.positions for ens in batches]), Box(1e3 * h))
         cells = spectrum._Cells(k_c, h, both.n, both.n)
+        work = spectrum._sum_work(both.n)
         for ens in batches:
             # as replicated_mc_spectrum adds a batch: its state in the cells' frame
             state = curved_timed_dicke(ens, p.k0z - k_c)
-            assert monte_carlo_spectrum(ens, state, kz, p, cells=cells) is None
+            assert monte_carlo_spectrum(ens, state, kz, p, cells, work=work) is None
         held = cells.keys[:cells.size].copy()
         np.testing.assert_array_equal(held, np.union1d(self.FIRST, second))
-        got = spectrum._contract(cells, kz, p, spectrum._sum_work(both.n), None)
+        got = spectrum._contract(cells, kz, p, work, {})
         amps = brute_force_atom_sum(both, kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
@@ -761,12 +769,12 @@ class TestReplicaContraction(RecurrenceCase):
         ens = Ensemble([[0.0, 0.0, 9.9]], box)
         kz = np.array([p.k0z])
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
-            monte_carlo_spectrum(ens, np.ones(1, dtype=complex), kz, p)
+            one_batch_sum(ens, kz, p, np.ones(1, dtype=complex))
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
             replicated_mc_spectrum(p, kz, 10, box, 2, 3)
         # heights within 2^52 cells of the origin are resolved
         near = Ensemble([[0.0, 0.0, 1.0]], box)
-        assert np.isfinite(monte_carlo_spectrum(near, np.ones(1, dtype=complex), kz, p)).all()
+        assert np.isfinite(one_batch_sum(near, kz, p, np.ones(1, dtype=complex))).all()
 
 
 class TestReplicaWorkspace(RecurrenceCase):
@@ -776,10 +784,17 @@ class TestReplicaWorkspace(RecurrenceCase):
         p = self.params
         kz = self.grid("two-spacing")
         ens = sample_ensemble(300, self.box, 43)
-        state = curved_timed_dicke(ens, p.k0z)
-        real, cplx = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
-        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
-        np.testing.assert_array_equal(got, monte_carlo_spectrum(ens, state, kz, p))
+        work = spectrum._sum_work(400)  # a short last batch's view of its thread's arrays
+        got = one_batch_sum(ens, kz, p, work=work)
+        np.testing.assert_array_equal(got, one_batch_sum(ens, kz, p))
+
+    @staticmethod
+    def in_first_row(real, cplx, n):
+        """The state builder of a replica's batch of n atoms: the state, in the cells'
+        frame, in the first complex row of its workspace, its phases in the first real."""
+        def state(ens, k):
+            return curved_timed_dicke(ens, k, out=cplx[0, :n], work=real[0, :n])
+        return state
 
     def test_amplitudes_in_the_first_complex_row(self):
         # as replicated_mc_spectrum builds each batch's state: the sum weights it in place
@@ -787,10 +802,9 @@ class TestReplicaWorkspace(RecurrenceCase):
         kz = self.grid("two-spacing")
         ens = sample_ensemble(300, self.box, 43)
         real, cplx = spectrum._sum_work(400)
-        state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
-        want = monte_carlo_spectrum(ens, state.copy(), kz, p)
-        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
-        np.testing.assert_array_equal(got, want)
+        got = one_batch_sum(ens, kz, p, state=self.in_first_row(real, cplx, 300),
+                            work=(real, cplx))
+        np.testing.assert_array_equal(got, one_batch_sum(ens, kz, p))
 
     @pytest.mark.parametrize("grid", ["uniform", "two-spacing", "irregular"])
     def test_positions_and_weights_in_the_last_complex_rows(self, grid):
@@ -804,9 +818,9 @@ class TestReplicaWorkspace(RecurrenceCase):
         ens = sample_ensemble(300, self.box, 43, out=positions[:300])
         fresh = sample_ensemble(300, self.box, 43)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
-        want = monte_carlo_spectrum(fresh, curved_timed_dicke(fresh, p.k0z), kz, p)
-        state = curved_timed_dicke(ens, p.k0z, out=cplx[0, :300], work=real[0, :300])
-        got = monte_carlo_spectrum(ens, state, kz, p, work=(real, cplx))
+        want = one_batch_sum(fresh, kz, p)
+        got = one_batch_sum(ens, kz, p, state=self.in_first_row(real, cplx, 300),
+                            work=(real, cplx))
         np.testing.assert_array_equal(got, want)
 
     def test_threads_keep_their_own_workspace(self, monkeypatch):
