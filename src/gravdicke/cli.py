@@ -48,6 +48,7 @@ from .emission import Box, ensemble_stream, sample_ensemble
 from .errors import (
     ConfigError,
     GravDickeError,
+    LinearizationError,
     OracleMismatchError,
     PhysicsDomainError,
     QuadratureError,
@@ -338,7 +339,7 @@ def _offset_grid(lo: float, hi: float, points: int) -> np.ndarray:
     ])
 
 
-def _kz_grid(params: SpectrumParams, offsets: np.ndarray,
+def _kz_grid(cfg: Config, params: SpectrumParams, offsets: np.ndarray,
              where: str) -> tuple[np.ndarray, np.ndarray]:
     """(k0z + dk, q = -dk), dk = offsets x the kernel decay constant: the k_z grid and its
     offsets below the cutoff.  Rejects a grid whose c|k| overflows, or one so narrow that
@@ -352,8 +353,9 @@ def _kz_grid(params: SpectrumParams, offsets: np.ndarray,
         raise ConfigError(f"{where} reaches k_z values whose c|k| is not finite")
     if not np.all(np.diff(kz) > 0.0):
         raise ConfigError(f"{where} collapses in the CSV's k_z column: the kernel width "
-                          f"a nu / gamma = {kernel_decay_constant(params):.3g} is too small "
-                          f"to resolve around k0z = {params.k0z:.6g}")
+                          f"a nu / gamma = {kernel_decay_constant(params):.3g} "
+                          f"({_kernel_keys(cfg)}) is too small to resolve around "
+                          f"k0z = {params.k0z:.6g}")
     return kz, -dk
 
 
@@ -500,8 +502,9 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     wavelength = 2.0 * math.pi / knorm
     side = d.box_wavelengths * wavelength
     if not math.isfinite(side):
-        raise ConfigError(f"dicke.box_wavelengths {d.box_wavelengths!r} gives a box side "
-                          f"{side!r} that is not finite")
+        raise ConfigError(f"dicke.box_wavelengths = {d.box_wavelengths!r} wavelengths "
+                          f"2 pi c / nu (spectrum.nu = {nu!r}) give a box side {side!r} that "
+                          "is not finite")
     box = Box(side)
     rng = ensemble_stream((cfg.seed, 977))
 
@@ -567,7 +570,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
 def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
     params = _kernel_params(cfg)
     # the grid spans the widest kernel, the one at the starting a
-    kz, q = _kz_grid(params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
+    kz, q = _kz_grid(cfg, params, _offset_grid(-8.0, 1.0, cfg.delta.grid_points),
                      "the delta-limit grid (8 decay constants a nu / gamma below k0z)")
     with _stage(stages, "delta_sweep") as work:
         sweep = flat_delta_limit(q, params, cfg.delta.halvings)
@@ -593,12 +596,12 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 _MIN_RELATIVE_SIGMA = 1e-15
 # the phases a replica forms, its state's (k0z - k_c) z_j and its cells' (k_c - k_z) c_m,
 # with k_c the grid's middle wavenumber and k0z on the grid, are about max|k_z| max|z|
-# at most, and round to at most ulp(max(|k0z|, max|k_z|) max|z|); only a standalone
-# sum, which no scenario runs, forms k_c z_j.  The bound was set when the sum still
-# formed the lateral phases k . r_j and cancelled them in floating point: a sweep of
-# their size (200 atoms x 2 replicas and 2e4 x 10) left every pull unmoved up to an ulp
-# of 0.12 rad, moved them at 1 rad and failed the gate at 8 rad.  It is kept for the
-# height phases, a hundredfold below the first visible effect
+# at most, and round to at most ulp(max(|k0z|, max|k_z|) max|z|); no sum forms k_c z_j.
+# The bound was set when the sum still formed the lateral phases k . r_j and cancelled
+# them in floating point: a sweep of their size (200 atoms x 2 replicas and 2e4 x 10)
+# left every pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the
+# gate at 8 rad.  It is kept for the height phases, a hundredfold below the first
+# visible effect
 _MAX_PHASE_ULP = 1e-2
 
 
@@ -640,7 +643,7 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
 
     # before the box, whose height a kernel too narrow for the grid can overflow
     g = cfg.spectrum.grid
-    kz, q = _kz_grid(params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
+    kz, q = _kz_grid(cfg, params, _offset_grid(g.lo, g.hi, g.points), "spectrum.grid")
     decay_length = params.gamma / (a * params.nu)
     height = e.box_heights * decay_length
     if not math.isfinite(height):
@@ -650,9 +653,16 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
             "ensemble.box_heights"
         )
     box = Box(height)  # a cube: the Monte Carlo reads only heights
-    # before any replica runs: the height guard that the Monte Carlo sum applies to
-    # each atom, here on the box's z faces, so that a too tall box exits 3 ...
-    check_linearization(a, [box.low, box.high])
+    # before any replica runs: the replicas' height guard on the box's z faces, so that
+    # a too tall box exits 3 with the keys that set |a z| there, box_heights gamma /
+    # (2 nu), in which a cancels ...
+    try:
+        check_linearization(a, [box.low, box.high])
+    except LinearizationError as exc:
+        raise LinearizationError(
+            f"ensemble.box_heights = {e.box_heights!r}, spectrum.nu = {params.nu!r}, "
+            f"spectrum.gamma = {params.gamma!r}: the box's z faces reach |a z| = "
+            f"box_heights gamma / (2 nu) = {a * box.high:.3g}; {exc}") from None
     # ... and then the rounding of the atom phases over the box
     reach = box.high  # max |z| in the box
     phase_ulp = math.ulp(max(abs(params.k0z), float(np.max(np.abs(kz)))) * reach)
@@ -660,7 +670,9 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
         raise ConfigError(
             f"the ensemble box reaches |z| = {reach:.3g}, where the atom phases |k_z| |z| "
             f"round to {phase_ulp:.3g} rad, above the {_MAX_PHASE_ULP:g} rad at which rounding "
-            "starts to decide the Monte Carlo gate: lower ensemble.box_heights"
+            "starts to decide the Monte Carlo gate: lower ensemble.box_heights = "
+            f"{e.box_heights!r} or narrow spectrum.grid.lo = {g.lo!r}, spectrum.grid.hi = "
+            f"{g.hi!r}"
         )
     with _stage(stages, "replicas") as work:
         mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
@@ -794,7 +806,11 @@ def _run_verify_modes(cfg: Config, outdir: Path, stages: dict) -> dict:
         while abs(k[2]) < _MIN_KZ_FRACTION * np.linalg.norm(k):
             k = rng.normal(size=3)
         with _stage(stages, "fd_residuals") as work:
-            study = residual_slope_study(k, 2, constants, t, r, v.a_values)
+            try:
+                study = residual_slope_study(k, 2, constants, t, r, v.a_values)
+            except LinearizationError as exc:  # its message gives the a that fails
+                raise LinearizationError(f"verify.a_values = {list(v.a_values)!r} at heights "
+                                         f"near the check point's z = {z!r}: {exc}") from None
             work["mode_a"] = work.get("mode_a", 0) + len(v.a_values)
         studies.append(study)
         for a, rep in zip(v.a_values, study.reports):

@@ -17,6 +17,8 @@ Checks provided:
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -155,12 +157,21 @@ def wave_residual(
     Far from the origin that floor swamps the differences.  A residual of
     exactly zero is inconclusive too, as the Gauss residual of an axial mode
     k = (0, 0, k_z) is (its field is transverse and varies along z alone), and
-    that of a field that vanishes, as sqrt(c|k| / 2) does at a subnormal c.
+    that of a ``field`` that vanishes; so is a residual or an estimate that is
+    not finite.  The time stencil divides by (h / c)^2 and by c^2: a mode whose
+    c and |k| leave either not finite raises PhysicsDomainError.  Every mode
+    that passes has a field of amplitude sqrt(c|k| / 2) > 0.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if field is None:
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
     h = _REL_STEP / mode.index.knorm
+    c = mode.constants.c
+    dt = h / c
+    if not (math.isfinite(dt * dt) and math.isfinite(c * c)):  # the time stencil's divisors
+        raise PhysicsDomainError(
+            f"c = {c!r} and |k| = {mode.index.knorm!r}: the time stencil's divisors "
+            f"(h / c)^2, with h = {_REL_STEP:g} / |k|, and c^2 must be finite")
 
     res_h, gauss_h, field_norm = _raw_residuals(mode, field, t, r, h)
     res_h2, gauss_h2, _ = _raw_residuals(mode, field, t, r, h / 2)
@@ -176,12 +187,15 @@ def wave_residual(
     noise *= factor / (factor - 1)
     drowned = (4 * noise * _D2_ABS_SUM / (h / 2) ** 2 > res_norm
                or 3 * noise * _D1_ABS_SUM / (h / 2) > abs(gauss))
+    # every comparison with a NaN is False, so a non-finite figure is caught on its own
+    finite = all(map(cmath.isfinite, (res_norm, gauss, disc, gauss_disc)))
     return ResidualReport(
         residual_vector=res,
         gauss_residual=complex(gauss),
         discretization_estimate=disc,
         gauss_discretization=float(gauss_disc),
-        inconclusive=bool(disc > res_norm or drowned or res_norm == 0.0 or gauss == 0.0),
+        inconclusive=bool(not finite or disc > res_norm or drowned or res_norm == 0.0
+                          or gauss == 0.0),
     )
 
 

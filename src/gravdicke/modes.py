@@ -115,6 +115,9 @@ class PerturbedMode(namedtuple("PerturbedMode", "index metric constants basis"))
         if not math.isfinite(self.omega):  # and so the amplitude sqrt(w / 2)
             raise PhysicsDomainError(f"mode frequency c|k| of c = {constants.c!r} and |k| = "
                                      f"{index.knorm!r} is not finite")
+        if 4.0 * index.k[2] ** 3 == 0.0:  # gauss_law_constant's divisor, in its own form
+            raise PhysicsDomainError(f"the Gauss-law constant's k_z^3 underflows to 0 at c = "
+                                     f"{constants.c!r} and |k| = {index.knorm!r}")
         return self
 
     @classmethod

@@ -623,6 +623,34 @@ class TestBadInputExitCodes:
         assert err.count("\n") == 1
         assert f"{section}.{leaf} = {value!r}" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("payload, code, names", [
+        # |a z| at the box's faces is box_heights gamma / (2 nu): a cancels
+        ({"scenario": "curved-spectrum", "ensemble": {"box_heights": 3000}}, 3,
+         ["ensemble.box_heights = 3000", "spectrum.nu = 1.0", "spectrum.gamma = 0.01"]),
+        ({"scenario": "verify-modes", "verify": {"a_values": [1e-4, 5.0]}}, 3,
+         ["verify.a_values = [0.0001, 5.0]", "a=5.0"]),
+        # the kernel width a nu / gamma is too narrow for the grid's k_z column
+        ({"scenario": "delta-limit", "metric": {"a": 1e-30}}, 2,
+         ["metric.a = 1e-30", "spectrum.nu = 1.0", "spectrum.gamma = 0.01"]),
+        ({"scenario": "curved-spectrum", "metric": {"a": 1e-30}}, 2,
+         ["spectrum.grid", "metric.a = 1e-30", "spectrum.nu = 1.0", "spectrum.gamma = 0.01"]),
+        # the atom phases |k_z| |z| take the grid's reach and the box's
+        ({"scenario": "curved-spectrum", "spectrum": {"grid": {"hi": 1e100}}}, 2,
+         ["spectrum.grid.hi = 1e+100", "spectrum.grid.lo = -8.0", "ensemble.box_heights = 80.0"]),
+        # the box side is box_wavelengths wavelengths 2 pi c / nu
+        ({"scenario": "flat-dicke", "spectrum": {"nu": 5e-324}}, 2,
+         ["spectrum.nu = 5e-324", "dicke.box_wavelengths = 100.0"]),
+    ], ids=["box-past-linearization", "a-value-past-linearization", "delta-grid-collapse",
+            "spectrum-grid-collapse", "grid-reach-rounds-phases", "flat-dicke-box-side"])
+    def test_exit_names_the_keys_that_feed_it(self, tmp_path, capsys, payload, code, names):
+        cfg = write_config(tmp_path, payload)
+        assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = json.loads(err)["message"]
+        for name in names:
+            assert name in message, name
+
     @pytest.mark.parametrize("text, key", [
         ('{"scenario": "spreads", "metric": {"a": 1e-3, "a": 2e-3}}', "'a'"),
         ('{"scenario": "spreads", "seed": 1, "scenario": "flat-dicke"}', "'scenario'"),

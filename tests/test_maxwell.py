@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,28 @@ class TestWaveResidual:
         assert not near.inconclusive
         assert far.residual_norm > 2.0 * near.residual_norm
         assert far.inconclusive
+
+    def test_non_finite_residual_is_inconclusive(self):
+        # every comparison with a NaN is False: without its own test a NaN residual and a
+        # NaN estimate would read as conclusive
+        def nan_field(ts, rs):
+            return np.full((len(ts), 3), complex(np.nan, np.nan))
+
+        rep = wave_residual(make_mode(a=1e-4), POINT_T, POINT_R, field=nan_field)
+        assert np.isnan(rep.residual_norm) and np.isnan(rep.discretization_estimate)
+        assert rep.inconclusive
+
+    @pytest.mark.parametrize("c, knorm", [
+        (5e-324, 1e4),   # the time step h / c overflows: the derivatives would be NaN
+        (5e-324, 1e16),  # h / c is finite and its square overflows
+        (1e300, 1.0),    # c^2 overflows
+    ], ids=["infinite-step", "unsquarable-step", "unsquarable-c"])
+    def test_unsquarable_time_stencil_is_a_domain_error(self, c, knorm):
+        # each once ended in a NaN report judged conclusive or a bare OverflowError
+        k = knorm * np.array([0.3, -0.4, 0.866])
+        mode = PerturbedMode(ModeIndex(k, 2), WeakFieldMetric(a=1e-4), PhysicalConstants(c=c))
+        with pytest.raises(PhysicsDomainError, match=re.escape(f"c = {c!r} and |k| = ")):
+            wave_residual(mode, POINT_T, POINT_R)
 
 
 class TestGaussResidual:

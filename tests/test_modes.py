@@ -137,6 +137,13 @@ class TestAmplitude:
         mode = PerturbedMode(ModeIndex(np.ones(3), 2), WeakFieldMetric(a=1e-3), constants)
         assert math.isfinite(mode.flat_amplitude)
 
+    def test_underflowing_gauss_constant_rejected(self):
+        # at |k| = 1e-160, k_z^3 underflows to 0 and the Gauss-law constant would divide
+        # by it (a bare ZeroDivisionError in every caller); a = 5e-324 keeps |a z| < 1
+        k = 1e-160 * np.array([0.3, -0.4, 0.866])
+        with pytest.raises(PhysicsDomainError, match=r"k_z\^3 underflows to 0 at c = 1.0 and \|k\| = "):
+            PerturbedMode(ModeIndex(k, 2), WeakFieldMetric(a=5e-324), PhysicalConstants.scaled())
+
 
 class TestPhaseAndWavevector:
     def test_flat_plane_wave_at_reference(self):
