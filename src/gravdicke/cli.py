@@ -503,8 +503,7 @@ def _run_flat_dicke(cfg: Config, outdir: Path, stages: dict) -> dict:
     side = d.box_wavelengths * wavelength
     if not math.isfinite(side):
         raise ConfigError(f"dicke.box_wavelengths = {d.box_wavelengths!r} wavelengths "
-                          f"2 pi c / nu (spectrum.nu = {nu!r}) give a box side {side!r} that "
-                          "is not finite")
+                          f"2 pi c / nu at spectrum.nu = {nu!r} give a box side {side!r}")
     box = Box(side)
     rng = ensemble_stream((cfg.seed, 977))
 
@@ -653,16 +652,15 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
             "ensemble.box_heights"
         )
     box = Box(height)  # a cube: the Monte Carlo reads only heights
-    # before any replica runs: the replicas' height guard on the box's z faces, so that
-    # a too tall box exits 3 with the keys that set |a z| there, box_heights gamma /
-    # (2 nu), in which a cancels ...
+    # before any replica runs: the replicas' height guard on the box's z faces, where a
+    # too tall box exits 3 naming the keys of |a z| = box_heights gamma / (2 nu) ...
     try:
         check_linearization(a, [box.low, box.high])
     except LinearizationError as exc:
         raise LinearizationError(
             f"ensemble.box_heights = {e.box_heights!r}, spectrum.nu = {params.nu!r}, "
-            f"spectrum.gamma = {params.gamma!r}: the box's z faces reach |a z| = "
-            f"box_heights gamma / (2 nu) = {a * box.high:.3g}; {exc}") from None
+            f"spectrum.gamma = {params.gamma!r} give |a z| = box_heights gamma / (2 nu) = "
+            f"{a * box.high:.3g} at the box's z faces: {exc}") from None
     # ... and then the rounding of the atom phases over the box
     reach = box.high  # max |z| in the box
     phase_ulp = math.ulp(max(abs(params.k0z), float(np.max(np.abs(kz)))) * reach)

@@ -168,9 +168,8 @@ def curved_timed_dicke(ensemble: Ensemble, k0z: float, *, out: np.ndarray | None
     ``out`` when that is given (a C-contiguous complex array of ensemble.n
     entries); the phases and |c_j|^2 pass through ``work`` (a C-contiguous
     float array of as many).  Each left out is allocated.  The phases are flat
-    at any a: the metric enters through the atom sum's volume weights (see
-    :func:`gravdicke.spectrum.monte_carlo_spectrum`) and the replicas'
-    linearization guard (see :func:`gravdicke.spectrum.replicated_mc_spectrum`).
+    at any a: the metric enters through the atom sum's volume weights and the
+    replicas' linearization guard (see :mod:`gravdicke.spectrum`).
     The phasors come from :func:`cis`.  Given k0z - k_c in place of k0z, it
     returns the state in the frame of a wavenumber k_c, c_j e^{-i k_c z_j} up
     to rounding, as the Monte Carlo replicas build it.

@@ -17,8 +17,6 @@ Checks provided:
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,17 +156,15 @@ def wave_residual(
     exactly zero is inconclusive too, as the Gauss residual of an axial mode
     k = (0, 0, k_z) is (its field is transverse and varies along z alone), and
     that of a ``field`` that vanishes; so is a residual or an estimate that is
-    not finite.  The time stencil divides by (h / c)^2 and by c^2: a mode whose
-    c and |k| leave either not finite raises PhysicsDomainError.  Every mode
-    that passes has a field of amplitude sqrt(c|k| / 2) > 0.
+    not finite.  A mode whose c and |k| leave the time stencil's divisors
+    (h / c)^2 or c^2 not finite raises PhysicsDomainError; every other mode's
+    field, of amplitude sqrt(c|k| / 2), is non-zero.
     """
     r = np.asarray(r, dtype=float).reshape(3)
     if field is None:
         field = lambda ts, rs: mode_field_first_order(mode, ts, rs)  # noqa: E731
-    h = _REL_STEP / mode.index.knorm
-    c = mode.constants.c
-    dt = h / c
-    if not (math.isfinite(dt * dt) and math.isfinite(c * c)):  # the time stencil's divisors
+    h, c = _REL_STEP / mode.index.knorm, mode.constants.c
+    if not np.all(np.isfinite((h / c * (h / c), c * c))):  # the time stencil's divisors
         raise PhysicsDomainError(
             f"c = {c!r} and |k| = {mode.index.knorm!r}: the time stencil's divisors "
             f"(h / c)^2, with h = {_REL_STEP:g} / |k|, and c^2 must be finite")
@@ -188,7 +184,7 @@ def wave_residual(
     drowned = (4 * noise * _D2_ABS_SUM / (h / 2) ** 2 > res_norm
                or 3 * noise * _D1_ABS_SUM / (h / 2) > abs(gauss))
     # every comparison with a NaN is False, so a non-finite figure is caught on its own
-    finite = all(map(cmath.isfinite, (res_norm, gauss, disc, gauss_disc)))
+    finite = np.all(np.isfinite((res_norm, gauss, disc, gauss_disc)))
     return ResidualReport(
         residual_vector=res,
         gauss_residual=complex(gauss),

@@ -501,53 +501,41 @@ def monte_carlo_spectrum(
     """Add one batch's atom sum, amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), into
     a replica's ``cells``, as :func:`replicated_mc_spectrum` hands it each batch.
 
-    c_j are the batch's state, one per atom in the ensemble's order, given in
-    the cells' frame: ``amplitudes`` are c_j e^{-i k_c z_j}, as
-    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them.  The model
+    c_j are the batch's state, one per atom in the ensemble's order.  The model
     is the first-order one, both of its parts stated here: D_j is the detuning
     denominator with the mode frequency shifted to the atom's height, and w_j =
     sqrt(1 - a z_j) is the curved volume element, an importance weight on the
-    uniformly drawn heights; the caller has checked |a z| < 1 on the box the
-    heights are drawn in (see :func:`gravdicke.metric.check_linearization`).
-    k keeps k0's transverse components, so its x and y phases cancel the
-    state's atom by atom: they are never formed, and k_x and k_y enter only
-    c|k|.
+    uniformly drawn heights, which the caller keeps at |a z| < 1.  k keeps k0's
+    transverse components, so its x and y phases cancel the state's atom by
+    atom: they are never formed, and k_x and k_y enter only c|k|.
 
     The sum is taken cell by cell (see TRUNCATION_BOUND), in the frame of the
     cells' wavenumber k_c, the grid's middle: it sums B_j = c_j w_j e^{-i k_c
-    z_j}, which is amplitude_j w_j, so the call forms no phasor.  The cells have
-    half-width h and lie on a lattice anchored at the
-    origin, where the metric is flat: cell m is centred at c_m = 2 h m and
-    holds the heights with m = rint(z / 2h).  The atoms are grouped by the
-    integer key m - min m, in the narrowest unsigned type that holds the span,
-    with one stable argsort (a radix sort for a span under 65 536 lattice
-    steps), so the atoms of a cell keep their order.  Each occupied cell keeps
-    the moments mu_p = sum_j B_j tau_j^p, p < P, of its atoms' offsets tau_j =
-    (z_j - c_m) / h, taken as 2 (z_j / 2h - m): |tau_j| <= 1 exactly, for
-    heights moved by at most one rounding of z_j / 2h.
-    The contraction (_contract) then takes every grid point against every
-    occupied cell's moments, with the Taylor coefficients of e^{i q h tau} / (1 -
-    rho tau), nested as in Horner's rule, and the cell's leading factor e^{i q
-    c_m} / D(c_m): O(n P + K M P) work for n atoms, K grid points and M <= n
-    occupied cells, against O(n K) atom by atom.  Each term is cut off within
-    TRUNCATION_BOUND of its size.  The call adds the batch's moments into the
-    cells and returns None: the caller contracts the cells once they hold every
-    batch it wants summed together.
+    z_j}.  ``amplitudes`` are the state in that frame, c_j e^{-i k_c z_j}, as
+    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them, so B_j is
+    amplitude_j w_j and the call forms no phasor.  The cells have half-width h
+    and lie on a lattice anchored at the origin, where the metric is flat: cell
+    m is centred at c_m = 2 h m and holds the heights with m = rint(z / 2h).
+    The atoms are grouped by the integer key m - min m, in the narrowest
+    unsigned type that holds the span, with one stable argsort (a radix sort
+    for a span under 65 536 lattice steps), so the atoms of a cell keep their
+    order.  Each occupied cell keeps the moments mu_p = sum_j B_j tau_j^p, p <
+    P, of its atoms' offsets tau_j = (z_j - c_m) / h, taken as 2 (z_j / 2h -
+    m): |tau_j| <= 1 exactly, for heights moved by at most one rounding of z_j
+    / 2h.  The call adds them into the cells and returns None: the caller
+    contracts the cells (_contract) once they hold every batch it wants summed
+    together.  ``kz_grid`` is not read, since the cells carry its k_c and h;
+    bench/tracer.py counts each call's atoms x points from it.
 
     The atoms use the first ensemble.n columns of ``work``, a pair of
     C-contiguous arrays as _sum_work makes them for at least that many atoms.
     ``amplitudes`` may be the first ensemble.n entries of the first complex row
     of ``work``: the weights then multiply them in place.  The ensemble's
     positions may live in the float view of the last two complex rows of
-    ``work``: they are read before those rows are first written.  ``kz_grid``
-    is the grid the cells will be contracted against: the call does not read
-    it, since the cells carry its k_c and h, but bench/tracer.py counts the
-    atoms x points of each call from it.  The sum carries no error estimate: the spread over independent ensembles gives
+    ``work``: they are read before those rows are first written.  The sum
+    carries no error estimate: the spread over independent ensembles gives
     that, see :func:`replicated_mc_spectrum`.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (ensemble.n,):
-        raise PhysicsDomainError("amplitudes must have one entry per atom of the ensemble")
     n = ensemble.n
     real, cplx = work
     z, u, tau = real[:, :n]
@@ -593,9 +581,14 @@ def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
               work: tuple[np.ndarray, np.ndarray], stats: dict) -> np.ndarray:
     """Every grid point's sum over the occupied cells' expansions; the cells are left empty.
 
-    Blocks of grid points take at most one row of ``work`` per array.  ``stats``
-    adds the cells to "occupied_cells", one to "contractions" and the cells x
-    grid points to "cell_kz".
+    Each grid point takes every occupied cell's moments with the Taylor
+    coefficients of e^{i q h tau} / (1 - rho tau), nested as in Horner's rule,
+    and the cell's leading factor e^{i q c_m} / D(c_m): O(n P + K M P) work, with
+    :func:`monte_carlo_spectrum`'s, for n atoms, K grid points and M <= n
+    occupied cells, against O(n K) atom by atom.  Each term is cut off within
+    TRUNCATION_BOUND of its size.  Blocks of grid points take at most one row
+    of ``work`` per array.  ``stats`` adds the cells to "occupied_cells", one
+    to "contractions" and the cells x grid points to "cell_kz".
     """
     n_cells, h = cells.size, cells.h
     mu = cells.moments[:, :n_cells]
@@ -709,11 +702,9 @@ def replicated_mc_spectrum(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo spectrum averaged over independent seeded ensembles.
 
-    The grid must be a nonempty 1-D array of finite k_z values, k0 must not
-    graze (SpectrumParams.require_directional), and the box's z faces must keep
-    |a z| < 1 (LinearizationError otherwise): every atom is drawn inside the
-    box, so the faces bound every height a batch weights.  Each check runs once
-    per call, before any replica.
+    Checked once, before any replica: the grid is a nonempty 1-D array of
+    finite k_z values, k0 does not graze, and the box's z faces keep |a z| < 1
+    (LinearizationError), which bounds every height drawn in the box.
 
     Replica r draws its n_atoms atoms from the one stream
     ensemble_stream((base_seed, r)), in consecutive batches of at most
@@ -765,7 +756,6 @@ def replicated_mc_spectrum(
     if kz.ndim != 1 or kz.size == 0 or not np.all(np.isfinite(kz)):
         raise PhysicsDomainError(f"kz grid must be a nonempty 1-D array of finite values, "
                                  f"got shape {kz.shape}")
-    # every batch is drawn in the box, so its faces bound every height the sum weights
     check_linearization(params.metric.a, (box.low, box.high))
     k_c, h = _cell_half_width(kz, params, box.high)
     # no batch occupies more cells than it has atoms, nor than the box has lattice

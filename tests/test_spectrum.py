@@ -375,18 +375,9 @@ class TestMonteCarlo:
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
     def test_mismatch_rejected(self):
-        # a batch's state has one amplitude per atom of the batch ...
-        p = self.params
-        ens = sample_ensemble(50, self.box, 25)
-        other = sample_ensemble(60, self.box, 26)
-        k_c, h = spectrum._cell_half_width(self.kz, p, self.box.high)
-        cells = spectrum._Cells(k_c, h, 60, 60)
-        state = curved_timed_dicke(other, p.k0z - k_c)
-        with pytest.raises(PhysicsDomainError):
-            monte_carlo_spectrum(ens, state, self.kz, p, cells, work=spectrum._sum_work(60))
-        # ... and the replicas need a grid
-        with pytest.raises(PhysicsDomainError):
-            replicated_mc_spectrum(p, np.array([]), 50, self.box, 2, 25)
+        # a grid of another shape than one k_z per point, checked at the replicas' entry
+        with pytest.raises(PhysicsDomainError, match="kz grid must be a nonempty 1-D array"):
+            replicated_mc_spectrum(self.params, self.kz[None, :], 50, self.box, 2, 25)
 
     @pytest.mark.parametrize("grid", [[], [float("nan")], [1.0, float("inf")]])
     def test_bad_grid_rejected_by_name(self, grid):
