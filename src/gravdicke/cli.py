@@ -593,9 +593,9 @@ def _run_delta_limit(cfg: Config, outdir: Path, stages: dict) -> dict:
 # eps = 2.2e-16, so a replica spread under a few eps of the peak cannot decide
 # the gate; the spread shrinks in proportion to ensemble.box_heights
 _MIN_RELATIVE_SIGMA = 1e-15
-# the phases a replica forms, its state's (k0z - k_c) z_j and its cells' (k_c - k_z) c_m,
-# with k_c the grid's middle wavenumber and k0z on the grid, are about max|k_z| max|z|
-# at most, and round to at most ulp(max(|k0z|, max|k_z|) max|z|); no sum forms k_c z_j.
+# the one phase a replica forms, its cells' (k0z - k_z) c_m, rounds to at most about
+# ulp(max(|k0z|, max|k_z|) max|z|): k0z - k_z carries the rounding of the larger of
+# the two, and c_m reaches max|z|; no sum forms an atom's own phase.
 # The bound was set when the sum still formed the lateral phases k . r_j and cancelled
 # them in floating point: a sweep of their size (200 atoms x 2 replicas and 2e4 x 10)
 # left every pull unmoved up to an ulp of 0.12 rad, moved them at 1 rad and failed the
@@ -673,8 +673,14 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
             f"{g.hi!r}"
         )
     with _stage(stages, "replicas") as work:
-        mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
-                                                     cfg.seed, threads=cfg.threads, stats=work)
+        try:
+            mc, mc_stderr, prob = replicated_mc_spectrum(params, kz, e.n_atoms, box, e.replicas,
+                                                         cfg.seed, threads=cfg.threads,
+                                                         stats=work)
+        except PhysicsDomainError as exc:  # the atom-sum cells take the grid and the box
+            raise type(exc)(f"{_kernel_keys(cfg)}, spectrum.grid.lo = {g.lo!r}, "
+                            f"spectrum.grid.hi = {g.hi!r}, ensemble.box_heights = "
+                            f"{e.box_heights!r}: {exc}") from None
         work["atoms"] = e.n_atoms * e.replicas
         work["atom_kz"] = work["atoms"] * kz.size
     with _stage(stages, "quadrature") as work:
@@ -698,10 +704,10 @@ def _run_curved_spectrum(cfg: Config, outdir: Path, stages: dict) -> dict:
     # peak zero or subnormal, and the division by it would overflow
     if not np.min(sigma) >= _MIN_RELATIVE_SIGMA:
         raise ConfigError(
-            f"ensemble.box_heights={e.box_heights!r} gives a replica spread down to "
+            f"ensemble.box_heights = {e.box_heights!r} decay lengths gamma / (a nu) "
+            f"({_kernel_keys(cfg)}) give a replica spread down to "
             f"{float(np.min(sigma)):.3g} of the peak amplitude, under the "
-            f"{_MIN_RELATIVE_SIGMA:g} below which rounding decides the Monte Carlo gate: "
-            "use a taller box"
+            f"{_MIN_RELATIVE_SIGMA:g} below which rounding decides the Monte Carlo gate"
         )
     signed_dev = mc / mc_scale - quad / float(np.max(np.abs(quad)))
     dev = np.abs(signed_dev)

@@ -135,9 +135,10 @@ def cis(theta, out: np.ndarray | None = None, *, work: np.ndarray | None = None)
     theta's shape) receives the result, whose real and imaginary views are
     written in place, and ``work`` (a C-contiguous float array of theta's
     shape, theta's own array allowed, which is then overwritten) receives t;
-    each left out is allocated.  The Monte Carlo sum and the timed Dicke state
-    use it; the structure factor, which only averages the phasors, sums cos
-    and sin from the same t without forming them.  The oracles keep np.exp.
+    each left out is allocated.  The Monte Carlo contraction and the timed
+    Dicke state use it; the structure factor, which only averages the
+    phasors, sums cos and sin from the same t without forming them.  The
+    oracles keep np.exp.
     """
     if work is None:
         work = np.empty(np.shape(theta))  # out=: stays an array at 0-d
@@ -170,9 +171,10 @@ def curved_timed_dicke(ensemble: Ensemble, k0z: float, *, out: np.ndarray | None
     float array of as many).  Each left out is allocated.  The phases are flat
     at any a: the metric enters through the atom sum's volume weights and the
     replicas' linearization guard (see :mod:`gravdicke.spectrum`).
-    The phasors come from :func:`cis`.  Given k0z - k_c in place of k0z, it
-    returns the state in the frame of a wavenumber k_c, c_j e^{-i k_c z_j} up
-    to rounding, as the Monte Carlo replicas build it.
+    The phasors come from :func:`cis`.  The Monte Carlo replicas never build
+    the state: their sum takes it in the carrier frame of k0z, where c_j
+    e^{-i k_z z_j} = e^{i (k0z - k_z) z_j} / sqrt(N) (see
+    :func:`gravdicke.spectrum.monte_carlo_spectrum`).
     """
     theta = np.multiply(ensemble.positions[:, 2], k0z, out=work)
     raw = cis(theta, out=out, work=theta)

@@ -10,16 +10,17 @@ module computes the k_z distribution
 * by Monte Carlo over explicit random atom ensembles, whose atom sum is taken
   by local Taylor expansions about the centres of height cells on a lattice
   anchored at the origin, with an a-priori bound on the truncation of each
-  term: every batch of a replica builds its state in the cells' frame, groups
-  its atoms by their integer cell keys, and adds their moments into the same
-  cells, and the cells are contracted against the grid once per replica,
+  term: the sum is taken in the carrier frame of k0z, where each atom's term
+  is its real volume weight, every batch of a replica groups its atoms by
+  their integer cell keys and adds their moments into the same cells, and the
+  cells are contracted against the grid once per replica,
 
 plus the closed-form spread measures and the flat-space structure factor.
 The closed forms take q itself, so that no kernel value carries the rounding
 of k0z; the quadrature and the Monte Carlo take k_z, which their mode
 frequency c|k| needs.  Each route is an oracle for the others; nothing here
 reuses another route's algebra.  The atom sums work from the tan half-angle
-t = tan(theta / 2): the Monte Carlo sum takes its phasors from
+t = tan(theta / 2): the Monte Carlo contraction takes its cells' phasors from
 :func:`gravdicke.emission.cis`, and the structure factor sums cos and sin from
 t without forming phasors.  The quadrature and the closed forms keep np.exp.
 """
@@ -33,6 +34,8 @@ from collections import namedtuple
 
 import numpy as np
 
+# curved_timed_dicke is unread here: bench/tracer.py rebinds the name, so it stays
+# until the tracer goes
 from .emission import (
     Box,
     Ensemble,
@@ -356,8 +359,8 @@ def analytic_spectrum(q_grid, params: SpectrumParams) -> np.ndarray:
 # The atom sum expands each atom's term about the centre c of its cell of heights,
 # the one-level form of the fast multipole method (Greengard & Rokhlin, J. Comput.
 # Phys. 73, 325, 1987).  With z = c + h tau, |tau| <= 1 in a cell of half-width h,
-# a middle wavenumber k_c, q = k_c - k_z and D(z) = D(c) - slope (z - c),
-#     e^{-i k_z z} / D(z) = e^{-i k_c z} (e^{i q c} / D(c)) e^{i q h tau} / (1 - rho tau),
+# the carrier wavenumber k0z, q = k0z - k_z and D(z) = D(c) - slope (z - c),
+#     e^{i k0z z} e^{-i k_z z} / D(z) = (e^{i q c} / D(c)) e^{i q h tau} / (1 - rho tau),
 # with rho = slope h / D(c).  |D| >= Gamma / 2, so r = |rho| <= a omega h / Gamma.  The
 # product of the geometric and the exponential series, cut at total order P, leaves
 # of each term at most the fraction
@@ -382,8 +385,8 @@ _BATCH_ATOMS = 25_000
 
 
 def _sum_work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Working arrays of :func:`monte_carlo_spectrum` for n atoms: three real rows (no x or y
-    enters the sum), three complex."""
+    """Working arrays of :func:`monte_carlo_spectrum` and :func:`_contract` for n atoms:
+    three real rows (no x or y enters the sum), three complex."""
     return np.empty((3, n)), np.empty((3, n), dtype=complex)
 
 
@@ -392,8 +395,8 @@ def _batch_work(n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
 
     The (n, 3) positions are the float view of the atom sum's last two complex
     rows, which it writes only after it has read them (see
-    :func:`monte_carlo_spectrum`).  Of the positions, the state and the sum read
-    only the heights.
+    :func:`monte_carlo_spectrum`).  Of the positions, the sum reads only the
+    heights.
     """
     work = _sum_work(n)
     spare = work[1][1:].view(float).reshape(-1)  # 4 n floats, n of them unused
@@ -406,19 +409,17 @@ def _mode_frequency(kz: np.ndarray, params: SpectrumParams) -> np.ndarray:
     return params.constants.c * np.sqrt(kx * kx + ky * ky + kz * kz)
 
 
-def _cell_half_width(kz: np.ndarray, params: SpectrumParams, reach: float) -> tuple[float, float]:
-    """(k_c, h): the grid's middle wavenumber and the widest cell half-width with
-    |rho| h <= _CELL_RHO and |k_c - k_z| h <= _CELL_Q at every grid point.
+def _cell_half_width(kz: np.ndarray, params: SpectrumParams, reach: float) -> float:
+    """The widest cell half-width h with |rho| h <= _CELL_RHO and |k0z - k_z| h <= _CELL_Q
+    at every grid point.
 
     h is at most the heights' reach max |z| (1 if every height is 0, where any h
     serves).  Heights up to the reach must have a lattice index |z| / 2h under
     2^52: past it a double keeps no fraction of a cell, and the offsets tau
     within a cell would be lost.
     """
-    lo, hi = float(kz.min()), float(kz.max())
-    k_c = 0.5 * lo + 0.5 * hi
     rho_max = params.metric.a * float(_mode_frequency(kz, params).max()) / params.gamma
-    q_max = max(k_c - lo, hi - k_c)
+    q_max = float(np.max(np.abs(params.k0z - kz)))
     h = min(_CELL_RHO / rho_max if rho_max > 0.0 else math.inf,
             _CELL_Q / q_max if q_max > 0.0 else math.inf,
             reach if reach > 0.0 else 1.0)
@@ -426,48 +427,37 @@ def _cell_half_width(kz: np.ndarray, params: SpectrumParams, reach: float) -> tu
         raise PhysicsDomainError(
             f"atom-sum cells of half-width {h!r} cannot resolve heights reaching {reach!r}"
         )
-    return k_c, h
+    return h
 
 
 class _Cells:
     """Cell moments on the height lattice of centres 2 h m, keyed by the integer m.
 
     ``keys`` holds the occupied cells' m in ascending order, as doubles, and
-    ``moments[p]`` their moments mu_p, in the first ``size`` of ``capacity``
-    columns.  The moments are sums over B_j = c_j w_j e^{-i k_c z_j} with the
-    c_j of a whole ensemble of ``n_atoms`` atoms: a batch of m of them adds the
-    moments of its own state weighted by sqrt(m / n_atoms) (see
-    :func:`replicated_mc_spectrum`).
+    ``moments[p]`` their real moments mu_p = sum_j w_j tau_j^p over the volume
+    weights w_j of their atoms, in the first ``size`` of ``capacity`` columns.
     """
 
-    def __init__(self, k_c: float, h: float, capacity: int, n_atoms: int) -> None:
-        self.k_c, self.h, self.n_atoms = k_c, h, n_atoms
+    def __init__(self, h: float, capacity: int) -> None:
+        self.h = h
         self.keys = np.empty(capacity)
-        self.moments = np.empty((_TERMS, capacity), dtype=complex)
+        self.moments = np.empty((_TERMS, capacity))
         self.size = 0
 
     @property
     def capacity(self) -> int:
         return self.keys.size
 
-    def add(self, keys: np.ndarray, b: np.ndarray, tau: np.ndarray, starts: np.ndarray) -> None:
-        """Add the cells of a batch of m atoms grouped cell by cell: its ascending keys,
-        the (2, m) real and imaginary parts b of its B_j (weighted and then overwritten
-        in place), their offsets tau and each cell's first atom.  A cell already held
-        sums the moments it held and the batch's, in that order; a new cell takes its
-        place among the held ones, which move up past it."""
+    def add(self, keys: np.ndarray, w: np.ndarray, tau: np.ndarray, starts: np.ndarray) -> None:
+        """Add the cells of a batch of atoms grouped cell by cell: its ascending keys, the
+        atoms' weights w (overwritten in place), their offsets tau and each cell's first
+        atom.  A cell already held sums the moments it held and the batch's, in that
+        order; a new cell takes its place among the held ones, which move up past it."""
         old, new = self.size, self.size + keys.size
-        share = math.sqrt(b.shape[1] / self.n_atoms)
-        if share != 1.0:
-            b *= share
-        for p, row in enumerate(self.moments[:, old:new]):  # mu_p = sum of B_j tau_j^p
-            np.add.reduceat(b, starts, axis=1, out=row.view(float).reshape(-1, 2).T)
+        for p, row in enumerate(self.moments[:, old:new]):  # mu_p = sum of w_j tau_j^p
+            np.add.reduceat(w, starts, out=row)
             if p + 1 < _TERMS:
-                b *= tau
-        if not old:  # nothing held: the batch's cells, in key order, are the cells
-            self.keys[:new] = keys
-            self.size = new
-            return
+                w *= tau
         # each batch cell's place among the held ones, at most old < capacity (no batch
         # is added unless old + keys.size <= capacity), so it indexes the arrays
         at = np.searchsorted(self.keys[:old], keys)
@@ -491,9 +481,8 @@ class _Cells:
 
 def monte_carlo_spectrum(
     ensemble: Ensemble,
-    amplitudes: np.ndarray,
-    kz_grid,
     params: SpectrumParams,
+    kz_grid,
     cells: _Cells,
     *,
     work: tuple[np.ndarray, np.ndarray],
@@ -501,51 +490,51 @@ def monte_carlo_spectrum(
     """Add one batch's atom sum, amplitude(kz) = sum_j c_j w_j e^{-i kz z_j} / D_j(kz), into
     a replica's ``cells``, as :func:`replicated_mc_spectrum` hands it each batch.
 
-    c_j are the batch's state, one per atom in the ensemble's order.  The model
-    is the first-order one, both of its parts stated here: D_j is the detuning
-    denominator with the mode frequency shifted to the atom's height, and w_j =
-    sqrt(1 - a z_j) is the curved volume element, an importance weight on the
-    uniformly drawn heights, which the caller keeps at |a z| < 1.  k keeps k0's
-    transverse components, so its x and y phases cancel the state's atom by
-    atom: they are never formed, and k_x and k_y enter only c|k|.
+    c_j = e^{i k0 . r_j} / sqrt(N) is the timed Dicke state of the replica's N
+    atoms.  The model is the first-order one, both of its parts stated here:
+    D_j is the detuning denominator with the mode frequency shifted to the
+    atom's height, and w_j = sqrt(1 - a z_j) is the curved volume element, an
+    importance weight on the uniformly drawn heights, which the caller keeps at
+    |a z| < 1.  k keeps k0's transverse components, so its x and y phases
+    cancel the state's atom by atom: they are never formed, and k_x and k_y
+    enter only c|k|.  What is left of each atom's phase, e^{i (k0z - k_z)
+    z_j}, is the cells' expansion's own (see TRUNCATION_BOUND), so the sum is
+    taken in the carrier frame of k0z: an atom's term is its real weight w_j,
+    no phasor is formed per atom, and the replica applies 1 / sqrt(N) once.
 
-    The sum is taken cell by cell (see TRUNCATION_BOUND), in the frame of the
-    cells' wavenumber k_c, the grid's middle: it sums B_j = c_j w_j e^{-i k_c
-    z_j}.  ``amplitudes`` are the state in that frame, c_j e^{-i k_c z_j}, as
-    curved_timed_dicke(ensemble, k0z - cells.k_c) builds them, so B_j is
-    amplitude_j w_j and the call forms no phasor.  The cells have half-width h
-    and lie on a lattice anchored at the origin, where the metric is flat: cell
-    m is centred at c_m = 2 h m and holds the heights with m = rint(z / 2h).
-    The atoms are grouped by the integer key m - min m, in the narrowest
-    unsigned type that holds the span, with one stable argsort (a radix sort
-    for a span under 65 536 lattice steps), so the atoms of a cell keep their
-    order.  Each occupied cell keeps the moments mu_p = sum_j B_j tau_j^p, p <
-    P, of its atoms' offsets tau_j = (z_j - c_m) / h, taken as 2 (z_j / 2h -
-    m): |tau_j| <= 1 exactly, for heights moved by at most one rounding of z_j
-    / 2h.  The call adds them into the cells and returns None: the caller
-    contracts the cells (_contract) once they hold every batch it wants summed
-    together.  ``kz_grid`` is not read, since the cells carry its k_c and h;
-    bench/tracer.py counts each call's atoms x points from it.
+    The cells have half-width h and lie on a lattice anchored at the origin,
+    where the metric is flat: cell m is centred at c_m = 2 h m and holds the
+    heights with m = rint(z / 2h).  The atoms are grouped by the integer key
+    m - min m, in the narrowest unsigned type that holds the span, with one
+    stable argsort (a radix sort for a span under 65 536 lattice steps), so the
+    atoms of a cell keep their order.  Each occupied cell keeps the real
+    moments mu_p = sum_j w_j tau_j^p, p < P, of its atoms' offsets tau_j = (z_j
+    - c_m) / h, taken as 2 (z_j / 2h - m): |tau_j| <= 1 exactly, for heights
+    moved by at most one rounding of z_j / 2h.  The call adds them into the
+    cells and returns None: the caller contracts the cells (_contract) once
+    they hold every batch it wants summed together.  ``kz_grid`` is not read,
+    since the cells carry its h; bench/tracer.py counts each call's atoms x
+    points from it.
 
     The atoms use the first ensemble.n columns of ``work``, a pair of
     C-contiguous arrays as _sum_work makes them for at least that many atoms.
-    ``amplitudes`` may be the first ensemble.n entries of the first complex row
-    of ``work``: the weights then multiply them in place.  The ensemble's
-    positions may live in the float view of the last two complex rows of
-    ``work``: they are read before those rows are first written.  The sum
-    carries no error estimate: the spread over independent ensembles gives
-    that, see :func:`replicated_mc_spectrum`.
+    The ensemble's positions may live in the float view of the last two
+    complex rows of ``work``: they are read before those rows are first
+    written.  The sum carries no error estimate: the spread over independent
+    ensembles gives that, see :func:`replicated_mc_spectrum`.
     """
     n = ensemble.n
     real, cplx = work
     z, u, tau = real[:, :n]
-    b, spare, moment_work = cplx[:, :n]
+    # the weights, and then the weights in cell order, in the first complex row's floats
+    weight, grouped_weight = cplx[0].view(float).reshape(2, -1)[:, :n]
+    spare = cplx[1, :n]
     np.copyto(z, ensemble.positions[:, 2])  # contiguous: every pass below reads it
     # the positions are read: the last two complex rows are free.
-    # B_j = c_j w_j, with the volume weight w = sqrt(1 - a z)
-    weight = np.multiply(z, params.metric.a, out=u)
+    # the volume weight w = sqrt(1 - a z)
+    np.multiply(z, params.metric.a, out=weight)
     np.subtract(1.0, weight, out=weight)
-    np.multiply(amplitudes, np.sqrt(weight, out=weight), out=b)
+    np.sqrt(weight, out=weight)
 
     # each atom's cell m = rint(z / 2h), exact below 2^52 (see _cell_half_width), and
     # its offset tau = 2 (z / 2h - m), exact since |z / 2h - m| <= 1/2
@@ -554,12 +543,12 @@ def monte_carlo_spectrum(
     np.subtract(scaled, index, out=tau)
     tau *= 2.0
     # the atoms grouped by the key m - min m, stored in the narrowest unsigned type
-    # that holds the batch's span, in the first half of the free complex row: numpy's
+    # that holds the batch's span, in the first half of the second complex row: numpy's
     # stable argsort of 8- and 16-bit keys is a radix sort, and a cell's atoms keep
     # their order.  The keys in that order go to the row's second half, the run
-    # flags to the real row of m, tau to the real row of z, and B's real and
-    # imaginary parts to two contiguous rows; take's default mode would copy
-    # through a temporary of the batch's size
+    # flags to the real row of m, tau to the real row of z, and the weights to the
+    # first complex row's second half; take's default mode would copy through a
+    # temporary of the batch's size
     low = float(index.min())
     key_type = np.min_scalar_type(int(float(index.max()) - low))
     keys, grouped = spare.view(key_type).reshape(2, -1)[:, :n]
@@ -571,10 +560,8 @@ def monte_carlo_spectrum(
     np.not_equal(grouped[1:], grouped[:-1], out=flags[1:])
     starts = np.flatnonzero(flags)
     np.take(tau, order, out=z, mode="clip")
-    moments = moment_work.view(float).reshape(2, n)
-    np.take(b.real, order, out=moments[0], mode="clip")
-    np.take(b.imag, order, out=moments[1], mode="clip")
-    cells.add(grouped[starts] + low, moments, z, starts)  # each cell's m, as a double
+    np.take(weight, order, out=grouped_weight, mode="clip")
+    cells.add(grouped[starts] + low, grouped_weight, z, starts)  # each cell's m, as a double
 
 
 def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
@@ -609,7 +596,7 @@ def _contract(cells: _Cells, kz: np.ndarray, params: SpectrumParams,
     g = 0.5 * params.gamma / scale
     g_sq, neg_g = g * g, -g
     rho_scale = slope * h                       # rho = slope h / D
-    q = cells.k_c - kz
+    q = params.k0z - kz
     # the nested exponential series' factors i q h / (l + 1), l < P - 1
     nest = (1j * h / np.arange(1.0, _TERMS))[:, None] * q
 
@@ -678,7 +665,7 @@ def mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # the wall time of each part of a replica, in seconds summed over batches and replicas
-_STAGE_TIMES = ("sampling_s", "timed_dicke_s", "mc_sum_s", "contraction_s")
+_STAGE_TIMES = ("sampling_s", "mc_sum_s", "contraction_s")
 
 
 def _timed(tally: dict, key: str, call, *args, **kwargs):
@@ -710,21 +697,14 @@ def replicated_mc_spectrum(
     ensemble_stream((base_seed, r)), in consecutive batches of at most
     _BATCH_ATOMS: the batches are the atoms one draw of n_atoms would give (see
     :func:`gravdicke.emission.sample_ensemble`), and no more than one batch is
-    held at a time.  Each batch of m atoms gets its own timed Dicke state, and
-    its cell moments, weighted by sqrt(m / n_atoms), are added into the
-    replica's cells.  That is the whole ensemble's sum: its state e^{i k0z z_j}
-    / sqrt(N), restricted to the batch, is sqrt(m / N) times the batch's own
-    state e^{i k0z z_j} / sqrt(m).  The two differ only in rounding, since each
-    state is normalized by its computed norm, and |cis| is 1 to about 3e-16.
-    The state is built in the cells' frame, curved_timed_dicke(batch, k0z -
-    k_c) = e^{i (k0z - k_c) z_j} / sqrt(m), which is what
-    :func:`monte_carlo_spectrum` takes: each atom gets one
-    phasor, whose phase is the small difference left once the sum's own e^{-i
-    k_c z_j} cancels most of k0z, the cancellation that makes a timed Dicke
-    state emit along k0.
+    held at a time.  No batch builds a state: the sum is taken in the carrier
+    frame of k0z (see :func:`monte_carlo_spectrum`), where the timed Dicke
+    state's phase e^{i k0z z_j} is what the sum's e^{-i k_z z_j} cancels, the
+    cancellation that makes the state emit along k0, and its norm 1 / sqrt(N)
+    multiplies each replica's sum once.
 
     Every batch has the same cells, on the lattice of :func:`monte_carlo_spectrum`
-    with k_c and h from the grid and the box, so the batches' moments add
+    with h from the grid and the box, so the batches' moments add
     before any grid point is touched, and the contraction against the grid
     runs once per replica, after its last batch.  A thread has room for twice
     the box's lattice points, or for one cell per atom of a batch if that is
@@ -734,8 +714,8 @@ def replicated_mc_spectrum(
     narrow enough, for the box to hold more lattice points than a batch has
     atoms, that is before every batch but the first.
 
-    Every batch a thread runs, in all of its replicas, is drawn, phased,
-    weighted and summed in that thread's one workspace of batch-sized arrays
+    Every batch a thread runs, in all of its replicas, is drawn, weighted and
+    summed in that thread's one workspace of batch-sized arrays
     (see _batch_work), passed down as out= and work= buffers, and its cells
     live there too; the values are those the allocating calls give, bit for
     bit.  Returns (mean, stderr, probability): the replicas' mean
@@ -746,8 +726,8 @@ def replicated_mc_spectrum(
     Taylor order ("order") and the bound on each term's truncation relative to
     the term ("truncation_bound"; see TRUNCATION_BOUND), and the wall time in
     seconds, summed over batches, replicas and threads, of the draws
-    ("sampling_s"), the states ("timed_dicke_s"), the batches' moments
-    ("mc_sum_s") and the contractions ("contraction_s").
+    ("sampling_s"), the batches' moments ("mc_sum_s") and the contractions
+    ("contraction_s").
     """
     if n_atoms < 1:
         raise PhysicsDomainError("need at least one atom")
@@ -757,7 +737,7 @@ def replicated_mc_spectrum(
         raise PhysicsDomainError(f"kz grid must be a nonempty 1-D array of finite values, "
                                  f"got shape {kz.shape}")
     check_linearization(params.metric.a, (box.low, box.high))
-    k_c, h = _cell_half_width(kz, params, box.high)
+    h = _cell_half_width(kz, params, box.high)
     # no batch occupies more cells than it has atoms, nor than the box has lattice
     # points |m| <= rint(box.high / 2h): room for twice the latter holds a replica's
     # cells and the next batch's
@@ -768,8 +748,7 @@ def replicated_mc_spectrum(
     def one(seed) -> np.ndarray:
         if not hasattr(local, "work"):
             width = min(_BATCH_ATOMS, n_atoms)
-            local.work = (_batch_work(width),
-                          _Cells(k_c, h, min(width, 2 * lattice), n_atoms))
+            local.work = (_batch_work(width), _Cells(h, min(width, 2 * lattice)))
         (positions, sum_work), cells = local.work
         rng = ensemble_stream(seed)
         total = np.zeros(kz.size, dtype=complex)
@@ -782,15 +761,11 @@ def replicated_mc_spectrum(
             # module globals, and n, ensemble and grid passed by position, so that
             # bench/tracer.py can wrap each batch's calls and count their atoms
             ens = _timed(tally, "sampling_s", sample_ensemble, m, box, rng, out=positions[:m])
-            # the state, in the cells' frame, is built in the sum's first rows, which the
-            # sum weights in place
-            amps = _timed(tally, "timed_dicke_s", curved_timed_dicke, ens, params.k0z - k_c,
-                          out=sum_work[1][0, :m], work=sum_work[0][0, :m])
-            _timed(tally, "mc_sum_s", monte_carlo_spectrum, ens, amps, kz, params, cells,
+            _timed(tally, "mc_sum_s", monte_carlo_spectrum, ens, params, kz, cells,
                    work=sum_work)
         total += _timed(tally, "contraction_s", _contract, cells, kz, params, sum_work, tally)
         counts.append(tally)
-        return total
+        return total / math.sqrt(n_atoms)  # the timed Dicke state's normalization
 
     reps = run_replicas(one, n_replicas, base_seed, threads)  # (R, n_kz)
     if stats is not None:

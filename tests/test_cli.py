@@ -406,7 +406,7 @@ class TestDeterminism:
         out = tmp_path / "parts"
         assert main(["--config", cfg, "--output", str(out), "--threads", str(threads)]) == 0
         replicas = json.loads((out / "metadata.json").read_text())["stages"]["replicas"]
-        parts = ("sampling_s", "timed_dicke_s", "mc_sum_s", "contraction_s")
+        parts = ("sampling_s", "mc_sum_s", "contraction_s")
         assert all(0.0 < replicas[key] <= threads * replicas["s"] for key in parts), replicas
         assert sum(replicas[key] for key in parts) <= threads * replicas["s"]
         assert replicas["atoms"] == 2000 * 4
@@ -640,8 +640,18 @@ class TestBadInputExitCodes:
         # the box side is box_wavelengths wavelengths 2 pi c / nu
         ({"scenario": "flat-dicke", "spectrum": {"nu": 5e-324}}, 2,
          ["spectrum.nu = 5e-324", "dicke.box_wavelengths = 100.0"]),
+        # the atom-sum cells' width takes the kernel width and the grid, and the heights
+        # they must resolve take the box
+        ({"scenario": "curved-spectrum", "metric": {"a": 1e100}}, 3,
+         ["metric.a = 1e+100", "spectrum.nu = 1.0", "spectrum.gamma = 0.01",
+          "spectrum.grid.lo = -8.0", "spectrum.grid.hi = 3.0", "ensemble.box_heights = 80.0"]),
+        # the replica spread takes the box and the decay length gamma / (a nu)
+        ({"scenario": "curved-spectrum", "spectrum": {"nu": 1e100}}, 2,
+         ["spectrum.nu = 1e+100", "metric.a = 0.001", "spectrum.gamma = 0.01",
+          "ensemble.box_heights = 80.0"]),
     ], ids=["box-past-linearization", "a-value-past-linearization", "delta-grid-collapse",
-            "spectrum-grid-collapse", "grid-reach-rounds-phases", "flat-dicke-box-side"])
+            "spectrum-grid-collapse", "grid-reach-rounds-phases", "flat-dicke-box-side",
+            "cells-too-narrow-for-the-box", "replica-spread-under-rounding"])
     def test_exit_names_the_keys_that_feed_it(self, tmp_path, capsys, payload, code, names):
         cfg = write_config(tmp_path, payload)
         assert main(["--config", cfg, "--output", str(tmp_path / "o")]) == code
@@ -970,6 +980,8 @@ class TestImports:
     # names a module imports without reading them, each with the reason it stays
     UNREAD_ALLOWED = {
         "emission.check_linearization": "bench/tracer.py rebinds it to count the guard's calls",
+        "spectrum.curved_timed_dicke": "bench/tracer.py rebinds it to time the timed Dicke "
+                                       "state's layer",
     }
 
     def test_every_imported_name_is_read(self):
@@ -1543,8 +1555,12 @@ class TestTracerContract:
             calls[span.name] = calls.get(span.name, 0) + 1
             work[span.name] = work.get(span.name, 0.0) + span.work
         for name in ("spectrum.monte_carlo_spectrum", "emission.sample_ensemble",
-                     "emission.curved_timed_dicke", "spectrum.quadrature_spectrum"):
+                     "spectrum.quadrature_spectrum"):
             assert calls.get(name, 0) > 0 and work[name] > 0, name
+        # one batch call per replica of 2000 atoms, whose work is its atoms (args[0].n)
+        # x the grid's points (len(args[2]))
+        assert calls["spectrum.monte_carlo_spectrum"] == 4
+        assert work["spectrum.monte_carlo_spectrum"] == 2000 * 4 * 21
         assert calls.get("spectrum.kernel_area", 0) > 0
         # spreads makes one call to each closed form, and only it calls the first two
         for name in ("spectrum.frequency_spread", "spectrum.wavevector_spread"):

@@ -345,15 +345,15 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(amps2, amps)
 
     def test_volume_weights(self):
-        # one atom per sum, of unit amplitude: over e^{-i k_z z} / D(z), its sum is its
-        # weight sqrt(1 - a z), the curved volume element
+        # one atom per sum, in its timed Dicke state c: over c e^{-i k_z z} / D(z), its
+        # sum is its weight sqrt(1 - a z), the curved volume element
         p = self.params
         for z in (-0.25 / p.metric.a, -1.0, 0.0, 2.5, 0.25 / p.metric.a):
             ens = Ensemble([[0.0, 0.0, z]], self.box)
-            got = one_batch_sum(ens, self.kz, p, np.ones(1, dtype=complex))
+            got = one_batch_sum(ens, self.kz, p)
             omega = p.constants.c * np.sqrt(p.k0[0] ** 2 + p.k0[1] ** 2 + self.kz**2)
             den = omega - p.nu + 0.5j * p.gamma - 0.5 * p.metric.a * omega * z
-            unweighted = np.exp(-1j * self.kz * z) / den
+            unweighted = curved_timed_dicke(ens, p.k0z)[0] * np.exp(-1j * self.kz * z) / den
             np.testing.assert_allclose(got / unweighted, math.sqrt(1.0 - p.metric.a * z),
                                        rtol=1e-12)
 
@@ -488,7 +488,7 @@ class TestCellExpansion(RecurrenceCase):
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
     def test_one_point_at_k0z(self):
-        # k_c = k0z and q = 0: the denominator alone sets the cells, and the phase
+        # q = k0z - k_z = 0: the denominator alone sets the cells, and the phase
         # series stops at its first term
         self.assert_matches(self.params, np.array([self.params.k0z]), 1600, self.box.edge)
 
@@ -586,12 +586,12 @@ class TestCellGrouping(RecurrenceCase):
         # gamma = 1e-4 the cells are narrow enough for 65 536 steps to keep |a z| < 1
         p = make_params(gamma=1e-4)
         kz = p.k0z + kernel_decay_constant(p) * np.linspace(-6.0, 2.0, 41)
-        _, h = spectrum._cell_half_width(kz, p, 1.0)
+        h = spectrum._cell_half_width(kz, p, 1.0)
         low = -(span // 2)
         cells = np.concatenate(([low, low + span],
                                 np.random.default_rng(span).integers(low, low + span, 400)))
         ens = lattice_ensemble(h, cells, 1, 71)
-        assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2])))[1] == h
+        assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2]))) == h
         index = np.rint(ens.positions[:, 2] / (2.0 * h))
         assert index.max() - index.min() == span
         self.assert_matches(p, kz, ens)
@@ -600,12 +600,12 @@ class TestCellGrouping(RecurrenceCase):
     def test_every_height_in_one_cell(self, m):
         p = self.params
         kz = self.grid("two-spacing")
-        _, h = spectrum._cell_half_width(kz, p, 1e6)
+        h = spectrum._cell_half_width(kz, p, 1e6)
         ens = lattice_ensemble(h, [m], 300, 73)
         # off the origin the heights reach past one half-width, so the sum's own cells
         # are these; at m = 0 their reach is the half-width, and cell 0 still holds them
         if m:
-            assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2])))[1] == h
+            assert spectrum._cell_half_width(kz, p, np.max(np.abs(ens.positions[:, 2]))) == h
         self.assert_matches(p, kz, ens)
 
 
@@ -625,18 +625,17 @@ class TestCellMerge(RecurrenceCase):
     def test_second_batch_matches_brute_force(self, second):
         p = self.params
         kz = self.grid("uniform")
-        k_c, h = spectrum._cell_half_width(kz, p, 1e6)
+        h = spectrum._cell_half_width(kz, p, 1e6)
         batches = [lattice_ensemble(h, self.FIRST, 3, 81), lattice_ensemble(h, second, 2, 82)]
         both = Ensemble(np.concatenate([ens.positions for ens in batches]), Box(1e3 * h))
-        cells = spectrum._Cells(k_c, h, both.n, both.n)
+        cells = spectrum._Cells(h, both.n)
         work = spectrum._sum_work(both.n)
         for ens in batches:
-            # as replicated_mc_spectrum adds a batch: its state in the cells' frame
-            state = curved_timed_dicke(ens, p.k0z - k_c)
-            assert monte_carlo_spectrum(ens, state, kz, p, cells, work=work) is None
+            assert monte_carlo_spectrum(ens, p, kz, cells, work=work) is None
         held = cells.keys[:cells.size].copy()
         np.testing.assert_array_equal(held, np.union1d(self.FIRST, second))
-        got = spectrum._contract(cells, kz, p, work, {})
+        # the replica's timed Dicke state's norm, once over both batches
+        got = spectrum._contract(cells, kz, p, work, {}) / math.sqrt(both.n)
         amps = brute_force_atom_sum(both, kz, p)
         assert np.max(np.abs(got - amps)) <= 1e-12 * np.max(np.abs(amps))
 
@@ -760,12 +759,12 @@ class TestReplicaContraction(RecurrenceCase):
         ens = Ensemble([[0.0, 0.0, 9.9]], box)
         kz = np.array([p.k0z])
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
-            one_batch_sum(ens, kz, p, np.ones(1, dtype=complex))
+            one_batch_sum(ens, kz, p)
         with pytest.raises(PhysicsDomainError, match="cannot resolve"):
             replicated_mc_spectrum(p, kz, 10, box, 2, 3)
         # heights within 2^52 cells of the origin are resolved
         near = Ensemble([[0.0, 0.0, 1.0]], box)
-        assert np.isfinite(one_batch_sum(near, kz, p, np.ones(1, dtype=complex))).all()
+        assert np.isfinite(one_batch_sum(near, kz, p)).all()
 
 
 class TestReplicaWorkspace(RecurrenceCase):
@@ -779,29 +778,11 @@ class TestReplicaWorkspace(RecurrenceCase):
         got = one_batch_sum(ens, kz, p, work=work)
         np.testing.assert_array_equal(got, one_batch_sum(ens, kz, p))
 
-    @staticmethod
-    def in_first_row(real, cplx, n):
-        """The state builder of a replica's batch of n atoms: the state, in the cells'
-        frame, in the first complex row of its workspace, its phases in the first real."""
-        def state(ens, k):
-            return curved_timed_dicke(ens, k, out=cplx[0, :n], work=real[0, :n])
-        return state
-
-    def test_amplitudes_in_the_first_complex_row(self):
-        # as replicated_mc_spectrum builds each batch's state: the sum weights it in place
-        p = self.params
-        kz = self.grid("two-spacing")
-        ens = sample_ensemble(300, self.box, 43)
-        real, cplx = spectrum._sum_work(400)
-        got = one_batch_sum(ens, kz, p, state=self.in_first_row(real, cplx, 300),
-                            work=(real, cplx))
-        np.testing.assert_array_equal(got, one_batch_sum(ens, kz, p))
-
     @pytest.mark.parametrize("grid", ["uniform", "two-spacing", "irregular"])
     def test_positions_and_weights_in_the_last_complex_rows(self, grid):
         # as replicated_mc_spectrum draws a short last batch: the draw fills the
-        # float view of the last two complex rows, whose heights the sum copies and
-        # weights before it overwrites them
+        # float view of the last two complex rows, whose heights the sum copies, and
+        # weights in the first complex row, before it overwrites them
         p = self.params
         kz = self.grid(grid)
         positions, (real, cplx) = spectrum._batch_work(400)
@@ -810,8 +791,7 @@ class TestReplicaWorkspace(RecurrenceCase):
         fresh = sample_ensemble(300, self.box, 43)
         np.testing.assert_array_equal(ens.positions, fresh.positions)
         want = one_batch_sum(fresh, kz, p)
-        got = one_batch_sum(ens, kz, p, state=self.in_first_row(real, cplx, 300),
-                            work=(real, cplx))
+        got = one_batch_sum(ens, kz, p, work=(real, cplx))
         np.testing.assert_array_equal(got, want)
 
     def test_threads_keep_their_own_workspace(self, monkeypatch):
